@@ -24,6 +24,7 @@ _EXPORTS = {
     "extremal_family": "heisenberg",
     "SpherePoint": "sphere",
     "sphere_dist": "sphere",
+    "sphere_dist_sq": "sphere",
     "cayley": "sphere",
     "cayley_inv": "sphere",
     "cayley_jacobian": "sphere",

@@ -2,9 +2,13 @@
 
 Eight subcommands: constants, verify-hls, extremal-sub, continuation,
 lower-bound, mass-experiment, covariance-check, curvature-residual. Each
-run writes a JSON summary (and, where natural, a CSV table) into the
+is one entry of the COMMANDS table: its defaults, the allowed values of
+its string keys, and a run function holding only its own computation and
+printing. One driver resolves the configuration, runs the entry and
+writes <command>.json (and <command>.csv where natural) into the
 --output directory; the summary embeds the fully resolved configuration
-so a run can be reproduced from its own artifact.
+so a run can be reproduced from its own artifact. The parser is derived
+from the same table: every config key is also a flag.
 
 Configuration sources, lowest to highest precedence: built-in defaults,
 a JSON config file passed with --config, explicit flags. Exit codes:
@@ -22,6 +26,8 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import dataclass
+from typing import Callable
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -36,6 +42,23 @@ _THREAD_ENV_VARS = (
 )
 
 _RESIDUAL_THRESHOLD = 1e-10
+
+# config keys every subcommand carries; their flags come from _add_common
+_COMMON = {"output": ".", "seed": 0}
+
+_HELP = {
+    "eps_list": "comma-separated eps values",
+    "ratio": "truncation ratio R/eps",
+    "R": "truncation radius; ratio * eps when not given",
+    "resolution": "grid resolution, three comma-separated integers",
+    "slack": "allowed excess over the sharp constant",
+    "spread_tol": "allowed norm spread",
+    "p": "subcritical exponent in (q_alpha, 2)",
+    "p_schedule": "comma-separated decreasing p values; ends at q_alpha + 1e-3 when not given",
+    "A0": "constant mass for green_model",
+    "c_w": "remainder coefficient for green_model",
+    "A0_list": "comma-separated mass values",
+}
 
 
 def _apply_thread_env(flag_value) -> None:
@@ -59,7 +82,11 @@ def _floats(value) -> list[float]:
 
 
 def _ints(value) -> list[int]:
-    return [int(v) for v in _floats(value)]
+    values = _floats(value)
+    bad = [v for v in values if not v.is_integer()]
+    if bad:
+        raise ValueError(f"expected integers, got {bad}")
+    return [int(v) for v in values]
 
 
 def _plain(obj):
@@ -81,30 +108,37 @@ def _plain(obj):
     return obj
 
 
-def _write_json(output_dir: str, name: str, payload: dict) -> str:
+def _write(output_dir: str, name: str, text: str) -> str:
     os.makedirs(output_dir, exist_ok=True)
     path = os.path.join(output_dir, name)
     with open(path, "w") as fh:
-        fh.write(json.dumps(_plain(payload), indent=2, sort_keys=True) + "\n")
+        fh.write(text)
     return path
 
 
-def _write_csv(output_dir: str, name: str, header: str, rows) -> str:
-    os.makedirs(output_dir, exist_ok=True)
-    path = os.path.join(output_dir, name)
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(row + "\n")
-    return path
+@dataclass(frozen=True)
+class Command:
+    """One subcommand as data: its flags are derived from defaults, and
+    choices lists the allowed values of string keys. run(cfg) returns
+    (results, csv, ok): the JSON results, a (header, rows) pair or None,
+    and whether every solve converged and every check passed.
+    """
+
+    help: str
+    defaults: dict
+    run: Callable[[dict], tuple]
+    choices: dict
 
 
-def _resolve_config(args: argparse.Namespace, defaults: dict) -> dict:
-    """Merge defaults, JSON config file, and explicit flags (in that order)."""
+def _resolve_config(args: argparse.Namespace, command: Command) -> dict:
+    """Merge defaults, JSON config file, and explicit flags (in that order),
+    then check choices and parse list keys, so config-file entries get the
+    same checks as flags.
+    """
+    defaults = command.defaults
     resolved = dict(defaults)
-    path = getattr(args, "config", None)
-    if path is not None:
-        with open(path) as fh:
+    if args.config is not None:
+        with open(args.config) as fh:
             file_cfg = json.load(fh)
         if not isinstance(file_cfg, dict):
             raise ValueError("config file must hold a single JSON object")
@@ -113,28 +147,31 @@ def _resolve_config(args: argparse.Namespace, defaults: dict) -> dict:
             raise ValueError(f"unknown config keys {unknown}; valid keys: {sorted(defaults)}")
         resolved.update(file_cfg)
     for key in defaults:
-        value = getattr(args, key, None)
+        value = getattr(args, key)
         if value is not None:
             resolved[key] = value
+    for key, allowed in command.choices.items():
+        if resolved[key] not in allowed:
+            raise ValueError(
+                f"unknown {key} {resolved[key]!r}, expected one of {', '.join(allowed)}"
+            )
+    for key, default in defaults.items():
+        if isinstance(default, list):
+            parse = _ints if isinstance(default[0], int) else _floats
+            resolved[key] = parse(resolved[key])
     return resolved
 
 
-def _summary(command: str, config: dict, results: dict) -> dict:
-    return {"command": command, "config": config, "results": results}
-
-
 # ---------------------------------------------------------------------------
-# subcommand handlers; each returns a process exit code
+# subcommand computations; each returns (results, csv or None, ok)
 
 
-def _cmd_constants(args) -> int:
+def _run_constants(cfg: dict):
     from .core import make_params, sharp_constant_DH
 
-    cfg = _resolve_config(args, {"n": 1, "alpha": 2.0, "output": ".", "seed": 0})
     params = make_params(int(cfg["n"]), float(cfg["alpha"]))
-    value = sharp_constant_DH(params)
     results = {
-        "sharp_constant": value,
+        "sharp_constant": sharp_constant_DH(params),
         "Q": params.Q,
         "p_alpha": params.p_alpha,
         "q_alpha": params.q_alpha,
@@ -142,32 +179,15 @@ def _cmd_constants(args) -> int:
     }
     for key in ("sharp_constant", "p_alpha", "q_alpha", "Q", "b_n"):
         print(f"{key} = {results[key]!r}")
-    path = _write_json(cfg["output"], "constants.json", _summary("constants", cfg, results))
-    print(f"wrote {path}")
-    return EXIT_OK
+    return results, None, True
 
 
-def _cmd_verify_hls(args) -> int:
+def _run_verify_hls(cfg: dict):
     from .core import make_params, sharp_constant_DH
     from .experiments import eps_invariance_experiment, lower_bound_experiment
 
-    defaults = {
-        "n": 1,
-        "alpha": 2.0,
-        "eps_list": [0.05, 0.1, 0.2],
-        "ratio": 50.0,
-        "resolution": [12, 8, 12],
-        "slack": 0.02,
-        "spread_tol": 0.01,
-        "output": ".",
-        "seed": 0,
-    }
-    cfg = _resolve_config(args, defaults)
-    cfg["eps_list"] = _floats(cfg["eps_list"])
-    cfg["resolution"] = _ints(cfg["resolution"])
     params = make_params(int(cfg["n"]), float(cfg["alpha"]))
     sharp = sharp_constant_DH(params)
-
     inv = eps_invariance_experiment(cfg["eps_list"], cfg["ratio"], cfg["resolution"], params)
     # the transported quotient resolves best at unit scale; its continuum
     # value is eps-invariant, so eps = 1 loses no generality
@@ -184,100 +204,48 @@ def _cmd_verify_hls(args) -> int:
     }
     print(f"norm spread across eps = {inv.spread_rel:.3e} (tol {cfg['spread_tol']})")
     print(f"quotient at ratio {cfg['ratio']} = {bound.quotient:.6f} <= {sharp:.6f} * (1 + slack)")
-    path = _write_json(cfg["output"], "verify-hls.json", _summary("verify-hls", cfg, results))
-    _write_csv(cfg["output"], "verify-hls.csv", inv.csv_header, inv.csv_rows())
-    print(f"wrote {path}")
-    if args.strict and not results["all_ok"]:
-        return EXIT_NOT_CONVERGED
-    return EXIT_OK
+    return results, (inv.csv_header, inv.csv_rows()), results["all_ok"]
 
 
-def _two_node_fixture():
+def _two_node_fixture(params):
     """The bundled two-node solver fixture: unit weights, hopping kernel."""
     import numpy as np
 
-    from .core import make_params
     from .discretization import KernelMatrix, KernelSpec, QuadratureGrid
 
-    params = make_params(1, 2.0)
-    grid = QuadratureGrid(
-        kind="sphere",
-        n=1,
-        weights=np.ones(2),
-        resolution=(2,),
-        xi=np.array([[1.0, 0.0], [0.0, 1.0]], dtype=np.complex128),
-    )
-    entries = np.array([[0.0, 1.0], [1.0, 0.0]])
-    K = KernelMatrix(
-        entries=entries, spec=KernelSpec("pure_singular"), grid=grid, params=params
-    )
-    return K, grid
+    xi = np.eye(2, dtype=np.complex128)
+    grid = QuadratureGrid(kind="sphere", n=1, weights=np.ones(2), resolution=(2,), xi=xi)
+    hopping = np.array([[0.0, 1.0], [1.0, 0.0]])
+    return KernelMatrix(hopping, KernelSpec("pure_singular"), grid, params)
 
 
-def _cmd_extremal_sub(args) -> int:
+def _run_extremal_sub(cfg: dict):
     from .core import make_params
     from .discretization import KernelSpec, assemble_kernel, sphere_grid
     from .solver import result_to_dict, solve_subcritical
 
-    defaults = {
-        "manifold": "fixture",
-        "alpha": 2.0,
-        "resolution": [8, 8, 8],
-        "p": 1.5,
-        "tol": 1e-9,
-        "max_iter": 10000,
-        "output": ".",
-        "seed": 0,
-    }
-    cfg = _resolve_config(args, defaults)
-    cfg["resolution"] = _ints(cfg["resolution"])
+    params = make_params(1, float(cfg["alpha"]))
     if cfg["manifold"] == "fixture":
-        K, grid = _two_node_fixture()
-    elif cfg["manifold"] == "sphere":
-        params = make_params(1, float(cfg["alpha"]))
-        grid = sphere_grid(1, cfg["resolution"])
-        K = assemble_kernel(grid, KernelSpec("pure_singular"), params)
+        K = _two_node_fixture(params)
     else:
-        raise ValueError(f"unknown manifold {cfg['manifold']!r}, expected fixture or sphere")
+        K = assemble_kernel(sphere_grid(1, cfg["resolution"]), KernelSpec("pure_singular"), params)
     result = solve_subcritical(
-        K, grid, float(cfg["p"]), tol=float(cfg["tol"]), max_iter=int(cfg["max_iter"])
+        K, K.grid, float(cfg["p"]), tol=float(cfg["tol"]), max_iter=int(cfg["max_iter"])
     )
     print(
         f"p = {result.p}  D = {result.D_estimate!r}  iterations = {result.iterations}"
         f"  converged = {result.converged}"
     )
-    path = _write_json(
-        cfg["output"],
-        "extremal-sub.json",
-        _summary("extremal-sub", cfg, result_to_dict(result)),
-    )
-    print(f"wrote {path}")
-    if args.strict and not result.converged:
-        return EXIT_NOT_CONVERGED
-    return EXIT_OK
+    return result_to_dict(result), None, result.converged
 
 
-def _cmd_continuation(args) -> int:
+def _run_continuation(cfg: dict):
     import numpy as np
 
     from .core import make_params, sharp_constant_DH
     from .discretization import KernelSpec, assemble_kernel, sphere_grid
     from .solver import continuation, default_p_schedule, result_to_dict
 
-    defaults = {
-        "alpha": 2.0,
-        "resolution": [12, 12, 12],
-        "p_schedule": None,
-        "kernel": "pure_singular",
-        "A0": 0.0,
-        "c_w": 0.0,
-        "tol": 1e-9,
-        "max_iter": 10000,
-        "output": ".",
-        "seed": 0,
-    }
-    cfg = _resolve_config(args, defaults)
-    cfg["resolution"] = _ints(cfg["resolution"])
     params = make_params(1, float(cfg["alpha"]))
     if cfg["p_schedule"] is None:
         cfg["p_schedule"] = default_p_schedule(params)
@@ -286,22 +254,17 @@ def _cmd_continuation(args) -> int:
     grid = sphere_grid(1, cfg["resolution"])
     if cfg["kernel"] == "pure_singular":
         spec = KernelSpec("pure_singular")
-    elif cfg["kernel"] == "green_model":
+    else:
         spec = KernelSpec(
             "green_model", mass=np.full(len(grid), float(cfg["A0"])), c_w=float(cfg["c_w"])
         )
-    else:
-        raise ValueError(f"unknown kernel {cfg['kernel']!r}")
     K = assemble_kernel(grid, spec, params)
     runs = continuation(
         K, grid, cfg["p_schedule"], tol=float(cfg["tol"]), max_iter=int(cfg["max_iter"])
     )
-    stages = []
-    for run in runs:
-        stage = result_to_dict(run)
-        if run is not runs[-1]:
-            del stage["f"]
-        stages.append(stage)
+    stages = [result_to_dict(run) for run in runs]
+    for stage in stages[:-1]:  # only the final maximizer is kept
+        del stage["f"]
     sharp = sharp_constant_DH(params)
     results = {
         "stages": stages,
@@ -316,38 +279,14 @@ def _cmd_continuation(args) -> int:
             f"  converged = {run.converged}"
         )
     print(f"final/sharp = {results['final_over_sharp']:.6f}")
-    path = _write_json(cfg["output"], "continuation.json", _summary("continuation", cfg, results))
-    _write_csv(
-        cfg["output"],
-        "continuation.csv",
-        "p,D,iterations,residual,converged",
-        [
-            f"{r.p!r},{r.D_estimate!r},{r.iterations},{r.residual!r},{r.converged}"
-            for r in runs
-        ],
-    )
-    print(f"wrote {path}")
-    if args.strict and not results["all_converged"]:
-        return EXIT_NOT_CONVERGED
-    return EXIT_OK
+    rows = [f"{r.p!r},{r.D_estimate!r},{r.iterations},{r.residual!r},{r.converged}" for r in runs]
+    return results, ("p,D,iterations,residual,converged", rows), results["all_converged"]
 
 
-def _cmd_lower_bound(args) -> int:
+def _run_lower_bound(cfg: dict):
     from .core import make_params
     from .experiments import lower_bound_experiment
 
-    defaults = {
-        "n": 1,
-        "alpha": 2.0,
-        "eps": 0.1,
-        "ratio": 50.0,
-        "R": None,
-        "resolution": [16, 8, 16],
-        "output": ".",
-        "seed": 0,
-    }
-    cfg = _resolve_config(args, defaults)
-    cfg["resolution"] = _ints(cfg["resolution"])
     if cfg["R"] is None:
         cfg["R"] = float(cfg["ratio"]) * float(cfg["eps"])
     cfg["ratio"] = float(cfg["R"]) / float(cfg["eps"])
@@ -357,76 +296,46 @@ def _cmd_lower_bound(args) -> int:
         f"quotient = {res.quotient!r} on {res.n_nodes} nodes "
         f"(sharp constant {res.sharp_constant!r})"
     )
-    path = _write_json(cfg["output"], "lower-bound.json", _summary("lower-bound", cfg, res.to_dict()))
-    _write_csv(cfg["output"], "lower-bound.csv", res.csv_header, [res.csv_row()])
-    print(f"wrote {path}")
-    return EXIT_OK
+    return res.to_dict(), (res.csv_header, [res.csv_row()]), True
 
 
-def _cmd_mass_experiment(args) -> int:
+def _run_mass_experiment(cfg: dict):
     from .experiments import MassPerturbationResult, mass_perturbation_experiment
 
-    defaults = {
-        "alpha": 2.0,
-        "A0_list": [0.0, 0.5, 1.0, 2.0],
-        "c_w": 0.0,
-        "resolution": [8, 6, 8],
-        "tol": 1e-9,
-        "max_iter": 10000,
-        "output": ".",
-        "seed": 0,
-    }
-    cfg = _resolve_config(args, defaults)
-    cfg["A0_list"] = _floats(cfg["A0_list"])
-    cfg["resolution"] = _ints(cfg["resolution"])
     records = [
         mass_perturbation_experiment(
-            A0,
-            float(cfg["c_w"]),
-            float(cfg["alpha"]),
-            cfg["resolution"],
-            tol=float(cfg["tol"]),
-            max_iter=int(cfg["max_iter"]),
+            A0, float(cfg["c_w"]), float(cfg["alpha"]), cfg["resolution"],
+            tol=float(cfg["tol"]), max_iter=int(cfg["max_iter"]),
         )
         for A0 in cfg["A0_list"]
     ]
     deltas = [r.delta for r in records]
-    monotone = all(b >= a for a, b in zip(deltas, deltas[1:]))
-    positive = all(r.delta > 0.0 for r in records if r.A0 > 0.0)
     results = {
         "runs": [r.to_dict() for r in records],
-        "deltas_nondecreasing": monotone,
-        "deltas_positive_for_positive_mass": positive,
+        "deltas_nondecreasing": all(b >= a for a, b in zip(deltas, deltas[1:])),
+        "deltas_positive_for_positive_mass": all(r.delta > 0.0 for r in records if r.A0 > 0.0),
         "all_converged": all(r.all_converged for r in records),
     }
     for r in records:
         print(f"A0 = {r.A0}  quotient_mass = {r.quotient_mass!r}  delta = {r.delta!r}")
-    path = _write_json(
-        cfg["output"], "mass-experiment.json", _summary("mass-experiment", cfg, results)
-    )
-    _write_csv(
-        cfg["output"],
-        "mass-experiment.csv",
-        MassPerturbationResult.csv_header,
-        [r.csv_row() for r in records],
-    )
-    print(f"wrote {path}")
-    if args.strict and not results["all_converged"]:
-        return EXIT_NOT_CONVERGED
-    return EXIT_OK
+    table = (MassPerturbationResult.csv_header, [r.csv_row() for r in records])
+    return results, table, results["all_converged"]
 
 
-def _random_sphere_kernel(n_nodes: int, min_sep: float, alpha: float, rng):
-    """Pure singular kernel on random well-separated S^3 nodes."""
+def _random_sphere_kernel(n_nodes: int, min_sep: float, params, rng):
+    """Pure singular kernel on random well-separated S^3 nodes.
+
+    Candidates are drawn one at a time and kept when they lie at least
+    min_sep from every node kept so far.
+    """
     import numpy as np
 
-    from .core import make_params
     from .discretization import KernelSpec, QuadratureGrid, assemble_kernel
+    from .sphere import sphere_dist_sq
 
-    params = make_params(1, alpha)
-    nodes: list[np.ndarray] = []
-    attempts = 0
-    while len(nodes) < n_nodes:
+    nodes = np.empty((n_nodes, 2), dtype=np.complex128)
+    count = attempts = 0
+    while count < n_nodes:
         attempts += 1
         if attempts > 1000 * n_nodes:
             raise ValueError(
@@ -434,53 +343,32 @@ def _random_sphere_kernel(n_nodes: int, min_sep: float, alpha: float, rng):
             )
         v = rng.standard_normal(4)
         xi = np.array([v[0] + 1j * v[1], v[2] + 1j * v[3]]) / np.linalg.norm(v)
-        ok = True
-        for other in nodes:
-            ip = np.vdot(other, xi)
-            if np.sqrt(2.0 * abs(1.0 - ip)) < min_sep:
-                ok = False
-                break
-        if ok:
-            nodes.append(xi)
-    grid = QuadratureGrid(
-        kind="sphere",
-        n=1,
-        weights=rng.uniform(0.5, 1.5, n_nodes),
-        resolution=(n_nodes,),
-        xi=np.array(nodes),
-    )
-    return assemble_kernel(grid, KernelSpec("pure_singular"), params), grid, params
+        if not np.any(np.sqrt(sphere_dist_sq(xi, nodes[:count])) < min_sep):
+            nodes[count] = xi
+            count += 1
+    weights = rng.uniform(0.5, 1.5, n_nodes)
+    grid = QuadratureGrid(kind="sphere", n=1, weights=weights, resolution=(n_nodes,), xi=nodes)
+    return assemble_kernel(grid, KernelSpec("pure_singular"), params)
 
 
-def _cmd_covariance_check(args) -> int:
+def _run_covariance_check(cfg: dict):
     import numpy as np
 
+    from .core import make_params
     from .experiments import conformal_covariance_check
 
-    defaults = {
-        "alpha": 2.0,
-        "nodes": 50,
-        "pairs": 100,
-        "min_sep": 0.2,
-        "phi": "random",
-        "output": ".",
-        "seed": 0,
-    }
-    cfg = _resolve_config(args, defaults)
-    if cfg["phi"] not in ("random", "constant"):
-        raise ValueError(f"unknown phi mode {cfg['phi']!r}, expected random or constant")
     rng = np.random.default_rng(int(cfg["seed"]))
-    K, grid, params = _random_sphere_kernel(
-        int(cfg["nodes"]), float(cfg["min_sep"]), float(cfg["alpha"]), rng
-    )
+    params = make_params(1, float(cfg["alpha"]))
+    K = _random_sphere_kernel(int(cfg["nodes"]), float(cfg["min_sep"]), params, rng)
+    N = len(K)
     residuals = []
     for _ in range(int(cfg["pairs"])):
         if cfg["phi"] == "constant":
-            phi = np.full(len(grid), rng.uniform(0.5, 2.0))
+            phi = np.full(N, rng.uniform(0.5, 2.0))
         else:
-            phi = np.exp(rng.uniform(-0.7, 0.7, len(grid)))
-        u = rng.standard_normal(len(grid))
-        residuals.append(conformal_covariance_check(K, grid, phi, u, params))
+            phi = np.exp(rng.uniform(-0.7, 0.7, N))
+        u = rng.standard_normal(N)
+        residuals.append(conformal_covariance_check(K, K.grid, phi, u, params))
     worst = max(residuals)
     results = {
         "max_residual": worst,
@@ -490,16 +378,10 @@ def _cmd_covariance_check(args) -> int:
         "ok": worst <= _RESIDUAL_THRESHOLD,
     }
     print(f"max covariance residual over {cfg['pairs']} pairs = {worst:.3e}")
-    path = _write_json(
-        cfg["output"], "covariance-check.json", _summary("covariance-check", cfg, results)
-    )
-    print(f"wrote {path}")
-    if args.strict and not results["ok"]:
-        return EXIT_NOT_CONVERGED
-    return EXIT_OK
+    return results, None, results["ok"]
 
 
-def _cmd_curvature_residual(args) -> int:
+def _run_curvature_residual(cfg: dict):
     import numpy as np
 
     from .core import make_params
@@ -507,17 +389,6 @@ def _cmd_curvature_residual(args) -> int:
     from .experiments import curvature_equation_residual
     from .solver import continuation, default_p_schedule
 
-    defaults = {
-        "alpha": 2.0,
-        "resolution": [10, 8, 10],
-        "mode": "constant",
-        "tol": 1e-9,
-        "max_iter": 10000,
-        "output": ".",
-        "seed": 0,
-    }
-    cfg = _resolve_config(args, defaults)
-    cfg["resolution"] = _ints(cfg["resolution"])
     params = make_params(1, float(cfg["alpha"]))
     grid = sphere_grid(1, cfg["resolution"])
     K = assemble_kernel(grid, KernelSpec("pure_singular"), params)
@@ -525,38 +396,96 @@ def _cmd_curvature_residual(args) -> int:
     if cfg["mode"] == "constant":
         phi = np.ones(len(grid))
     elif cfg["mode"] == "maximizer":
+        schedule = default_p_schedule(params)
         runs = continuation(
-            K,
-            grid,
-            default_p_schedule(params),
-            tol=float(cfg["tol"]),
-            max_iter=int(cfg["max_iter"]),
+            K, grid, schedule, tol=float(cfg["tol"]), max_iter=int(cfg["max_iter"])
         )
         converged = all(r.converged for r in runs)
         phi = runs[-1].f ** (runs[-1].p - 1.0)
-    elif cfg["mode"] == "random":
+    else:
         rng = np.random.default_rng(int(cfg["seed"]))
         phi = np.exp(0.3 * rng.standard_normal(len(grid)))
-    else:
-        raise ValueError(
-            f"unknown mode {cfg['mode']!r}, expected constant, maximizer, or random"
-        )
     residual = curvature_equation_residual(K, grid, phi, params)
     results = {"residual": residual, "mode": cfg["mode"], "n_nodes": len(grid)}
     if cfg["mode"] == "maximizer":
         results["all_converged"] = converged
     print(f"curvature residual ({cfg['mode']} phi) = {residual:.6e}")
-    path = _write_json(
-        cfg["output"], "curvature-residual.json", _summary("curvature-residual", cfg, results)
-    )
-    print(f"wrote {path}")
-    if args.strict and not converged:
-        return EXIT_NOT_CONVERGED
-    return EXIT_OK
+    return results, None, converged
+
+
+def _command(help: str, run, defaults: dict, choices=None) -> Command:
+    return Command(help, {**defaults, **_COMMON}, run, choices or {})
+
+
+_SOLVE = {"tol": 1e-9, "max_iter": 10000}
+
+COMMANDS = {
+    "constants": _command(
+        "print sharp constant and exponents", _run_constants, {"n": 1, "alpha": 2.0}
+    ),
+    "verify-hls": _command(
+        "eps-invariance and upper-bound checks",
+        _run_verify_hls,
+        {"n": 1, "alpha": 2.0, "eps_list": [0.05, 0.1, 0.2], "ratio": 50.0,
+         "resolution": [12, 8, 12], "slack": 0.02, "spread_tol": 0.01},
+    ),
+    "extremal-sub": _command(
+        "one subcritical solve",
+        _run_extremal_sub,
+        {"manifold": "fixture", "alpha": 2.0, "resolution": [8, 8, 8], "p": 1.5, **_SOLVE},
+        {"manifold": ("fixture", "sphere")},
+    ),
+    "continuation": _command(
+        "warm-started sweep of p toward q_alpha",
+        _run_continuation,
+        {"alpha": 2.0, "resolution": [12, 12, 12], "p_schedule": None,
+         "kernel": "pure_singular", "A0": 0.0, "c_w": 0.0, **_SOLVE},
+        {"kernel": ("pure_singular", "green_model")},
+    ),
+    "lower-bound": _command(
+        "truncated concentrating-extremal quotient",
+        _run_lower_bound,
+        {"n": 1, "alpha": 2.0, "eps": 0.1, "ratio": 50.0, "R": None, "resolution": [16, 8, 16]},
+    ),
+    "mass-experiment": _command(
+        "positive-mass kernel perturbation sweep",
+        _run_mass_experiment,
+        {"alpha": 2.0, "A0_list": [0.0, 0.5, 1.0, 2.0], "c_w": 0.0, "resolution": [8, 6, 8],
+         **_SOLVE},
+    ),
+    "covariance-check": _command(
+        "contact-form rescaling identity residual",
+        _run_covariance_check,
+        {"alpha": 2.0, "nodes": 50, "pairs": 100, "min_sep": 0.2, "phi": "random"},
+        {"phi": ("random", "constant")},
+    ),
+    "curvature-residual": _command(
+        "integral curvature equation defect",
+        _run_curvature_residual,
+        {"alpha": 2.0, "resolution": [10, 8, 10], "mode": "constant", **_SOLVE},
+        {"mode": ("constant", "maximizer", "random")},
+    ),
+}
 
 
 # ---------------------------------------------------------------------------
-# parser
+# parser and driver
+
+
+def _flag_type(key: str, default):
+    # R defaults to None (filled in from ratio * eps) but is a number; the
+    # other None and list defaults take comma-separated strings, parsed
+    # by _resolve_config or the command itself
+    if key == "R":
+        return float
+    return str if default is None or isinstance(default, list) else type(default)
+
+
+def _flag_help(key: str, default) -> str:
+    text = _HELP.get(key, "")
+    if default is not None:
+        text += f" (default {default})" if text else f"default {default}"
+    return text
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -567,109 +496,51 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--strict",
         action="store_true",
-        default=None,
         help="exit 3 when a solve fails to converge or a check fails",
     )
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per COMMANDS entry, one flag per non-common config key."""
     parser = argparse.ArgumentParser(
         prog="crhls",
         description="Sharp Hardy-Littlewood-Sobolev machinery on model CR manifolds.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("constants", help="print sharp constant and exponents")
-    p.add_argument("--n", type=int)
-    p.add_argument("--alpha", type=float)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_constants)
-
-    p = subs.add_parser("verify-hls", help="eps-invariance and upper-bound checks")
-    p.add_argument("--n", type=int)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--eps-list", dest="eps_list", help="comma-separated eps values")
-    p.add_argument("--ratio", type=float, help="truncation ratio R/eps")
-    p.add_argument("--resolution", help="grid resolution, three comma-separated integers")
-    p.add_argument("--slack", type=float, help="allowed excess over the sharp constant")
-    p.add_argument("--spread-tol", dest="spread_tol", type=float, help="allowed norm spread")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_verify_hls)
-
-    p = subs.add_parser("extremal-sub", help="one subcritical solve")
-    p.add_argument("--manifold", choices=["fixture", "sphere"])
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--resolution", help="sphere resolution, three comma-separated integers")
-    p.add_argument("--p", type=float, help="subcritical exponent in (q_alpha, 2)")
-    p.add_argument("--tol", type=float)
-    p.add_argument("--max-iter", dest="max_iter", type=int)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_extremal_sub)
-
-    p = subs.add_parser("continuation", help="warm-started sweep of p toward q_alpha")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--resolution", help="sphere resolution, three comma-separated integers")
-    p.add_argument("--p-schedule", dest="p_schedule", help="comma-separated decreasing p values")
-    p.add_argument("--kernel", choices=["pure_singular", "green_model"])
-    p.add_argument("--A0", type=float, help="constant mass for green_model")
-    p.add_argument("--c-w", dest="c_w", type=float, help="remainder coefficient for green_model")
-    p.add_argument("--tol", type=float)
-    p.add_argument("--max-iter", dest="max_iter", type=int)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_continuation)
-
-    p = subs.add_parser("lower-bound", help="truncated concentrating-extremal quotient")
-    p.add_argument("--n", type=int)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--ratio", type=float, help="R/eps when --R is not given")
-    p.add_argument("--R", type=float)
-    p.add_argument("--resolution", help="sphere resolution, three comma-separated integers")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_lower_bound)
-
-    p = subs.add_parser("mass-experiment", help="positive-mass kernel perturbation sweep")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--A0-list", dest="A0_list", help="comma-separated mass values")
-    p.add_argument("--c-w", dest="c_w", type=float)
-    p.add_argument("--resolution", help="sphere resolution, three comma-separated integers")
-    p.add_argument("--tol", type=float)
-    p.add_argument("--max-iter", dest="max_iter", type=int)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_mass_experiment)
-
-    p = subs.add_parser("covariance-check", help="contact-form rescaling identity residual")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--nodes", type=int)
-    p.add_argument("--pairs", type=int)
-    p.add_argument("--min-sep", dest="min_sep", type=float)
-    p.add_argument("--phi", choices=["random", "constant"])
-    _add_common(p)
-    p.set_defaults(handler=_cmd_covariance_check)
-
-    p = subs.add_parser("curvature-residual", help="integral curvature equation defect")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--resolution", help="sphere resolution, three comma-separated integers")
-    p.add_argument("--mode", choices=["constant", "maximizer", "random"])
-    p.add_argument("--tol", type=float)
-    p.add_argument("--max-iter", dest="max_iter", type=int)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_curvature_residual)
-
+    for name, command in COMMANDS.items():
+        sub = subs.add_parser(name, help=command.help)
+        for key, default in command.defaults.items():
+            if key in _COMMON:
+                continue
+            sub.add_argument(
+                "--" + key.replace("_", "-"),
+                dest=key,
+                type=_flag_type(key, default),
+                choices=command.choices.get(key),
+                help=_flag_help(key, default),
+            )
+        _add_common(sub)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    command = COMMANDS[args.command]
     try:
         _apply_thread_env(args.threads)
-        if args.strict is None:
-            args.strict = False
-        return args.handler(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+        cfg = _resolve_config(args, command)
+        results, table, ok = command.run(cfg)
+        summary = {"command": args.command, "config": cfg, "results": results}
+        text = json.dumps(_plain(summary), indent=2, sort_keys=True) + "\n"
+        path = _write(cfg["output"], f"{args.command}.json", text)
+        if table is not None:
+            header, rows = table
+            _write(cfg["output"], f"{args.command}.csv", "".join(f"{r}\n" for r in [header, *rows]))
+        print(f"wrote {path}")
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    return EXIT_NOT_CONVERGED if args.strict and not ok else EXIT_OK
 
 
 if __name__ == "__main__":

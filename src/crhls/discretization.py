@@ -37,7 +37,7 @@ import numpy as np
 
 from .core import Params
 from .heisenberg import HPoint
-from .sphere import SpherePoint
+from .sphere import SpherePoint, sphere_dist_sq
 
 __all__ = [
     "QuadratureGrid",
@@ -128,7 +128,10 @@ class QuadratureGrid:
 
 
 def _validate_resolution(resolution, length: int) -> tuple[int, ...]:
-    res = tuple(int(m) for m in np.atleast_1d(np.asarray(resolution, dtype=np.int64)))
+    values = np.atleast_1d(np.asarray(resolution, dtype=np.float64))
+    if not np.all(np.isfinite(values) & (values == np.round(values))):
+        raise ValueError(f"resolution components must be integers, got {values.tolist()}")
+    res = tuple(int(m) for m in values)
     if len(res) != length:
         raise ValueError(f"resolution must have {length} components, got {res}")
     if any(m < 4 for m in res):
@@ -326,8 +329,7 @@ def distances_from_node(grid: QuadratureGrid, i: int) -> np.ndarray:
     if not 0 <= i < N:
         raise ValueError(f"node index {i} out of range for grid of size {N}")
     if grid.kind == "sphere":
-        ip = grid.xi @ grid.xi[i].conj()
-        return np.sqrt(2.0 * np.abs(1.0 - ip))
+        return np.sqrt(sphere_dist_sq(grid.xi, grid.xi[i]))
     dz2 = np.einsum("ij,ij->i", grid.z - grid.z[i], (grid.z - grid.z[i]).conj()).real
     ip = grid.z @ grid.z[i].conj()
     tau = grid.t - grid.t[i] + 2.0 * ip.imag
@@ -389,19 +391,19 @@ class KernelMatrix:
         return int(self.entries.shape[0])
 
 
+def _check_grid(K: KernelMatrix, grid: QuadratureGrid) -> None:
+    if grid is K.grid:
+        return
+    if len(grid) != len(K.grid) or not np.array_equal(grid.weights, K.grid.weights):
+        raise ValueError("grid does not match the kernel's assembly grid")
+
+
 def _pow_neg(base: np.ndarray, expo: float) -> np.ndarray:
     if expo == -1.0:
         return np.reciprocal(base)
     if expo == -0.5:
         return np.reciprocal(np.sqrt(base))
     return base**expo
-
-
-def _base_block_sphere(xi: np.ndarray, i0: int, i1: int) -> np.ndarray:
-    # squared chordal distance d^2 = 2 |1 - xi_i . conj(xi_j)|
-    ip = xi[i0:i1] @ xi.conj().T
-    np.subtract(1.0, ip, out=ip)
-    return 2.0 * np.abs(ip)
 
 
 def _base_block_cylinder(
@@ -445,7 +447,7 @@ def assemble_kernel(
             raise ValueError(f"mass must have shape ({N},), got {spec.mass.shape}")
 
     if grid.kind == "sphere":
-        base_block = lambda i0, i1: _base_block_sphere(grid.xi, i0, i1)
+        base_block = lambda i0, i1: sphere_dist_sq(grid.xi[i0:i1], grid.xi)
         base_power = 0.5  # base is d^2
     else:
         zz = np.einsum("ij,ij->i", grid.z, grid.z.conj()).real

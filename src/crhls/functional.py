@@ -11,11 +11,13 @@ import numpy as np
 
 from .core import Params
 from .discretization import (
+    _BLOCK_ENTRIES,
     KernelMatrix,
     QuadratureGrid,
     cylinder_grid,
     cylinder_shell_grid,
     extremal_values,
+    _check_grid,
     hnorm_values,
 )
 
@@ -93,13 +95,12 @@ def young_bound(K: KernelMatrix, grid: QuadratureGrid, r: float) -> float:
     r = float(r)
     if r < 1.0:
         raise ValueError(f"young_bound needs r >= 1, got r = {r}")
+    _check_grid(K, grid)
     N = len(K)
-    if len(grid) != N or grid is not K.grid and not np.array_equal(grid.weights, K.grid.weights):
-        raise ValueError("grid does not match the kernel's assembly grid")
     w = grid.weights
     best = 0.0
     col_acc = np.zeros(N)
-    block = max(1, min(N, 2**23 // N))
+    block = max(1, min(N, _BLOCK_ENTRIES // N))
     for i0 in range(0, N, block):
         i1 = min(i0 + block, N)
         P = np.asarray(K.entries[i0:i1], dtype=np.float64)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Params
-from .discretization import KernelMatrix, QuadratureGrid, distances_from_node
+from .discretization import KernelMatrix, QuadratureGrid, _check_grid, distances_from_node
 from .functional import lp_norm
 
 __all__ = [
@@ -76,13 +76,6 @@ class BlowupReport:
     radii: np.ndarray
     profile: np.ndarray
     profile_deviation: float
-
-
-def _check_grid(K: KernelMatrix, grid: QuadratureGrid) -> None:
-    if grid is K.grid:
-        return
-    if len(grid) != len(K.grid) or not np.array_equal(grid.weights, K.grid.weights):
-        raise ValueError("grid does not match the kernel's assembly grid")
 
 
 def solve_subcritical(

@@ -19,6 +19,7 @@ from .heisenberg import HPoint
 
 __all__ = [
     "SpherePoint",
+    "sphere_dist_sq",
     "sphere_dist",
     "cayley",
     "cayley_inv",
@@ -53,6 +54,19 @@ class SpherePoint:
         return int(self.xi.size - 1)
 
 
+def sphere_dist_sq(xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """Squared chordal CR distance 2 |1 - xi . conj(eta)| between unit vectors.
+
+    xi and eta hold points of S^{2n+1} in C^{n+1} as rows, or one point
+    as a 1-d vector; the result has shape xi.shape[:-1] + eta.shape[:-1].
+    The inner products are overwritten in place, so a block of distances
+    needs one complex scratch array, not two.
+    """
+    ip = np.asarray(xi @ np.conj(eta).T)
+    np.subtract(1.0, ip, out=ip)
+    return 2.0 * np.abs(ip)
+
+
 def sphere_dist(a: SpherePoint, b: SpherePoint) -> float:
     """Chordal CR distance, d(a, b)^2 = 2 |1 - a.xi . conj(b.xi)|.
 
@@ -60,8 +74,7 @@ def sphere_dist(a: SpherePoint, b: SpherePoint) -> float:
     """
     if a.n != b.n:
         raise ValueError(f"dimension mismatch: points live on S^{2*a.n+1} and S^{2*b.n+1}")
-    ip = complex(np.vdot(b.xi, a.xi))
-    return math.sqrt(2.0 * abs(1.0 - ip))
+    return math.sqrt(sphere_dist_sq(a.xi, b.xi))
 
 
 def cayley(u: HPoint) -> SpherePoint:

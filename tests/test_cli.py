@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from crhls.cli import EXIT_NOT_CONVERGED, EXIT_OK, EXIT_VALIDATION, main
+from crhls.cli import EXIT_NOT_CONVERGED, EXIT_OK, EXIT_VALIDATION, build_parser, main
 
 
 def _read_json(path):
@@ -107,6 +107,56 @@ def test_extremal_sub_rejects_unknown_manifold(tmp_path):
     assert exc.value.code == 2
 
 
+def test_extremal_sub_fixture_uses_alpha(tmp_path, capsys):
+    # at alpha = 1, q_alpha = 1.6, so p = 1.5 lies outside the subcritical window
+    rc = main(["extremal-sub", "--alpha", "1.0", "--p", "1.5", "--output", str(tmp_path)])
+    assert rc == EXIT_VALIDATION
+    assert "subcritical window" in capsys.readouterr().err
+    assert not (tmp_path / "extremal-sub.json").exists()
+
+
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        ("extremal-sub", "manifold", "torus"),
+        ("continuation", "kernel", "gaussian"),
+        ("covariance-check", "phi", "linear"),
+        ("curvature-residual", "mode", "extremal"),
+    ],
+)
+def test_config_rejects_unknown_choice(tmp_path, capsys, command, key, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    rc = main([command, "--config", str(cfg), "--output", str(tmp_path)])
+    assert rc == EXIT_VALIDATION
+    assert f"unknown {key} {value!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["--resolution", "12.7,8.2,12"], None),
+        ([], {"resolution": [12.7, 8, 12]}),
+    ],
+    ids=["flag", "config"],
+)
+def test_non_integer_resolution_rejected(tmp_path, capsys, argv, config):
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv = ["--config", str(tmp_path / "cfg.json")]
+    rc = main(["lower-bound", *argv, "--output", str(tmp_path)])
+    assert rc == EXIT_VALIDATION
+    assert "expected integers" in capsys.readouterr().err
+    assert not (tmp_path / "lower-bound.json").exists()
+
+
+def test_integral_float_resolution_accepted(tmp_path):
+    rc = main(["lower-bound", "--resolution", "6.0,6,6", "--eps", "1", "--R", "4",
+               "--output", str(tmp_path)])
+    assert rc == EXIT_OK
+    assert _read_json(tmp_path / "lower-bound.json")["config"]["resolution"] == [6, 6, 6]
+
+
 def test_strict_flags_unconverged_run(tmp_path):
     args = [
         "extremal-sub",
@@ -174,6 +224,30 @@ def test_lower_bound_command_and_determinism(tmp_path):
     data = json.loads(first)
     assert data["config"]["ratio"] == 8.0
     assert 0.0 < data["results"]["quotient"] < 8.0
+
+
+# small-size arguments per subcommand; reruns must reproduce every artifact byte for byte
+_SMALL_RUNS = {
+    "constants": [],
+    "verify-hls": ["--resolution", "6,4,6", "--ratio", "20"],
+    "extremal-sub": [],
+    "continuation": ["--resolution", "5,5,5"],
+    "lower-bound": ["--resolution", "6,4,6"],
+    "mass-experiment": ["--resolution", "5,4,5", "--A0-list", "0,1"],
+    "covariance-check": ["--nodes", "10", "--pairs", "5"],
+    "curvature-residual": ["--resolution", "5,4,5", "--mode", "random"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_SMALL_RUNS))
+def test_rerun_artifacts_byte_identical(tmp_path, command):
+    # the same --output both times: the artifacts embed the resolved config
+    snapshots = []
+    for _ in range(2):
+        assert main([command, *_SMALL_RUNS[command], "--output", str(tmp_path)]) == EXIT_OK
+        snapshots.append({p.name: p.read_bytes() for p in sorted(tmp_path.iterdir())})
+    assert f"{command}.json" in snapshots[0]
+    assert snapshots[0] == snapshots[1]
 
 
 def test_lower_bound_ratio_fills_R(tmp_path):
@@ -353,6 +427,46 @@ def test_config_must_be_object(tmp_path, capsys):
     cfg.write_text("[1, 2, 3]")
     rc = main(["constants", "--config", str(cfg), "--output", str(tmp_path)])
     assert rc == EXIT_VALIDATION
+
+
+_COMMON_FLAGS = ["--config", "--output", "--seed", "--threads", "--strict"]
+
+
+# flags of each subcommand as the hand-written parser declared them; the
+# parser derived from the command table must keep every one, in order
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("constants", ["--n", "--alpha"]),
+        (
+            "verify-hls",
+            ["--n", "--alpha", "--eps-list", "--ratio", "--resolution", "--slack", "--spread-tol"],
+        ),
+        ("extremal-sub", ["--manifold", "--alpha", "--resolution", "--p", "--tol", "--max-iter"]),
+        (
+            "continuation",
+            ["--alpha", "--resolution", "--p-schedule", "--kernel", "--A0", "--c-w", "--tol",
+             "--max-iter"],
+        ),
+        ("lower-bound", ["--n", "--alpha", "--eps", "--ratio", "--R", "--resolution"]),
+        (
+            "mass-experiment",
+            ["--alpha", "--A0-list", "--c-w", "--resolution", "--tol", "--max-iter"],
+        ),
+        ("covariance-check", ["--alpha", "--nodes", "--pairs", "--min-sep", "--phi"]),
+        ("curvature-residual", ["--alpha", "--resolution", "--mode", "--tol", "--max-iter"]),
+    ],
+)
+def test_parser_option_strings(command, flags):
+    subparsers = next(a for a in build_parser()._actions if a.dest == "command")
+    sub = subparsers.choices[command]
+    options = [s for action in sub._actions for s in action.option_strings]
+    assert options == ["-h", "--help", *flags, *_COMMON_FLAGS]
+
+
+def test_parser_has_eight_subcommands():
+    subparsers = next(a for a in build_parser()._actions if a.dest == "command")
+    assert len(subparsers.choices) == 8
 
 
 def test_missing_subcommand_exits_with_usage():

@@ -55,6 +55,11 @@ def test_sphere_grid_validation():
         sphere_grid(1, (8, 8))
     with pytest.raises(ValueError):
         sphere_grid(1, (8, 3, 8))
+    # non-integral components are refused, not truncated; integral floats pass
+    for bad in ((12.7, 8, 12), (8, 8.5, 8), (8, float("inf"), 8), (8, float("nan"), 8)):
+        with pytest.raises(ValueError, match="integers"):
+            sphere_grid(1, bad)
+    assert np.array_equal(sphere_grid(1, (8.0, 8, 8)).xi, sphere_grid(1, (8, 8, 8)).xi)
 
 
 def test_cylinder_grid_total_weight():

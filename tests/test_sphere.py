@@ -12,6 +12,7 @@ from crhls.sphere import (
     cayley_inv,
     cayley_jacobian,
     sphere_dist,
+    sphere_dist_sq,
 )
 
 
@@ -48,6 +49,21 @@ def test_sphere_dist_axioms():
     assert sphere_dist(north, south) == pytest.approx(2.0, rel=1e-15)
     with pytest.raises(ValueError):
         sphere_dist(north, SpherePoint([0.0, 0.0, 1.0]))
+
+
+def test_sphere_dist_sq_shapes_match_pointwise():
+    rng = np.random.default_rng(4)
+    pts = [random_sphere_point(rng) for _ in range(5)]
+    xi = np.array([p.xi for p in pts])
+    block = sphere_dist_sq(xi[:3], xi)
+    assert block.shape == (3, 5)
+    for i in range(3):
+        for j in range(5):
+            expected = sphere_dist(pts[i], pts[j]) ** 2
+            assert block[i, j] == pytest.approx(expected, rel=1e-14, abs=1e-15)
+    assert np.allclose(sphere_dist_sq(xi, xi[1]), block[1], rtol=1e-14, atol=1e-15)
+    assert sphere_dist_sq(xi[0], xi[2:]).shape == (3,)
+    assert sphere_dist_sq(xi[0], xi[1]).shape == ()
 
 
 def test_cayley_image_is_unit_and_origin_maps_north():
