@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "Params": "core",
     "make_params": "core",
-    "log_gamma": "core",
     "sharp_constant_DH": "core",
     "HPoint": "heisenberg",
     "group_mul": "heisenberg",

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-__all__ = ["Params", "make_params", "log_gamma", "sharp_constant_DH"]
+__all__ = ["Params", "make_params", "sharp_constant_DH"]
 
 
 @dataclass(frozen=True)
@@ -63,44 +63,6 @@ def make_params(n: int, alpha: float) -> Params:
     )
 
 
-# Lanczos approximation, g = 7, 9 coefficients. Good to ~1e-14 absolute on
-# the log scale once the reflection formula keeps the argument >= 0.5.
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-_HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
-
-
-def log_gamma(x: float) -> float:
-    """Natural logarithm of Gamma(x) for real x > 0.
-
-    Lanczos series with precomputed coefficients; arguments below 1/2 go
-    through the reflection formula so the series branch stays
-    well conditioned on all of (0, inf).
-    """
-    x = float(x)
-    if not x > 0.0:
-        raise ValueError(f"log_gamma requires x > 0, got {x}")
-    if x < 0.5:
-        # reflection: log Gamma(x) = log(pi / sin(pi x)) - log Gamma(1 - x)
-        return math.log(math.pi / math.sin(math.pi * x)) - log_gamma(1.0 - x)
-    z = x - 1.0
-    series = _LANCZOS_COEFFS[0]
-    for k in range(1, len(_LANCZOS_COEFFS)):
-        series += _LANCZOS_COEFFS[k] / (z + k)
-    base = z + _LANCZOS_G + 0.5
-    return _HALF_LOG_TWO_PI + (z + 0.5) * math.log(base) - base + math.log(series)
-
-
 def sharp_constant_DH(params: Params) -> float:
     """Sharp constant of the Hardy-Littlewood-Sobolev inequality on H^n.
 
@@ -113,8 +75,8 @@ def sharp_constant_DH(params: Params) -> float:
     n, alpha, Q = params.n, params.alpha, params.Q
     log_value = (
         0.5 * (Q - alpha) * math.log(2.0 * math.pi)
-        + log_gamma(n + 1.0)
-        + log_gamma(0.5 * alpha)
-        - 2.0 * log_gamma(0.25 * (Q + alpha))
+        + math.lgamma(n + 1.0)
+        + math.lgamma(0.5 * alpha)
+        - 2.0 * math.lgamma(0.25 * (Q + alpha))
     )
     return math.exp(log_value)

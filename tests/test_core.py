@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from crhls.core import Params, log_gamma, make_params, sharp_constant_DH
+from crhls.core import Params, make_params, sharp_constant_DH
 
 
 def test_make_params_basic():
@@ -55,20 +55,6 @@ def test_params_frozen():
     p = make_params(1, 2.0)
     with pytest.raises(Exception):
         p.alpha = 3.0
-
-
-def test_log_gamma_against_stdlib():
-    rng = np.random.default_rng(11)
-    xs = np.concatenate([rng.uniform(0.05, 30.0, 200), [0.5, 1.0, 1.5, 2.0, 10.0, 171.5]])
-    for x in xs:
-        assert log_gamma(float(x)) == pytest.approx(math.lgamma(float(x)), rel=1e-13, abs=1e-13)
-
-
-def test_log_gamma_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        log_gamma(0.0)
-    with pytest.raises(ValueError):
-        log_gamma(-2.5)
 
 
 def test_sharp_constant_closed_form_n1_alpha2():
