@@ -26,7 +26,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 EXIT_OK = 0
@@ -43,7 +43,7 @@ _THREAD_ENV_VARS = (
 
 _RESIDUAL_THRESHOLD = 1e-10
 
-# config keys every subcommand carries; their flags come from _add_common
+# config keys every subcommand carries on top of its own; flags from _add_common
 _COMMON = {"output": ".", "seed": 0}
 
 _HELP = {
@@ -118,16 +118,16 @@ def _write(output_dir: str, name: str, text: str) -> str:
 
 @dataclass(frozen=True)
 class Command:
-    """One subcommand as data: its flags are derived from defaults, and
-    choices lists the allowed values of string keys. run(cfg) returns
-    (results, csv, ok): the JSON results, a (header, rows) pair or None,
-    and whether every solve converged and every check passed.
+    """One subcommand as data: one flag per defaults key, and choices lists
+    the allowed values of string keys. run(cfg) returns (results, csv, ok):
+    the JSON results, a (header, rows) pair or None, and whether every
+    solve converged and every check passed.
     """
 
     help: str
-    defaults: dict
     run: Callable[[dict], tuple]
-    choices: dict
+    defaults: dict
+    choices: dict = field(default_factory=dict)
 
 
 def _resolve_config(args: argparse.Namespace, command: Command) -> dict:
@@ -135,7 +135,7 @@ def _resolve_config(args: argparse.Namespace, command: Command) -> dict:
     then check choices and parse list keys, so config-file entries get the
     same checks as flags.
     """
-    defaults = command.defaults
+    defaults = {**command.defaults, **_COMMON}
     resolved = dict(defaults)
     if args.config is not None:
         with open(args.config) as fh:
@@ -413,53 +413,49 @@ def _run_curvature_residual(cfg: dict):
     return results, None, converged
 
 
-def _command(help: str, run, defaults: dict, choices=None) -> Command:
-    return Command(help, {**defaults, **_COMMON}, run, choices or {})
-
-
 _SOLVE = {"tol": 1e-9, "max_iter": 10000}
 
 COMMANDS = {
-    "constants": _command(
+    "constants": Command(
         "print sharp constant and exponents", _run_constants, {"n": 1, "alpha": 2.0}
     ),
-    "verify-hls": _command(
+    "verify-hls": Command(
         "eps-invariance and upper-bound checks",
         _run_verify_hls,
         {"n": 1, "alpha": 2.0, "eps_list": [0.05, 0.1, 0.2], "ratio": 50.0,
          "resolution": [12, 8, 12], "slack": 0.02, "spread_tol": 0.01},
     ),
-    "extremal-sub": _command(
+    "extremal-sub": Command(
         "one subcritical solve",
         _run_extremal_sub,
         {"manifold": "fixture", "alpha": 2.0, "resolution": [8, 8, 8], "p": 1.5, **_SOLVE},
         {"manifold": ("fixture", "sphere")},
     ),
-    "continuation": _command(
+    "continuation": Command(
         "warm-started sweep of p toward q_alpha",
         _run_continuation,
         {"alpha": 2.0, "resolution": [12, 12, 12], "p_schedule": None,
          "kernel": "pure_singular", "A0": 0.0, "c_w": 0.0, **_SOLVE},
         {"kernel": ("pure_singular", "green_model")},
     ),
-    "lower-bound": _command(
+    "lower-bound": Command(
         "truncated concentrating-extremal quotient",
         _run_lower_bound,
         {"n": 1, "alpha": 2.0, "eps": 0.1, "ratio": 50.0, "R": None, "resolution": [16, 8, 16]},
     ),
-    "mass-experiment": _command(
+    "mass-experiment": Command(
         "positive-mass kernel perturbation sweep",
         _run_mass_experiment,
         {"alpha": 2.0, "A0_list": [0.0, 0.5, 1.0, 2.0], "c_w": 0.0, "resolution": [8, 6, 8],
          **_SOLVE},
     ),
-    "covariance-check": _command(
+    "covariance-check": Command(
         "contact-form rescaling identity residual",
         _run_covariance_check,
         {"alpha": 2.0, "nodes": 50, "pairs": 100, "min_sep": 0.2, "phi": "random"},
         {"phi": ("random", "constant")},
     ),
-    "curvature-residual": _command(
+    "curvature-residual": Command(
         "integral curvature equation defect",
         _run_curvature_residual,
         {"alpha": 2.0, "resolution": [10, 8, 10], "mode": "constant", **_SOLVE},
@@ -481,13 +477,6 @@ def _flag_type(key: str, default):
     return str if default is None or isinstance(default, list) else type(default)
 
 
-def _flag_help(key: str, default) -> str:
-    text = _HELP.get(key, "")
-    if default is not None:
-        text += f" (default {default})" if text else f"default {default}"
-    return text
-
-
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="JSON config file; explicit flags override its entries")
     sub.add_argument("--output", help="output directory for JSON/CSV artifacts (default .)")
@@ -501,7 +490,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """One subparser per COMMANDS entry, one flag per non-common config key."""
+    """One subparser per COMMANDS entry, one flag per key of its defaults."""
     parser = argparse.ArgumentParser(
         prog="crhls",
         description="Sharp Hardy-Littlewood-Sobolev machinery on model CR manifolds.",
@@ -510,14 +499,12 @@ def build_parser() -> argparse.ArgumentParser:
     for name, command in COMMANDS.items():
         sub = subs.add_parser(name, help=command.help)
         for key, default in command.defaults.items():
-            if key in _COMMON:
-                continue
             sub.add_argument(
                 "--" + key.replace("_", "-"),
                 dest=key,
                 type=_flag_type(key, default),
                 choices=command.choices.get(key),
-                help=_flag_help(key, default),
+                help=_HELP.get(key),
             )
         _add_common(sub)
     return parser

@@ -14,10 +14,10 @@ from .discretization import (
     _BLOCK_ENTRIES,
     KernelMatrix,
     QuadratureGrid,
+    _check_grid,
     cylinder_grid,
     cylinder_shell_grid,
     extremal_values,
-    _check_grid,
     hnorm_values,
 )
 

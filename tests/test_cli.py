@@ -223,6 +223,7 @@ def test_lower_bound_command_and_determinism(tmp_path):
     assert (tmp_path / "lower-bound.csv").read_bytes() == first_csv
     data = json.loads(first)
     assert data["config"]["ratio"] == 8.0
+    assert data["config"]["R"] == 8.0
     assert 0.0 < data["results"]["quotient"] < 8.0
 
 
@@ -432,41 +433,34 @@ def test_config_must_be_object(tmp_path, capsys):
 _COMMON_FLAGS = ["--config", "--output", "--seed", "--threads", "--strict"]
 
 
-# flags of each subcommand as the hand-written parser declared them; the
-# parser derived from the command table must keep every one, in order
-@pytest.mark.parametrize(
-    "command, flags",
-    [
-        ("constants", ["--n", "--alpha"]),
-        (
-            "verify-hls",
-            ["--n", "--alpha", "--eps-list", "--ratio", "--resolution", "--slack", "--spread-tol"],
-        ),
-        ("extremal-sub", ["--manifold", "--alpha", "--resolution", "--p", "--tol", "--max-iter"]),
-        (
-            "continuation",
-            ["--alpha", "--resolution", "--p-schedule", "--kernel", "--A0", "--c-w", "--tol",
-             "--max-iter"],
-        ),
-        ("lower-bound", ["--n", "--alpha", "--eps", "--ratio", "--R", "--resolution"]),
-        (
-            "mass-experiment",
-            ["--alpha", "--A0-list", "--c-w", "--resolution", "--tol", "--max-iter"],
-        ),
-        ("covariance-check", ["--alpha", "--nodes", "--pairs", "--min-sep", "--phi"]),
-        ("curvature-residual", ["--alpha", "--resolution", "--mode", "--tol", "--max-iter"]),
-    ],
-)
-def test_parser_option_strings(command, flags):
+def test_parser_option_strings():
+    # each subcommand's flags as the hand-written parser declared them; the
+    # parser derived from the command table must keep every one, in order
+    declared = {
+        "constants": ["--n", "--alpha"],
+        "verify-hls": [
+            "--n", "--alpha", "--eps-list", "--ratio", "--resolution", "--slack", "--spread-tol"
+        ],
+        "extremal-sub": ["--manifold", "--alpha", "--resolution", "--p", "--tol", "--max-iter"],
+        "continuation": [
+            "--alpha", "--resolution", "--p-schedule", "--kernel", "--A0", "--c-w", "--tol",
+            "--max-iter",
+        ],
+        "lower-bound": ["--n", "--alpha", "--eps", "--ratio", "--R", "--resolution"],
+        "mass-experiment": [
+            "--alpha", "--A0-list", "--c-w", "--resolution", "--tol", "--max-iter"
+        ],
+        "covariance-check": ["--alpha", "--nodes", "--pairs", "--min-sep", "--phi"],
+        "curvature-residual": ["--alpha", "--resolution", "--mode", "--tol", "--max-iter"],
+    }
     subparsers = next(a for a in build_parser()._actions if a.dest == "command")
-    sub = subparsers.choices[command]
-    options = [s for action in sub._actions for s in action.option_strings]
-    assert options == ["-h", "--help", *flags, *_COMMON_FLAGS]
-
-
-def test_parser_has_eight_subcommands():
-    subparsers = next(a for a in build_parser()._actions if a.dest == "command")
-    assert len(subparsers.choices) == 8
+    derived = {
+        name: [s for action in sub._actions for s in action.option_strings]
+        for name, sub in subparsers.choices.items()
+    }
+    assert derived == {
+        name: ["-h", "--help", *flags, *_COMMON_FLAGS] for name, flags in declared.items()
+    }
 
 
 def test_missing_subcommand_exits_with_usage():
