@@ -150,13 +150,6 @@ def test_non_integer_resolution_rejected(tmp_path, capsys, argv, config):
     assert not (tmp_path / "lower-bound.json").exists()
 
 
-def test_integral_float_resolution_accepted(tmp_path):
-    rc = main(["lower-bound", "--resolution", "6.0,6,6", "--eps", "1", "--R", "4",
-               "--output", str(tmp_path)])
-    assert rc == EXIT_OK
-    assert _read_json(tmp_path / "lower-bound.json")["config"]["resolution"] == [6, 6, 6]
-
-
 def test_strict_flags_unconverged_run(tmp_path):
     args = [
         "extremal-sub",
@@ -260,7 +253,7 @@ def test_lower_bound_ratio_fills_R(tmp_path):
             "--ratio",
             "10",
             "--resolution",
-            "6,6,6",
+            "6.0,6,6",  # integral floats are accepted
             "--output",
             str(tmp_path),
         ]
@@ -268,6 +261,7 @@ def test_lower_bound_ratio_fills_R(tmp_path):
     assert rc == EXIT_OK
     data = _read_json(tmp_path / "lower-bound.json")
     assert data["config"]["R"] == 5.0
+    assert data["config"]["resolution"] == [6, 6, 6]
     assert data["results"]["R"] == 5.0
 
 
