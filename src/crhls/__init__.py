@@ -18,6 +18,7 @@ _EXPORTS = {
     "group_inv": "heisenberg",
     "hnorm": "heisenberg",
     "hdist": "heisenberg",
+    "gauge_dist_sq": "heisenberg",
     "dilate": "heisenberg",
     "extremal_H": "heisenberg",
     "extremal_family": "heisenberg",

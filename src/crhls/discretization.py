@@ -36,8 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Params
-from .heisenberg import HPoint
-from .sphere import SpherePoint, sphere_dist_sq
+from .heisenberg import HPoint, _extremal, gauge_dist_sq
+from .sphere import SpherePoint, _sphere_extremal, sphere_dist_sq
 
 __all__ = [
     "QuadratureGrid",
@@ -125,6 +125,12 @@ class QuadratureGrid:
     @property
     def total_weight(self) -> float:
         return float(np.sum(self.weights))
+
+    def dist_sq(self, rows, cols=slice(None)) -> np.ndarray:
+        """Squared distances from nodes[rows] to nodes[cols] in the grid's metric."""
+        if self.kind == "sphere":
+            return sphere_dist_sq(self.xi[rows], self.xi[cols])
+        return gauge_dist_sq(self.z[rows], self.t[rows], self.z[cols], self.t[cols])
 
 
 def _validate_resolution(resolution, length: int) -> tuple[int, ...]:
@@ -287,40 +293,21 @@ def hnorm_values(grid: QuadratureGrid) -> np.ndarray:
     """Gauge norm of every node of a cylinder grid."""
     if grid.kind != "cylinder":
         raise ValueError("hnorm_values needs a cylinder grid")
-    zz = np.einsum("ij,ij->i", grid.z, grid.z.conj()).real
-    return np.sqrt(np.hypot(zz, grid.t))
+    return np.sqrt(gauge_dist_sq(grid.z, grid.t, np.zeros(grid.n), 0.0))
 
 
 def extremal_values(grid: QuadratureGrid, params: Params, eps: float = 1.0) -> np.ndarray:
-    """Vectorized concentrating extremal on a cylinder grid.
-
-    Matches extremal_family(eps, node, params) pointwise; the loop-free
-    path is what the experiments use on large grids.
-    """
+    """extremal_family(eps, node, params) at every node of a cylinder grid."""
     if grid.kind != "cylinder":
         raise ValueError("extremal_values needs a cylinder grid")
-    if grid.n != params.n:
-        raise ValueError(f"grid has n = {grid.n} but params have n = {params.n}")
-    eps = float(eps)
-    if not eps > 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    zz = np.einsum("ij,ij->i", grid.z, grid.z.conj()).real
-    expo = -0.5 * (params.Q + params.alpha)
-    scale = eps**expo
-    return scale * np.hypot(1.0 + zz / eps**2, grid.t / eps**2) ** expo
+    return _extremal(grid.z, grid.t, eps, params)
 
 
 def sphere_extremal_values(grid: QuadratureGrid, pole, params: Params) -> np.ndarray:
-    """Vectorized sphere extremal |1 - conj(pole) . xi|^{-(Q+alpha)/2}."""
+    """sphere_extremal(node, pole, params) at every node of a sphere grid."""
     if grid.kind != "sphere":
         raise ValueError("sphere_extremal_values needs a sphere grid")
-    pole_arr = np.atleast_1d(np.asarray(pole, dtype=np.complex128))
-    if pole_arr.shape != (grid.n + 1,):
-        raise ValueError(f"pole must have length n + 1 = {grid.n + 1}, got {pole_arr.shape}")
-    if not float(np.linalg.norm(pole_arr)) < 1.0:
-        raise ValueError("pole must lie strictly inside the unit ball")
-    ip = grid.xi @ pole_arr.conj()
-    return np.abs(1.0 - ip) ** (-0.5 * (params.Q + params.alpha))
+    return _sphere_extremal(grid.xi, pole, params)
 
 
 def distances_from_node(grid: QuadratureGrid, i: int) -> np.ndarray:
@@ -328,12 +315,7 @@ def distances_from_node(grid: QuadratureGrid, i: int) -> np.ndarray:
     N = len(grid)
     if not 0 <= i < N:
         raise ValueError(f"node index {i} out of range for grid of size {N}")
-    if grid.kind == "sphere":
-        return np.sqrt(sphere_dist_sq(grid.xi, grid.xi[i]))
-    dz2 = np.einsum("ij,ij->i", grid.z - grid.z[i], (grid.z - grid.z[i]).conj()).real
-    ip = grid.z @ grid.z[i].conj()
-    tau = grid.t - grid.t[i] + 2.0 * ip.imag
-    return np.sqrt(np.hypot(dz2, tau))
+    return np.sqrt(grid.dist_sq(slice(None), i))
 
 
 @dataclass(frozen=True, eq=False)
@@ -406,17 +388,6 @@ def _pow_neg(base: np.ndarray, expo: float) -> np.ndarray:
     return base**expo
 
 
-def _base_block_cylinder(
-    z: np.ndarray, t: np.ndarray, zz: np.ndarray, i0: int, i1: int
-) -> np.ndarray:
-    # fourth power of the gauge distance |v^{-1} u|
-    ip = z[i0:i1] @ z.conj().T
-    dz2 = zz[i0:i1, None] + zz[None, :] - 2.0 * ip.real
-    np.maximum(dz2, 0.0, out=dz2)
-    tau = t[i0:i1, None] - t[None, :] + 2.0 * ip.imag
-    return dz2 * dz2 + tau * tau
-
-
 def assemble_kernel(
     grid: QuadratureGrid,
     spec: KernelSpec,
@@ -446,14 +417,6 @@ def assemble_kernel(
         if spec.mass.shape != (N,):
             raise ValueError(f"mass must have shape ({N},), got {spec.mass.shape}")
 
-    if grid.kind == "sphere":
-        base_block = lambda i0, i1: sphere_dist_sq(grid.xi[i0:i1], grid.xi)
-        base_power = 0.5  # base is d^2
-    else:
-        zz = np.einsum("ij,ij->i", grid.z, grid.z.conj()).real
-        base_block = lambda i0, i1: _base_block_cylinder(grid.z, grid.t, zz, i0, i1)
-        base_power = 0.25  # base is rho^4
-
     Q, alpha, n = params.Q, params.alpha, params.n
     if block_rows is None:
         block_rows = max(1, min(N, _BLOCK_ENTRIES // N))
@@ -461,7 +424,7 @@ def assemble_kernel(
 
     for i0 in range(0, N, block_rows):
         i1 = min(i0 + block_rows, N)
-        base = base_block(i0, i1)
+        base = grid.dist_sq(slice(i0, i1))  # rho^2 for both grid kinds
         rows = np.arange(i1 - i0)
         diag = np.arange(i0, i1)
         base[rows, diag] = 1.0  # placeholder, overwritten with 0 below
@@ -470,12 +433,12 @@ def assemble_kernel(
             r, c = divmod(flat_min, N)
             raise ValueError(f"coincident nodes at indices ({i0 + r}, {c}): zero distance")
         if spec.kind == "pure_singular":
-            block = _pow_neg(base, base_power * (alpha - Q))
+            block = _pow_neg(base, 0.5 * (alpha - Q))
         else:
-            g = _pow_neg(base, -base_power * 2 * n)
+            g = _pow_neg(base, -float(n))
             g += spec.mass[i0:i1, None]
             if spec.c_w != 0.0:
-                g += spec.c_w * base ** base_power
+                g += spec.c_w * base**0.5
             flat_min = int(np.argmin(g))
             if g.flat[flat_min] <= 0.0:
                 r, c = divmod(flat_min, N)

@@ -15,6 +15,7 @@ from .discretization import (
     KernelMatrix,
     KernelSpec,
     QuadratureGrid,
+    _check_grid,
     assemble_kernel,
     cylinder_grid,
     extremal_values,
@@ -22,6 +23,7 @@ from .discretization import (
 )
 from .functional import lp_norm, rayleigh_quotient
 from .solver import continuation, default_p_schedule
+from .sphere import _cayley_inv
 
 __all__ = [
     "LowerBoundResult",
@@ -74,10 +76,8 @@ def _transported_extremal_values(grid: QuadratureGrid, params: Params, eps: floa
     if grid.kind != "sphere" or grid.n != 1:
         raise ValueError("transported extremal needs an n = 1 sphere grid")
     Q, al = params.Q, params.alpha
-    w = 1.0 + grid.xi[:, 1]
-    z = grid.xi[:, 0] / w
-    t = ((1.0 - grid.xi[:, 1]) / w).imag
-    az2 = np.abs(z) ** 2
+    z, t = _cayley_inv(grid.xi)
+    az2 = np.abs(z[:, 0]) ** 2
     mask = az2**2 + t**2 <= R**4
     # f(C^{-1} xi) * J_{C^{-1}}^{1/q} fused into one bounded ratio
     ratio = ((1.0 + az2) ** 2 + t**2) / ((eps**2 + az2) ** 2 + t**2)
@@ -279,9 +279,8 @@ def conformal_covariance_check(
     node by node. The identity is algebraic, so the residual is pure
     floating-point noise at any resolution.
     """
+    _check_grid(K, grid)
     N = len(K)
-    if len(grid) != N:
-        raise ValueError("grid does not match the kernel")
     Q, alpha = params.Q, params.alpha
     w = grid.weights
     phi_v = _positive_values(phi, N, "phi")
@@ -308,9 +307,8 @@ def curvature_equation_residual(
     For kernels with constant row sums s the constant phi = s^{(Q-alpha)/(2 alpha)}
     solves the equation exactly.
     """
+    _check_grid(K, grid)
     N = len(K)
-    if len(grid) != N:
-        raise ValueError("grid does not match the kernel")
     Q, alpha = params.Q, params.alpha
     w = grid.weights
     phi_v = _positive_values(phi, N, "phi")

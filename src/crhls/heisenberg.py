@@ -21,6 +21,7 @@ __all__ = [
     "group_inv",
     "hnorm",
     "hdist",
+    "gauge_dist_sq",
     "dilate",
     "extremal_H",
     "extremal_family",
@@ -68,20 +69,39 @@ def group_inv(u: HPoint) -> HPoint:
     return HPoint(-u.z, -u.t)
 
 
+def _sq_norm(z: np.ndarray) -> np.ndarray:
+    """|z|^2 of each row of z, or of one 1-d vector."""
+    return np.einsum("...j,...j->...", z, z.conj()).real
+
+
+def gauge_dist_sq(z: np.ndarray, t: np.ndarray, z0: np.ndarray, t0: np.ndarray) -> np.ndarray:
+    """Squared gauge distance |(z0, t0)^{-1} (z, t)|^2 = hypot(|z - z0|^2, tau).
+
+    tau = t - t0 + 2 Im(z . conj(z0)). z, z0 hold points of H^n as rows, or
+    one point as a 1-d vector; the result has shape z.shape[:-1] +
+    z0.shape[:-1]. |z - z0|^2 is summed from differences, not expanded, so
+    it is exactly 0 on the diagonal and accurate for close points.
+    """
+    z, z0 = np.asarray(z), np.asarray(z0)
+    tau = np.subtract.outer(t, t0)
+    tau += 2.0 * np.asarray(z @ np.conj(z0).T).imag
+    rows = z.reshape(z.shape[:-1] + (1,) * (z0.ndim - 1) + z.shape[-1:])
+    return np.hypot(_sq_norm(rows - z0), tau)
+
+
 def hnorm(u: HPoint) -> float:
-    """Gauge norm (|z|^4 + t^2)^{1/4}."""
-    zz = float(np.real(np.vdot(u.z, u.z)))
-    return math.sqrt(math.hypot(zz, u.t))
+    """Gauge norm (|z|^4 + t^2)^{1/4}, the distance to the group identity."""
+    return math.sqrt(gauge_dist_sq(u.z, u.t, np.zeros_like(u.z), 0.0))
 
 
 def hdist(u: HPoint, v: HPoint) -> float:
     """Left-invariant gauge distance |v^{-1} u|.
 
-    Left invariance hdist(wu, wv) = hdist(u, v) is exact by construction.
-    No symmetry in (u, v) is asserted.
+    hdist(wu, wv) = hdist(u, v), and hdist is symmetric because the gauge
+    norm is invariant under the group inverse: |u^{-1} v| = |(v^{-1} u)^{-1}|.
     """
     _check_same_n(u, v)
-    return hnorm(group_mul(group_inv(v), u))
+    return math.sqrt(gauge_dist_sq(u.z, u.t, v.z, v.t))
 
 
 def dilate(r: float, u: HPoint) -> HPoint:
@@ -92,16 +112,24 @@ def dilate(r: float, u: HPoint) -> HPoint:
     return HPoint(r * u.z, (r * r) * u.t)
 
 
+def _extremal(z: np.ndarray, t: np.ndarray, eps: float, params: Params) -> np.ndarray:
+    """extremal_family at scale eps on rows z, t of points, or on one point."""
+    if z.shape[-1] != params.n:
+        raise ValueError(f"points live on H^{z.shape[-1]} but params have n = {params.n}")
+    eps = float(eps)
+    if not eps > 0.0:
+        raise ValueError(f"eps must be positive, got {eps}")
+    expo = -0.5 * (params.Q + params.alpha)
+    return eps**expo * np.hypot(1.0 + _sq_norm(z) / eps**2, t / eps**2) ** expo
+
+
 def extremal_H(u: HPoint, params: Params) -> float:
     """Model extremal ((1 + |z|^2)^2 + t^2)^{-(Q+alpha)/4}.
 
     Peak value 1 at the group identity, strictly decreasing along the |z|
     and |t| axes, decaying like hnorm(u)^{-(Q+alpha)} at infinity.
     """
-    if u.n != params.n:
-        raise ValueError(f"point lives on H^{u.n} but params have n = {params.n}")
-    zz = float(np.real(np.vdot(u.z, u.z)))
-    return math.hypot(1.0 + zz, u.t) ** (-0.5 * (params.Q + params.alpha))
+    return extremal_family(1.0, u, params)
 
 
 def extremal_family(eps: float, u: HPoint, params: Params) -> float:
@@ -110,8 +138,4 @@ def extremal_family(eps: float, u: HPoint, params: Params) -> float:
     Normalized so that every member has the same L^{q_alpha} mass as the
     eps = 1 profile; mass concentrates at scale eps as eps -> 0.
     """
-    eps = float(eps)
-    if not eps > 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    scale = eps ** (-0.5 * (params.Q + params.alpha))
-    return scale * extremal_H(dilate(1.0 / eps, u), params)
+    return float(_extremal(u.z, u.t, eps, params))

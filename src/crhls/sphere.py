@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Params
-from .heisenberg import HPoint
+from .heisenberg import HPoint, _sq_norm
 
 __all__ = [
     "SpherePoint",
@@ -84,12 +84,25 @@ def cayley(u: HPoint) -> SpherePoint:
     The image is unit length identically, and the origin maps to the
     north pole (0, ..., 0, 1).
     """
-    zz = float(np.real(np.vdot(u.z, u.z)))
+    zz = float(_sq_norm(u.z))
     w = complex(1.0 + zz, u.t)
     xi = np.empty(u.n + 1, dtype=np.complex128)
     xi[: u.n] = 2.0 * u.z / w
     xi[u.n] = complex(1.0 - zz, -u.t) / w
     return SpherePoint(xi)
+
+
+def _cayley_inv(xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """cayley_inv on rows of xi (or one point), returned as arrays (z, t)."""
+    last = xi[..., -1]
+    w = 1.0 + last
+    gap = float(np.min(np.abs(w)))
+    if gap < _POLE_TOL:
+        raise ValueError(
+            "inverse Cayley transform is singular at the south pole "
+            f"(|1 + xi_{{n+1}}| = {gap:.3e} < {_POLE_TOL:.0e})"
+        )
+    return xi[..., :-1] / w[..., None], ((1.0 - last) / w).imag
 
 
 def cayley_inv(p: SpherePoint) -> HPoint:
@@ -99,16 +112,7 @@ def cayley_inv(p: SpherePoint) -> HPoint:
     Raises ValueError within 1e-12 of the south pole, where the chart is
     singular.
     """
-    last = complex(p.xi[p.n])
-    denom = 1.0 + last
-    if abs(denom) < _POLE_TOL:
-        raise ValueError(
-            "inverse Cayley transform is singular at the south pole "
-            f"(|1 + xi_{{n+1}}| = {abs(denom):.3e} < {_POLE_TOL:.0e})"
-        )
-    z = p.xi[: p.n] / denom
-    t = ((1.0 - last) / denom).imag
-    return HPoint(z, t)
+    return HPoint(*_cayley_inv(p.xi))
 
 
 def cayley_jacobian(u: HPoint) -> float:
@@ -117,8 +121,25 @@ def cayley_jacobian(u: HPoint) -> float:
     Relative to Lebesgue measure on C^n x R upstream and Euclidean surface
     measure on S^{2n+1} downstream; decays like hnorm(u)^{-2Q}.
     """
-    zz = float(np.real(np.vdot(u.z, u.z)))
+    zz = float(_sq_norm(u.z))
     return 2.0 ** (2 * u.n + 1) * math.hypot(1.0 + zz, u.t) ** (-2 * (u.n + 1))
+
+
+def _sphere_extremal(xi: np.ndarray, pole, params: Params) -> np.ndarray:
+    """Sphere extremal |1 - conj(pole) . xi|^{-(Q+alpha)/2} on rows of xi."""
+    n = params.n
+    if xi.shape[-1] != n + 1:
+        raise ValueError(f"points live on S^{2 * xi.shape[-1] - 1} but params have n = {n}")
+    pole_arr = np.atleast_1d(np.asarray(pole, dtype=np.complex128))
+    if pole_arr.shape != (n + 1,):
+        raise ValueError(
+            f"pole must be a complex vector of length n + 1 = {n + 1}, got shape {pole_arr.shape}"
+        )
+    pole_norm = float(np.linalg.norm(pole_arr))
+    if not pole_norm < 1.0:
+        raise ValueError(f"pole must lie strictly inside the unit ball, got |pole| = {pole_norm}")
+    ip = xi @ pole_arr.conj()
+    return np.abs(1.0 - ip) ** (-0.5 * (params.Q + params.alpha))
 
 
 def sphere_extremal(p: SpherePoint, pole, params: Params) -> float:
@@ -128,16 +149,4 @@ def sphere_extremal(p: SpherePoint, pole, params: Params) -> float:
     constant function 1. Poles approaching the boundary concentrate the
     mass near the boundary point.
     """
-    if p.n != params.n:
-        raise ValueError(f"point lives on S^{2*p.n+1} but params have n = {params.n}")
-    pole_arr = np.atleast_1d(np.asarray(pole, dtype=np.complex128))
-    if pole_arr.shape != (params.n + 1,):
-        raise ValueError(
-            f"pole must be a complex vector of length n + 1 = {params.n + 1}, "
-            f"got shape {pole_arr.shape}"
-        )
-    pole_norm = float(np.linalg.norm(pole_arr))
-    if not pole_norm < 1.0:
-        raise ValueError(f"pole must lie strictly inside the unit ball, got |pole| = {pole_norm}")
-    ip = complex(np.vdot(pole_arr, p.xi))
-    return abs(1.0 - ip) ** (-0.5 * (params.Q + params.alpha))
+    return float(_sphere_extremal(p.xi, pole, params))
