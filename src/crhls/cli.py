@@ -76,8 +76,6 @@ def _floats(value) -> list[float]:
     if isinstance(value, str):
         parts = [s.strip() for s in value.replace(";", ",").split(",")]
         return [float(s) for s in parts if s]
-    if isinstance(value, (int, float)):
-        return [float(value)]
     return [float(v) for v in value]
 
 
@@ -130,6 +128,52 @@ class Command:
     choices: dict = field(default_factory=dict)
 
 
+def _key_type(key: str, default) -> type:
+    # R defaults to None (filled in from ratio * eps) but is a number; the
+    # other None default, p_schedule, is a list like the list defaults
+    if key == "R":
+        return float
+    return list if default is None or isinstance(default, list) else type(default)
+
+
+_TYPE_NAMES = {
+    int: "an integer",
+    float: "a number",
+    str: "a string",
+    list: "a list of numbers or a comma-separated string",
+}
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _file_value(key: str, value, default):
+    """Check a config-file value against the type its key's flag has.
+
+    int keys take integral numbers, float keys any number (stored as a
+    float), str keys strings, list keys a list of numbers or a
+    comma-separated string; keys whose default is None also take null.
+    """
+    kind = _key_type(key, default)
+    if value is None and default is None:
+        return None
+    if kind is int:
+        ok = _is_number(value) and (isinstance(value, int) or value.is_integer())
+    elif kind is float:
+        ok = _is_number(value)
+    elif kind is list:
+        ok = isinstance(value, str) or (
+            isinstance(value, list) and all(_is_number(v) for v in value)
+        )
+    else:
+        ok = isinstance(value, kind)
+    if not ok:
+        null = " or null" if default is None else ""
+        raise ValueError(f"config key {key!r} must be {_TYPE_NAMES[kind]}{null}, got {value!r}")
+    return kind(value) if kind in (int, float) else value
+
+
 def _resolve_config(args: argparse.Namespace, command: Command) -> dict:
     """Merge defaults, JSON config file, and explicit flags (in that order),
     then check choices and parse list keys, so config-file entries get the
@@ -145,7 +189,7 @@ def _resolve_config(args: argparse.Namespace, command: Command) -> dict:
         unknown = sorted(set(file_cfg) - set(defaults))
         if unknown:
             raise ValueError(f"unknown config keys {unknown}; valid keys: {sorted(defaults)}")
-        resolved.update(file_cfg)
+        resolved.update({k: _file_value(k, v, defaults[k]) for k, v in file_cfg.items()})
     for key in defaults:
         value = getattr(args, key)
         if value is not None:
@@ -322,15 +366,15 @@ def _run_mass_experiment(cfg: dict):
     return results, table, results["all_converged"]
 
 
-def _random_sphere_kernel(n_nodes: int, min_sep: float, params, rng):
-    """Pure singular kernel on random well-separated S^3 nodes.
+def _random_sphere_grid(n_nodes: int, min_sep: float, rng):
+    """Random well-separated S^3 nodes with weights drawn from [0.5, 1.5).
 
     Candidates are drawn one at a time and kept when they lie at least
     min_sep from every node kept so far.
     """
     import numpy as np
 
-    from .discretization import KernelSpec, QuadratureGrid, assemble_kernel
+    from .discretization import QuadratureGrid
     from .sphere import sphere_dist_sq
 
     nodes = np.empty((n_nodes, 2), dtype=np.complex128)
@@ -347,7 +391,14 @@ def _random_sphere_kernel(n_nodes: int, min_sep: float, params, rng):
             nodes[count] = xi
             count += 1
     weights = rng.uniform(0.5, 1.5, n_nodes)
-    grid = QuadratureGrid(kind="sphere", n=1, weights=weights, resolution=(n_nodes,), xi=nodes)
+    return QuadratureGrid(kind="sphere", n=1, weights=weights, resolution=(n_nodes,), xi=nodes)
+
+
+def _random_sphere_kernel(n_nodes: int, min_sep: float, params, rng):
+    """Pure singular kernel on a _random_sphere_grid."""
+    from .discretization import KernelSpec, assemble_kernel
+
+    grid = _random_sphere_grid(n_nodes, min_sep, rng)
     return assemble_kernel(grid, KernelSpec("pure_singular"), params)
 
 
@@ -469,12 +520,10 @@ COMMANDS = {
 
 
 def _flag_type(key: str, default):
-    # R defaults to None (filled in from ratio * eps) but is a number; the
-    # other None and list defaults take comma-separated strings, parsed
-    # by _resolve_config or the command itself
-    if key == "R":
-        return float
-    return str if default is None or isinstance(default, list) else type(default)
+    # list keys take comma-separated strings, parsed by _resolve_config or
+    # the command itself
+    kind = _key_type(key, default)
+    return str if kind is list else kind
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:

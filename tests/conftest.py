@@ -1,10 +1,9 @@
-"""Shared builders for the test suite."""
+"""Shared builders for the test suite: the CLI's own fixture and sampler."""
 
-import numpy as np
 import pytest
 
+from crhls.cli import _random_sphere_grid, _random_sphere_kernel, _two_node_fixture
 from crhls.core import make_params
-from crhls.discretization import KernelSpec, QuadratureGrid, assemble_kernel
 
 
 @pytest.fixture
@@ -12,47 +11,15 @@ def params_n1():
     return make_params(1, 2.0)
 
 
-def random_sphere_grid(n_nodes, min_sep, rng):
-    """Rejection-sample unit vectors in C^2 with pairwise CR separation."""
-    pts = []
-    attempts = 0
-    while len(pts) < n_nodes:
-        attempts += 1
-        if attempts > 1000 * n_nodes:
-            raise RuntimeError("separation too strict for the node budget")
-        v = rng.standard_normal(4)
-        xi = v[:2] + 1j * v[2:]
-        xi = xi / np.linalg.norm(xi)
-        if all(2.0 * abs(1.0 - np.vdot(q, xi)) >= min_sep**2 for q in pts):
-            pts.append(xi)
-    weights = rng.uniform(0.5, 1.5, n_nodes)
-    return QuadratureGrid(
-        kind="sphere",
-        n=1,
-        weights=weights,
-        resolution=(n_nodes, 1, 1),
-        xi=np.array(pts),
-    )
+random_sphere_grid = _random_sphere_grid
 
 
 def random_sphere_kernel(n_nodes, min_sep, rng, params):
-    grid = random_sphere_grid(n_nodes, min_sep, rng)
-    return grid, assemble_kernel(grid, KernelSpec("pure_singular"), params)
+    K = _random_sphere_kernel(n_nodes, min_sep, params, rng)
+    return K.grid, K
 
 
 def two_node_fixture(params):
     """Two orthogonal sphere nodes, unit weights, unit off-diagonal kernel."""
-    from crhls.discretization import KernelMatrix
-
-    grid = QuadratureGrid(
-        kind="sphere",
-        n=1,
-        weights=np.ones(2),
-        resolution=(2,),
-        xi=np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex),
-    )
-    entries = np.array([[0.0, 1.0], [1.0, 0.0]])
-    kernel = KernelMatrix(
-        entries=entries, spec=KernelSpec("pure_singular"), grid=grid, params=params
-    )
-    return grid, kernel
+    K = _two_node_fixture(params)
+    return K.grid, K

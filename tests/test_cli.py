@@ -2,14 +2,25 @@
 
 import json
 import os
+import re
+import shlex
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from crhls.cli import EXIT_NOT_CONVERGED, EXIT_OK, EXIT_VALIDATION, build_parser, main
+from crhls.cli import (
+    COMMANDS,
+    EXIT_NOT_CONVERGED,
+    EXIT_OK,
+    EXIT_VALIDATION,
+    _resolve_config,
+    build_parser,
+    main,
+)
 
 
 def _read_json(path):
@@ -400,6 +411,40 @@ def test_config_file_applies_without_flags(tmp_path):
     assert data["config"]["alpha"] == 1.5
 
 
+@pytest.mark.parametrize(
+    "command, config, key",
+    [
+        ("constants", {"alpha": None}, "alpha"),
+        ("constants", {"n": 1.7}, "n"),
+        ("covariance-check", {"nodes": 10.9, "pairs": 2}, "nodes"),
+        ("constants", {"n": True}, "n"),
+        ("extremal-sub", {"tol": "1e-9"}, "tol"),
+    ],
+    ids=["null-float", "fractional-int", "fractional-nodes", "bool-int", "string-float"],
+)
+def test_config_value_type_rejected(tmp_path, capsys, command, config, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    rc = main([command, "--config", str(cfg), "--output", str(tmp_path)])
+    assert rc == EXIT_VALIDATION
+    assert f"config key {key!r}" in capsys.readouterr().err
+    assert not (tmp_path / f"{command}.json").exists()
+
+
+def test_config_values_stored_as_their_flag_type(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"alpha": 2, "n": 1.0}))
+    assert main(["constants", "--config", str(cfg), "--output", str(tmp_path)]) == EXIT_OK
+    config = _read_json(tmp_path / "constants.json")["config"]
+    assert isinstance(config["alpha"], float) and config["alpha"] == 2.0
+    assert isinstance(config["n"], int) and config["n"] == 1
+    # None-default keys take null; list keys take a comma string
+    cfg.write_text(json.dumps({"R": None, "resolution": "6,6,6"}))
+    assert main(["lower-bound", "--config", str(cfg), "--output", str(tmp_path)]) == EXIT_OK
+    config = _read_json(tmp_path / "lower-bound.json")["config"]
+    assert config["R"] == pytest.approx(5.0) and config["resolution"] == [6, 6, 6]
+
+
 def test_unknown_config_key_rejected(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"alpah": 2.0}))
@@ -455,6 +500,24 @@ def test_parser_option_strings():
     assert derived == {
         name: ["-h", "--help", *flags, *_COMMON_FLAGS] for name, flags in declared.items()
     }
+
+
+_README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_examples_parse(tmp_path):
+    blocks = re.findall(r"```sh\n(.*?)```", _README.read_text(), flags=re.S)
+    lines = [ln for block in blocks for ln in block.splitlines() if ln.startswith("crhls ")]
+    assert len(lines) >= 9
+    parser = build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line)[1:])
+    # the config-file example holds valid lower-bound keys of valid types
+    (example,) = re.findall(r"<<'EOF'\n(.*?)\nEOF", "".join(blocks), flags=re.S)
+    assert set(json.loads(example)) <= set(COMMANDS["lower-bound"].defaults)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(example)
+    _resolve_config(parser.parse_args(["lower-bound", "--config", str(cfg)]), COMMANDS["lower-bound"])
 
 
 def test_missing_subcommand_exits_with_usage():

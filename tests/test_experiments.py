@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from crhls.core import make_params
-from crhls.discretization import KernelSpec, assemble_kernel, sphere_grid
+from crhls.discretization import KernelSpec, QuadratureGrid, assemble_kernel, sphere_grid
 from crhls.experiments import (
     _transported_extremal_values,
     conformal_covariance_check,
@@ -16,6 +16,12 @@ from crhls.experiments import (
 from crhls.heisenberg import HPoint, extremal_family
 from crhls.sphere import SpherePoint, cayley_inv, cayley_jacobian
 from conftest import random_sphere_kernel
+
+
+def _reweighted(grid):
+    # same nodes and size as grid, other weights
+    return QuadratureGrid(kind=grid.kind, n=grid.n, weights=2.0 * grid.weights,
+                          resolution=grid.resolution, xi=grid.xi)
 
 
 def test_transported_extremal_constant_at_unit_scale(params_n1):
@@ -145,6 +151,8 @@ def test_conformal_covariance_validation(params_n1):
         conformal_covariance_check(K, grid, np.ones(5), np.ones(6), params_n1)
     with pytest.raises(ValueError):
         conformal_covariance_check(K, grid, np.ones(6), np.ones(5), params_n1)
+    with pytest.raises(ValueError, match="grid does not match"):
+        conformal_covariance_check(K, _reweighted(grid), np.ones(6), np.ones(6), params_n1)
 
 
 def test_curvature_residual_constant_row_sum_oracle(params_n1):
@@ -197,3 +205,5 @@ def test_curvature_residual_positive_finite_for_generic_inputs(params_n1):
     assert np.isfinite(resid) and resid > 0.0
     with pytest.raises(ValueError):
         curvature_equation_residual(K, grid, np.zeros(len(grid)), params_n1)
+    with pytest.raises(ValueError, match="grid does not match"):
+        curvature_equation_residual(K, _reweighted(grid), phi, params_n1)

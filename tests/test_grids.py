@@ -126,11 +126,12 @@ def test_hnorm_and_extremal_values_match_pointwise():
 
 
 def test_distances_from_node_match_pointwise():
-    p = make_params(1, 2.0)
-    g = cylinder_grid(1.0, (4, 4, 4), p)
-    d = distances_from_node(g, 2)
-    for i in (0, 5, 11):
-        assert d[i] == pytest.approx(hdist(g.node(i), g.node(2)), rel=1e-12)
+    for n in (1, 2):
+        p = make_params(n, 2.0)
+        g = cylinder_grid(1.0, (4, 4, 4), p)
+        d = distances_from_node(g, 2)
+        for i in (0, 5, 11, len(g) - 1):
+            assert d[i] == pytest.approx(hdist(g.node(i), g.node(2)), rel=1e-12)
     s = sphere_grid(1, (4, 4, 4))
     ds = distances_from_node(s, 1)
     for i in (0, 9):

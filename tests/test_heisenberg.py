@@ -11,6 +11,7 @@ from crhls.heisenberg import (
     dilate,
     extremal_H,
     extremal_family,
+    gauge_dist_sq,
     group_inv,
     group_mul,
     hdist,
@@ -115,6 +116,34 @@ def test_hdist_diagonal_zero():
     rng = np.random.default_rng(6)
     u = random_point(rng)
     assert hdist(u, u) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_hdist_symmetric_and_zero_on_diagonal():
+    # the gauge norm is invariant under the group inverse (-z, -t), so
+    # |u^{-1} v| = |(v^{-1} u)^{-1}| = |v^{-1} u|
+    rng = np.random.default_rng(9)
+    for n in (1, 2, 3):
+        for _ in range(20):
+            u, v = random_point(rng, n), random_point(rng, n)
+            assert hdist(u, v) == pytest.approx(hdist(v, u), rel=1e-12)
+            assert hdist(u, u) == 0.0
+
+
+def test_gauge_dist_sq_shapes_match_pointwise():
+    rng = np.random.default_rng(10)
+    for n in (1, 2):
+        pts = [random_point(rng, n) for _ in range(5)]
+        z = np.array([p.z for p in pts])
+        t = np.array([p.t for p in pts])
+        block = gauge_dist_sq(z[:3], t[:3], z, t)
+        assert block.shape == (3, 5)
+        for i in range(3):
+            for j in range(5):
+                assert block[i, j] == pytest.approx(hdist(pts[i], pts[j]) ** 2, rel=1e-14)
+        assert np.allclose(gauge_dist_sq(z, t, z[1], t[1]), block[1], rtol=1e-14, atol=1e-15)
+        assert gauge_dist_sq(z[0], t[0], z[2:], t[2:]).shape == (3,)
+        assert gauge_dist_sq(z[0], t[0], z[1], t[1]).shape == ()
+        assert gauge_dist_sq(z[0], t[0], 0.0 * z[0], 0.0) == pytest.approx(hnorm(pts[0]) ** 2)
 
 
 def test_extremal_H_peak_and_decay():

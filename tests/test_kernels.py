@@ -110,15 +110,28 @@ def test_assemble_block_rows_independent():
     assert np.array_equal(K_all.entries, K_blk.entries)
 
 
+def _random_cylinder_grid(n, N, rng):
+    z = rng.standard_normal((N, n)) + 1j * rng.standard_normal((N, n))
+    return QuadratureGrid(kind="cylinder", n=n, weights=np.ones(N), resolution=(N,),
+                          z=z, t=rng.standard_normal(N))
+
+
 def test_cylinder_kernel_uses_group_distance():
-    p = make_params(1, 2.0)
-    g = cylinder_grid(1.0, (4, 4, 4), p)
-    K = assemble_kernel(g, KernelSpec("pure_singular"), p)
+    # every pair; the n = 2 product grid has 2048 nodes, so n = 2 uses 60
+    # random nodes instead
     from crhls.heisenberg import hdist
 
-    i, j = 2, 30
-    d = hdist(g.node(i), g.node(j))
-    assert K.entries[i, j] == pytest.approx(d ** (p.alpha - p.Q), rel=1e-12)
+    grids = [cylinder_grid(1.0, (4, 4, 4), make_params(1, 2.0)),
+             _random_cylinder_grid(2, 60, np.random.default_rng(11))]
+    for g in grids:
+        p = make_params(g.n, 2.0)
+        K = assemble_kernel(g, KernelSpec("pure_singular"), p, block_rows=50)
+        nodes = g.nodes
+        for i, u in enumerate(nodes):
+            for j, v in enumerate(nodes):
+                if i != j:
+                    d = hdist(u, v)
+                    assert K.entries[i, j] == pytest.approx(d ** (p.alpha - p.Q), rel=1e-12)
 
 
 def test_kernel_matrix_shape_guard():

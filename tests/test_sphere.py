@@ -5,14 +5,18 @@ import math
 import numpy as np
 import pytest
 
+from crhls.core import make_params
+from crhls.discretization import cylinder_grid, sphere_extremal_values, sphere_grid
 from crhls.heisenberg import HPoint, hdist, hnorm
 from crhls.sphere import (
     SpherePoint,
+    _cayley_inv,
     cayley,
     cayley_inv,
     cayley_jacobian,
     sphere_dist,
     sphere_dist_sq,
+    sphere_extremal,
 )
 
 
@@ -98,6 +102,19 @@ def test_cayley_inv_pole_guard():
         cayley_inv(SpherePoint([0.0, -1.0]))
 
 
+def test_cayley_inv_rows_match_pointwise():
+    rng = np.random.default_rng(5)
+    for n in (1, 2):
+        pts = [random_sphere_point(rng, n) for _ in range(6)]
+        z, t = _cayley_inv(np.array([p.xi for p in pts]))
+        assert z.shape == (6, n) and t.shape == (6,)
+        for k, p in enumerate(pts):
+            u = cayley_inv(p)
+            assert np.array_equal(z[k], u.z) and t[k] == u.t
+    with pytest.raises(ValueError, match="south pole"):
+        _cayley_inv(np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex))
+
+
 def test_cayley_jacobian_formula_and_decay():
     rng = np.random.default_rng(3)
     for n in (1, 2):
@@ -127,3 +144,47 @@ def test_distance_intertwining_identity():
             lhs = sphere_dist(cayley(u), cayley(v)) ** 2 * wu * wv
             rhs = 4.0 * hnorm(group_mul(u, group_inv(v))) ** 2
             assert lhs == pytest.approx(rhs, rel=1e-10)
+
+
+def test_sphere_extremal_poisson_normalization():
+    # Poisson-Szego normalization on S^3: f^{q_alpha} = |1 - conj(a) . xi|^{-Q}
+    # has mean (1 - |a|^2)^{-2} over the sphere, whatever alpha is
+    grid = sphere_grid(1, (12, 12, 12))
+    poles = [[0.0, 0.0], [0.5, 0.0], [0.0, 0.5j], [0.3, -0.4], [0.2 + 0.1j, -0.3j]]
+    for alpha in (1.0, 2.0, 3.0):
+        params = make_params(1, alpha)
+        for a in poles:
+            f = sphere_extremal_values(grid, a, params)
+            mean = np.dot(grid.weights, f**params.q_alpha) / grid.total_weight
+            assert mean == pytest.approx((1.0 - np.vdot(a, a).real) ** -2, rel=2e-3)
+
+
+def test_sphere_extremal_values_match_pointwise():
+    grid = sphere_grid(1, (4, 4, 4))
+    a = [0.3 - 0.1j, 0.2j]
+    for alpha in (1.0, 2.0):
+        params = make_params(1, alpha)
+        vals = sphere_extremal_values(grid, a, params)
+        for i in range(0, len(grid), 7):
+            assert vals[i] == pytest.approx(sphere_extremal(grid.node(i), a, params), rel=1e-14)
+
+
+def test_sphere_extremal_validation():
+    p1, p2 = make_params(1, 2.0), make_params(2, 2.0)
+    grid = sphere_grid(1, (4, 4, 4))
+    north = SpherePoint([0.0, 1.0])
+    assert sphere_extremal(north, [0.0, 0.0], p1) == 1.0
+    # the pole has n + 1 components and lies strictly inside the unit ball
+    for bad_pole in ([0.1, 0.2, 0.3], [0.6, 0.8], [1.0, 0.0]):
+        with pytest.raises(ValueError, match="pole"):
+            sphere_extremal(north, bad_pole, p1)
+        with pytest.raises(ValueError, match="pole"):
+            sphere_extremal_values(grid, bad_pole, p1)
+    # the points live on S^{2n+1} for the n of params
+    for pole in ([0.0, 0.5], [0.0, 0.0, 0.5]):
+        with pytest.raises(ValueError, match="params have n = 2"):
+            sphere_extremal(north, pole, p2)
+        with pytest.raises(ValueError, match="params have n = 2"):
+            sphere_extremal_values(grid, pole, p2)
+    with pytest.raises(ValueError, match="sphere grid"):
+        sphere_extremal_values(cylinder_grid(1.0, (4, 4, 4), p1), [0.0, 0.0], p1)
