@@ -502,11 +502,9 @@ def test_parser_option_strings():
     }
 
 
-_README = Path(__file__).resolve().parents[1] / "README.md"
-
-
 def test_readme_examples_parse(tmp_path):
-    blocks = re.findall(r"```sh\n(.*?)```", _README.read_text(), flags=re.S)
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"```sh\n(.*?)```", readme.read_text(), flags=re.S)
     lines = [ln for block in blocks for ln in block.splitlines() if ln.startswith("crhls ")]
     assert len(lines) >= 9
     parser = build_parser()

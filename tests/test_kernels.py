@@ -110,19 +110,16 @@ def test_assemble_block_rows_independent():
     assert np.array_equal(K_all.entries, K_blk.entries)
 
 
-def _random_cylinder_grid(n, N, rng):
-    z = rng.standard_normal((N, n)) + 1j * rng.standard_normal((N, n))
-    return QuadratureGrid(kind="cylinder", n=n, weights=np.ones(N), resolution=(N,),
-                          z=z, t=rng.standard_normal(N))
-
-
 def test_cylinder_kernel_uses_group_distance():
     # every pair; the n = 2 product grid has 2048 nodes, so n = 2 uses 60
     # random nodes instead
     from crhls.heisenberg import hdist
 
+    rng = np.random.default_rng(11)
+    z = rng.standard_normal((60, 2)) + 1j * rng.standard_normal((60, 2))
     grids = [cylinder_grid(1.0, (4, 4, 4), make_params(1, 2.0)),
-             _random_cylinder_grid(2, 60, np.random.default_rng(11))]
+             QuadratureGrid(kind="cylinder", n=2, weights=np.ones(60), resolution=(60,),
+                            z=z, t=rng.standard_normal(60))]
     for g in grids:
         p = make_params(g.n, 2.0)
         K = assemble_kernel(g, KernelSpec("pure_singular"), p, block_rows=50)
