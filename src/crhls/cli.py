@@ -87,25 +87,6 @@ def _ints(value) -> list[int]:
     return [int(v) for v in values]
 
 
-def _plain(obj):
-    """Recursively convert numpy containers/scalars to JSON-native types."""
-    import numpy as np
-
-    if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    return obj
-
-
 def _write(output_dir: str, name: str, text: str) -> str:
     os.makedirs(output_dir, exist_ok=True)
     path = os.path.join(output_dir, name)
@@ -177,7 +158,7 @@ def _file_value(key: str, value, default):
 def _resolve_config(args: argparse.Namespace, command: Command) -> dict:
     """Merge defaults, JSON config file, and explicit flags (in that order),
     then check choices and parse list keys, so config-file entries get the
-    same checks as flags.
+    same checks as flags. Every value leaves here with its key's type.
     """
     defaults = {**command.defaults, **_COMMON}
     resolved = dict(defaults)
@@ -200,8 +181,8 @@ def _resolve_config(args: argparse.Namespace, command: Command) -> dict:
                 f"unknown {key} {resolved[key]!r}, expected one of {', '.join(allowed)}"
             )
     for key, default in defaults.items():
-        if isinstance(default, list):
-            parse = _ints if isinstance(default[0], int) else _floats
+        if _key_type(key, default) is list and resolved[key] is not None:
+            parse = _ints if default and isinstance(default[0], int) else _floats
             resolved[key] = parse(resolved[key])
     return resolved
 
@@ -213,7 +194,7 @@ def _resolve_config(args: argparse.Namespace, command: Command) -> dict:
 def _run_constants(cfg: dict):
     from .core import make_params, sharp_constant_DH
 
-    params = make_params(int(cfg["n"]), float(cfg["alpha"]))
+    params = make_params(cfg["n"], cfg["alpha"])
     results = {
         "sharp_constant": sharp_constant_DH(params),
         "Q": params.Q,
@@ -230,14 +211,14 @@ def _run_verify_hls(cfg: dict):
     from .core import make_params, sharp_constant_DH
     from .experiments import eps_invariance_experiment, lower_bound_experiment
 
-    params = make_params(int(cfg["n"]), float(cfg["alpha"]))
+    params = make_params(cfg["n"], cfg["alpha"])
     sharp = sharp_constant_DH(params)
     inv = eps_invariance_experiment(cfg["eps_list"], cfg["ratio"], cfg["resolution"], params)
     # the transported quotient resolves best at unit scale; its continuum
     # value is eps-invariant, so eps = 1 loses no generality
-    bound = lower_bound_experiment(1.0, float(cfg["ratio"]), cfg["resolution"], params)
-    spread_ok = inv.spread_rel <= float(cfg["spread_tol"])
-    upper_ok = bound.quotient <= sharp * (1.0 + float(cfg["slack"]))
+    bound = lower_bound_experiment(1.0, cfg["ratio"], cfg["resolution"], params)
+    spread_ok = inv.spread_rel <= cfg["spread_tol"]
+    upper_ok = bound.quotient <= sharp * (1.0 + cfg["slack"])
     results = {
         "eps_invariance": inv.to_dict(),
         "upper_bound_run": bound.to_dict(),
@@ -268,14 +249,12 @@ def _run_extremal_sub(cfg: dict):
     from .discretization import KernelSpec, assemble_kernel, sphere_grid
     from .solver import result_to_dict, solve_subcritical
 
-    params = make_params(1, float(cfg["alpha"]))
+    params = make_params(1, cfg["alpha"])
     if cfg["manifold"] == "fixture":
         K = _two_node_fixture(params)
     else:
         K = assemble_kernel(sphere_grid(1, cfg["resolution"]), KernelSpec("pure_singular"), params)
-    result = solve_subcritical(
-        K, K.grid, float(cfg["p"]), tol=float(cfg["tol"]), max_iter=int(cfg["max_iter"])
-    )
+    result = solve_subcritical(K, K.grid, cfg["p"], tol=cfg["tol"], max_iter=cfg["max_iter"])
     print(
         f"p = {result.p}  D = {result.D_estimate!r}  iterations = {result.iterations}"
         f"  converged = {result.converged}"
@@ -290,22 +269,16 @@ def _run_continuation(cfg: dict):
     from .discretization import KernelSpec, assemble_kernel, sphere_grid
     from .solver import continuation, default_p_schedule, result_to_dict
 
-    params = make_params(1, float(cfg["alpha"]))
+    params = make_params(1, cfg["alpha"])
     if cfg["p_schedule"] is None:
         cfg["p_schedule"] = default_p_schedule(params)
-    else:
-        cfg["p_schedule"] = _floats(cfg["p_schedule"])
     grid = sphere_grid(1, cfg["resolution"])
     if cfg["kernel"] == "pure_singular":
         spec = KernelSpec("pure_singular")
     else:
-        spec = KernelSpec(
-            "green_model", mass=np.full(len(grid), float(cfg["A0"])), c_w=float(cfg["c_w"])
-        )
+        spec = KernelSpec("green_model", mass=np.full(len(grid), cfg["A0"]), c_w=cfg["c_w"])
     K = assemble_kernel(grid, spec, params)
-    runs = continuation(
-        K, grid, cfg["p_schedule"], tol=float(cfg["tol"]), max_iter=int(cfg["max_iter"])
-    )
+    runs = continuation(K, grid, cfg["p_schedule"], tol=cfg["tol"], max_iter=cfg["max_iter"])
     stages = [result_to_dict(run) for run in runs]
     for stage in stages[:-1]:  # only the final maximizer is kept
         del stage["f"]
@@ -332,10 +305,10 @@ def _run_lower_bound(cfg: dict):
     from .experiments import lower_bound_experiment
 
     if cfg["R"] is None:
-        cfg["R"] = float(cfg["ratio"]) * float(cfg["eps"])
-    cfg["ratio"] = float(cfg["R"]) / float(cfg["eps"])
-    params = make_params(int(cfg["n"]), float(cfg["alpha"]))
-    res = lower_bound_experiment(float(cfg["eps"]), float(cfg["R"]), cfg["resolution"], params)
+        cfg["R"] = cfg["ratio"] * cfg["eps"]
+    cfg["ratio"] = cfg["R"] / cfg["eps"]
+    params = make_params(cfg["n"], cfg["alpha"])
+    res = lower_bound_experiment(cfg["eps"], cfg["R"], cfg["resolution"], params)
     print(
         f"quotient = {res.quotient!r} on {res.n_nodes} nodes "
         f"(sharp constant {res.sharp_constant!r})"
@@ -348,8 +321,8 @@ def _run_mass_experiment(cfg: dict):
 
     records = [
         mass_perturbation_experiment(
-            A0, float(cfg["c_w"]), float(cfg["alpha"]), cfg["resolution"],
-            tol=float(cfg["tol"]), max_iter=int(cfg["max_iter"]),
+            A0, cfg["c_w"], cfg["alpha"], cfg["resolution"],
+            tol=cfg["tol"], max_iter=cfg["max_iter"],
         )
         for A0 in cfg["A0_list"]
     ]
@@ -408,12 +381,12 @@ def _run_covariance_check(cfg: dict):
     from .core import make_params
     from .experiments import conformal_covariance_check
 
-    rng = np.random.default_rng(int(cfg["seed"]))
-    params = make_params(1, float(cfg["alpha"]))
-    K = _random_sphere_kernel(int(cfg["nodes"]), float(cfg["min_sep"]), params, rng)
+    rng = np.random.default_rng(cfg["seed"])
+    params = make_params(1, cfg["alpha"])
+    K = _random_sphere_kernel(cfg["nodes"], cfg["min_sep"], params, rng)
     N = len(K)
     residuals = []
-    for _ in range(int(cfg["pairs"])):
+    for _ in range(cfg["pairs"]):
         if cfg["phi"] == "constant":
             phi = np.full(N, rng.uniform(0.5, 2.0))
         else:
@@ -424,8 +397,8 @@ def _run_covariance_check(cfg: dict):
     results = {
         "max_residual": worst,
         "threshold": _RESIDUAL_THRESHOLD,
-        "pairs": int(cfg["pairs"]),
-        "nodes": int(cfg["nodes"]),
+        "pairs": cfg["pairs"],
+        "nodes": cfg["nodes"],
         "ok": worst <= _RESIDUAL_THRESHOLD,
     }
     print(f"max covariance residual over {cfg['pairs']} pairs = {worst:.3e}")
@@ -440,7 +413,7 @@ def _run_curvature_residual(cfg: dict):
     from .experiments import curvature_equation_residual
     from .solver import continuation, default_p_schedule
 
-    params = make_params(1, float(cfg["alpha"]))
+    params = make_params(1, cfg["alpha"])
     grid = sphere_grid(1, cfg["resolution"])
     K = assemble_kernel(grid, KernelSpec("pure_singular"), params)
     converged = True
@@ -448,13 +421,11 @@ def _run_curvature_residual(cfg: dict):
         phi = np.ones(len(grid))
     elif cfg["mode"] == "maximizer":
         schedule = default_p_schedule(params)
-        runs = continuation(
-            K, grid, schedule, tol=float(cfg["tol"]), max_iter=int(cfg["max_iter"])
-        )
+        runs = continuation(K, grid, schedule, tol=cfg["tol"], max_iter=cfg["max_iter"])
         converged = all(r.converged for r in runs)
         phi = runs[-1].f ** (runs[-1].p - 1.0)
     else:
-        rng = np.random.default_rng(int(cfg["seed"]))
+        rng = np.random.default_rng(cfg["seed"])
         phi = np.exp(0.3 * rng.standard_normal(len(grid)))
     residual = curvature_equation_residual(K, grid, phi, params)
     results = {"residual": residual, "mode": cfg["mode"], "n_nodes": len(grid)}
@@ -520,8 +491,7 @@ COMMANDS = {
 
 
 def _flag_type(key: str, default):
-    # list keys take comma-separated strings, parsed by _resolve_config or
-    # the command itself
+    # list keys take comma-separated strings, parsed by _resolve_config
     kind = _key_type(key, default)
     return str if kind is list else kind
 
@@ -567,7 +537,7 @@ def main(argv=None) -> int:
         cfg = _resolve_config(args, command)
         results, table, ok = command.run(cfg)
         summary = {"command": args.command, "config": cfg, "results": results}
-        text = json.dumps(_plain(summary), indent=2, sort_keys=True) + "\n"
+        text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
         path = _write(cfg["output"], f"{args.command}.json", text)
         if table is not None:
             header, rows = table

@@ -380,6 +380,13 @@ def _check_grid(K: KernelMatrix, grid: QuadratureGrid) -> None:
         raise ValueError("grid does not match the kernel's assembly grid")
 
 
+def _row_blocks(N: int):
+    """(i0, i1) row ranges of an N x N pass, about _BLOCK_ENTRIES entries each."""
+    rows = max(1, min(N, _BLOCK_ENTRIES // N))
+    for i0 in range(0, N, rows):
+        yield i0, min(i0 + rows, N)
+
+
 def _pow_neg(base: np.ndarray, expo: float) -> np.ndarray:
     if expo == -1.0:
         return np.reciprocal(base)
@@ -393,7 +400,6 @@ def assemble_kernel(
     spec: KernelSpec,
     params: Params,
     dtype=np.float64,
-    block_rows: int | None = None,
 ) -> KernelMatrix:
     """Assemble the dense kernel matrix of a KernelSpec over a grid.
 
@@ -418,12 +424,9 @@ def assemble_kernel(
             raise ValueError(f"mass must have shape ({N},), got {spec.mass.shape}")
 
     Q, alpha, n = params.Q, params.alpha, params.n
-    if block_rows is None:
-        block_rows = max(1, min(N, _BLOCK_ENTRIES // N))
     entries = np.empty((N, N), dtype=dtype)
 
-    for i0 in range(0, N, block_rows):
-        i1 = min(i0 + block_rows, N)
+    for i0, i1 in _row_blocks(N):
         base = grid.dist_sq(slice(i0, i1))  # rho^2 for both grid kinds
         rows = np.arange(i1 - i0)
         diag = np.arange(i0, i1)

@@ -37,8 +37,15 @@ __all__ = [
 ]
 
 
+class _Record:
+    """Base of the result records: to_dict is asdict with tuples as lists."""
+
+    def to_dict(self) -> dict:
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
+
+
 @dataclass(frozen=True)
-class LowerBoundResult:
+class LowerBoundResult(_Record):
     """Truncated-extremal Rayleigh quotient against the sharp constant."""
 
     n: int
@@ -50,11 +57,6 @@ class LowerBoundResult:
     n_nodes: int
     quotient: float
     sharp_constant: float
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["resolution"] = list(self.resolution)
-        return d
 
     csv_header = "experiment,n,alpha,eps,R,ratio,n_nodes,quotient,sharp_constant"
 
@@ -122,7 +124,7 @@ def lower_bound_experiment(eps: float, R: float, resolution, params: Params) -> 
 
 
 @dataclass(frozen=True)
-class EpsInvarianceResult:
+class EpsInvarianceResult(_Record):
     """Norm of the concentrating family across eps at a fixed R/eps ratio."""
 
     n: int
@@ -132,13 +134,6 @@ class EpsInvarianceResult:
     eps_list: tuple[float, ...]
     norms: tuple[float, ...]
     spread_rel: float
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["resolution"] = list(self.resolution)
-        d["eps_list"] = list(self.eps_list)
-        d["norms"] = list(self.norms)
-        return d
 
     csv_header = "experiment,n,alpha,ratio,eps,norm"
 
@@ -181,7 +176,7 @@ def eps_invariance_experiment(
 
 
 @dataclass(frozen=True)
-class MassPerturbationResult:
+class MassPerturbationResult(_Record):
     """Critical-limit quotients with and without a positive-mass kernel term."""
 
     alpha: float
@@ -194,11 +189,6 @@ class MassPerturbationResult:
     quotient_pure: float
     delta: float
     all_converged: bool
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["resolution"] = list(self.resolution)
-        return d
 
     csv_header = (
         "experiment,alpha,A0,c_w,n_nodes,p_endpoint,quotient_mass,quotient_pure,delta,converged"

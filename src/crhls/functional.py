@@ -11,10 +11,10 @@ import numpy as np
 
 from .core import Params
 from .discretization import (
-    _BLOCK_ENTRIES,
     KernelMatrix,
     QuadratureGrid,
     _check_grid,
+    _row_blocks,
     cylinder_grid,
     cylinder_shell_grid,
     extremal_values,
@@ -100,9 +100,7 @@ def young_bound(K: KernelMatrix, grid: QuadratureGrid, r: float) -> float:
     w = grid.weights
     best = 0.0
     col_acc = np.zeros(N)
-    block = max(1, min(N, _BLOCK_ENTRIES // N))
-    for i0 in range(0, N, block):
-        i1 = min(i0 + block, N)
+    for i0, i1 in _row_blocks(N):
         P = np.asarray(K.entries[i0:i1], dtype=np.float64)
         if r != 1.0:
             P = P**r

@@ -118,7 +118,6 @@ def solve_subcritical(
             raise ValueError(f"f0 must have shape ({N},), got {f.shape}")
         if np.any(f < 0.0) or not np.any(f > 0.0):
             raise ValueError("warm start must be nonnegative and not identically zero")
-    f = f / lp_norm(f, grid, p)
 
     def action(fv: np.ndarray) -> np.ndarray:
         v = (fv * w).astype(E.dtype, copy=False)
@@ -126,28 +125,29 @@ def solve_subcritical(
             np.asarray(E @ v, dtype=np.float64) + np.asarray(E.T @ v, dtype=np.float64)
         )
 
+    def evaluate(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+        y_c = action(c)
+        return c, y_c, float(np.dot(c * w, y_c))
+
+    def blend(a: float, b: float) -> np.ndarray:
+        c = f**a * g**b
+        return c / lp_norm(c, grid, p)
+
     inv_exp = 1.0 / (p - 1.0)
     history: list[float] = []
-    iterations = 0
-    D_prev = None
-
-    y = action(f)
-    D = float(np.dot(f * w, y))
-    defect = float(np.max(np.abs(2.0 * D * f ** (p - 1.0) - 2.0 * y)))
-    history.append(D)
-    converged = False
-    stall = 0
+    iterations = stall = 0
     averaged = False
+    D_prev = None
+    f, y, D = evaluate(f / lp_norm(f, grid, p))
     while True:
-        if (
-            D_prev is not None
-            and abs(D - D_prev) <= tol * max(1.0, abs(D))
-            and defect <= tol * (1.0 + D)
-        ):
-            converged = True
+        defect = float(np.max(np.abs(2.0 * D * f ** (p - 1.0) - 2.0 * y)))
+        history.append(D)
+        flat = D_prev is not None and abs(D - D_prev) <= tol * max(1.0, abs(D))
+        converged = flat and defect <= tol * (1.0 + D)
+        if converged or iterations >= max_iter:
             break
-        if iterations >= max_iter:
-            break
+        stall = stall + 1 if flat else 0
+        averaged = averaged or stall >= 25
         D_prev = D
         peak = float(np.max(y))
         if peak <= 0.0:
@@ -161,33 +161,15 @@ def solve_subcritical(
         # quotient stagnates with the defect still high, switch permanently
         # to fixed averaging, which contracts any neutral oscillation mode.
         if averaged:
-            cand = f ** (2.0 / 3.0) * g ** (1.0 / 3.0)
-            cand = cand / lp_norm(cand, grid, p)
-            y_c = action(cand)
-            D_c = float(np.dot(cand * w, y_c))
+            f, y, D = evaluate(blend(2.0 / 3.0, 1.0 / 3.0))
         else:
             theta = 1.0
-            while True:
-                if theta == 1.0:
-                    cand = g
-                else:
-                    cand = f ** (1.0 - theta) * g**theta
-                    cand = cand / lp_norm(cand, grid, p)
-                y_c = action(cand)
-                D_c = float(np.dot(cand * w, y_c))
-                if D_c >= D or theta < 1e-6:
-                    break
+            cand, y_c, D_c = evaluate(g)
+            while not D_c >= D and theta >= 1e-6:
                 theta *= 0.5
-        f, y, D = cand, y_c, D_c
+                cand, y_c, D_c = evaluate(blend(1.0 - theta, theta))
+            f, y, D = cand, y_c, D_c
         iterations += 1
-        defect = float(np.max(np.abs(2.0 * D * f ** (p - 1.0) - 2.0 * y)))
-        history.append(D)
-        if abs(D - D_prev) <= tol * max(1.0, abs(D)) and defect > tol * (1.0 + D):
-            stall += 1
-            if stall >= 25:
-                averaged = True
-        else:
-            stall = 0
 
     return SubcriticalResult(
         p=p,

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from crhls import discretization
 from crhls.core import make_params
 from crhls.discretization import (
     KernelMatrix,
@@ -102,19 +103,21 @@ def test_assemble_float32_storage():
     assert np.allclose(K32.entries, K64.entries.astype(np.float32), rtol=0, atol=0)
 
 
-def test_assemble_block_rows_independent():
+def test_assemble_block_rows_independent(monkeypatch):
     p = make_params(1, 2.0)
     g = sphere_grid(1, (5, 5, 5))
     K_all = assemble_kernel(g, KernelSpec("pure_singular"), p)
-    K_blk = assemble_kernel(g, KernelSpec("pure_singular"), p, block_rows=7)
+    monkeypatch.setattr(discretization, "_BLOCK_ENTRIES", 7 * len(g))  # 7-row blocks
+    K_blk = assemble_kernel(g, KernelSpec("pure_singular"), p)
     assert np.array_equal(K_all.entries, K_blk.entries)
 
 
-def test_cylinder_kernel_uses_group_distance():
+def test_cylinder_kernel_uses_group_distance(monkeypatch):
     # every pair; the n = 2 product grid has 2048 nodes, so n = 2 uses 60
-    # random nodes instead
+    # random nodes instead. Small row blocks make both grids span several.
     from crhls.heisenberg import hdist
 
+    monkeypatch.setattr(discretization, "_BLOCK_ENTRIES", 3000)
     rng = np.random.default_rng(11)
     z = rng.standard_normal((60, 2)) + 1j * rng.standard_normal((60, 2))
     grids = [cylinder_grid(1.0, (4, 4, 4), make_params(1, 2.0)),
@@ -122,7 +125,7 @@ def test_cylinder_kernel_uses_group_distance():
                             z=z, t=rng.standard_normal(60))]
     for g in grids:
         p = make_params(g.n, 2.0)
-        K = assemble_kernel(g, KernelSpec("pure_singular"), p, block_rows=50)
+        K = assemble_kernel(g, KernelSpec("pure_singular"), p)
         nodes = g.nodes
         for i, u in enumerate(nodes):
             for j, v in enumerate(nodes):
