@@ -184,6 +184,8 @@ def _resolve_config(args: argparse.Namespace, command: Command) -> dict:
         if _key_type(key, default) is list and resolved[key] is not None:
             parse = _ints if default and isinstance(default[0], int) else _floats
             resolved[key] = parse(resolved[key])
+            if not resolved[key]:
+                raise ValueError(f"{key} must not be empty")
     return resolved
 
 
@@ -381,6 +383,8 @@ def _run_covariance_check(cfg: dict):
     from .core import make_params
     from .experiments import conformal_covariance_check
 
+    if cfg["pairs"] < 1:
+        raise ValueError(f"pairs must be at least 1, got {cfg['pairs']}")
     rng = np.random.default_rng(cfg["seed"])
     params = make_params(1, cfg["alpha"])
     K = _random_sphere_kernel(cfg["nodes"], cfg["min_sep"], params, rng)

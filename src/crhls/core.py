@@ -9,6 +9,7 @@ convolution inequality: 1/q_alpha - 1/p_alpha = alpha/Q.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 __all__ = ["Params", "make_params", "sharp_constant_DH"]
@@ -69,8 +70,9 @@ def sharp_constant_DH(params: Params) -> float:
     D_H = (2 pi)^{(Q-alpha)/2} * n! * Gamma(alpha/2) / Gamma((Q+alpha)/4)^2.
 
     The CR sphere carries the same constant. Evaluated in log space so
-    large n or alpha near the endpoints stay finite; for n = 1, alpha = 2
-    the value is exactly 8.
+    alpha near the endpoints stays finite; for n = 1, alpha = 2 the value
+    is exactly 8. Raises ValueError when the constant exceeds the float
+    range (from n = 282 at alpha = 2).
     """
     n, alpha, Q = params.n, params.alpha, params.Q
     log_value = (
@@ -79,4 +81,9 @@ def sharp_constant_DH(params: Params) -> float:
         + math.lgamma(0.5 * alpha)
         - 2.0 * math.lgamma(0.25 * (Q + alpha))
     )
+    if log_value > math.log(sys.float_info.max):
+        raise ValueError(
+            f"sharp constant for n = {n}, alpha = {alpha} exceeds the float range "
+            f"(log value {log_value:.6g})"
+        )
     return math.exp(log_value)

@@ -270,6 +270,8 @@ def conformal_covariance_check(
     floating-point noise at any resolution.
     """
     _check_grid(K, grid)
+    if params != K.params:
+        raise ValueError("params do not match the kernel's assembly params")
     N = len(K)
     Q, alpha = params.Q, params.alpha
     w = grid.weights
@@ -298,6 +300,8 @@ def curvature_equation_residual(
     solves the equation exactly.
     """
     _check_grid(K, grid)
+    if params != K.params:
+        raise ValueError("params do not match the kernel's assembly params")
     N = len(K)
     Q, alpha = params.Q, params.alpha
     w = grid.weights

@@ -55,6 +55,13 @@ def test_constants_rejects_bad_alpha(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_constants_out_of_float_range(tmp_path, capsys):
+    rc = main(["constants", "--n", "400", "--output", str(tmp_path)])
+    assert rc == EXIT_VALIDATION
+    assert "exceeds the float range" in capsys.readouterr().err
+    assert not (tmp_path / "constants.json").exists()
+
+
 def test_verify_hls_small(tmp_path, capsys):
     rc = main(
         [
@@ -159,6 +166,28 @@ def test_non_integer_resolution_rejected(tmp_path, capsys, argv, config):
     assert rc == EXIT_VALIDATION
     assert "expected integers" in capsys.readouterr().err
     assert not (tmp_path / "lower-bound.json").exists()
+
+
+@pytest.mark.parametrize(
+    "command, argv, config, message",
+    [
+        ("mass-experiment", ["--A0-list", ","], None, "A0_list must not be empty"),
+        ("mass-experiment", [], {"A0_list": []}, "A0_list must not be empty"),
+        ("verify-hls", [], {"eps_list": ""}, "eps_list must not be empty"),
+        ("continuation", ["--p-schedule", " "], None, "p_schedule must not be empty"),
+        ("covariance-check", ["--pairs", "0"], None, "pairs must be at least 1"),
+        ("covariance-check", [], {"pairs": -2}, "pairs must be at least 1"),
+    ],
+    ids=["flag", "config", "config-string", "p-schedule", "pairs-flag", "pairs-config"],
+)
+def test_empty_sweep_rejected(tmp_path, capsys, command, argv, config, message):
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv = ["--config", str(tmp_path / "cfg.json")]
+    rc = main([command, *argv, "--strict", "--output", str(tmp_path)])
+    assert rc == EXIT_VALIDATION
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / f"{command}.json").exists()
 
 
 def test_strict_flags_unconverged_run(tmp_path):

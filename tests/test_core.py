@@ -80,6 +80,14 @@ def test_sharp_constant_general_oracle():
         assert sharp_constant_DH(p) == pytest.approx(expect, rel=1e-12)
 
 
+def test_sharp_constant_out_of_float_range():
+    # the constant grows like n!; it passes the largest float at n = 282
+    assert math.isfinite(sharp_constant_DH(make_params(281, 2.0)))
+    for n in (282, 400):
+        with pytest.raises(ValueError, match=f"n = {n}, alpha = 2.0"):
+            sharp_constant_DH(make_params(n, 2.0))
+
+
 def test_sharp_constant_alpha_limits_n1():
     # alpha -> Q: every factor tends to n! Gamma(Q/2) / Gamma(Q/2)^2 = 1 at n = 1
     assert sharp_constant_DH(make_params(1, 3.999999)) == pytest.approx(1.0, rel=1e-4)

@@ -153,6 +153,9 @@ def test_conformal_covariance_validation(params_n1):
         conformal_covariance_check(K, grid, np.ones(6), np.ones(5), params_n1)
     with pytest.raises(ValueError, match="grid does not match"):
         conformal_covariance_check(K, _reweighted(grid), np.ones(6), np.ones(6), params_n1)
+    for other in (make_params(2, 2.0), make_params(1, 1.0)):
+        with pytest.raises(ValueError, match="params do not match"):
+            conformal_covariance_check(K, grid, np.ones(6), np.ones(6), other)
 
 
 def test_curvature_residual_constant_row_sum_oracle(params_n1):
@@ -207,3 +210,5 @@ def test_curvature_residual_positive_finite_for_generic_inputs(params_n1):
         curvature_equation_residual(K, grid, np.zeros(len(grid)), params_n1)
     with pytest.raises(ValueError, match="grid does not match"):
         curvature_equation_residual(K, _reweighted(grid), phi, params_n1)
+    with pytest.raises(ValueError, match="params do not match"):
+        curvature_equation_residual(K, grid, phi, make_params(1, 1.0))

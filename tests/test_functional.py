@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from crhls import discretization
 from crhls.core import make_params
 from crhls.discretization import (
     KernelMatrix,
@@ -172,6 +173,15 @@ def test_young_bound_blocked_path():
     lhs = lp_norm(np.asarray(K.entries @ (f * grid.weights), dtype=np.float64), grid, 3.0)
     # 1/q = 1/p + 1/r - 1 with r = 1.5, q = 3 gives p = 1
     assert lhs <= C * lp_norm(f, grid, 1.0) * (1.0 + 1e-6)
+
+
+def test_young_bound_block_size_independent(monkeypatch):
+    params = make_params(1, 2.0)
+    grid = sphere_grid(1, (6, 6, 6))
+    K = assemble_kernel(grid, KernelSpec("pure_singular"), params)
+    single = young_bound(K, grid, 1.2)
+    monkeypatch.setattr(discretization, "_BLOCK_ENTRIES", 7 * len(grid))  # 31 blocks of 7 rows
+    assert young_bound(K, grid, 1.2) == pytest.approx(single, rel=1e-12)
 
 
 def test_tail_integral_positive_decreasing():
