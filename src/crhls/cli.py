@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -157,8 +158,9 @@ def _file_value(key: str, value, default):
 
 def _resolve_config(args: argparse.Namespace, command: Command) -> dict:
     """Merge defaults, JSON config file, and explicit flags (in that order),
-    then check choices and parse list keys, so config-file entries get the
-    same checks as flags. Every value leaves here with its key's type.
+    then check choices, parse list keys and refuse inf and nan in float and
+    list keys, so config-file entries get the same checks as flags. Every
+    value leaves here with its key's type.
     """
     defaults = {**command.defaults, **_COMMON}
     resolved = dict(defaults)
@@ -181,11 +183,18 @@ def _resolve_config(args: argparse.Namespace, command: Command) -> dict:
                 f"unknown {key} {resolved[key]!r}, expected one of {', '.join(allowed)}"
             )
     for key, default in defaults.items():
-        if _key_type(key, default) is list and resolved[key] is not None:
-            parse = _ints if default and isinstance(default[0], int) else _floats
-            resolved[key] = parse(resolved[key])
-            if not resolved[key]:
-                raise ValueError(f"{key} must not be empty")
+        kind, value = _key_type(key, default), resolved[key]
+        if value is None or kind not in (float, list):
+            continue
+        values = _floats(value) if kind is list else [value]
+        if not values:
+            raise ValueError(f"{key} must not be empty")
+        # json.dumps would write inf and nan as Infinity and NaN, which
+        # strict JSON parsers reject
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError(f"{key} must be finite, got {value!r}")
+        if kind is list:
+            resolved[key] = _ints(values) if default and isinstance(default[0], int) else values
     return resolved
 
 
@@ -306,6 +315,8 @@ def _run_lower_bound(cfg: dict):
     from .core import make_params
     from .experiments import lower_bound_experiment
 
+    if not cfg["eps"] > 0.0:
+        raise ValueError(f"eps must be positive, got {cfg['eps']}")
     if cfg["R"] is None:
         cfg["R"] = cfg["ratio"] * cfg["eps"]
     cfg["ratio"] = cfg["R"] / cfg["eps"]

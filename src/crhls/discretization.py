@@ -357,12 +357,20 @@ class KernelMatrix:
     The entries contain no quadrature weights. Params used at assembly
     time ride along so downstream consumers (solver window validation,
     serialization headers) need no extra context.
+
+    symmetric states that the entries are values K(x_i, x_j) of a kernel
+    with K(x, y) = K(y, x), up to rounding in the distance, so the solver
+    may apply E alone in place of (E + E^T) / 2. assemble_kernel sets it
+    where that holds by construction. It is never inferred from the
+    entries: comparing E with E^T costs as much as dozens of products
+    with E, a large share of a whole accelerated solve.
     """
 
     entries: np.ndarray
     spec: KernelSpec
     grid: QuadratureGrid
     params: Params
+    symmetric: bool = False
 
     def __post_init__(self) -> None:
         N = len(self.grid)
@@ -408,7 +416,10 @@ def assemble_kernel(
     The diagonal is set to zero: the singular self-interaction cell is
     dropped, which biases weighted row sums low by O(h^alpha), so Rayleigh
     quotients built on these matrices converge to their continuum values
-    from below.
+    from below. The result is marked symmetric for pure_singular kernels
+    and for green_model kernels with constant mass, whose entries depend
+    on the node pair only through the symmetric distance; a mass that
+    varies by node enters along rows only.
 
     Raises ValueError on coincident distinct nodes, and for green_model
     kernels whose base rho^{-2n} + mass + c_w rho is not strictly positive
@@ -452,7 +463,8 @@ def assemble_kernel(
             block = g ** ((Q - alpha) / (Q - 2))
         block[rows, diag] = 0.0
         entries[i0:i1] = block
-    return KernelMatrix(entries=entries, spec=spec, grid=grid, params=params)
+    symmetric = spec.kind == "pure_singular" or bool(np.all(spec.mass == spec.mass[0]))
+    return KernelMatrix(entries=entries, spec=spec, grid=grid, params=params, symmetric=symmetric)
 
 
 # ---------------------------------------------------------------------------

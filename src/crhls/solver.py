@@ -10,10 +10,14 @@ The fixed-point map inverts that relation and renormalizes:
 
     f  <-  normalize_p( (S f)^{1/(p-1)} ),   S = weighted (K + K^T)/2 action.
 
-Each step maximizes the bilinear form against the previous iterate, so the
-quotient never decreases (up to roundoff); this is tracked in the result's
-quotient history. Approaching p -> q_alpha from above is done by warm-started
-continuation.
+For a kernel marked symmetric, S is one product with K; otherwise it takes
+two, with K and K^T. The solver accelerates the map by Anderson mixing
+(Walker and Ni, SIAM J. Numer. Anal. 49, 2011) on u = log f over a short
+window, and keeps a mixed step only when the quotient does not decrease;
+otherwise it damps the plain map step until the quotient stops decreasing.
+So the quotient never decreases (up to roundoff); this is tracked in the
+result's quotient history. Approaching p -> q_alpha from above is done by
+warm-started continuation.
 """
 
 from __future__ import annotations
@@ -26,6 +30,9 @@ import numpy as np
 from .core import Params
 from .discretization import KernelMatrix, QuadratureGrid, _check_grid, distances_from_node
 from .functional import lp_norm
+
+# number of past residual differences an Anderson step mixes
+_ANDERSON_WINDOW = 3
 
 __all__ = [
     "SubcriticalResult",
@@ -46,7 +53,8 @@ class SubcriticalResult:
     residual is the sup-norm defect of the stationarity equation at the
     returned iterate; quotient_history records the quotient after every
     iteration (nondecreasing up to roundoff). converged = False signals
-    max_iter was hit, it is not an error.
+    max_iter was hit, it is not an error. matvecs counts the products
+    with the N x N kernel matrix the solve made.
     """
 
     p: float
@@ -56,6 +64,7 @@ class SubcriticalResult:
     residual: float
     converged: bool
     quotient_history: np.ndarray
+    matvecs: int = 0
 
 
 @dataclass
@@ -86,7 +95,7 @@ def solve_subcritical(
     max_iter: int = 10000,
     f0=None,
 ) -> SubcriticalResult:
-    """Run the normalized fixed-point iteration at a subcritical exponent.
+    """Run the Anderson-accelerated fixed-point iteration at a subcritical exponent.
 
     Starts from the normalized constant unless a warm start f0 is given.
     Converged means both the relative quotient change and the stationarity
@@ -119,8 +128,15 @@ def solve_subcritical(
         if np.any(f < 0.0) or not np.any(f > 0.0):
             raise ValueError("warm start must be nonnegative and not identically zero")
 
+    matvecs = 0
+
     def action(fv: np.ndarray) -> np.ndarray:
+        nonlocal matvecs
         v = (fv * w).astype(E.dtype, copy=False)
+        if K.symmetric:
+            matvecs += 1
+            return np.asarray(E @ v, dtype=np.float64)
+        matvecs += 2
         return 0.5 * (
             np.asarray(E @ v, dtype=np.float64) + np.asarray(E.T @ v, dtype=np.float64)
         )
@@ -134,9 +150,11 @@ def solve_subcritical(
         return c / lp_norm(c, grid, p)
 
     inv_exp = 1.0 / (p - 1.0)
+    sqrt_w = np.sqrt(w)
     history: list[float] = []
-    iterations = stall = 0
-    averaged = False
+    logs: list[np.ndarray] = []  # u = log f of the latest iterates
+    residuals: list[np.ndarray] = []  # log g - u for the same iterates
+    iterations = 0
     D_prev = None
     f, y, D = evaluate(f / lp_norm(f, grid, p))
     while True:
@@ -146,29 +164,48 @@ def solve_subcritical(
         converged = flat and defect <= tol * (1.0 + D)
         if converged or iterations >= max_iter:
             break
-        stall = stall + 1 if flat else 0
-        averaged = averaged or stall >= 25
         D_prev = D
         peak = float(np.max(y))
         if peak <= 0.0:
             raise ValueError("iteration collapsed: the kernel maps the iterate to zero")
         g = (y / peak) ** inv_exp
         g = g / lp_norm(g, grid, p)
-        # The raw step is not always ascent for p < 2. First damp
-        # geometrically toward the current iterate until the quotient stops
-        # decreasing. The quotient is quadratically flat at the maximum, so
-        # a residual oscillation can hide below its rounding floor; once the
-        # quotient stagnates with the defect still high, switch permanently
-        # to fixed averaging, which contracts any neutral oscillation mode.
-        if averaged:
-            f, y, D = evaluate(blend(2.0 / 3.0, 1.0 / 3.0))
+        # Anderson type-II mixing on u = log f for the map u -> log g: the
+        # candidate combines the last map values with the coefficients that
+        # minimize the sqrt(w)-weighted norm of the combined residual. The
+        # map step is not always ascent for p < 2, so a candidate is kept
+        # only if the quotient does not decrease. Otherwise the history is
+        # cut to its latest entry and the map step is damped geometrically
+        # toward the current iterate until the quotient stops decreasing.
+        # Zeros in f or g have no logarithm and clear the history.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            u = np.log(f)
+            r = np.log(g) - u
+        if np.all(np.isfinite(r)):
+            logs.append(u)
+            residuals.append(r)
+            del logs[: -_ANDERSON_WINDOW - 1], residuals[: -_ANDERSON_WINDOW - 1]
         else:
+            logs.clear()
+            residuals.clear()
+        accepted = False
+        if len(logs) > 1:
+            d_u = np.diff(logs, axis=0)
+            d_r = np.diff(residuals, axis=0)
+            gamma = np.linalg.lstsq((d_r * sqrt_w).T, r * sqrt_w, rcond=None)[0]
+            u_mix = u + r - gamma @ (d_u + d_r)
+            c = np.exp(u_mix - np.max(u_mix))
+            cand, y_c, D_c = evaluate(c / lp_norm(c, grid, p))
+            accepted = D_c >= D
+            if not accepted:
+                del logs[:-1], residuals[:-1]
+        if not accepted:
             theta = 1.0
             cand, y_c, D_c = evaluate(g)
             while not D_c >= D and theta >= 1e-6:
                 theta *= 0.5
                 cand, y_c, D_c = evaluate(blend(1.0 - theta, theta))
-            f, y, D = cand, y_c, D_c
+        f, y, D = cand, y_c, D_c
         iterations += 1
 
     return SubcriticalResult(
@@ -179,6 +216,7 @@ def solve_subcritical(
         residual=defect,
         converged=converged,
         quotient_history=np.asarray(history),
+        matvecs=matvecs,
     )
 
 

@@ -190,6 +190,48 @@ def test_empty_sweep_rejected(tmp_path, capsys, command, argv, config, message):
     assert not (tmp_path / f"{command}.json").exists()
 
 
+@pytest.mark.parametrize(
+    "command, argv, config, key",
+    [
+        ("lower-bound", ["--ratio", "inf"], None, "ratio"),
+        ("lower-bound", ["--R", "nan"], None, "R"),
+        ("verify-hls", ["--eps-list", "0.1,inf"], None, "eps_list"),
+        ("lower-bound", ["--resolution", "4,4,inf"], None, "resolution"),
+        ("lower-bound", [], {"ratio": float("inf")}, "ratio"),
+        ("extremal-sub", [], {"tol": float("nan")}, "tol"),
+        ("mass-experiment", [], {"A0_list": [0.5, float("nan")]}, "A0_list"),
+        ("continuation", [], {"p_schedule": "1.6,-inf"}, "p_schedule"),
+    ],
+    ids=[
+        "ratio-flag", "R-flag", "list-flag", "int-list-flag",
+        "ratio-config", "tol-config", "list-config", "list-string-config",
+    ],
+)
+def test_non_finite_value_rejected(tmp_path, capsys, command, argv, config, key):
+    if config is not None:
+        # json.dumps writes Infinity and NaN, which json.load reads back
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv = ["--config", str(tmp_path / "cfg.json")]
+    rc = main([command, *argv, "--output", str(tmp_path)])
+    assert rc == EXIT_VALIDATION
+    assert f"{key} must be finite" in capsys.readouterr().err
+    assert not (tmp_path / f"{command}.json").exists()
+
+
+@pytest.mark.parametrize("command, key", [("continuation", "p_schedule"), ("lower-bound", "R")])
+def test_null_optional_key_allowed(tmp_path, command, key):
+    (tmp_path / "cfg.json").write_text(json.dumps({key: None}))
+    args = build_parser().parse_args([command, "--config", str(tmp_path / "cfg.json")])
+    assert _resolve_config(args, COMMANDS[command])[key] is None
+
+
+def test_lower_bound_rejects_zero_eps(tmp_path, capsys):
+    rc = main(["lower-bound", "--eps", "0", "--resolution", "4,4,4", "--output", str(tmp_path)])
+    assert rc == EXIT_VALIDATION
+    assert "eps must be positive, got 0.0" in capsys.readouterr().err
+    assert not (tmp_path / "lower-bound.json").exists()
+
+
 def test_strict_flags_unconverged_run(tmp_path):
     args = [
         "extremal-sub",

@@ -44,6 +44,26 @@ def test_assemble_zero_diagonal_and_symmetry():
     assert len(K) == len(g)
 
 
+def test_symmetric_flag_marks_symmetric_assemblies():
+    # the solver applies E alone when the flag is set, so it must be set
+    # only where E == E^T holds by construction
+    p = make_params(1, 2.0)
+    sphere, cyl = sphere_grid(1, (6, 6, 6)), cylinder_grid(1.5, (5, 4, 5), p)
+    for g in (sphere, cyl):
+        mass = np.full(len(g), 0.7)
+        for spec in (KernelSpec("pure_singular"), KernelSpec("green_model", mass=mass, c_w=0.3)):
+            K = assemble_kernel(g, spec, p)
+            assert K.symmetric, (g.kind, spec.kind)
+            assert np.array_equal(K.entries, K.entries.T), (g.kind, spec.kind)
+    ramp = KernelSpec("green_model", mass=np.linspace(0.0, 1.0, len(sphere)))
+    K = assemble_kernel(sphere, ramp, p)
+    assert not K.symmetric
+    assert not np.array_equal(K.entries, K.entries.T)
+    # symmetric entries do not set the flag on a kernel built directly
+    ones = np.ones((len(sphere), len(sphere)))
+    assert not KernelMatrix(ones, KernelSpec("pure_singular"), sphere, p).symmetric
+
+
 def test_assemble_pure_matches_distance_power():
     p = make_params(1, 2.0)
     rng = np.random.default_rng(9)
@@ -152,6 +172,8 @@ def test_kernel_csv_round_trip(tmp_path):
     K2 = load_kernel_csv(path, g, p)
     assert np.array_equal(K2.entries, K.entries)
     assert K2.spec.kind == "green_model"
+    # a file states no symmetry, so a loaded kernel keeps the two-product action
+    assert K.symmetric and not K2.symmetric
 
 
 def test_kernel_csv_rejects_mismatched_grid_or_alpha(tmp_path):

@@ -25,7 +25,7 @@ from crhls.solver import (
     save_result_json,
     solve_subcritical,
 )
-from conftest import random_sphere_kernel, two_node_fixture
+from conftest import random_sphere_kernel, seeded_kernel_set, two_node_fixture
 
 
 def _brute_max_quotient(K, p, rng, restarts=6):
@@ -105,6 +105,42 @@ def test_quotient_history_nondecreasing(params_n1):
     assert len(h) == res.iterations + 1
     assert np.all(np.diff(h) >= -1e-12 * np.abs(h[:-1]))
     assert h[-1] == pytest.approx(res.D_estimate, rel=1e-15)
+
+
+def test_seeded_kernel_set(params_n1):
+    for k, (K, p) in enumerate(seeded_kernel_set(params_n1)):
+        res = solve_subcritical(K, K.grid, p)
+        assert res.converged, f"case {k} (N = {len(K)}, p = {p}) did not converge"
+        h = res.quotient_history
+        assert np.all(np.diff(h) >= -1e-12 * np.abs(h[:-1])), f"case {k} descended"
+        if K.symmetric:
+            two = KernelMatrix(K.entries, K.spec, K.grid, K.params)
+            ref = solve_subcritical(two, K.grid, p)
+            assert res.D_estimate == pytest.approx(ref.D_estimate, rel=1e-12), f"case {k}"
+
+
+def _logged(entries):
+    """View of entries that logs each product, "E" for E @ v, "T" for E.T @ v."""
+    log = []
+
+    class Logged(np.ndarray):
+        def __matmul__(self, other):
+            log.append("E" if self.flags.c_contiguous else "T")
+            return np.asarray(self) @ other
+
+    return entries.view(Logged), log
+
+
+def test_matvecs_one_product_per_evaluation_when_symmetric(params_n1):
+    grid = sphere_grid(1, (6, 6, 6))
+    K = assemble_kernel(grid, KernelSpec("pure_singular"), params_n1)
+    direct = KernelMatrix(K.entries.copy(), K.spec, grid, params_n1)
+    for kernel, per_evaluation in ((K, "E"), (direct, "ET")):
+        kernel.entries, log = _logged(kernel.entries)
+        res = solve_subcritical(kernel, grid, 1.5)
+        assert res.converged
+        assert res.matvecs == len(log) > 0
+        assert "".join(log) == per_evaluation * (len(log) // len(per_evaluation))
 
 
 def test_solver_validation(params_n1):
