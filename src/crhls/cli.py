@@ -15,32 +15,45 @@ a JSON config file passed with --config, explicit flags. Exit codes:
 0 success, 2 validation error, 3 failed convergence or failed check when
 --strict is set.
 
-Thread control: --threads (or the CRHLS_THREADS environment variable)
-pins the BLAS thread-count variables before numpy is first imported;
-heavy imports are therefore deferred until after flag parsing.
+Thread control: --threads (or the CRHLS_THREADS environment variable,
+which the flag overrides) sets the thread count of numpy's bundled
+OpenBLAS for the duration of the run and restores the previous count
+afterwards, so it takes effect in a process that has already imported
+numpy. Where numpy links another BLAS the count is not applied and one
+warning line on stderr says so.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
 import json
 import math
 import os
 import sys
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Callable
+
+import numpy as np
+
+from .core import make_params, sharp_constant_DH
+from .discretization import KernelMatrix, KernelSpec, QuadratureGrid, assemble_kernel, sphere_grid
+from .experiments import (
+    MassPerturbationResult,
+    conformal_covariance_check,
+    curvature_equation_residual,
+    eps_invariance_experiment,
+    lower_bound_experiment,
+    mass_perturbation_experiment,
+)
+from .solver import continuation, default_p_schedule, result_to_dict, solve_subcritical
+from .sphere import sphere_dist_sq
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NOT_CONVERGED = 3
-
-_THREAD_ENV_VARS = (
-    "OMP_NUM_THREADS",
-    "OPENBLAS_NUM_THREADS",
-    "MKL_NUM_THREADS",
-    "NUMEXPR_NUM_THREADS",
-    "VECLIB_MAXIMUM_THREADS",
-)
 
 _RESIDUAL_THRESHOLD = 1e-10
 
@@ -62,15 +75,50 @@ _HELP = {
 }
 
 
-def _apply_thread_env(flag_value) -> None:
+def _thread_count(flag_value) -> int | None:
     value = flag_value if flag_value is not None else os.environ.get("CRHLS_THREADS")
     if value is None:
-        return
+        return None
     count = int(value)
     if count < 1:
         raise ValueError(f"thread count must be at least 1, got {count}")
-    for var in _THREAD_ENV_VARS:
-        os.environ[var] = str(count)
+    return count
+
+
+def _openblas():
+    """numpy's bundled OpenBLAS, or None when numpy links another BLAS."""
+    libdir = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    paths = sorted(libdir.glob("libscipy_openblas64_*.so*"))
+    return ctypes.CDLL(str(paths[0])) if paths else None
+
+
+@contextlib.contextmanager
+def _blas_threads(count: int | None):
+    """Run the body with BLAS on count threads, then restore the previous count.
+
+    None leaves BLAS alone. Without numpy's bundled OpenBLAS the count
+    cannot be set in-process; one warning says so and the body still runs.
+    """
+    lib = None if count is None else _openblas()
+    if lib is None:
+        if count is not None:
+            print(
+                f"warning: no bundled OpenBLAS found, BLAS thread count {count} not applied; "
+                "set OPENBLAS_NUM_THREADS or OMP_NUM_THREADS before starting",
+                file=sys.stderr,
+            )
+        yield
+        return
+    get_threads = lib.scipy_openblas_get_num_threads64_
+    set_threads = lib.scipy_openblas_set_num_threads64_
+    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    previous = get_threads()
+    set_threads(count)
+    try:
+        yield
+    finally:
+        set_threads(previous)
 
 
 def _floats(value) -> list[float]:
@@ -203,8 +251,6 @@ def _resolve_config(args: argparse.Namespace, command: Command) -> dict:
 
 
 def _run_constants(cfg: dict):
-    from .core import make_params, sharp_constant_DH
-
     params = make_params(cfg["n"], cfg["alpha"])
     results = {
         "sharp_constant": sharp_constant_DH(params),
@@ -219,9 +265,6 @@ def _run_constants(cfg: dict):
 
 
 def _run_verify_hls(cfg: dict):
-    from .core import make_params, sharp_constant_DH
-    from .experiments import eps_invariance_experiment, lower_bound_experiment
-
     params = make_params(cfg["n"], cfg["alpha"])
     sharp = sharp_constant_DH(params)
     inv = eps_invariance_experiment(cfg["eps_list"], cfg["ratio"], cfg["resolution"], params)
@@ -245,10 +288,6 @@ def _run_verify_hls(cfg: dict):
 
 def _two_node_fixture(params):
     """The bundled two-node solver fixture: unit weights, hopping kernel."""
-    import numpy as np
-
-    from .discretization import KernelMatrix, KernelSpec, QuadratureGrid
-
     xi = np.eye(2, dtype=np.complex128)
     grid = QuadratureGrid(kind="sphere", n=1, weights=np.ones(2), resolution=(2,), xi=xi)
     hopping = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -256,10 +295,6 @@ def _two_node_fixture(params):
 
 
 def _run_extremal_sub(cfg: dict):
-    from .core import make_params
-    from .discretization import KernelSpec, assemble_kernel, sphere_grid
-    from .solver import result_to_dict, solve_subcritical
-
     params = make_params(1, cfg["alpha"])
     if cfg["manifold"] == "fixture":
         K = _two_node_fixture(params)
@@ -274,12 +309,6 @@ def _run_extremal_sub(cfg: dict):
 
 
 def _run_continuation(cfg: dict):
-    import numpy as np
-
-    from .core import make_params, sharp_constant_DH
-    from .discretization import KernelSpec, assemble_kernel, sphere_grid
-    from .solver import continuation, default_p_schedule, result_to_dict
-
     params = make_params(1, cfg["alpha"])
     if cfg["p_schedule"] is None:
         cfg["p_schedule"] = default_p_schedule(params)
@@ -312,9 +341,6 @@ def _run_continuation(cfg: dict):
 
 
 def _run_lower_bound(cfg: dict):
-    from .core import make_params
-    from .experiments import lower_bound_experiment
-
     if not cfg["eps"] > 0.0:
         raise ValueError(f"eps must be positive, got {cfg['eps']}")
     if cfg["R"] is None:
@@ -330,8 +356,6 @@ def _run_lower_bound(cfg: dict):
 
 
 def _run_mass_experiment(cfg: dict):
-    from .experiments import MassPerturbationResult, mass_perturbation_experiment
-
     records = [
         mass_perturbation_experiment(
             A0, cfg["c_w"], cfg["alpha"], cfg["resolution"],
@@ -358,11 +382,6 @@ def _random_sphere_grid(n_nodes: int, min_sep: float, rng):
     Candidates are drawn one at a time and kept when they lie at least
     min_sep from every node kept so far.
     """
-    import numpy as np
-
-    from .discretization import QuadratureGrid
-    from .sphere import sphere_dist_sq
-
     nodes = np.empty((n_nodes, 2), dtype=np.complex128)
     count = attempts = 0
     while count < n_nodes:
@@ -382,18 +401,11 @@ def _random_sphere_grid(n_nodes: int, min_sep: float, rng):
 
 def _random_sphere_kernel(n_nodes: int, min_sep: float, params, rng):
     """Pure singular kernel on a _random_sphere_grid."""
-    from .discretization import KernelSpec, assemble_kernel
-
     grid = _random_sphere_grid(n_nodes, min_sep, rng)
     return assemble_kernel(grid, KernelSpec("pure_singular"), params)
 
 
 def _run_covariance_check(cfg: dict):
-    import numpy as np
-
-    from .core import make_params
-    from .experiments import conformal_covariance_check
-
     if cfg["pairs"] < 1:
         raise ValueError(f"pairs must be at least 1, got {cfg['pairs']}")
     rng = np.random.default_rng(cfg["seed"])
@@ -421,13 +433,6 @@ def _run_covariance_check(cfg: dict):
 
 
 def _run_curvature_residual(cfg: dict):
-    import numpy as np
-
-    from .core import make_params
-    from .discretization import KernelSpec, assemble_kernel, sphere_grid
-    from .experiments import curvature_equation_residual
-    from .solver import continuation, default_p_schedule
-
     params = make_params(1, cfg["alpha"])
     grid = sphere_grid(1, cfg["resolution"])
     K = assemble_kernel(grid, KernelSpec("pure_singular"), params)
@@ -548,9 +553,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     command = COMMANDS[args.command]
     try:
-        _apply_thread_env(args.threads)
+        threads = _thread_count(args.threads)
         cfg = _resolve_config(args, command)
-        results, table, ok = command.run(cfg)
+        with _blas_threads(threads):
+            results, table, ok = command.run(cfg)
         summary = {"command": args.command, "config": cfg, "results": results}
         text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
         path = _write(cfg["output"], f"{args.command}.json", text)

@@ -1,17 +1,19 @@
 """Command-line interface: subcommands, config precedence, exit codes."""
 
+import ctypes
 import json
-import os
 import re
 import shlex
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from crhls import cli
 from crhls.cli import (
     COMMANDS,
     EXIT_NOT_CONVERGED,
@@ -595,33 +597,81 @@ def test_missing_subcommand_exits_with_usage():
     assert exc.value.code == 2
 
 
-def test_threads_flag_sets_blas_env(tmp_path, monkeypatch):
-    for var in (
-        "OMP_NUM_THREADS",
-        "OPENBLAS_NUM_THREADS",
-        "MKL_NUM_THREADS",
-        "NUMEXPR_NUM_THREADS",
-        "VECLIB_MAXIMUM_THREADS",
-    ):
-        monkeypatch.delenv(var, raising=False)
-    rc = main(["constants", "--threads", "2", "--output", str(tmp_path)])
-    assert rc == EXIT_OK
-    assert os.environ["OMP_NUM_THREADS"] == "2"
-    assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
+@pytest.fixture
+def blas_threads():
+    """(get, set) of numpy's bundled OpenBLAS thread count; restored afterwards."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except TypeError:  # numpy before 1.26 has no dict form
+        blas = "unknown"
+    if blas != "scipy-openblas":
+        pytest.skip(f"numpy links {blas}, not its bundled OpenBLAS")
+    lib = cli._openblas()
+    assert lib is not None, "numpy's bundled OpenBLAS not found"
+    get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    previous = get()
+    yield get, set_
+    set_(previous)
 
 
-def test_threads_env_variable(tmp_path, monkeypatch):
-    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-    monkeypatch.setenv("CRHLS_THREADS", "3")
-    rc = main(["constants", "--output", str(tmp_path)])
+def _record_threads(monkeypatch, get):
+    """Swap the constants run for one that records the BLAS thread count it sees."""
+    seen = []
+
+    def run(cfg):
+        seen.append(get())
+        return {}, None, True
+
+    monkeypatch.setitem(COMMANDS, "constants", replace(COMMANDS["constants"], run=run))
+    return seen
+
+
+def test_threads_flag_sets_blas_threads(tmp_path, monkeypatch, blas_threads):
+    get, set_ = blas_threads
+    seen = _record_threads(monkeypatch, get)
+    for before, asked in ((2, 1), (1, 2)):
+        set_(before)
+        rc = main(["constants", "--threads", str(asked), "--output", str(tmp_path)])
+        assert rc == EXIT_OK
+        assert seen.pop() == asked
+        assert get() == before
+
+
+def test_threads_env_variable(tmp_path, monkeypatch, blas_threads):
+    get, set_ = blas_threads
+    seen = _record_threads(monkeypatch, get)
+    set_(2)
+    monkeypatch.delenv("CRHLS_THREADS", raising=False)
+    assert main(["constants", "--output", str(tmp_path)]) == EXIT_OK
+    assert seen.pop() == 2  # nothing asked: BLAS left as it is
+    monkeypatch.setenv("CRHLS_THREADS", "1")
+    assert main(["constants", "--output", str(tmp_path)]) == EXIT_OK
+    assert seen.pop() == 1
+    assert get() == 2
+    set_(1)
+    assert main(["constants", "--threads", "2", "--output", str(tmp_path)]) == EXIT_OK
+    assert seen.pop() == 2  # the flag overrides the variable
+    assert get() == 1
+
+
+def test_threads_without_bundled_openblas_warn(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_openblas", lambda: None)
+    rc = main(["constants", "--threads", "1", "--output", str(tmp_path)])
     assert rc == EXIT_OK
-    assert os.environ["OMP_NUM_THREADS"] == "3"
+    warnings = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("warning:")]
+    assert len(warnings) == 1
+    assert "not applied" in warnings[0]
+    assert (tmp_path / "constants.json").is_file()
 
 
 def test_invalid_thread_count(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("CRHLS_THREADS", "0")
-    rc = main(["constants", "--output", str(tmp_path)])
-    assert rc == EXIT_VALIDATION
+    for value in ("0", "-1", "two", "1.5"):
+        monkeypatch.setenv("CRHLS_THREADS", value)
+        rc = main(["constants", "--output", str(tmp_path)])
+        assert rc == EXIT_VALIDATION
+    assert not (tmp_path / "constants.json").exists()
 
 
 @pytest.mark.skipif(
