@@ -31,6 +31,7 @@ from below, which is the behaviour the downstream experiments rely on.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -421,9 +422,10 @@ def assemble_kernel(
     on the node pair only through the symmetric distance; a mass that
     varies by node enters along rows only.
 
-    Raises ValueError on coincident distinct nodes, and for green_model
-    kernels whose base rho^{-2n} + mass + c_w rho is not strictly positive
-    at some node pair.
+    Raises ValueError before allocating when the N x N entries alone
+    exceed physical memory, on coincident distinct nodes, and for
+    green_model kernels whose base rho^{-2n} + mass + c_w rho is not
+    strictly positive at some node pair.
     """
     if grid.n != params.n:
         raise ValueError(f"grid has n = {grid.n} but params have n = {params.n}")
@@ -433,6 +435,15 @@ def assemble_kernel(
             raise ValueError("green_model assembly needs per-node mass values")
         if spec.mass.shape != (N,):
             raise ValueError(f"mass must have shape ({N},), got {spec.mass.shape}")
+
+    itemsize = np.dtype(dtype).itemsize
+    need = N * N * itemsize
+    physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > physical:
+        raise ValueError(
+            f"a dense {N} x {N} kernel of {itemsize}-byte entries needs {need / 2**30:.1f} GiB, "
+            f"more than the {physical / 2**30:.1f} GiB of physical memory"
+        )
 
     Q, alpha, n = params.Q, params.alpha, params.n
     entries = np.empty((N, N), dtype=dtype)

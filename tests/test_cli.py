@@ -234,6 +234,14 @@ def test_lower_bound_rejects_zero_eps(tmp_path, capsys):
     assert not (tmp_path / "lower-bound.json").exists()
 
 
+def test_oversized_kernel_refused(tmp_path, capsys):
+    # 10^6 nodes: the dense float64 kernel would need 8 TB
+    rc = main(["continuation", "--resolution", "100,100,100", "--output", str(tmp_path)])
+    assert rc == EXIT_VALIDATION
+    assert "physical memory" in capsys.readouterr().err
+    assert not (tmp_path / "continuation.json").exists()
+
+
 def test_strict_flags_unconverged_run(tmp_path):
     args = [
         "extremal-sub",

@@ -114,6 +114,20 @@ def test_assemble_rejects_coincident_nodes():
         assemble_kernel(g, KernelSpec("pure_singular"), p)
 
 
+def test_assemble_refuses_kernel_beyond_physical_memory(monkeypatch):
+    p = make_params(1, 2.0)
+    big = sphere_grid(1, (100, 100, 100))  # 10^6 nodes: 8 TB of float64 entries
+    with pytest.raises(ValueError, match="physical memory"):
+        assemble_kernel(big, KernelSpec("pure_singular"), p)
+    # the bound is N^2 * itemsize against SC_PHYS_PAGES * SC_PAGE_SIZE
+    g = sphere_grid(1, (4, 4, 4))
+    physical = {"SC_PHYS_PAGES": 64 * 64 * 4, "SC_PAGE_SIZE": 1}
+    monkeypatch.setattr(discretization.os, "sysconf", physical.__getitem__)
+    assert assemble_kernel(g, KernelSpec("pure_singular"), p, dtype=np.float32).symmetric
+    with pytest.raises(ValueError, match="64 x 64 kernel of 8-byte entries"):
+        assemble_kernel(g, KernelSpec("pure_singular"), p)
+
+
 def test_assemble_float32_storage():
     p = make_params(1, 2.0)
     g = sphere_grid(1, (5, 5, 5))
