@@ -7,6 +7,8 @@ symmetry shortcut is taken.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .core import Params
@@ -47,10 +49,10 @@ def _as_values(f, N: int) -> np.ndarray:
 
 
 def lp_norm(f, grid: QuadratureGrid, p: float) -> float:
-    """Weighted L^p norm (sum |f_i|^p w_i)^{1/p}, p >= 1."""
+    """Weighted L^p norm (sum |f_i|^p w_i)^{1/p}, finite p >= 1."""
     p = float(p)
-    if p < 1.0:
-        raise ValueError(f"lp_norm needs p >= 1, got p = {p}")
+    if not (math.isfinite(p) and p >= 1.0):
+        raise ValueError(f"lp_norm needs a finite p >= 1, got p = {p}")
     fv = _as_values(f, len(grid))
     return float(np.dot(np.abs(fv) ** p, grid.weights)) ** (1.0 / p)
 
@@ -90,11 +92,11 @@ def young_bound(K: KernelMatrix, grid: QuadratureGrid, r: float) -> float:
         lp_norm(A f, q) <= C * lp_norm(f, p).
 
     The continuum analogue of the r-mass is finite for r < Q/(Q - alpha);
-    the discrete maximum exists for every r >= 1.
+    the discrete maximum exists for every finite r >= 1.
     """
     r = float(r)
-    if r < 1.0:
-        raise ValueError(f"young_bound needs r >= 1, got r = {r}")
+    if not (math.isfinite(r) and r >= 1.0):
+        raise ValueError(f"young_bound needs a finite r >= 1, got r = {r}")
     _check_grid(K, grid)
     N = len(K)
     w = grid.weights

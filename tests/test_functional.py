@@ -46,8 +46,9 @@ def test_lp_norm_hand_values():
 def test_lp_norm_validation():
     g = sphere_grid(1, (4, 4, 4))
     f = np.ones(len(g))
-    with pytest.raises(ValueError):
-        lp_norm(f, g, 0.9)
+    for p in (0.9, np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite p >= 1"):
+            lp_norm(f, g, p)
     with pytest.raises(ValueError):
         lp_norm(f[:-1], g, 2.0)
     bad = f.copy()
@@ -114,8 +115,9 @@ def test_young_bound_hand_value():
 def test_young_bound_validation():
     params = make_params(1, 2.0)
     grid, K = two_node_fixture(params)
-    with pytest.raises(ValueError):
-        young_bound(K, grid, 0.5)
+    for r in (0.5, np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite r >= 1"):
+            young_bound(K, grid, r)
     other = sphere_grid(1, (4, 4, 4))
     with pytest.raises(ValueError):
         young_bound(K, other, 2.0)
