@@ -1,0 +1,134 @@
+"""Property tests: the exact identities, on generated bounded inputs.
+
+Each tolerance is a fixed multiple of the float64 unit roundoff times the
+size of the quantities the identity combines, set from the arithmetic and
+not fitted to the examples. Runs are derandomized, so the suite draws the
+same examples every time; the hand-picked cases in the other test files
+stay beside these.
+"""
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from crhls.core import make_params
+from crhls.discretization import KernelSpec, assemble_kernel, sphere_grid
+from crhls.functional import rayleigh_quotient
+from crhls.heisenberg import HPoint, dilate, group_inv, group_mul, hdist, hnorm
+from crhls.sphere import SpherePoint, cayley, cayley_inv, sphere_dist
+
+EPS = np.finfo(np.float64).eps
+# 64 roundings of slack per identity; each identity below takes a few
+ROUNDINGS = 64
+
+_settings = settings(max_examples=50, deadline=None, derandomize=True)
+
+# coordinates in [-10, 10], either 0 or at least 1e-6 in size, so that
+# squares and fourth powers stay clear of the subnormal range
+coordinate = st.floats(-10.0, 10.0).filter(lambda x: x == 0.0 or abs(x) >= 1e-6)
+factor = st.floats(0.1, 10.0)
+
+
+@st.composite
+def hpoints(draw, n):
+    re, im = (np.array(draw(st.lists(coordinate, min_size=n, max_size=n))) for _ in range(2))
+    return HPoint(re + 1j * im, draw(coordinate))
+
+
+def _size(*points):
+    """Sum of |z|^2 + |t| + 1: the scale of every term a gauge formula adds."""
+    return 1.0 + sum(float(np.vdot(u.z, u.z).real) + abs(u.t) for u in points)
+
+
+def _close(u, v, atol):
+    return np.all(np.abs(u.z - v.z) <= atol) and abs(u.t - v.t) <= atol
+
+
+@_settings
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(hpoints(n), hpoints(n), hpoints(n))))
+def test_group_law_with_inverse(points):
+    u, v, w = points
+    e = HPoint(np.zeros(u.n), 0.0)
+    # u u^{-1} and u^{-1} u: the z parts cancel and the twist vanishes exactly
+    assert _close(group_mul(u, group_inv(u)), e, 0.0)
+    assert _close(group_mul(group_inv(u), u), e, 0.0)
+    assert _close(group_mul(u, e), u, 0.0)
+    atol = ROUNDINGS * EPS * _size(u, v, w)
+    assert _close(group_mul(group_mul(u, v), w), group_mul(u, group_mul(v, w)), atol)
+    # (uv)^{-1} = v^{-1} u^{-1}
+    assert _close(group_inv(group_mul(u, v)), group_mul(group_inv(v), group_inv(u)), atol)
+
+
+@_settings
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(hpoints(n), hpoints(n), hpoints(n))))
+def test_hdist_left_invariant(points):
+    u, v, w = points
+    # compared squared: the square root would amplify rounding near d = 0
+    moved = hdist(group_mul(w, u), group_mul(w, v)) ** 2
+    assert abs(moved - hdist(u, v) ** 2) <= ROUNDINGS * EPS * _size(u, v, w)
+    assert abs(hdist(u, v) ** 2 - hdist(v, u) ** 2) <= ROUNDINGS * EPS * _size(u, v)
+
+
+@_settings
+@given(st.integers(1, 3).flatmap(hpoints), factor)
+def test_hnorm_dilation_homogeneous(u, r):
+    assert abs(hnorm(dilate(r, u)) - r * hnorm(u)) <= ROUNDINGS * EPS * r * hnorm(u)
+
+
+@_settings
+@given(st.integers(1, 3).flatmap(hpoints))
+def test_cayley_round_trip_from_group(u):
+    # 1 + xi_{n+1} = 2 / w with w = 1 + |z|^2 + it carries a relative error
+    # of about eps |w|, and the recovered z and t are at most |w| in size
+    w_sq = (1.0 + float(np.vdot(u.z, u.z).real)) ** 2 + u.t**2
+    v = cayley_inv(cayley(u))
+    assert np.all(np.abs(v.z - u.z) <= ROUNDINGS * EPS * w_sq)
+    assert abs(v.t - u.t) <= ROUNDINGS * EPS * w_sq
+
+
+@st.composite
+def sphere_points(draw, n):
+    v = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=2 * n + 2, max_size=2 * n + 2)))
+    assume(np.linalg.norm(v) >= 0.1)
+    return SpherePoint(v[: n + 1] + 1j * v[n + 1 :])
+
+
+@_settings
+@given(st.integers(1, 2).flatmap(sphere_points))
+def test_cayley_round_trip_from_sphere(p):
+    # away from the south pole: |1 + xi_{n+1}| >= 0.1; that denominator has
+    # a relative error of about eps / gap, and the forward map is well
+    # conditioned
+    gap = abs(1.0 + p.xi[-1])
+    assume(gap >= 0.1)
+    q = cayley(cayley_inv(p))
+    assert np.all(np.abs(q.xi - p.xi) <= ROUNDINGS * EPS / gap)
+
+
+@_settings
+@given(st.integers(1, 2).flatmap(lambda n: st.tuples(sphere_points(n), sphere_points(n))))
+def test_sphere_dist_symmetric(points):
+    a, b = points
+    # squared distances are 2 |1 - <a, b>| <= 4, summed over n + 1 products
+    assert abs(sphere_dist(a, b) ** 2 - sphere_dist(b, a) ** 2) <= ROUNDINGS * EPS
+    assert sphere_dist(a, a) ** 2 <= ROUNDINGS * EPS
+
+
+_PARAMS = make_params(1, 2.0)
+_KERNEL = assemble_kernel(sphere_grid(1, (4, 4, 4)), KernelSpec("pure_singular"), _PARAMS)
+_N = len(_KERNEL)
+
+
+@_settings
+@given(
+    st.lists(coordinate, min_size=_N, max_size=_N),
+    factor.flatmap(lambda c: st.sampled_from((c, -c))),
+    st.floats(1.0, 2.0),
+)
+def test_rayleigh_quotient_scale_invariant(values, c, p):
+    f = np.array(values)
+    assume(np.any(f != 0.0))
+    # every term of B(f, f) is bounded by the matching term of B(|f|, |f|),
+    # so that sum times N roundings bounds the error of either quotient
+    atol = ROUNDINGS * _N * EPS * rayleigh_quotient(_KERNEL, np.abs(f), p)
+    assert abs(rayleigh_quotient(_KERNEL, c * f, p) - rayleigh_quotient(_KERNEL, f, p)) <= atol
