@@ -61,8 +61,9 @@ __all__ = [
 _GRID_KINDS = ("sphere", "cylinder")
 _KERNEL_KINDS = ("pure_singular", "green_model")
 
-# target entries per assembly block, keeps float64 scratch under ~250 MB
-_BLOCK_ENTRIES = 2**23
+# side of the square tiles that assembly and young_bound walk: a float64
+# tile is 512 KiB, so a tile and its scratch stay in L2
+_TILE = 256
 
 
 @dataclass(eq=False)
@@ -359,12 +360,13 @@ class KernelMatrix:
     time ride along so downstream consumers (solver window validation,
     serialization headers) need no extra context.
 
-    symmetric states that the entries are values K(x_i, x_j) of a kernel
-    with K(x, y) = K(y, x), up to rounding in the distance, so the solver
-    may apply E alone in place of (E + E^T) / 2. assemble_kernel sets it
-    where that holds by construction. It is never inferred from the
-    entries: comparing E with E^T costs as much as dozens of products
-    with E, a large share of a whole accelerated solve.
+    symmetric states that E == E^T, so the solver may apply E alone in
+    place of (E + E^T) / 2 and young_bound may take the column sums for
+    the row sums. assemble_kernel sets it for kernels with K(x, y) =
+    K(y, x) and then stores each node pair's value twice, so the entries
+    are bitwise symmetric. It is never inferred from the entries:
+    comparing E with E^T costs as much as dozens of products with E, a
+    large share of a whole accelerated solve.
     """
 
     entries: np.ndarray
@@ -389,11 +391,15 @@ def _check_grid(K: KernelMatrix, grid: QuadratureGrid) -> None:
         raise ValueError("grid does not match the kernel's assembly grid")
 
 
-def _row_blocks(N: int):
-    """(i0, i1) row ranges of an N x N pass, about _BLOCK_ENTRIES entries each."""
-    rows = max(1, min(N, _BLOCK_ENTRIES // N))
-    for i0 in range(0, N, rows):
-        yield i0, min(i0 + rows, N)
+def _tiles(N: int, symmetric: bool):
+    """(i0, i1, j0, j1) tiles of an N x N pass, _TILE rows and columns each.
+
+    With symmetric set only the tiles on and above the diagonal (j0 >= i0)
+    are yielded, one per unordered pair of row and column ranges.
+    """
+    for i0 in range(0, N, _TILE):
+        for j0 in range(i0 if symmetric else 0, N, _TILE):
+            yield i0, min(i0 + _TILE, N), j0, min(j0 + _TILE, N)
 
 
 def _pow_neg(base: np.ndarray, expo: float) -> np.ndarray:
@@ -412,15 +418,20 @@ def assemble_kernel(
 ) -> KernelMatrix:
     """Assemble the dense kernel matrix of a KernelSpec over a grid.
 
-    Entries are computed blockwise in float64 and stored in the requested
-    dtype (float32 keeps very large grids inside a small memory budget).
+    Entries are computed in float64 tiles of _TILE x _TILE node pairs and
+    stored in the requested dtype (float32 keeps very large grids inside a
+    small memory budget); the scratch is a few tiles, not a share of N^2.
     The diagonal is set to zero: the singular self-interaction cell is
     dropped, which biases weighted row sums low by O(h^alpha), so Rayleigh
     quotients built on these matrices converge to their continuum values
     from below. The result is marked symmetric for pure_singular kernels
     and for green_model kernels with constant mass, whose entries depend
-    on the node pair only through the symmetric distance; a mass that
-    varies by node enters along rows only.
+    on the node pair only through the symmetric distance. For those only
+    the tiles on and above the diagonal are evaluated and each is also
+    stored transposed, so every node pair is evaluated once and the stored
+    entries are bitwise symmetric. A mass that varies by node enters along
+    rows only; such kernels are evaluated tile by tile over the whole
+    matrix and are not marked.
 
     Raises ValueError before allocating when the N x N entries alone
     exceed physical memory, on coincident distinct nodes, and for
@@ -446,19 +457,19 @@ def assemble_kernel(
         )
 
     Q, alpha, n = params.Q, params.alpha, params.n
+    symmetric = spec.kind == "pure_singular" or bool(np.all(spec.mass == spec.mass[0]))
     entries = np.empty((N, N), dtype=dtype)
 
-    for i0, i1 in _row_blocks(N):
-        base = grid.dist_sq(slice(i0, i1))  # rho^2 for both grid kinds
-        rows = np.arange(i1 - i0)
-        diag = np.arange(i0, i1)
-        base[rows, diag] = 1.0  # placeholder, overwritten with 0 below
+    for i0, i1, j0, j1 in _tiles(N, symmetric):
+        base = grid.dist_sq(slice(i0, i1), slice(j0, j1))  # rho^2 for both grid kinds
+        if i0 == j0:
+            np.fill_diagonal(base, 1.0)  # placeholder, overwritten with 0 below
         flat_min = int(np.argmin(base))
         if base.flat[flat_min] <= 0.0:
-            r, c = divmod(flat_min, N)
-            raise ValueError(f"coincident nodes at indices ({i0 + r}, {c}): zero distance")
+            r, c = divmod(flat_min, j1 - j0)
+            raise ValueError(f"coincident nodes at indices ({i0 + r}, {j0 + c}): zero distance")
         if spec.kind == "pure_singular":
-            block = _pow_neg(base, 0.5 * (alpha - Q))
+            tile = _pow_neg(base, 0.5 * (alpha - Q))
         else:
             g = _pow_neg(base, -float(n))
             g += spec.mass[i0:i1, None]
@@ -466,15 +477,23 @@ def assemble_kernel(
                 g += spec.c_w * base**0.5
             flat_min = int(np.argmin(g))
             if g.flat[flat_min] <= 0.0:
-                r, c = divmod(flat_min, N)
+                r, c = divmod(flat_min, j1 - j0)
                 raise ValueError(
-                    f"green_model base is nonpositive at node pair ({i0 + r}, {c}): "
+                    f"green_model base is nonpositive at node pair ({i0 + r}, {j0 + c}): "
                     f"{g.flat[flat_min]:.6e}"
                 )
-            block = g ** ((Q - alpha) / (Q - 2))
-        block[rows, diag] = 0.0
-        entries[i0:i1] = block
-    symmetric = spec.kind == "pure_singular" or bool(np.all(spec.mass == spec.mass[0]))
+            tile = g ** ((Q - alpha) / (Q - 2))
+        if i0 != j0:
+            entries[i0:i1, j0:j1] = tile
+            if symmetric:
+                entries[j0:j1, i0:i1] = tile.T
+        elif symmetric:
+            # zero diagonal, strict upper triangle mirrored exactly (x + 0 == x)
+            upper = np.triu(tile, 1)
+            entries[i0:i1, j0:j1] = upper + upper.T
+        else:
+            np.fill_diagonal(tile, 0.0)
+            entries[i0:i1, j0:j1] = tile
     return KernelMatrix(entries=entries, spec=spec, grid=grid, params=params, symmetric=symmetric)
 
 

@@ -2,7 +2,8 @@
 
 All operations consume grid weights explicitly; kernel matrices carry no
 weights of their own. The bilinear form is the full dense double sum, no
-symmetry shortcut is taken.
+symmetry shortcut is taken. young_bound takes one: on a kernel marked
+symmetric its column sums are its row sums.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from .discretization import (
     KernelMatrix,
     QuadratureGrid,
     _check_grid,
-    _row_blocks,
+    _tiles,
     cylinder_grid,
     cylinder_shell_grid,
     extremal_values,
@@ -93,6 +94,12 @@ def young_bound(K: KernelMatrix, grid: QuadratureGrid, r: float) -> float:
 
     The continuum analogue of the r-mass is finite for r < Q/(Q - alpha);
     the discrete maximum exists for every finite r >= 1.
+
+    The sums run over square tiles. On a kernel marked symmetric the
+    column sums are the row sums, so only the tiles on and above the
+    diagonal are raised to the power r, each adding its row sums and its
+    column sums into the row sums; other kernels visit every tile and
+    keep separate column sums.
     """
     r = float(r)
     if not (math.isfinite(r) and r >= 1.0):
@@ -100,16 +107,17 @@ def young_bound(K: KernelMatrix, grid: QuadratureGrid, r: float) -> float:
     _check_grid(K, grid)
     N = len(K)
     w = grid.weights
-    best = 0.0
-    col_acc = np.zeros(N)
-    for i0, i1 in _row_blocks(N):
-        P = np.asarray(K.entries[i0:i1], dtype=np.float64)
+    rows = np.zeros(N)
+    # on a symmetric kernel a tile's column sums are the row sums of its mirror tile
+    cols = rows if K.symmetric else np.zeros(N)
+    for i0, i1, j0, j1 in _tiles(N, K.symmetric):
+        P = np.asarray(K.entries[i0:i1, j0:j1], dtype=np.float64)
         if r != 1.0:
             P = P**r
-        best = max(best, float(np.max(P @ w)))
-        col_acc += w[i0:i1] @ P
-    best = max(best, float(np.max(col_acc)))
-    return best ** (1.0 / r)
+        rows[i0:i1] += P @ w[j0:j1]
+        if not (K.symmetric and i0 == j0):
+            cols[j0:j1] += w[i0:i1] @ P
+    return max(float(np.max(rows)), float(np.max(cols))) ** (1.0 / r)
 
 
 def tail_integral_I1(eps: float, R: float, params: Params, resolution) -> float:

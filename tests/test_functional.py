@@ -21,7 +21,7 @@ from crhls.functional import (
     tail_integral_I1,
     young_bound,
 )
-from conftest import random_sphere_kernel, two_node_fixture
+from conftest import random_sphere_grid, random_sphere_kernel, two_node_fixture
 
 
 def _apply(K, f):
@@ -164,10 +164,10 @@ def test_young_bound_guards_bilinear_form():
 
 
 def test_young_bound_blocked_path():
-    # more nodes than the row-block size, so the accumulation spans blocks
+    # 3375 nodes span 14 x 14 tiles, so the accumulation runs over many
     params = make_params(1, 2.0)
     grid = sphere_grid(1, (15, 15, 15))
-    assert len(grid) > 2**23 // len(grid)
+    assert len(grid) > 13 * discretization._TILE
     K = assemble_kernel(grid, KernelSpec("pure_singular"), params, dtype=np.float32)
     C = young_bound(K, grid, 1.5)
     assert np.isfinite(C) and C > 0.0
@@ -182,8 +182,40 @@ def test_young_bound_block_size_independent(monkeypatch):
     grid = sphere_grid(1, (6, 6, 6))
     K = assemble_kernel(grid, KernelSpec("pure_singular"), params)
     single = young_bound(K, grid, 1.2)
-    monkeypatch.setattr(discretization, "_BLOCK_ENTRIES", 7 * len(grid))  # 31 blocks of 7 rows
+    monkeypatch.setattr(discretization, "_TILE", 16)  # 14 x 14 tiles, ragged 8-node edges
     assert young_bound(K, grid, 1.2) == pytest.approx(single, rel=1e-12)
+
+
+def _dense_young(K, grid, r):
+    P = np.asarray(K.entries, dtype=np.float64) ** r
+    w = grid.weights
+    return max(np.max(P @ w), np.max(w @ P)) ** (1.0 / r)
+
+
+def test_young_bound_matches_dense_reference(monkeypatch):
+    # 16-node tiles over 180 nodes: 12 x 12 tiles with ragged 4-node edges
+    monkeypatch.setattr(discretization, "_TILE", 16)
+    params = make_params(1, 2.0)
+    rng = np.random.default_rng(5)
+    grid = random_sphere_grid(180, 0.05, rng)
+    N = len(grid)
+    K = assemble_kernel(grid, KernelSpec("pure_singular"), params)
+    assert K.symmetric
+    assert young_bound(K, grid, 1.2) == pytest.approx(_dense_young(K, grid, 1.2), rel=1e-12)
+    # unflagged and asymmetric, with the maximum in one column sum only
+    entries = rng.uniform(size=(N, N))
+    entries[:, 7] *= 5.0
+    np.fill_diagonal(entries, 0.0)
+    A = KernelMatrix(entries, KernelSpec("pure_singular"), grid, params)
+    w = grid.weights
+    assert np.max(entries**1.5 @ w) < np.max(w @ entries**1.5)
+    assert young_bound(A, grid, 1.5) == pytest.approx(_dense_young(A, grid, 1.5), rel=1e-12)
+    # green_model with per-node mass: unflagged, the mass runs along rows
+    ramp = KernelSpec("green_model", mass=np.linspace(0.0, 3.0, N), c_w=0.2)
+    G = assemble_kernel(grid, ramp, params)
+    assert not G.symmetric
+    for r in (1.0, 1.3):
+        assert young_bound(G, grid, r) == pytest.approx(_dense_young(G, grid, r), rel=1e-12)
 
 
 def test_tail_integral_positive_decreasing():

@@ -1,5 +1,7 @@
 """Kernel assembly: symmetry, positivity, the green/pure identity, CSV I/O."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -141,17 +143,30 @@ def test_assemble_block_rows_independent(monkeypatch):
     p = make_params(1, 2.0)
     g = sphere_grid(1, (5, 5, 5))
     K_all = assemble_kernel(g, KernelSpec("pure_singular"), p)
-    monkeypatch.setattr(discretization, "_BLOCK_ENTRIES", 7 * len(g))  # 7-row blocks
+    monkeypatch.setattr(discretization, "_TILE", 16)  # 8 x 8 tiles, ragged 13-node edges
     K_blk = assemble_kernel(g, KernelSpec("pure_singular"), p)
     assert np.array_equal(K_all.entries, K_blk.entries)
 
 
+def test_assembly_scratch_is_a_few_tiles():
+    # beyond the N^2 entries, assembly holds only the scratch of a few tiles
+    p = make_params(1, 2.0)
+    for g in (sphere_grid(1, (12, 12, 12)), cylinder_grid(1.0, (12, 8, 12), p)):
+        tracemalloc.start()
+        try:
+            K = assemble_kernel(g, KernelSpec("pure_singular"), p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - K.entries.nbytes <= 16 * 2**20, (g.kind, peak)
+
+
 def test_cylinder_kernel_uses_group_distance(monkeypatch):
     # every pair; the n = 2 product grid has 2048 nodes, so n = 2 uses 60
-    # random nodes instead. Small row blocks make both grids span several.
+    # random nodes instead. Small tiles make both grids span several.
     from crhls.heisenberg import hdist
 
-    monkeypatch.setattr(discretization, "_BLOCK_ENTRIES", 3000)
+    monkeypatch.setattr(discretization, "_TILE", 16)
     rng = np.random.default_rng(11)
     z = rng.standard_normal((60, 2)) + 1j * rng.standard_normal((60, 2))
     grids = [cylinder_grid(1.0, (4, 4, 4), make_params(1, 2.0)),

@@ -7,15 +7,19 @@ same examples every time; the hand-picked cases in the other test files
 stay beside these.
 """
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from crhls import discretization
 from crhls.core import make_params
-from crhls.discretization import KernelSpec, assemble_kernel, sphere_grid
+from crhls.discretization import KernelSpec, QuadratureGrid, assemble_kernel, sphere_grid
 from crhls.functional import rayleigh_quotient
 from crhls.heisenberg import HPoint, dilate, group_inv, group_mul, hdist, hnorm
 from crhls.sphere import SpherePoint, cayley, cayley_inv, sphere_dist
+from conftest import random_sphere_grid
 
 EPS = np.finfo(np.float64).eps
 # 64 roundings of slack per identity; each identity below takes a few
@@ -132,3 +136,53 @@ def test_rayleigh_quotient_scale_invariant(values, c, p):
     # so that sum times N roundings bounds the error of either quotient
     atol = ROUNDINGS * _N * EPS * rayleigh_quotient(_KERNEL, np.abs(f), p)
     assert abs(rayleigh_quotient(_KERNEL, c * f, p) - rayleigh_quotient(_KERNEL, f, p)) <= atol
+
+
+@st.composite
+def node_sets(draw):
+    """3 to 59 random nodes: the CLI's sphere sampler, or Gaussian cylinder nodes with n = 1, 2."""
+    N = draw(st.integers(3, 59))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        return random_sphere_grid(N, 0.1, rng)
+    n = draw(st.integers(1, 2))
+    z = rng.standard_normal((N, n)) + 1j * rng.standard_normal((N, n))
+    return QuadratureGrid(kind="cylinder", n=n, weights=rng.uniform(0.5, 1.5, N),
+                          resolution=(N,), z=z, t=rng.standard_normal(N))
+
+
+# 256 is the shipped tile; 8 and 16 split the node set into ragged tiles
+tiles = st.sampled_from((8, 16, 256))
+
+
+@_settings
+@given(node_sets(), st.sampled_from((1.3, 2.0)), st.floats(0.0, 2.0), st.floats(0.0, 1.0), tiles)
+def test_flagged_kernels_bitwise_symmetric(grid, alpha, mass, c_w, tile):
+    params = make_params(grid.n, alpha)
+    specs = (KernelSpec("pure_singular"),
+             KernelSpec("green_model", mass=np.full(len(grid), mass), c_w=c_w))
+    with mock.patch.object(discretization, "_TILE", tile):
+        for spec in specs:
+            K = assemble_kernel(grid, spec, params)
+            assert K.symmetric
+            assert np.array_equal(K.entries, K.entries.T)
+            assert np.all(np.diag(K.entries) == 0.0)
+
+
+@_settings
+@given(node_sets(), st.floats(0.1, 2.0), tiles)
+def test_per_node_mass_kernel_keeps_row_mass(grid, top, tile):
+    # alpha = 2 makes (Q - alpha) / (Q - 2) = 1, so off the diagonal the
+    # green_model entries are the pure ones plus mass[i] along row i
+    params = make_params(grid.n, 2.0)
+    N = len(grid)
+    mass = np.linspace(0.0, top, N)
+    with mock.patch.object(discretization, "_TILE", tile):
+        K = assemble_kernel(grid, KernelSpec("green_model", mass=mass), params)
+        P = assemble_kernel(grid, KernelSpec("pure_singular"), params)
+    assert not K.symmetric
+    assert np.all(np.diag(K.entries) == 0.0)
+    off = ~np.eye(N, dtype=bool)
+    row_mass = np.broadcast_to(mass[:, None], (N, N))
+    err = np.abs(K.entries - P.entries - row_mass)
+    assert np.all(err[off] <= ROUNDINGS * EPS * K.entries[off])
