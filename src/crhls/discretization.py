@@ -62,7 +62,9 @@ _GRID_KINDS = ("sphere", "cylinder")
 _KERNEL_KINDS = ("pure_singular", "green_model")
 
 # side of the square tiles that assembly and young_bound walk: a float64
-# tile is 512 KiB, so a tile and its scratch stay in L2
+# tile is 512 KiB, so a tile and its scratch stay in L2. Keep it a multiple
+# of 8: OpenBLAS's complex GEMM rounds narrower products differently, so
+# the kernel bits would then depend on the tile layout.
 _TILE = 256
 
 
@@ -325,10 +327,14 @@ class KernelSpec:
     """Kernel model selector.
 
     pure_singular: K(x, y) = rho(x, y)^{alpha - Q}.
-    green_model:   K(x, y) = (rho^{-2n} + mass(x) + c_w rho)^{(Q-alpha)/(Q-2)},
-    with mass given per node and remainder coefficient c_w >= 0. Since
-    2n = Q - 2, zero mass and c_w = 0 reduce the model exactly to the pure
-    singular kernel.
+    green_model:   K(x, y) = (rho^{-2n} + m(x, y) + c_w rho)^{(Q-alpha)/(Q-2)},
+    with m(x, y) = (mass(x) + mass(y)) / 2 the pair mean of a finite mass
+    given per node (the pole-dependent mass A(xi) of the Green expansion)
+    and a finite remainder coefficient c_w >= 0. The pair mean keeps
+    K(x, y) = K(y, x), as the Green function's own symmetry
+    G_xi(eta) = G_eta(xi) does, and equals the node's mass when the mass
+    is constant. Since 2n = Q - 2, zero mass and c_w = 0 reduce the model
+    exactly to the pure singular kernel.
     """
 
     kind: str
@@ -339,14 +345,16 @@ class KernelSpec:
         if self.kind not in _KERNEL_KINDS:
             raise ValueError(f"unknown kernel kind {self.kind!r}, expected one of {_KERNEL_KINDS}")
         object.__setattr__(self, "c_w", float(self.c_w))
-        if self.c_w < 0.0:
-            raise ValueError(f"c_w must be nonnegative, got {self.c_w}")
+        if not (math.isfinite(self.c_w) and self.c_w >= 0.0):
+            raise ValueError(f"c_w must be finite and nonnegative, got {self.c_w}")
         if self.mass is not None:
             if self.kind == "pure_singular":
                 raise ValueError("mass is only meaningful for the green_model kernel")
             mass = np.asarray(self.mass, dtype=np.float64)
             if mass.ndim != 1:
                 raise ValueError(f"mass must be a 1-d per-node array, got shape {mass.shape}")
+            if not np.all(np.isfinite(mass)):
+                raise ValueError("mass values must be finite")
             object.__setattr__(self, "mass", mass)
         if self.kind == "pure_singular" and self.c_w != 0.0:
             raise ValueError("c_w is only meaningful for the green_model kernel")
@@ -362,9 +370,11 @@ class KernelMatrix:
 
     symmetric states that E == E^T, so the solver may apply E alone in
     place of (E + E^T) / 2 and young_bound may take the column sums for
-    the row sums. assemble_kernel sets it for kernels with K(x, y) =
-    K(y, x) and then stores each node pair's value twice, so the entries
-    are bitwise symmetric. It is never inferred from the entries:
+    the row sums. assemble_kernel sets it on every kernel it returns,
+    since each kernel model has K(x, y) = K(y, x), and stores each node
+    pair's value twice, so the entries are bitwise symmetric. Kernels
+    built directly or loaded from CSV leave it unset unless the caller
+    sets it. It is never inferred from the entries:
     comparing E with E^T costs as much as dozens of products with E, a
     large share of a whole accelerated solve.
     """
@@ -424,14 +434,11 @@ def assemble_kernel(
     The diagonal is set to zero: the singular self-interaction cell is
     dropped, which biases weighted row sums low by O(h^alpha), so Rayleigh
     quotients built on these matrices converge to their continuum values
-    from below. The result is marked symmetric for pure_singular kernels
-    and for green_model kernels with constant mass, whose entries depend
-    on the node pair only through the symmetric distance. For those only
-    the tiles on and above the diagonal are evaluated and each is also
-    stored transposed, so every node pair is evaluated once and the stored
-    entries are bitwise symmetric. A mass that varies by node enters along
-    rows only; such kernels are evaluated tile by tile over the whole
-    matrix and are not marked.
+    from below. Both kernel models are symmetric in the node pair (the
+    green_model mass enters as the pair mean), so only the tiles on and
+    above the diagonal are evaluated and each is also stored transposed:
+    every node pair is evaluated once, the stored entries are bitwise
+    symmetric and the result is always marked symmetric.
 
     Raises ValueError before allocating when the N x N entries alone
     exceed physical memory, on coincident distinct nodes, and for
@@ -457,10 +464,9 @@ def assemble_kernel(
         )
 
     Q, alpha, n = params.Q, params.alpha, params.n
-    symmetric = spec.kind == "pure_singular" or bool(np.all(spec.mass == spec.mass[0]))
     entries = np.empty((N, N), dtype=dtype)
 
-    for i0, i1, j0, j1 in _tiles(N, symmetric):
+    for i0, i1, j0, j1 in _tiles(N, True):
         base = grid.dist_sq(slice(i0, i1), slice(j0, j1))  # rho^2 for both grid kinds
         if i0 == j0:
             np.fill_diagonal(base, 1.0)  # placeholder, overwritten with 0 below
@@ -472,7 +478,8 @@ def assemble_kernel(
             tile = _pow_neg(base, 0.5 * (alpha - Q))
         else:
             g = _pow_neg(base, -float(n))
-            g += spec.mass[i0:i1, None]
+            # pair-mean mass, halved before the sum so that it cannot overflow
+            g += 0.5 * spec.mass[i0:i1, None] + 0.5 * spec.mass[j0:j1]
             if spec.c_w != 0.0:
                 g += spec.c_w * base**0.5
             flat_min = int(np.argmin(g))
@@ -485,16 +492,12 @@ def assemble_kernel(
             tile = g ** ((Q - alpha) / (Q - 2))
         if i0 != j0:
             entries[i0:i1, j0:j1] = tile
-            if symmetric:
-                entries[j0:j1, i0:i1] = tile.T
-        elif symmetric:
+            entries[j0:j1, i0:i1] = tile.T
+        else:
             # zero diagonal, strict upper triangle mirrored exactly (x + 0 == x)
             upper = np.triu(tile, 1)
             entries[i0:i1, j0:j1] = upper + upper.T
-        else:
-            np.fill_diagonal(tile, 0.0)
-            entries[i0:i1, j0:j1] = tile
-    return KernelMatrix(entries=entries, spec=spec, grid=grid, params=params, symmetric=symmetric)
+    return KernelMatrix(entries=entries, spec=spec, grid=grid, params=params, symmetric=True)
 
 
 # ---------------------------------------------------------------------------
@@ -541,6 +544,9 @@ def load_grid_csv(path) -> QuadratureGrid:
         fh.readline()  # column names carry no extra information
         data = np.loadtxt(fh, delimiter=",", ndmin=2)
     meta = dict(item.split("=", 1) for item in meta_line.split(","))
+    missing = [key for key in ("kind", "n", "resolution") if key not in meta]
+    if missing:
+        raise ValueError(f"grid header {meta_line!r} lacks {', '.join(missing)}")
     kind = meta["kind"]
     n = int(meta["n"])
     resolution = tuple(int(m) for m in meta["resolution"].split(";"))
@@ -576,6 +582,8 @@ def load_kernel_csv(path, grid: QuadratureGrid, params: Params) -> KernelMatrix:
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         entries = np.loadtxt(fh, delimiter=",", ndmin=2)
+    if len(header) != 3:
+        raise ValueError(f"kernel header must read N,kind,alpha, got {','.join(header)!r}")
     N, kind, alpha = int(header[0]), header[1], float(header[2])
     if N != len(grid):
         raise ValueError(f"kernel holds {N} nodes but the grid has {len(grid)}")

@@ -37,7 +37,6 @@ __all__ = [
 # relative bias ~ TAIL_ENLARGEMENT^{-Q}, invisible to slope fits
 TAIL_ENLARGEMENT = 8.0
 _REF_RADIUS = 64.0
-_ref_cache: dict[tuple, float] = {}
 
 
 def _as_values(f, N: int) -> np.ndarray:
@@ -130,10 +129,11 @@ def tail_integral_I1(eps: float, R: float, params: Params, resolution) -> float:
         I_1 = C * integral over the complement of f_eps^{2Q/(Q+alpha)},
 
     where C = 2 * integral of H(v) |v|^{alpha-Q} dV_0 is the reciprocal
-    extremal eigenvalue (computed once per resolution on a fixed large
-    reference cylinder). The complement is truncated at TAIL_ENLARGEMENT
-    times R; the integral is evaluated in dilation-scaled coordinates, so
-    the result depends on eps and R only through R/eps, exactly.
+    extremal eigenvalue (computed on each call, on a fixed large reference
+    cylinder at the same resolution). The complement is truncated at
+    TAIL_ENLARGEMENT times R; the integral is evaluated in dilation-scaled
+    coordinates, so the result depends on eps and R only through R/eps,
+    exactly.
 
     Decays like (R/eps)^{-Q}; meant for the regime eps << R and used for
     slope fits.
@@ -144,20 +144,11 @@ def tail_integral_I1(eps: float, R: float, params: Params, resolution) -> float:
     if not R > eps:
         raise ValueError(f"tail integral needs eps < R, got eps = {eps}, R = {R}")
     ratio = R / eps
-    key = (params.n, params.alpha, tuple(int(m) for m in np.atleast_1d(resolution)))
-    if key not in _ref_cache:
-        ref_grid = cylinder_grid(_REF_RADIUS, resolution, params)
-        h_ref = extremal_values(ref_grid, params)
-        rho = hnorm_values(ref_grid)
-        _ref_cache[key] = float(
-            np.dot(h_ref * rho ** (params.alpha - params.Q), ref_grid.weights)
-        )
+    ref_grid = cylinder_grid(_REF_RADIUS, resolution, params)
+    h_ref = extremal_values(ref_grid, params)
+    rho = hnorm_values(ref_grid)
+    ref = float(np.dot(h_ref * rho ** (params.alpha - params.Q), ref_grid.weights))
     shell = cylinder_shell_grid(ratio, TAIL_ENLARGEMENT * ratio, resolution, params)
     h = extremal_values(shell, params)
     tail_mass = float(np.dot(h**params.q_alpha, shell.weights))
-    return 2.0 * _ref_cache[key] * tail_mass
-
-
-def _clear_tail_cache() -> None:
-    # test hook
-    _ref_cache.clear()
+    return 2.0 * ref * tail_mass

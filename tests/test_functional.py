@@ -14,7 +14,6 @@ from crhls.discretization import (
     sphere_grid,
 )
 from crhls.functional import (
-    _clear_tail_cache,
     bilinear_form,
     lp_norm,
     rayleigh_quotient,
@@ -210,10 +209,11 @@ def test_young_bound_matches_dense_reference(monkeypatch):
     w = grid.weights
     assert np.max(entries**1.5 @ w) < np.max(w @ entries**1.5)
     assert young_bound(A, grid, 1.5) == pytest.approx(_dense_young(A, grid, 1.5), rel=1e-12)
-    # green_model with per-node mass: unflagged, the mass runs along rows
+    # green_model with per-node mass: the pair-mean mass keeps it flagged
     ramp = KernelSpec("green_model", mass=np.linspace(0.0, 3.0, N), c_w=0.2)
     G = assemble_kernel(grid, ramp, params)
-    assert not G.symmetric
+    assert G.symmetric
+    assert np.array_equal(G.entries, G.entries.T)
     for r in (1.0, 1.3):
         assert young_bound(G, grid, r) == pytest.approx(_dense_young(G, grid, r), rel=1e-12)
 
@@ -238,7 +238,6 @@ def test_tail_integral_depends_only_on_ratio():
 def test_tail_integral_dyadic_slope_near_minus_Q():
     params = make_params(1, 2.0)
     res = (8, 6, 8)
-    _clear_tail_cache()
     vals = [tail_integral_I1(1.0, R, params, res) for R in (8.0, 16.0, 32.0, 64.0)]
     slopes = np.diff(np.log(vals)) / np.log(2.0)
     assert np.all(np.abs(slopes + params.Q) < 0.05 * params.Q)

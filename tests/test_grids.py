@@ -171,3 +171,15 @@ def test_grid_csv_round_trip_cylinder(tmp_path):
     assert np.array_equal(h.weights, g.weights)
     assert np.array_equal(h.z, g.z)
     assert np.array_equal(h.t, g.t)
+
+
+@pytest.mark.parametrize("drop", ["kind", "resolution"])
+def test_grid_csv_rejects_header_without_key(tmp_path, drop):
+    g = sphere_grid(1, (4, 4, 4))
+    path = tmp_path / "sphere.csv"
+    save_grid_csv(g, path)
+    header, rest = path.read_text().split("\n", 1)
+    kept = [item for item in header.split(",") if not item.startswith(drop + "=")]
+    path.write_text(",".join(kept) + "\n" + rest)
+    with pytest.raises(ValueError, match=drop):
+        load_grid_csv(path)

@@ -33,6 +33,13 @@ def test_kernel_spec_validation():
         KernelSpec("green_model", mass=np.ones((2, 2)))
     with pytest.raises(ValueError):
         KernelSpec("pure_singular", c_w=0.5)
+    # non-finite values would assemble into NaN or inf entries
+    with pytest.raises(ValueError, match="finite"):
+        KernelSpec("green_model", mass=np.array([1.0, np.nan, 1.0]))
+    with pytest.raises(ValueError, match="finite"):
+        KernelSpec("green_model", mass=np.ones(5), c_w=np.inf)
+    with pytest.raises(ValueError, match="finite"):
+        KernelSpec("green_model", mass=np.ones(5), c_w=np.nan)
 
 
 def test_assemble_zero_diagonal_and_symmetry():
@@ -48,7 +55,7 @@ def test_assemble_zero_diagonal_and_symmetry():
 
 def test_symmetric_flag_marks_symmetric_assemblies():
     # the solver applies E alone when the flag is set, so it must be set
-    # only where E == E^T holds by construction
+    # only where E == E^T holds by construction: on every assembled kernel
     p = make_params(1, 2.0)
     sphere, cyl = sphere_grid(1, (6, 6, 6)), cylinder_grid(1.5, (5, 4, 5), p)
     for g in (sphere, cyl):
@@ -57,10 +64,11 @@ def test_symmetric_flag_marks_symmetric_assemblies():
             K = assemble_kernel(g, spec, p)
             assert K.symmetric, (g.kind, spec.kind)
             assert np.array_equal(K.entries, K.entries.T), (g.kind, spec.kind)
+    # per-node mass enters as the pair mean, so it is symmetric too
     ramp = KernelSpec("green_model", mass=np.linspace(0.0, 1.0, len(sphere)))
     K = assemble_kernel(sphere, ramp, p)
-    assert not K.symmetric
-    assert not np.array_equal(K.entries, K.entries.T)
+    assert K.symmetric
+    assert np.array_equal(K.entries, K.entries.T)
     # symmetric entries do not set the flag on a kernel built directly
     ones = np.ones((len(sphere), len(sphere)))
     assert not KernelMatrix(ones, KernelSpec("pure_singular"), sphere, p).symmetric
@@ -97,6 +105,15 @@ def test_green_model_mass_monotone():
     K1 = assemble_kernel(g, KernelSpec("green_model", mass=3.0 * m0, c_w=0.0), p)
     off = ~np.eye(len(g), dtype=bool)
     assert np.all(K1.entries[off] > K0.entries[off])
+
+
+def test_green_model_pair_mean_mass_does_not_overflow():
+    # m_i + m_j overflows here; the mean of the two does not
+    p = make_params(1, 2.0)
+    g = sphere_grid(1, (4, 4, 4))
+    K = assemble_kernel(g, KernelSpec("green_model", mass=np.full(len(g), 1e308)), p)
+    off = ~np.eye(len(g), dtype=bool)
+    assert np.all(K.entries[off] == 1e308)
 
 
 def test_green_model_assembly_requires_mass():
@@ -142,10 +159,13 @@ def test_assemble_float32_storage():
 def test_assemble_block_rows_independent(monkeypatch):
     p = make_params(1, 2.0)
     g = sphere_grid(1, (5, 5, 5))
-    K_all = assemble_kernel(g, KernelSpec("pure_singular"), p)
+    ramp = KernelSpec("green_model", mass=np.linspace(0.0, 1.0, len(g)), c_w=0.3)
+    specs = (KernelSpec("pure_singular"), ramp)
+    K_all = [assemble_kernel(g, spec, p) for spec in specs]
     monkeypatch.setattr(discretization, "_TILE", 16)  # 8 x 8 tiles, ragged 13-node edges
-    K_blk = assemble_kernel(g, KernelSpec("pure_singular"), p)
-    assert np.array_equal(K_all.entries, K_blk.entries)
+    for spec, K in zip(specs, K_all):
+        K_blk = assemble_kernel(g, spec, p)
+        assert np.array_equal(K.entries, K_blk.entries), spec.kind
 
 
 def test_assembly_scratch_is_a_few_tiles():
@@ -203,6 +223,18 @@ def test_kernel_csv_round_trip(tmp_path):
     assert K2.spec.kind == "green_model"
     # a file states no symmetry, so a loaded kernel keeps the two-product action
     assert K.symmetric and not K2.symmetric
+
+
+def test_kernel_csv_rejects_malformed_header(tmp_path):
+    p = make_params(1, 2.0)
+    g = sphere_grid(1, (4, 4, 4))
+    K = assemble_kernel(g, KernelSpec("pure_singular"), p)
+    path = tmp_path / "kernel.csv"
+    save_kernel_csv(K, path)
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text(f"{len(g)},pure_singular\n" + "".join(lines[1:]))
+    with pytest.raises(ValueError, match="N,kind,alpha"):
+        load_kernel_csv(path, g, p)
 
 
 def test_kernel_csv_rejects_mismatched_grid_or_alpha(tmp_path):

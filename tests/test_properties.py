@@ -159,8 +159,10 @@ tiles = st.sampled_from((8, 16, 256))
 @given(node_sets(), st.sampled_from((1.3, 2.0)), st.floats(0.0, 2.0), st.floats(0.0, 1.0), tiles)
 def test_flagged_kernels_bitwise_symmetric(grid, alpha, mass, c_w, tile):
     params = make_params(grid.n, alpha)
+    N = len(grid)
     specs = (KernelSpec("pure_singular"),
-             KernelSpec("green_model", mass=np.full(len(grid), mass), c_w=c_w))
+             KernelSpec("green_model", mass=np.full(N, mass), c_w=c_w),
+             KernelSpec("green_model", mass=np.linspace(0.0, mass, N), c_w=c_w))
     with mock.patch.object(discretization, "_TILE", tile):
         for spec in specs:
             K = assemble_kernel(grid, spec, params)
@@ -171,18 +173,18 @@ def test_flagged_kernels_bitwise_symmetric(grid, alpha, mass, c_w, tile):
 
 @_settings
 @given(node_sets(), st.floats(0.1, 2.0), tiles)
-def test_per_node_mass_kernel_keeps_row_mass(grid, top, tile):
+def test_per_node_mass_kernel_adds_mean_mass(grid, top, tile):
     # alpha = 2 makes (Q - alpha) / (Q - 2) = 1, so off the diagonal the
-    # green_model entries are the pure ones plus mass[i] along row i
+    # green_model entries are the pure ones plus (mass[i] + mass[j]) / 2
     params = make_params(grid.n, 2.0)
     N = len(grid)
     mass = np.linspace(0.0, top, N)
     with mock.patch.object(discretization, "_TILE", tile):
         K = assemble_kernel(grid, KernelSpec("green_model", mass=mass), params)
         P = assemble_kernel(grid, KernelSpec("pure_singular"), params)
-    assert not K.symmetric
+    assert K.symmetric
     assert np.all(np.diag(K.entries) == 0.0)
     off = ~np.eye(N, dtype=bool)
-    row_mass = np.broadcast_to(mass[:, None], (N, N))
-    err = np.abs(K.entries - P.entries - row_mass)
+    mean_mass = 0.5 * (mass[:, None] + mass[None, :])
+    err = np.abs(K.entries - P.entries - mean_mass)
     assert np.all(err[off] <= ROUNDINGS * EPS * K.entries[off])
