@@ -368,24 +368,25 @@ class KernelMatrix:
     time ride along so downstream consumers (solver window validation,
     serialization headers) need no extra context.
 
-    symmetric states that E == E^T, so the solver may apply E alone in
-    place of (E + E^T) / 2 and young_bound may take the column sums for
-    the row sums. assemble_kernel sets it on every kernel it returns,
-    since each kernel model has K(x, y) = K(y, x), and stores each node
-    pair's value twice, so the entries are bitwise symmetric. Kernels
-    built directly or loaded from CSV leave it unset unless the caller
-    sets it. It is never inferred from the entries:
-    comparing E with E^T costs as much as dozens of products with E, a
-    large share of a whole accelerated solve.
+    The entries are symmetric, E == E^T, as the paper's kernel is (the
+    Green function has G_xi(eta) = G_eta(xi)): the solver applies E for
+    the symmetrized action (E + E^T) / 2 and young_bound takes column
+    sums as row sums. assemble_kernel stores each node pair's value
+    twice, so its entries are bitwise symmetric, and load_kernel_csv
+    refuses a file whose entries are not. The constructor does not
+    check, because an exact tiled comparison of E with E^T took 0.28-0.37 s
+    against 1.2-2.0 s for assembling the 24^3 float32 kernel (2-vCPU host,
+    2 BLAS threads): up to a fifth more on the sphere-sharpness path.
     """
 
     entries: np.ndarray
     spec: KernelSpec
     grid: QuadratureGrid
     params: Params
-    symmetric: bool = False
 
     def __post_init__(self) -> None:
+        if self.grid.n != self.params.n:
+            raise ValueError(f"grid has n = {self.grid.n} but params have n = {self.params.n}")
         N = len(self.grid)
         if self.entries.shape != (N, N):
             raise ValueError(f"entries must have shape ({N}, {N}), got {self.entries.shape}")
@@ -401,14 +402,14 @@ def _check_grid(K: KernelMatrix, grid: QuadratureGrid) -> None:
         raise ValueError("grid does not match the kernel's assembly grid")
 
 
-def _tiles(N: int, symmetric: bool):
-    """(i0, i1, j0, j1) tiles of an N x N pass, _TILE rows and columns each.
+def _tiles(N: int):
+    """(i0, i1, j0, j1) tiles of _TILE rows and columns with j0 >= i0.
 
-    With symmetric set only the tiles on and above the diagonal (j0 >= i0)
-    are yielded, one per unordered pair of row and column ranges.
+    One tile per unordered pair of row and column ranges: read also
+    transposed off the diagonal, they cover a symmetric N x N matrix.
     """
     for i0 in range(0, N, _TILE):
-        for j0 in range(i0 if symmetric else 0, N, _TILE):
+        for j0 in range(i0, N, _TILE):
             yield i0, min(i0 + _TILE, N), j0, min(j0 + _TILE, N)
 
 
@@ -437,8 +438,8 @@ def assemble_kernel(
     from below. Both kernel models are symmetric in the node pair (the
     green_model mass enters as the pair mean), so only the tiles on and
     above the diagonal are evaluated and each is also stored transposed:
-    every node pair is evaluated once, the stored entries are bitwise
-    symmetric and the result is always marked symmetric.
+    every node pair is evaluated once and the stored entries are bitwise
+    symmetric.
 
     Raises ValueError before allocating when the N x N entries alone
     exceed physical memory, on coincident distinct nodes, and for
@@ -466,7 +467,7 @@ def assemble_kernel(
     Q, alpha, n = params.Q, params.alpha, params.n
     entries = np.empty((N, N), dtype=dtype)
 
-    for i0, i1, j0, j1 in _tiles(N, True):
+    for i0, i1, j0, j1 in _tiles(N):
         base = grid.dist_sq(slice(i0, i1), slice(j0, j1))  # rho^2 for both grid kinds
         if i0 == j0:
             np.fill_diagonal(base, 1.0)  # placeholder, overwritten with 0 below
@@ -497,7 +498,7 @@ def assemble_kernel(
             # zero diagonal, strict upper triangle mirrored exactly (x + 0 == x)
             upper = np.triu(tile, 1)
             entries[i0:i1, j0:j1] = upper + upper.T
-    return KernelMatrix(entries=entries, spec=spec, grid=grid, params=params, symmetric=True)
+    return KernelMatrix(entries=entries, spec=spec, grid=grid, params=params)
 
 
 # ---------------------------------------------------------------------------
@@ -575,9 +576,10 @@ def save_kernel_csv(kernel: KernelMatrix, path) -> None:
 def load_kernel_csv(path, grid: QuadratureGrid, params: Params) -> KernelMatrix:
     """Load a kernel written by save_kernel_csv onto its grid.
 
-    The header is validated against the grid size and params. green_model
-    mass values are not stored in the CSV; the loaded spec carries only
-    the kind label, the entries themselves are authoritative.
+    The header is validated against the grid size and params, and the
+    entries must be finite, nonnegative and bitwise symmetric, as saved
+    assembled kernels are. green_model mass values are not stored in the
+    CSV; the loaded spec carries only the kind label.
     """
     with open(path) as fh:
         header = fh.readline().strip().split(",")
@@ -589,4 +591,9 @@ def load_kernel_csv(path, grid: QuadratureGrid, params: Params) -> KernelMatrix:
         raise ValueError(f"kernel holds {N} nodes but the grid has {len(grid)}")
     if abs(alpha - params.alpha) > 1e-12:
         raise ValueError(f"kernel was assembled with alpha = {alpha}, params have {params.alpha}")
-    return KernelMatrix(entries=entries, spec=KernelSpec(kind=kind), grid=grid, params=params)
+    K = KernelMatrix(entries=entries, spec=KernelSpec(kind=kind), grid=grid, params=params)
+    if not np.all(np.isfinite(entries) & (entries >= 0.0)):
+        raise ValueError("kernel entries must be finite and nonnegative")
+    if not np.array_equal(entries, entries.T):
+        raise ValueError("kernel entries must be symmetric, E == E^T bit for bit")
+    return K

@@ -2,8 +2,8 @@
 
 All operations consume grid weights explicitly; kernel matrices carry no
 weights of their own. The bilinear form is the full dense double sum, no
-symmetry shortcut is taken. young_bound takes one: on a kernel marked
-symmetric its column sums are its row sums.
+symmetry shortcut is taken. young_bound takes one: a KernelMatrix is
+symmetric, so its column sums are its row sums.
 """
 
 from __future__ import annotations
@@ -84,7 +84,8 @@ def rayleigh_quotient(K: KernelMatrix, f, p: float) -> float:
 def young_bound(K: KernelMatrix, grid: QuadratureGrid, r: float) -> float:
     """Row/column uniform r-mass bound for the weighted kernel operator.
 
-    C = max over all rows and all columns of (sum_j K_ij^r w_j)^{1/r}.
+    C = max over all rows of (sum_j K_ij^r w_j)^{1/r}, which on the
+    symmetric KernelMatrix is also the maximum over all columns.
     Schur-type interpolation then guarantees, for the operator
     (A f)_i = sum_j K_ij f_j w_j and exponents with
     1/q = 1/p + 1/r - 1 (1 <= p <= r', q >= 1),
@@ -94,11 +95,10 @@ def young_bound(K: KernelMatrix, grid: QuadratureGrid, r: float) -> float:
     The continuum analogue of the r-mass is finite for r < Q/(Q - alpha);
     the discrete maximum exists for every finite r >= 1.
 
-    The sums run over square tiles. On a kernel marked symmetric the
-    column sums are the row sums, so only the tiles on and above the
-    diagonal are raised to the power r, each adding its row sums and its
-    column sums into the row sums; other kernels visit every tile and
-    keep separate column sums.
+    The sums run over square tiles. Since the column sums are the row
+    sums, only the tiles on and above the diagonal are raised to the
+    power r, each adding its row sums and, off the diagonal, its column
+    sums into one vector of row sums.
     """
     r = float(r)
     if not (math.isfinite(r) and r >= 1.0):
@@ -107,16 +107,15 @@ def young_bound(K: KernelMatrix, grid: QuadratureGrid, r: float) -> float:
     N = len(K)
     w = grid.weights
     rows = np.zeros(N)
-    # on a symmetric kernel a tile's column sums are the row sums of its mirror tile
-    cols = rows if K.symmetric else np.zeros(N)
-    for i0, i1, j0, j1 in _tiles(N, K.symmetric):
+    for i0, i1, j0, j1 in _tiles(N):
         P = np.asarray(K.entries[i0:i1, j0:j1], dtype=np.float64)
         if r != 1.0:
             P = P**r
         rows[i0:i1] += P @ w[j0:j1]
-        if not (K.symmetric and i0 == j0):
-            cols[j0:j1] += w[i0:i1] @ P
-    return max(float(np.max(rows)), float(np.max(cols))) ** (1.0 / r)
+        if i0 != j0:
+            # a tile's column sums are the row sums of its mirror tile
+            rows[j0:j1] += w[i0:i1] @ P
+    return float(np.max(rows)) ** (1.0 / r)
 
 
 def tail_integral_I1(eps: float, R: float, params: Params, resolution) -> float:

@@ -10,8 +10,8 @@ The fixed-point map inverts that relation and renormalizes:
 
     f  <-  normalize_p( (S f)^{1/(p-1)} ),   S = weighted (K + K^T)/2 action.
 
-For a kernel marked symmetric, S is one product with K; otherwise it takes
-two, with K and K^T. The solver accelerates the map by Anderson mixing
+A KernelMatrix is symmetric, K = K^T, so S is one product with K per
+evaluation. The solver accelerates the map by Anderson mixing
 (Walker and Ni, SIAM J. Numer. Anal. 49, 2011) on u = log f over a short
 window, and keeps a mixed step only when the quotient does not decrease;
 otherwise it damps the plain map step until the quotient stops decreasing.
@@ -114,8 +114,8 @@ def solve_subcritical(
     if int(max_iter) < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     E = K.entries
-    if not np.any(E > 0):
-        raise ValueError("kernel has no positive entries, the quotient is identically zero")
+    if not np.max(E) > 0.0:
+        raise ValueError("kernel has no positive entry or holds NaN: no positive quotient")
     w = grid.weights
     N = len(grid)
 
@@ -130,20 +130,12 @@ def solve_subcritical(
 
     matvecs = 0
 
-    def action(fv: np.ndarray) -> np.ndarray:
-        nonlocal matvecs
-        v = (fv * w).astype(E.dtype, copy=False)
-        if K.symmetric:
-            matvecs += 1
-            return np.asarray(E @ v, dtype=np.float64)
-        matvecs += 2
-        return 0.5 * (
-            np.asarray(E @ v, dtype=np.float64) + np.asarray(E.T @ v, dtype=np.float64)
-        )
-
     def evaluate(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-        y_c = action(c)
-        return c, y_c, float(np.dot(c * w, y_c))
+        nonlocal matvecs
+        matvecs += 1
+        cw = c * w
+        y_c = np.asarray(E @ cw.astype(E.dtype, copy=False), dtype=np.float64)
+        return c, y_c, float(np.dot(cw, y_c))
 
     def blend(a: float, b: float) -> np.ndarray:
         c = f**a * g**b

@@ -30,10 +30,11 @@ def two_node_fixture(params):
 def seeded_kernel_set(params, count=120, seed=20260601):
     """The shared (kernel, p) set on which solver mechanisms are compared.
 
-    Even cases are pure singular kernels assembled on random sphere nodes,
-    so they carry symmetric = True; odd cases are uniform random matrices
-    with zero diagonal, asymmetric and built directly. N runs over 3..59
-    and p cycles through q_alpha + 0.002, q_alpha + 0.01 and mid-window.
+    Even cases are pure singular kernels assembled on random sphere nodes;
+    odd cases are built directly as (A + A^T) / 2 of a uniform random
+    matrix A with zero diagonal, so every case is symmetric, as a
+    KernelMatrix must be. N runs over 3..59 and p cycles through
+    q_alpha + 0.002, q_alpha + 0.01 and mid-window.
     """
     rng = np.random.default_rng(seed)
     q = params.q_alpha
@@ -46,6 +47,7 @@ def seeded_kernel_set(params, count=120, seed=20260601):
         else:
             entries = rng.uniform(size=(N, N))
             np.fill_diagonal(entries, 0.0)
+            entries = 0.5 * (entries + entries.T)
             grid = _random_sphere_grid(N, 0.1, rng)
             K = KernelMatrix(entries, KernelSpec("pure_singular"), grid, params)
         cases.append((K, exponents[k % 3]))

@@ -53,25 +53,20 @@ def test_assemble_zero_diagonal_and_symmetry():
     assert len(K) == len(g)
 
 
-def test_symmetric_flag_marks_symmetric_assemblies():
-    # the solver applies E alone when the flag is set, so it must be set
-    # only where E == E^T holds by construction: on every assembled kernel
+def test_assembled_kernels_bitwise_symmetric():
+    # the solver applies E alone for (E + E^T) / 2, so E == E^T must hold
+    # by construction on every assembled kernel
     p = make_params(1, 2.0)
     sphere, cyl = sphere_grid(1, (6, 6, 6)), cylinder_grid(1.5, (5, 4, 5), p)
     for g in (sphere, cyl):
         mass = np.full(len(g), 0.7)
         for spec in (KernelSpec("pure_singular"), KernelSpec("green_model", mass=mass, c_w=0.3)):
             K = assemble_kernel(g, spec, p)
-            assert K.symmetric, (g.kind, spec.kind)
             assert np.array_equal(K.entries, K.entries.T), (g.kind, spec.kind)
     # per-node mass enters as the pair mean, so it is symmetric too
     ramp = KernelSpec("green_model", mass=np.linspace(0.0, 1.0, len(sphere)))
     K = assemble_kernel(sphere, ramp, p)
-    assert K.symmetric
     assert np.array_equal(K.entries, K.entries.T)
-    # symmetric entries do not set the flag on a kernel built directly
-    ones = np.ones((len(sphere), len(sphere)))
-    assert not KernelMatrix(ones, KernelSpec("pure_singular"), sphere, p).symmetric
 
 
 def test_assemble_pure_matches_distance_power():
@@ -142,7 +137,7 @@ def test_assemble_refuses_kernel_beyond_physical_memory(monkeypatch):
     g = sphere_grid(1, (4, 4, 4))
     physical = {"SC_PHYS_PAGES": 64 * 64 * 4, "SC_PAGE_SIZE": 1}
     monkeypatch.setattr(discretization.os, "sysconf", physical.__getitem__)
-    assert assemble_kernel(g, KernelSpec("pure_singular"), p, dtype=np.float32).symmetric
+    assert len(assemble_kernel(g, KernelSpec("pure_singular"), p, dtype=np.float32)) == 64
     with pytest.raises(ValueError, match="64 x 64 kernel of 8-byte entries"):
         assemble_kernel(g, KernelSpec("pure_singular"), p)
 
@@ -211,6 +206,21 @@ def test_kernel_matrix_shape_guard():
                      grid=g, params=p)
 
 
+def test_kernel_matrix_refuses_params_of_other_n(tmp_path):
+    # q_alpha of n = 2 would set the solver's window on an n = 1 kernel
+    p1, p2 = make_params(1, 2.0), make_params(2, 2.0)
+    g = sphere_grid(1, (4, 4, 4))
+    K = assemble_kernel(g, KernelSpec("pure_singular"), p1)
+    with pytest.raises(ValueError, match="n = 1 but params have n = 2"):
+        KernelMatrix(K.entries, K.spec, g, p2)
+    path = tmp_path / "kernel.csv"
+    save_kernel_csv(K, path)
+    with pytest.raises(ValueError, match="n = 1 but params have n = 2"):
+        load_kernel_csv(path, g, p2)
+    with pytest.raises(ValueError, match="n = 1 but params have n = 2"):
+        assemble_kernel(g, KernelSpec("pure_singular"), p2)
+
+
 def test_kernel_csv_round_trip(tmp_path):
     p = make_params(1, 2.0)
     g = sphere_grid(1, (4, 4, 4))
@@ -221,8 +231,32 @@ def test_kernel_csv_round_trip(tmp_path):
     K2 = load_kernel_csv(path, g, p)
     assert np.array_equal(K2.entries, K.entries)
     assert K2.spec.kind == "green_model"
-    # a file states no symmetry, so a loaded kernel keeps the two-product action
-    assert K.symmetric and not K2.symmetric
+
+
+def test_kernel_csv_rejects_asymmetric_entries(tmp_path):
+    p = make_params(1, 2.0)
+    g = sphere_grid(1, (4, 4, 4))
+    E = assemble_kernel(g, KernelSpec("pure_singular"), p).entries.copy()
+    path = tmp_path / "kernel.csv"
+    save_kernel_csv(KernelMatrix(E, KernelSpec("pure_singular"), g, p), path)
+    load_kernel_csv(path, g, p)
+    E[3, 17] = np.nextafter(E[3, 17], np.inf)  # one entry off by one ulp
+    save_kernel_csv(KernelMatrix(E, KernelSpec("pure_singular"), g, p), path)
+    with pytest.raises(ValueError, match="symmetric"):
+        load_kernel_csv(path, g, p)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+def test_kernel_csv_rejects_nonfinite_or_negative_entries(tmp_path, bad):
+    # a NaN entry used to load, then fail the solve as "function values must be finite"
+    p = make_params(1, 2.0)
+    g = sphere_grid(1, (4, 4, 4))
+    E = assemble_kernel(g, KernelSpec("pure_singular"), p).entries.copy()
+    E[3, 17] = E[17, 3] = bad
+    path = tmp_path / "kernel.csv"
+    save_kernel_csv(KernelMatrix(E, KernelSpec("pure_singular"), g, p), path)
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        load_kernel_csv(path, g, p)
 
 
 def test_kernel_csv_rejects_malformed_header(tmp_path):

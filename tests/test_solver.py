@@ -1,6 +1,7 @@
 """Subcritical fixed-point solver, continuation, blow-up diagnostics."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -113,10 +114,6 @@ def test_seeded_kernel_set(params_n1):
         assert res.converged, f"case {k} (N = {len(K)}, p = {p}) did not converge"
         h = res.quotient_history
         assert np.all(np.diff(h) >= -1e-12 * np.abs(h[:-1])), f"case {k} descended"
-        if K.symmetric:
-            two = KernelMatrix(K.entries, K.spec, K.grid, K.params)
-            ref = solve_subcritical(two, K.grid, p)
-            assert res.D_estimate == pytest.approx(ref.D_estimate, rel=1e-12), f"case {k}"
 
 
 def _logged(entries):
@@ -132,15 +129,17 @@ def _logged(entries):
 
 
 def test_matvecs_one_product_per_evaluation_when_symmetric(params_n1):
+    # every KernelMatrix is symmetric, assembled or built directly alike
     grid = sphere_grid(1, (6, 6, 6))
     K = assemble_kernel(grid, KernelSpec("pure_singular"), params_n1)
     direct = KernelMatrix(K.entries.copy(), K.spec, grid, params_n1)
-    for kernel, per_evaluation in ((K, "E"), (direct, "ET")):
+    fixture_grid, fixture = two_node_fixture(params_n1)
+    for kernel, g in ((K, grid), (direct, grid), (fixture, fixture_grid)):
         kernel.entries, log = _logged(kernel.entries)
-        res = solve_subcritical(kernel, grid, 1.5)
+        res = solve_subcritical(kernel, g, 1.5)
         assert res.converged
         assert res.matvecs == len(log) > 0
-        assert "".join(log) == per_evaluation * (len(log) // len(per_evaluation))
+        assert set(log) == {"E"}
 
 
 def test_solver_validation(params_n1):
@@ -165,8 +164,25 @@ def test_solver_validation(params_n1):
         grid=grid,
         params=params_n1,
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="no positive entry"):
         solve_subcritical(K0, grid, 1.5)
+    K0.entries = np.array([[np.nan, 1.0], [1.0, 0.0]])  # a positive entry beside NaN
+    with pytest.raises(ValueError, match="NaN"):
+        solve_subcritical(K0, grid, 1.5)
+
+
+def test_solve_scratch_is_order_N(params_n1):
+    # beyond the kernel a solve holds a few N-vectors, no N x N temporary
+    grid = sphere_grid(1, (12, 12, 12))
+    K = assemble_kernel(grid, KernelSpec("pure_singular"), params_n1)
+    tracemalloc.start()
+    try:
+        res = solve_subcritical(K, grid, 1.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.converged
+    assert peak < len(grid) ** 2 / 4
 
 
 def test_solver_max_iter_reports_unconverged(params_n1):
