@@ -61,7 +61,7 @@ __all__ = [
 _GRID_KINDS = ("sphere", "cylinder")
 _KERNEL_KINDS = ("pure_singular", "green_model")
 
-# side of the square tiles that assembly and young_bound walk: a float64
+# side of the square tiles that assembly and row_power_sums walk: a float64
 # tile is 512 KiB, so a tile and its scratch stay in L2. Keep it a multiple
 # of 8: OpenBLAS's complex GEMM rounds narrower products differently, so
 # the kernel bits would then depend on the tile layout.
@@ -315,11 +315,13 @@ def sphere_extremal_values(grid: QuadratureGrid, pole, params: Params) -> np.nda
 
 
 def distances_from_node(grid: QuadratureGrid, i: int) -> np.ndarray:
-    """Distance from node i to every node, in the grid's own metric."""
+    """Distance from node i to every node, in the grid's own metric; entry i is 0."""
     N = len(grid)
     if not 0 <= i < N:
         raise ValueError(f"node index {i} out of range for grid of size {N}")
-    return np.sqrt(grid.dist_sq(slice(None), i))
+    d = np.sqrt(grid.dist_sq(slice(None), i))
+    d[i] = 0.0  # the sphere's inner-product form leaves ~1e-15 there, ~3e-8 after the root
+    return d
 
 
 @dataclass(frozen=True, eq=False)
@@ -368,15 +370,18 @@ class KernelMatrix:
     time ride along so downstream consumers (solver window validation,
     serialization headers) need no extra context.
 
-    The entries are symmetric, E == E^T, as the paper's kernel is (the
-    Green function has G_xi(eta) = G_eta(xi)): the solver applies E for
-    the symmetrized action (E + E^T) / 2 and young_bound takes column
-    sums as row sums. assemble_kernel stores each node pair's value
-    twice, so its entries are bitwise symmetric, and load_kernel_csv
-    refuses a file whose entries are not. The constructor does not
-    check, because an exact tiled comparison of E with E^T took 0.28-0.37 s
-    against 1.2-2.0 s for assembling the 24^3 float32 kernel (2-vCPU host,
-    2 BLAS threads): up to a fifth more on the sphere-sharpness path.
+    matvec and row_power_sums are the only readers of the entries outside
+    this module, so a float32 kernel is multiplied in float32 everywhere,
+    the solver and the identity checks alike. The entries are symmetric,
+    E == E^T, as the paper's kernel is (the Green function has
+    G_xi(eta) = G_eta(xi)): the solver applies E for the symmetrized
+    action (E + E^T) / 2 and row_power_sums takes column sums as row
+    sums. assemble_kernel stores each node pair's value twice, so its
+    entries are bitwise symmetric, and load_kernel_csv refuses a file
+    whose entries are not. The constructor does not check, because an
+    exact tiled comparison of E with E^T took 0.28-0.37 s against
+    1.2-2.0 s for assembling the 24^3 float32 kernel (2-vCPU host, 2 BLAS
+    threads): up to a fifth more on the sphere-sharpness path.
     """
 
     entries: np.ndarray
@@ -393,6 +398,27 @@ class KernelMatrix:
 
     def __len__(self) -> int:
         return int(self.entries.shape[0])
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """E @ x in the entries' dtype (x is cast to it), returned as float64."""
+        return np.asarray(self.entries @ x.astype(self.entries.dtype, copy=False), np.float64)
+
+    def row_power_sums(self, r: float) -> np.ndarray:
+        """Weighted row sums sum_j E_ij^r w_j in float64, from one walk over the tiles.
+
+        Column sums are row sums, so each tile on or above the diagonal is raised
+        to the power r once and adds its row sums and, off the diagonal, its column sums.
+        """
+        w = self.grid.weights
+        rows = np.zeros(len(self))
+        for i0, i1, j0, j1 in _tiles(len(self)):
+            P = np.asarray(self.entries[i0:i1, j0:j1], dtype=np.float64)
+            if r != 1.0:
+                P = P**r
+            rows[i0:i1] += P @ w[j0:j1]
+            if i0 != j0:
+                rows[j0:j1] += w[i0:i1] @ P
+        return rows
 
 
 def _check_grid(K: KernelMatrix, grid: QuadratureGrid) -> None:
@@ -563,12 +589,13 @@ def load_grid_csv(path) -> QuadratureGrid:
 
 
 def save_kernel_csv(kernel: KernelMatrix, path) -> None:
-    """Write a kernel matrix as CSV, row-major, header line "N,kind,alpha".
+    """Write a kernel matrix as CSV, row-major, header line "N,kind,alpha,dtype".
 
     Intended for modest N; the file holds N^2 floats in plain text.
     """
     with open(path, "w") as fh:
-        fh.write(f"{len(kernel)},{kernel.spec.kind},{_FLOAT_FMT % kernel.params.alpha}\n")
+        alpha = _FLOAT_FMT % kernel.params.alpha
+        fh.write(f"{len(kernel)},{kernel.spec.kind},{alpha},{kernel.entries.dtype.name}\n")
         for row in np.asarray(kernel.entries, dtype=np.float64):
             fh.write(",".join(_FLOAT_FMT % v for v in row) + "\n")
 
@@ -576,16 +603,20 @@ def save_kernel_csv(kernel: KernelMatrix, path) -> None:
 def load_kernel_csv(path, grid: QuadratureGrid, params: Params) -> KernelMatrix:
     """Load a kernel written by save_kernel_csv onto its grid.
 
-    The header is validated against the grid size and params, and the
-    entries must be finite, nonnegative and bitwise symmetric, as saved
-    assembled kernels are. green_model mass values are not stored in the
-    CSV; the loaded spec carries only the kind label.
+    The header is validated against the grid size and params, the
+    entries come back in the saved dtype (float32 or float64), and they
+    must be finite, nonnegative and bitwise symmetric, as saved assembled
+    kernels are. green_model mass values are not stored in the CSV; the
+    loaded spec carries only the kind label.
     """
     with open(path) as fh:
         header = fh.readline().strip().split(",")
-        entries = np.loadtxt(fh, delimiter=",", ndmin=2)
-    if len(header) != 3:
-        raise ValueError(f"kernel header must read N,kind,alpha, got {','.join(header)!r}")
+        if len(header) != 4 or header[3] not in ("float32", "float64"):
+            raise ValueError(
+                f"kernel header must read N,kind,alpha,dtype with dtype float32 or float64, "
+                f"got {','.join(header)!r}"
+            )
+        entries = np.loadtxt(fh, delimiter=",", ndmin=2, dtype=header[3])
     N, kind, alpha = int(header[0]), header[1], float(header[2])
     if N != len(grid):
         raise ValueError(f"kernel holds {N} nodes but the grid has {len(grid)}")

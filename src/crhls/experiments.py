@@ -245,13 +245,22 @@ def mass_perturbation_experiment(
     )
 
 
-def _positive_values(v, N: int, name: str) -> np.ndarray:
-    arr = np.asarray(v, dtype=np.float64)
-    if arr.shape != (N,):
-        raise ValueError(f"{name} must be sampled on all {N} nodes, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
-        raise ValueError(f"{name} must be strictly positive and finite")
-    return arr
+def _identity_inputs(K: KernelMatrix, grid: QuadratureGrid, params: Params, **values):
+    """Shared refusals of the identity checks; the named node values, finite, as float64."""
+    _check_grid(K, grid)
+    if params != K.params:
+        raise ValueError("params do not match the kernel's assembly params")
+    N = len(K)
+    arrays = []
+    for name, v in values.items():
+        arr = np.asarray(v, dtype=np.float64)
+        if arr.shape != (N,):
+            raise ValueError(f"{name} must be sampled on all {N} nodes, got shape {arr.shape}")
+        positive = name == "phi"
+        if not np.all(np.isfinite(arr)) or (positive and np.any(arr <= 0.0)):
+            raise ValueError(f"{name} must be {'strictly positive and ' if positive else ''}finite")
+        arrays.append(arr)
+    return arrays
 
 
 def conformal_covariance_check(
@@ -269,22 +278,14 @@ def conformal_covariance_check(
     node by node. The identity is algebraic, so the residual is pure
     floating-point noise at any resolution.
     """
-    _check_grid(K, grid)
-    if params != K.params:
-        raise ValueError("params do not match the kernel's assembly params")
-    N = len(K)
+    phi_v, u_v = _identity_inputs(K, grid, params, phi=phi, u=u)
     Q, alpha = params.Q, params.alpha
     w = grid.weights
-    phi_v = _positive_values(phi, N, "phi")
-    u_v = np.asarray(u, dtype=np.float64)
-    if u_v.shape != (N,):
-        raise ValueError(f"u must be sampled on all {N} nodes, got shape {u_v.shape}")
     beta = (Q - alpha) / (Q - 2.0)
-    E = np.asarray(K.entries, dtype=np.float64)
     scale = phi_v**-beta
     w_tilde = phi_v ** (2.0 * Q / (Q - 2.0)) * w
-    lhs = scale * (E @ (scale * u_v * w_tilde))
-    rhs = scale * (E @ (phi_v ** ((Q + alpha) / (Q - 2.0)) * u_v * w))
+    lhs = scale * K.matvec(scale * u_v * w_tilde)
+    rhs = scale * K.matvec(phi_v ** ((Q + alpha) / (Q - 2.0)) * u_v * w)
     return float(np.max(np.abs(lhs - rhs)))
 
 
@@ -299,20 +300,15 @@ def curvature_equation_residual(
     For kernels with constant row sums s the constant phi = s^{(Q-alpha)/(2 alpha)}
     solves the equation exactly.
     """
-    _check_grid(K, grid)
-    if params != K.params:
-        raise ValueError("params do not match the kernel's assembly params")
-    N = len(K)
+    (phi_v,) = _identity_inputs(K, grid, params, phi=phi)
     Q, alpha = params.Q, params.alpha
     w = grid.weights
-    phi_v = _positive_values(phi, N, "phi")
     s = (Q + alpha) / (Q - alpha)
-    E = np.asarray(K.entries, dtype=np.float64)
-    applied = E @ (phi_v * w)
+    applied = K.matvec(phi_v * w)
     a = float(np.dot(w, phi_v**s))
     b = float(np.dot(w, applied))
     if not (a > 0.0 and b > 0.0):
         raise ValueError("curvature residual needs positive weighted masses on both sides")
     lam = (b / a) ** ((Q - alpha) / (2.0 * alpha))
     phi_hat = lam * phi_v
-    return float(np.max(np.abs(phi_hat**s - E @ (phi_hat * w))))
+    return float(np.max(np.abs(phi_hat**s - K.matvec(phi_hat * w))))

@@ -1,9 +1,9 @@
 """Weighted norms, the singular bilinear form, and derived bounds.
 
 All operations consume grid weights explicitly; kernel matrices carry no
-weights of their own. The bilinear form is the full dense double sum, no
-symmetry shortcut is taken. young_bound takes one: a KernelMatrix is
-symmetric, so its column sums are its row sums.
+weights of their own. The kernel is read only through KernelMatrix.matvec
+(the bilinear form, the full dense double sum in the entries' dtype) and
+KernelMatrix.row_power_sums (young_bound).
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from .discretization import (
     KernelMatrix,
     QuadratureGrid,
     _check_grid,
-    _tiles,
     cylinder_grid,
     cylinder_shell_grid,
     extremal_values,
@@ -63,9 +62,7 @@ def bilinear_form(K: KernelMatrix, f, g) -> float:
     w = K.grid.weights
     fv = _as_values(f, N)
     gv = _as_values(g, N)
-    gw = (gv * w).astype(K.entries.dtype, copy=False)
-    y = K.entries @ gw
-    return float(np.dot(fv * w, np.asarray(y, dtype=np.float64)))
+    return float(np.dot(fv * w, K.matvec(gv * w)))
 
 
 def rayleigh_quotient(K: KernelMatrix, f, p: float) -> float:
@@ -94,28 +91,12 @@ def young_bound(K: KernelMatrix, grid: QuadratureGrid, r: float) -> float:
 
     The continuum analogue of the r-mass is finite for r < Q/(Q - alpha);
     the discrete maximum exists for every finite r >= 1.
-
-    The sums run over square tiles. Since the column sums are the row
-    sums, only the tiles on and above the diagonal are raised to the
-    power r, each adding its row sums and, off the diagonal, its column
-    sums into one vector of row sums.
     """
     r = float(r)
     if not (math.isfinite(r) and r >= 1.0):
         raise ValueError(f"young_bound needs a finite r >= 1, got r = {r}")
     _check_grid(K, grid)
-    N = len(K)
-    w = grid.weights
-    rows = np.zeros(N)
-    for i0, i1, j0, j1 in _tiles(N):
-        P = np.asarray(K.entries[i0:i1, j0:j1], dtype=np.float64)
-        if r != 1.0:
-            P = P**r
-        rows[i0:i1] += P @ w[j0:j1]
-        if i0 != j0:
-            # a tile's column sums are the row sums of its mirror tile
-            rows[j0:j1] += w[i0:i1] @ P
-    return float(np.max(rows)) ** (1.0 / r)
+    return float(np.max(K.row_power_sums(r))) ** (1.0 / r)
 
 
 def tail_integral_I1(eps: float, R: float, params: Params, resolution) -> float:

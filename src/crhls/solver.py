@@ -113,9 +113,6 @@ def solve_subcritical(
         raise ValueError(f"tol must be positive, got {tol}")
     if int(max_iter) < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    E = K.entries
-    if not np.max(E) > 0.0:
-        raise ValueError("kernel has no positive entry or holds NaN: no positive quotient")
     w = grid.weights
     N = len(grid)
 
@@ -134,7 +131,7 @@ def solve_subcritical(
         nonlocal matvecs
         matvecs += 1
         cw = c * w
-        y_c = np.asarray(E @ cw.astype(E.dtype, copy=False), dtype=np.float64)
+        y_c = K.matvec(cw)
         return c, y_c, float(np.dot(cw, y_c))
 
     def blend(a: float, b: float) -> np.ndarray:
@@ -149,6 +146,10 @@ def solve_subcritical(
     iterations = 0
     D_prev = None
     f, y, D = evaluate(f / lp_norm(f, grid, p))
+    # the first product stands in for a scan of the entries: BLAS gives
+    # 0 * NaN = NaN, so a NaN entry reaches y even where the start is zero
+    if not np.max(y) > 0.0:
+        raise ValueError("kernel has no positive entry or holds NaN: no positive quotient")
     while True:
         defect = float(np.max(np.abs(2.0 * D * f ** (p - 1.0) - 2.0 * y)))
         history.append(D)

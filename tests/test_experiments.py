@@ -1,5 +1,7 @@
 """Numerical experiments: lower bounds, invariances, mass shifts, covariance."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -151,11 +153,31 @@ def test_conformal_covariance_validation(params_n1):
         conformal_covariance_check(K, grid, np.ones(5), np.ones(6), params_n1)
     with pytest.raises(ValueError):
         conformal_covariance_check(K, grid, np.ones(6), np.ones(5), params_n1)
+    for bad in (np.nan, np.inf):  # a NaN in u used to come back as a nan residual
+        with pytest.raises(ValueError, match="u must be finite"):
+            conformal_covariance_check(K, grid, np.ones(6), np.array([1, 1, bad, 1, 1, 1]),
+                                       params_n1)
     with pytest.raises(ValueError, match="grid does not match"):
         conformal_covariance_check(K, _reweighted(grid), np.ones(6), np.ones(6), params_n1)
     for other in (make_params(2, 2.0), make_params(1, 1.0)):
         with pytest.raises(ValueError, match="params do not match"):
             conformal_covariance_check(K, grid, np.ones(6), np.ones(6), other)
+
+
+def test_conformal_covariance_scratch_is_order_N(params_n1):
+    # a float32 kernel is multiplied as stored, not copied to float64 first
+    # (a 22.9 MiB peak over its 11.4 MiB of entries at 12^3)
+    grid = sphere_grid(1, (12, 12, 12))
+    K = assemble_kernel(grid, KernelSpec("pure_singular"), params_n1, dtype=np.float32)
+    phi = np.linspace(0.5, 2.0, len(grid))
+    tracemalloc.start()
+    try:
+        residual = conformal_covariance_check(K, grid, phi, np.ones(len(grid)), params_n1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(residual)
+    assert peak <= 2**20
 
 
 def test_curvature_residual_constant_row_sum_oracle(params_n1):

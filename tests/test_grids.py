@@ -138,6 +138,13 @@ def test_distances_from_node_match_pointwise():
         assert ds[i] == pytest.approx(sphere_dist(s.node(i), s.node(1)), rel=1e-12)
 
 
+def test_distances_from_node_self_distance_is_zero():
+    # the sphere's inner-product distance leaves ~1e-15 on the diagonal,
+    # which the square root turned into up to 2e-8
+    for g in (sphere_grid(1, (6, 6, 6)), cylinder_grid(1.0, (6, 6, 6), make_params(1, 2.0))):
+        assert all(distances_from_node(g, i)[i] == 0.0 for i in range(len(g)))
+
+
 def test_quadrature_grid_validation():
     with pytest.raises(ValueError):
         QuadratureGrid(kind="torus", n=1, weights=np.ones(2), resolution=(2,),

@@ -233,6 +233,31 @@ def test_kernel_csv_round_trip(tmp_path):
     assert K2.spec.kind == "green_model"
 
 
+def test_kernel_csv_keeps_float32(tmp_path):
+    p = make_params(1, 2.0)
+    g = sphere_grid(1, (4, 4, 4))
+    K = assemble_kernel(g, KernelSpec("pure_singular"), p, dtype=np.float32)
+    path = tmp_path / "kernel.csv"
+    save_kernel_csv(K, path)
+    assert path.read_text().splitlines()[0] == f"{len(g)},pure_singular,2,float32"
+    K2 = load_kernel_csv(path, g, p)
+    assert K2.entries.dtype == np.float32
+    assert np.array_equal(K2.entries, K.entries)
+
+
+@pytest.mark.parametrize("header", ["{N},pure_singular,2", "{N},pure_singular,2,int64",
+                                    "{N},pure_singular,2,float64,extra"])
+def test_kernel_csv_refuses_header_without_a_float_dtype(tmp_path, header):
+    p = make_params(1, 2.0)
+    g = sphere_grid(1, (4, 4, 4))
+    path = tmp_path / "kernel.csv"
+    save_kernel_csv(assemble_kernel(g, KernelSpec("pure_singular"), p), path)
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text(header.format(N=len(g)) + "\n" + "".join(lines[1:]))
+    with pytest.raises(ValueError, match="N,kind,alpha,dtype"):
+        load_kernel_csv(path, g, p)
+
+
 def test_kernel_csv_rejects_asymmetric_entries(tmp_path):
     p = make_params(1, 2.0)
     g = sphere_grid(1, (4, 4, 4))

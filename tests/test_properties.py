@@ -186,3 +186,25 @@ def test_per_node_mass_kernel_adds_mean_mass(grid, top, tile):
     mean_mass = 0.5 * (mass[:, None] + mass[None, :])
     err = np.abs(K.entries - P.entries - mean_mass)
     assert np.all(err[off] <= ROUNDINGS * EPS * K.entries[off])
+
+
+@_settings
+@given(node_sets(), st.sampled_from((np.float64, np.float32)), st.integers(0, 2**32 - 1))
+def test_matvec_is_the_product_in_the_entries_dtype(grid, dtype, seed):
+    K = assemble_kernel(grid, KernelSpec("pure_singular"), make_params(grid.n, 2.0), dtype=dtype)
+    x = np.random.default_rng(seed).standard_normal(len(grid))
+    y = K.matvec(x)
+    assert y.dtype == np.float64
+    assert np.array_equal(y, K.entries @ x.astype(dtype))
+
+
+@_settings
+@given(node_sets(), st.sampled_from((np.float64, np.float32)), st.floats(1.0, 4.0), tiles)
+def test_row_power_sums_match_dense_sums(grid, dtype, r, tile):
+    # the tile walk adds the same float64 terms as the dense sum, in another
+    # order: N terms of one sign, so a few N roundings of the sum
+    K = assemble_kernel(grid, KernelSpec("pure_singular"), make_params(grid.n, 2.0), dtype=dtype)
+    with mock.patch.object(discretization, "_TILE", tile):
+        rows = K.row_power_sums(r)
+    dense = (K.entries.astype(np.float64) ** r) @ grid.weights
+    assert np.allclose(rows, dense, rtol=1e-12, atol=0.0)

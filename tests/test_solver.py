@@ -169,6 +169,9 @@ def test_solver_validation(params_n1):
     K0.entries = np.array([[np.nan, 1.0], [1.0, 0.0]])  # a positive entry beside NaN
     with pytest.raises(ValueError, match="NaN"):
         solve_subcritical(K0, grid, 1.5)
+    # the first product finds a NaN even in a column the warm start zeroes: 0 * NaN is NaN
+    with pytest.raises(ValueError, match="NaN"):
+        solve_subcritical(K0, grid, 1.5, f0=np.array([0.0, 1.0]))
 
 
 def test_solve_scratch_is_order_N(params_n1):
