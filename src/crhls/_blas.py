@@ -1,0 +1,83 @@
+"""numpy's bundled OpenBLAS through ctypes: its thread count, and the threaded tile walk."""
+
+import contextlib
+import ctypes
+import functools
+import os
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+import numpy as np
+
+_WALK_LOCK = threading.Lock()  # two callers' walks must not restore each other's BLAS count
+# a walker thread costs about a millisecond to start (2-vCPU host): both tile walks were
+# slower on two threads at 28 tiles (1 728 nodes), as fast or faster from 66 tiles on
+_ITEMS_PER_WALKER = 32
+
+
+@functools.cache
+def _openblas():
+    """numpy's bundled OpenBLAS with its thread calls declared, or None for another BLAS."""
+    libdir = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    paths = sorted(libdir.glob("libscipy_openblas64_*.so*"))
+    if not paths:
+        return None
+    lib = ctypes.CDLL(str(paths[0]))
+    get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return lib
+
+
+@contextlib.contextmanager
+def blas_threads(count: int | None):
+    """Run the body with BLAS on count threads, then restore the previous count.
+
+    None leaves BLAS alone. Without numpy's bundled OpenBLAS the count
+    cannot be set in-process; one warning says so and the body still runs.
+    """
+    lib = None if count is None else _openblas()
+    if lib is None:
+        if count is not None:
+            print(
+                f"warning: no bundled OpenBLAS found, BLAS thread count {count} not applied; "
+                "set OPENBLAS_NUM_THREADS or OMP_NUM_THREADS before starting",
+                file=sys.stderr,
+            )
+        yield
+        return
+    previous = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(count)
+    try:
+        yield
+    finally:
+        lib.scipy_openblas_set_num_threads64_(previous)
+
+
+def walkers(items: int) -> int:
+    """Threads for a walk: min(BLAS threads, usable cores, items / _ITEMS_PER_WALKER), at least 1."""
+    lib = _openblas()
+    if lib is None:
+        return 1
+    cores = len(os.sched_getaffinity(0))
+    return max(1, min(lib.scipy_openblas_get_num_threads64_(), cores, items // _ITEMS_PER_WALKER))
+
+
+def walk(fn, items: list, consume) -> None:
+    """consume(fn(item)) for every item, consume in the caller's thread and in item order.
+
+    fn runs on walkers(len(items)) threads, numpy releasing the GIL, with BLAS on one
+    thread meanwhile, or in the caller's thread for one walker, BLAS left alone. The
+    first exception of fn in item order is raised.
+    """
+    with _WALK_LOCK:
+        count = walkers(len(items))
+        if count == 1:
+            for item in items:
+                consume(fn(item))
+            return
+        with blas_threads(1), ThreadPoolExecutor(count) as pool:
+            for result in pool.map(fn, items):
+                consume(result)

@@ -19,25 +19,24 @@ Thread control: --threads (or the CRHLS_THREADS environment variable,
 which the flag overrides) sets the thread count of numpy's bundled
 OpenBLAS for the duration of the run and restores the previous count
 afterwards, so it takes effect in a process that has already imported
-numpy. Where numpy links another BLAS the count is not applied and one
-warning line on stderr says so.
+numpy; capped at the usable cores, it also caps how many threads walk
+the kernel tiles. Where numpy links another BLAS the count is not
+applied, tiles are walked on one thread, and one warning on stderr says so.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
-import ctypes
 import json
 import math
 import os
 import sys
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
+from ._blas import blas_threads
 from .core import make_params, sharp_constant_DH
 from .discretization import KernelMatrix, KernelSpec, QuadratureGrid, assemble_kernel, sphere_grid
 from .experiments import (
@@ -83,42 +82,6 @@ def _thread_count(flag_value) -> int | None:
     if count < 1:
         raise ValueError(f"thread count must be at least 1, got {count}")
     return count
-
-
-def _openblas():
-    """numpy's bundled OpenBLAS, or None when numpy links another BLAS."""
-    libdir = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    paths = sorted(libdir.glob("libscipy_openblas64_*.so*"))
-    return ctypes.CDLL(str(paths[0])) if paths else None
-
-
-@contextlib.contextmanager
-def _blas_threads(count: int | None):
-    """Run the body with BLAS on count threads, then restore the previous count.
-
-    None leaves BLAS alone. Without numpy's bundled OpenBLAS the count
-    cannot be set in-process; one warning says so and the body still runs.
-    """
-    lib = None if count is None else _openblas()
-    if lib is None:
-        if count is not None:
-            print(
-                f"warning: no bundled OpenBLAS found, BLAS thread count {count} not applied; "
-                "set OPENBLAS_NUM_THREADS or OMP_NUM_THREADS before starting",
-                file=sys.stderr,
-            )
-        yield
-        return
-    get_threads = lib.scipy_openblas_get_num_threads64_
-    set_threads = lib.scipy_openblas_set_num_threads64_
-    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
-    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-    previous = get_threads()
-    set_threads(count)
-    try:
-        yield
-    finally:
-        set_threads(previous)
 
 
 def _floats(value) -> list[float]:
@@ -555,7 +518,7 @@ def main(argv=None) -> int:
     try:
         threads = _thread_count(args.threads)
         cfg = _resolve_config(args, command)
-        with _blas_threads(threads):
+        with blas_threads(threads):
             results, table, ok = command.run(cfg)
         summary = {"command": args.command, "config": cfg, "results": results}
         text = json.dumps(summary, indent=2, sort_keys=True) + "\n"

@@ -30,12 +30,14 @@ from below, which is the behaviour the downstream experiments rely on.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _blas
 from .core import Params
 from .heisenberg import HPoint, _extremal, gauge_dist_sq
 from .sphere import SpherePoint, _sphere_extremal, sphere_dist_sq
@@ -379,9 +381,9 @@ class KernelMatrix:
     sums. assemble_kernel stores each node pair's value twice, so its
     entries are bitwise symmetric, and load_kernel_csv refuses a file
     whose entries are not. The constructor does not check, because an
-    exact tiled comparison of E with E^T took 0.28-0.37 s against
-    1.2-2.0 s for assembling the 24^3 float32 kernel (2-vCPU host, 2 BLAS
-    threads): up to a fifth more on the sphere-sharpness path.
+    exact tiled comparison of E with E^T took 0.27-0.28 s against
+    0.56-0.81 s for assembling the 24^3 float32 kernel on two walker
+    threads (2-vCPU host): up to half an assembly more.
     """
 
     entries: np.ndarray
@@ -408,16 +410,25 @@ class KernelMatrix:
 
         Column sums are row sums, so each tile on or above the diagonal is raised
         to the power r once and adds its row sums and, off the diagonal, its column sums.
+        Tiles are walked as in assemble_kernel, and their sums added in tile order.
         """
         w = self.grid.weights
         rows = np.zeros(len(self))
-        for i0, i1, j0, j1 in _tiles(len(self)):
+
+        def sums(tile):
+            i0, i1, j0, j1 = tile
             P = np.asarray(self.entries[i0:i1, j0:j1], dtype=np.float64)
             if r != 1.0:
                 P = P**r
-            rows[i0:i1] += P @ w[j0:j1]
-            if i0 != j0:
-                rows[j0:j1] += w[i0:i1] @ P
+            return tile, P @ w[j0:j1], (w[i0:i1] @ P if i0 != j0 else None)
+
+        def add(result):
+            (i0, i1, j0, j1), row, col = result
+            rows[i0:i1] += row
+            if col is not None:
+                rows[j0:j1] += col
+
+        _blas.walk(sums, list(_tiles(len(self))), add)
         return rows
 
 
@@ -437,6 +448,13 @@ def _tiles(N: int):
     for i0 in range(0, N, _TILE):
         for j0 in range(i0, N, _TILE):
             yield i0, min(i0 + _TILE, N), j0, min(j0 + _TILE, N)
+
+
+def _mem_available() -> int | None:
+    """MemAvailable of /proc/meminfo in bytes, or None where the file or the field is missing."""
+    with contextlib.suppress(OSError, StopIteration), open("/proc/meminfo") as fh:
+        return 1024 * int(next(ln for ln in fh if ln.startswith("MemAvailable:")).split()[1])
+    return None
 
 
 def _pow_neg(base: np.ndarray, expo: float) -> np.ndarray:
@@ -465,10 +483,12 @@ def assemble_kernel(
     green_model mass enters as the pair mean), so only the tiles on and
     above the diagonal are evaluated and each is also stored transposed:
     every node pair is evaluated once and the stored entries are bitwise
-    symmetric.
+    symmetric. Tiles write disjoint entries, so _blas.walk spreads them over
+    _blas.walkers threads, with BLAS on one thread meanwhile.
 
     Raises ValueError before allocating when the N x N entries alone
-    exceed physical memory, on coincident distinct nodes, and for
+    exceed physical memory or MemAvailable of /proc/meminfo, on the
+    coincident distinct nodes that come first in tile order, and for
     green_model kernels whose base rho^{-2n} + mass + c_w rho is not
     strictly positive at some node pair.
     """
@@ -484,16 +504,18 @@ def assemble_kernel(
     itemsize = np.dtype(dtype).itemsize
     need = N * N * itemsize
     physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if need > physical:
-        raise ValueError(
-            f"a dense {N} x {N} kernel of {itemsize}-byte entries needs {need / 2**30:.1f} GiB, "
-            f"more than the {physical / 2**30:.1f} GiB of physical memory"
-        )
+    for limit, name in ((physical, "physical"), (_mem_available(), "available")):
+        if limit is not None and need > limit:
+            raise ValueError(
+                f"a dense {N} x {N} kernel of {itemsize}-byte entries needs "
+                f"{need / 2**30:.1f} GiB, more than the {limit / 2**30:.1f} GiB of {name} memory"
+            )
 
     Q, alpha, n = params.Q, params.alpha, params.n
     entries = np.empty((N, N), dtype=dtype)
 
-    for i0, i1, j0, j1 in _tiles(N):
+    def fill(bounds):
+        i0, i1, j0, j1 = bounds
         base = grid.dist_sq(slice(i0, i1), slice(j0, j1))  # rho^2 for both grid kinds
         if i0 == j0:
             np.fill_diagonal(base, 1.0)  # placeholder, overwritten with 0 below
@@ -524,6 +546,8 @@ def assemble_kernel(
             # zero diagonal, strict upper triangle mirrored exactly (x + 0 == x)
             upper = np.triu(tile, 1)
             entries[i0:i1, j0:j1] = upper + upper.T
+
+    _blas.walk(fill, list(_tiles(N)), lambda done: None)
     return KernelMatrix(entries=entries, spec=spec, grid=grid, params=params)
 
 

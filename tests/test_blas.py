@@ -1,0 +1,147 @@
+"""The threaded tile walk: same bits on one or two walkers, first error in walk order,
+and the BLAS thread count restored after every walk."""
+
+import os
+import sys
+import threading
+import time
+import types
+
+import numpy as np
+import pytest
+
+from crhls import _blas, discretization
+from crhls.core import make_params
+from crhls.discretization import (
+    KernelSpec,
+    QuadratureGrid,
+    assemble_kernel,
+    cylinder_grid,
+    sphere_grid,
+)
+from crhls.functional import young_bound
+
+
+@pytest.fixture
+def blas_count():
+    """Reader of numpy's bundled OpenBLAS thread count, which is restored afterwards."""
+    lib = _blas._openblas()
+    if lib is None:
+        pytest.skip("numpy does not link its bundled OpenBLAS")
+    get = lib.scipy_openblas_get_num_threads64_
+    previous = get()
+    yield get
+    lib.scipy_openblas_set_num_threads64_(previous)
+
+
+def _walk_cases():
+    p2, p13 = make_params(1, 2.0), make_params(1, 1.3)
+    sphere = sphere_grid(1, (5, 5, 5))
+    cylinder = cylinder_grid(2.0, (4, 5, 4), p13)
+    for grid, params in ((sphere, p2), (cylinder, p13)):
+        mass = np.linspace(-0.5, 1.0, len(grid))
+        for spec in (KernelSpec("pure_singular"), KernelSpec("green_model", mass=mass, c_w=0.3)):
+            yield grid, spec, params
+
+
+@pytest.fixture
+def small_walks(monkeypatch):
+    """Tiles of 16 nodes (ragged edges), and two walkers from two tiles on."""
+    monkeypatch.setattr(discretization, "_TILE", 16)
+    monkeypatch.setattr(_blas, "_ITEMS_PER_WALKER", 1)
+
+
+def test_walk_bits_do_not_depend_on_walker_count(monkeypatch, blas_count, small_walks):
+    seen, pow_neg = set(), discretization._pow_neg
+
+    def recorded_pow_neg(base, expo):
+        seen.add(blas_count())
+        return pow_neg(base, expo)
+
+    monkeypatch.setattr(discretization, "_pow_neg", recorded_pow_neg)
+    for grid, spec, params in _walk_cases():
+        for dtype in (np.float32, np.float64):
+            runs = []
+            for count in (1, 2):
+                with _blas.blas_threads(count):
+                    walkers = _blas.walkers(10**6)
+                    assert walkers == min(count, len(os.sched_getaffinity(0)))
+                    seen.clear()
+                    K = assemble_kernel(grid, spec, params, dtype=dtype)
+                    runs.append((K.entries, young_bound(K, grid, 1.0), young_bound(K, grid, 1.2)))
+                    assert blas_count() == count
+                # BLAS runs on one thread inside a walk on two walkers
+                assert seen == {1 if walkers > 1 else count}
+            (E1, *y1), (E2, *y2) = runs
+            assert E1.dtype == dtype
+            assert np.array_equal(E1, E2)
+            assert y1 == y2
+
+
+def test_walk_raises_first_error_in_walk_order(blas_count, small_walks):
+    params = make_params(1, 2.0)
+    xi = sphere_grid(1, (4, 4, 4)).xi.copy()  # 64 nodes: 4 x 4 tiles of 16
+    xi[40] = xi[5]  # tile (0, 32), the third one walked
+    xi[60] = xi[20]  # tile (16, 48), walked later
+    xi[55] = xi[50]  # tile (48, 48), walked last
+    grid = QuadratureGrid(kind="sphere", n=1, weights=np.ones(64), resolution=(4, 4, 4), xi=xi)
+    for count in (1, 2):
+        with _blas.blas_threads(count):
+            with pytest.raises(ValueError, match=r"coincident nodes at indices \(5, 40\)"):
+                assemble_kernel(grid, KernelSpec("pure_singular"), params)
+            assert blas_count() == count
+
+
+def test_concurrent_callers_keep_blas_count(monkeypatch, blas_count, small_walks):
+    params = make_params(1, 2.0)
+    grid = sphere_grid(1, (6, 6, 6))
+    reference = assemble_kernel(grid, KernelSpec("pure_singular"), params).entries
+    results, errors = [], []
+    start = threading.Barrier(4)
+    walkers = _blas.walkers
+
+    def slow_walkers(items):
+        # widens the gap between reading the walker count and setting BLAS to one thread
+        count = walkers(items)
+        time.sleep(0.002)
+        return count
+
+    monkeypatch.setattr(_blas, "walkers", slow_walkers)
+
+    def call():
+        try:
+            start.wait(timeout=60)
+            for _ in range(5):
+                K = assemble_kernel(grid, KernelSpec("pure_singular"), params)
+                results.append(np.array_equal(K.entries, reference))
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with _blas.blas_threads(2):
+            callers = [threading.Thread(target=call) for _ in range(4)]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=120)
+            assert not any(t.is_alive() for t in callers)
+            assert blas_count() == 2
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
+    assert results == [True] * 20
+
+
+def test_walkers_capped_by_usable_cores(monkeypatch):
+    threads = threading.active_count()
+    fake = types.SimpleNamespace(scipy_openblas_get_num_threads64_=lambda: 64)
+    monkeypatch.setattr(_blas, "_openblas", lambda: fake)
+    cores = len(os.sched_getaffinity(0))
+    assert 1 <= _blas.walkers(10**6) <= cores
+    assert _blas.walkers(1) == 1
+    assert _blas.walkers(2 * _blas._ITEMS_PER_WALKER - 1) == 1
+    monkeypatch.setattr(_blas, "_openblas", lambda: None)
+    assert _blas.walkers(10**6) == 1
+    assert threading.active_count() == threads

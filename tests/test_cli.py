@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from crhls import cli
+from crhls import _blas, discretization
 from crhls.cli import (
     COMMANDS,
     EXIT_NOT_CONVERGED,
@@ -239,6 +239,15 @@ def test_oversized_kernel_refused(tmp_path, capsys):
     rc = main(["continuation", "--resolution", "100,100,100", "--output", str(tmp_path)])
     assert rc == EXIT_VALIDATION
     assert "physical memory" in capsys.readouterr().err
+    assert not (tmp_path / "continuation.json").exists()
+
+
+def test_kernel_beyond_available_memory_refused(tmp_path, monkeypatch, capsys):
+    # 512 nodes: the dense float64 kernel needs 2 MiB, 1 MiB is available
+    monkeypatch.setattr(discretization, "_mem_available", lambda: 2**20)
+    rc = main(["continuation", "--resolution", "8,8,8", "--output", str(tmp_path)])
+    assert rc == EXIT_VALIDATION
+    assert "available memory" in capsys.readouterr().err
     assert not (tmp_path / "continuation.json").exists()
 
 
@@ -614,7 +623,7 @@ def blas_threads():
         blas = "unknown"
     if blas != "scipy-openblas":
         pytest.skip(f"numpy links {blas}, not its bundled OpenBLAS")
-    lib = cli._openblas()
+    lib = _blas._openblas()
     assert lib is not None, "numpy's bundled OpenBLAS not found"
     get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
     get.argtypes, get.restype = [], ctypes.c_int
@@ -665,7 +674,7 @@ def test_threads_env_variable(tmp_path, monkeypatch, blas_threads):
 
 
 def test_threads_without_bundled_openblas_warn(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(cli, "_openblas", lambda: None)
+    monkeypatch.setattr(_blas, "_openblas", lambda: None)
     rc = main(["constants", "--threads", "1", "--output", str(tmp_path)])
     assert rc == EXIT_OK
     warnings = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("warning:")]

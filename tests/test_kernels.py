@@ -142,6 +142,22 @@ def test_assemble_refuses_kernel_beyond_physical_memory(monkeypatch):
         assemble_kernel(g, KernelSpec("pure_singular"), p)
 
 
+def test_assemble_refuses_kernel_beyond_available_memory(monkeypatch):
+    p = make_params(1, 2.0)
+    available = discretization._mem_available()
+    assert available is None or available > 0
+    # the bound is N^2 * itemsize against MemAvailable, after the physical check
+    monkeypatch.setattr(discretization, "_mem_available", lambda: 64 * 64 * 4)
+    g = sphere_grid(1, (4, 4, 4))
+    assert len(assemble_kernel(g, KernelSpec("pure_singular"), p, dtype=np.float32)) == 64
+    with pytest.raises(ValueError, match="64 x 64 kernel of 8-byte entries .* available memory"):
+        assemble_kernel(g, KernelSpec("pure_singular"), p)
+    monkeypatch.setattr(discretization, "_mem_available", lambda: int(0.3 * 2**30))
+    big = sphere_grid(1, (20, 20, 20))  # 0.48 GiB of float64 entries
+    with pytest.raises(ValueError, match=r"needs 0\.5 GiB, more than the 0\.3 GiB of available"):
+        assemble_kernel(big, KernelSpec("pure_singular"), p)
+
+
 def test_assemble_float32_storage():
     p = make_params(1, 2.0)
     g = sphere_grid(1, (5, 5, 5))
