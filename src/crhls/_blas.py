@@ -1,4 +1,5 @@
-"""numpy's bundled OpenBLAS through ctypes: its thread count, and the threaded tile walk."""
+"""numpy's bundled OpenBLAS through ctypes: its thread count, its symmetric product
+dsymv, and the threaded tile walk."""
 
 import contextlib
 import ctypes
@@ -15,11 +16,12 @@ _WALK_LOCK = threading.Lock()  # two callers' walks must not restore each other'
 # a walker thread costs about a millisecond to start (2-vCPU host): both tile walks were
 # slower on two threads at 28 tiles (1 728 nodes), as fast or faster from 66 tiles on
 _ITEMS_PER_WALKER = 32
+_ROW_MAJOR, _UPPER = 101, 121  # CBLAS_ORDER and CBLAS_UPLO
 
 
 @functools.cache
 def _openblas():
-    """numpy's bundled OpenBLAS with its thread calls declared, or None for another BLAS."""
+    """numpy's bundled OpenBLAS with its thread calls and dsymv declared, or None."""
     libdir = Path(np.__file__).resolve().parent.parent / "numpy.libs"
     paths = sorted(libdir.glob("libscipy_openblas64_*.so*"))
     if not paths:
@@ -28,7 +30,34 @@ def _openblas():
     get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
     get.argtypes, get.restype = [], ctypes.c_int
     set_.argtypes, set_.restype = [ctypes.c_int], None
+    # cblas_dsymv(order, uplo, N, alpha, A, lda, x, incx, beta, y, incy), 64-bit integers
+    idx, real, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+    symv = lib.scipy_cblas_dsymv64_
+    symv.argtypes = [ctypes.c_int, ctypes.c_int, idx, real, ptr, idx, ptr, idx, real, ptr, idx]
+    symv.restype = None
     return lib
+
+
+def dsymv(a: np.ndarray, x: np.ndarray) -> np.ndarray | None:
+    """a @ x for a symmetric float64 a, read from its upper triangle, or None for another BLAS.
+
+    a must be C-contiguous and N x N, and x of length N (it is cast to float64): the
+    product reads raw memory, so a layout that does not fit is refused with ValueError.
+    """
+    lib = _openblas()
+    if lib is None:
+        return None
+    N = len(a)
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    if a.dtype != np.float64 or a.shape != (N, N) or not a.flags.c_contiguous:
+        raise ValueError(f"dsymv needs a C-contiguous square float64 matrix, got {a.shape}")
+    if x.shape != (N,):
+        raise ValueError(f"dsymv of an {N} x {N} matrix needs a length-{N} vector, got {x.shape}")
+    y = np.zeros(N)  # not np.empty: scaling garbage by beta = 0 could leave NaN (0 * NaN)
+    lib.scipy_cblas_dsymv64_(
+        _ROW_MAJOR, _UPPER, N, 1.0, a.ctypes.data, N, x.ctypes.data, 1, 0.0, y.ctypes.data, 1
+    )
+    return y
 
 
 @contextlib.contextmanager

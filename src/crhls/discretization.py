@@ -377,13 +377,15 @@ class KernelMatrix:
     the solver and the identity checks alike. The entries are symmetric,
     E == E^T, as the paper's kernel is (the Green function has
     G_xi(eta) = G_eta(xi)): the solver applies E for the symmetrized
-    action (E + E^T) / 2 and row_power_sums takes column sums as row
-    sums. assemble_kernel stores each node pair's value twice, so its
-    entries are bitwise symmetric, and load_kernel_csv refuses a file
-    whose entries are not. The constructor does not check, because an
-    exact tiled comparison of E with E^T took 0.27-0.28 s against
-    0.56-0.81 s for assembling the 24^3 float32 kernel on two walker
-    threads (2-vCPU host): up to half an assembly more.
+    action (E + E^T) / 2, row_power_sums takes column sums as row sums,
+    and a float64 matvec reads only the upper triangle. assemble_kernel
+    stores each node pair's value twice, so its entries are bitwise
+    symmetric, and load_kernel_csv refuses a file whose entries are not.
+    The constructor does not check, because an exact tiled comparison of
+    E with E^T took 0.27-0.28 s against 0.56-0.81 s for assembling the
+    24^3 float32 kernel on two walker threads (2-vCPU host): up to half an
+    assembly more. It makes the entries C-contiguous, which copies nothing
+    for assembled or loaded kernels.
     """
 
     entries: np.ndarray
@@ -397,13 +399,26 @@ class KernelMatrix:
         N = len(self.grid)
         if self.entries.shape != (N, N):
             raise ValueError(f"entries must have shape ({N}, {N}), got {self.entries.shape}")
+        self.entries = np.ascontiguousarray(self.entries)
 
     def __len__(self) -> int:
         return int(self.entries.shape[0])
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """E @ x in the entries' dtype (x is cast to it), returned as float64."""
-        return np.asarray(self.entries @ x.astype(self.entries.dtype, copy=False), np.float64)
+        """E @ x in the entries' dtype (x is cast to it), returned as float64.
+
+        Float64 entries go to numpy's bundled OpenBLAS dsymv, which reads the
+        upper triangle only: by symmetry the same product, from half the memory
+        traffic (1.8 against 5.2-6.2 ms at 16^3 nodes, 2 BLAS threads). Float32
+        entries keep E @ x, sgemv: ssymv accumulated 3.8e-6 relative error
+        against 3.3e-7 for sgemv at 16^3 nodes. Without the bundled OpenBLAS,
+        float64 entries keep E @ x as well.
+        """
+        E = self.entries
+        y = _blas.dsymv(E, x) if E.dtype == np.float64 else None
+        if y is None:
+            y = E @ x.astype(E.dtype, copy=False)
+        return np.asarray(y, np.float64)
 
     def row_power_sums(self, r: float) -> np.ndarray:
         """Weighted row sums sum_j E_ij^r w_j in float64, from one walk over the tiles.
@@ -450,6 +465,20 @@ def _tiles(N: int):
             yield i0, min(i0 + _TILE, N), j0, min(j0 + _TILE, N)
 
 
+def _assembly_bytes(N: int, n: int, itemsize: int) -> int:
+    """Bytes an assembly over N nodes of dimension n needs, at itemsize bytes per entry.
+
+    The N x N entries; per walker, one tile's scratch of (64 + 32 n) bytes per node
+    pair: complex inner products (16), the n complex coordinate differences of the
+    cylinder metric and their conjugates (32 n), up to six float64 temporaries (48);
+    and the grid's N-vectors: weights, mass, t and n + 1 complex coordinates.
+    """
+    tiles = -(-N // _TILE)
+    walkers = _blas.walkers(tiles * (tiles + 1) // 2)
+    scratch = walkers * min(N, _TILE) ** 2 * (64 + 32 * n)
+    return N * N * itemsize + scratch + N * (24 + 16 * (n + 1))
+
+
 def _mem_available() -> int | None:
     """MemAvailable of /proc/meminfo in bytes, or None where the file or the field is missing."""
     with contextlib.suppress(OSError, StopIteration), open("/proc/meminfo") as fh:
@@ -486,11 +515,11 @@ def assemble_kernel(
     symmetric. Tiles write disjoint entries, so _blas.walk spreads them over
     _blas.walkers threads, with BLAS on one thread meanwhile.
 
-    Raises ValueError before allocating when the N x N entries alone
-    exceed physical memory or MemAvailable of /proc/meminfo, on the
-    coincident distinct nodes that come first in tile order, and for
-    green_model kernels whose base rho^{-2n} + mass + c_w rho is not
-    strictly positive at some node pair.
+    Raises ValueError before allocating when the N x N entries exceed
+    physical memory, or when they and the walk's scratch (_assembly_bytes)
+    exceed MemAvailable of /proc/meminfo; on the coincident distinct nodes
+    that come first in tile order; and for green_model kernels whose base
+    rho^{-2n} + mass + c_w rho is not strictly positive at some node pair.
     """
     if grid.n != params.n:
         raise ValueError(f"grid has n = {grid.n} but params have n = {params.n}")
@@ -502,9 +531,11 @@ def assemble_kernel(
             raise ValueError(f"mass must have shape ({N},), got {spec.mass.shape}")
 
     itemsize = np.dtype(dtype).itemsize
-    need = N * N * itemsize
     physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    for limit, name in ((physical, "physical"), (_mem_available(), "available")):
+    for limit, need, name in (
+        (physical, N * N * itemsize, "physical"),
+        (_mem_available(), _assembly_bytes(N, grid.n, itemsize), "available"),
+    ):
         if limit is not None and need > limit:
             raise ValueError(
                 f"a dense {N} x {N} kernel of {itemsize}-byte entries needs "

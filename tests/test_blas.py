@@ -1,5 +1,6 @@
-"""The threaded tile walk: same bits on one or two walkers, first error in walk order,
-and the BLAS thread count restored after every walk."""
+"""numpy's bundled OpenBLAS: the threaded tile walk (same bits on one or two walkers,
+first error in walk order, the BLAS thread count restored after every walk) and the
+float64 products through dsymv beside their E @ x fallback."""
 
 import os
 import sys
@@ -13,6 +14,7 @@ import pytest
 from crhls import _blas, discretization
 from crhls.core import make_params
 from crhls.discretization import (
+    KernelMatrix,
     KernelSpec,
     QuadratureGrid,
     assemble_kernel,
@@ -145,3 +147,73 @@ def test_walkers_capped_by_usable_cores(monkeypatch):
     monkeypatch.setattr(_blas, "_openblas", lambda: None)
     assert _blas.walkers(10**6) == 1
     assert threading.active_count() == threads
+
+
+# two float64 products within the standard GEMV bound of each other, as in test_properties
+GEMV_C = 2
+
+
+def _symmetric_kernel(N, seed=7):
+    params = make_params(1, 2.0)
+    grid = sphere_grid(1, (4, 4, N // 16))
+    rng = np.random.default_rng(seed)
+    A = rng.uniform(size=(len(grid), len(grid)))
+    return KernelMatrix(A + A.T, KernelSpec("pure_singular"), grid, params), rng
+
+
+def _close(y, E, x):
+    bound = GEMV_C * len(x) * np.finfo(np.float64).eps * (np.abs(E) @ np.abs(x))
+    return np.all(np.abs(y - E @ x) <= bound)
+
+
+def test_matvec_without_bundled_openblas_is_gemv(monkeypatch):
+    K, rng = _symmetric_kernel(64)
+    x = rng.standard_normal(len(K))
+    assert _close(K.matvec(x), K.entries, x)
+    monkeypatch.setattr(_blas, "_openblas", lambda: None)
+    assert _blas.dsymv(K.entries, x) is None
+    assert np.array_equal(K.matvec(x), K.entries @ x)
+    assert np.array_equal(K.matvec(x.astype(np.float32)), K.entries @ x.astype(np.float32))
+
+
+def test_matvec_of_any_layout_is_that_of_its_c_copy(blas_count):
+    K, rng = _symmetric_kernel(64)
+    E = K.entries
+    assert KernelMatrix(E, K.spec, K.grid, K.params).entries is E  # C-contiguous: no copy
+    wide = np.zeros((2 * len(E), 2 * len(E)))
+    wide[::2, ::2] = E
+    x = rng.standard_normal(len(E))
+    for view in (np.asfortranarray(E), wide[::2, ::2], E.T):
+        M = KernelMatrix(view, K.spec, K.grid, K.params)
+        assert M.entries.flags.c_contiguous
+        assert np.array_equal(M.entries, E)
+        assert np.array_equal(M.matvec(x), K.matvec(x))
+
+
+def test_dsymv_refuses_layouts_it_cannot_read(blas_count):
+    K, rng = _symmetric_kernel(64)
+    E, x = K.entries, rng.standard_normal(len(K))
+    for bad in (np.asfortranarray(E), E[:, :-1], E.astype(np.float32)):
+        with pytest.raises(ValueError, match="C-contiguous square float64"):
+            _blas.dsymv(bad, x)
+    for bad in (x[:-1], np.ones((len(x), 2))):
+        with pytest.raises(ValueError, match="length-64 vector"):
+            _blas.dsymv(E, bad)
+    # entries swapped in after construction go through the same check
+    K.entries = np.asfortranarray(E)
+    with pytest.raises(ValueError, match="C-contiguous"):
+        K.matvec(x)
+
+
+def test_dsymv_reads_the_upper_triangle_on_one_and_two_threads(blas_count):
+    K, rng = _symmetric_kernel(1024)  # large enough for OpenBLAS to split dsymv over threads
+    E, x = K.entries, rng.standard_normal(len(K))
+    lower = np.tril_indices(len(E), -1)
+    scrambled = E.copy()
+    scrambled[lower] = np.nan
+    for count in (1, 2):
+        with _blas.blas_threads(count):
+            y = K.matvec(x)
+            assert _close(y, E, x)
+            assert all(np.array_equal(K.matvec(x), y) for _ in range(3))  # same bits on rerun
+            assert np.array_equal(_blas.dsymv(scrambled, x), y)

@@ -146,8 +146,10 @@ def test_assemble_refuses_kernel_beyond_available_memory(monkeypatch):
     p = make_params(1, 2.0)
     available = discretization._mem_available()
     assert available is None or available > 0
-    # the bound is N^2 * itemsize against MemAvailable, after the physical check
-    monkeypatch.setattr(discretization, "_mem_available", lambda: 64 * 64 * 4)
+    # the bound is N^2 * itemsize plus the walk's scratch against MemAvailable,
+    # after the physical check
+    need32 = discretization._assembly_bytes(64, 1, 4)
+    monkeypatch.setattr(discretization, "_mem_available", lambda: need32)
     g = sphere_grid(1, (4, 4, 4))
     assert len(assemble_kernel(g, KernelSpec("pure_singular"), p, dtype=np.float32)) == 64
     with pytest.raises(ValueError, match="64 x 64 kernel of 8-byte entries .* available memory"):
@@ -156,6 +158,46 @@ def test_assemble_refuses_kernel_beyond_available_memory(monkeypatch):
     big = sphere_grid(1, (20, 20, 20))  # 0.48 GiB of float64 entries
     with pytest.raises(ValueError, match=r"needs 0\.5 GiB, more than the 0\.3 GiB of available"):
         assemble_kernel(big, KernelSpec("pure_singular"), p)
+
+
+def _assembly_cases():
+    p1, p2 = make_params(1, 2.0), make_params(2, 1.3)
+    sphere, cylinder = sphere_grid(1, (12, 12, 12)), cylinder_grid(2.0, (4, 4, 4), p2)
+    ramp = KernelSpec("green_model", mass=np.linspace(0.0, 1.0, len(sphere)), c_w=0.3)
+    yield sphere, KernelSpec("pure_singular"), p1, np.float64
+    yield sphere, ramp, p1, np.float32
+    yield cylinder, KernelSpec("pure_singular"), p2, np.float64
+
+
+def test_assemble_refuses_entries_without_room_for_scratch(monkeypatch):
+    # MemAvailable just above the entries alone leaves no room for the walk's
+    # scratch: refused before the entries are allocated
+    for grid, spec, params, dtype in _assembly_cases():
+        entries = len(grid) ** 2 * np.dtype(dtype).itemsize
+        monkeypatch.setattr(discretization, "_mem_available", lambda: entries + 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="available memory"):
+                assemble_kernel(grid, spec, params, dtype=dtype)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < entries / 16
+
+
+def test_assembly_bytes_bound_the_assembly(monkeypatch):
+    # with exactly _assembly_bytes available the assembly runs, and allocates no more
+    for grid, spec, params, dtype in _assembly_cases():
+        need = discretization._assembly_bytes(len(grid), grid.n, np.dtype(dtype).itemsize)
+        monkeypatch.setattr(discretization, "_mem_available", lambda: need)
+        tracemalloc.start()
+        try:
+            K = assemble_kernel(grid, spec, params, dtype=dtype)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert K.entries.dtype == dtype
+        assert peak <= need
 
 
 def test_assemble_float32_storage():
