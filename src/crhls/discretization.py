@@ -409,10 +409,11 @@ class KernelMatrix:
 
         Float64 entries go to numpy's bundled OpenBLAS dsymv, which reads the
         upper triangle only: by symmetry the same product, from half the memory
-        traffic (1.8 against 5.2-6.2 ms at 16^3 nodes, 2 BLAS threads). Float32
+        traffic (1.8 against 4.0-5.9 ms at 16^3 nodes, 2 BLAS threads). Float32
         entries keep E @ x, sgemv: ssymv accumulated 3.8e-6 relative error
-        against 3.3e-7 for sgemv at 16^3 nodes. Without the bundled OpenBLAS,
-        float64 entries keep E @ x as well.
+        against 3.3e-7 for sgemv, outside the 1e-6 agreement the float32
+        sharpness quotients are held to. Without the bundled OpenBLAS, float64
+        entries keep E @ x as well.
         """
         E = self.entries
         y = _blas.dsymv(E, x) if E.dtype == np.float64 else None
