@@ -153,10 +153,10 @@ def test_walkers_capped_by_usable_cores(monkeypatch):
 GEMV_C = 2
 
 
-def _symmetric_kernel(N, seed=7):
+def _symmetric_kernel(N):
     params = make_params(1, 2.0)
     grid = sphere_grid(1, (4, 4, N // 16))
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(7)
     A = rng.uniform(size=(len(grid), len(grid)))
     return KernelMatrix(A + A.T, KernelSpec("pure_singular"), grid, params), rng
 
@@ -176,7 +176,7 @@ def test_matvec_without_bundled_openblas_is_gemv(monkeypatch):
     assert np.array_equal(K.matvec(x.astype(np.float32)), K.entries @ x.astype(np.float32))
 
 
-def test_matvec_of_any_layout_is_that_of_its_c_copy(blas_count):
+def test_matvec_of_any_layout_is_that_of_its_c_copy():
     K, rng = _symmetric_kernel(64)
     E = K.entries
     assert KernelMatrix(E, K.spec, K.grid, K.params).entries is E  # C-contiguous: no copy
