@@ -372,20 +372,28 @@ class KernelMatrix:
     time ride along so downstream consumers (solver window validation,
     serialization headers) need no extra context.
 
+    The kernel is symmetric, as the paper's kernel is (the Green function
+    has G_xi(eta) = G_eta(xi)), and only the upper triangle of entries,
+    diagonal included, holds it: every reader takes entry (i, j) with
+    i > j from (j, i) and never reads the lower triangle. assemble_kernel
+    stores each node pair once and leaves zeros below the diagonal;
+    save_kernel_csv writes the symmetric matrix, and load_kernel_csv
+    refuses a file whose entries are not bitwise symmetric. A matrix
+    built whole, both triangles equal, works unchanged. The constructor
+    checks neither triangle. It refuses entries that are not float32 or
+    float64 and makes them C-contiguous, which copies nothing for
+    assembled or loaded kernels.
+
     matvec and row_power_sums are the only readers of the entries outside
     this module, so a float32 kernel is multiplied in float32 everywhere,
-    the solver and the identity checks alike. The entries are symmetric,
-    E == E^T, as the paper's kernel is (the Green function has
-    G_xi(eta) = G_eta(xi)): the solver applies E for the symmetrized
-    action (E + E^T) / 2, row_power_sums takes column sums as row sums,
-    and a float64 matvec reads only the upper triangle. assemble_kernel
-    stores each node pair's value twice, so its entries are bitwise
-    symmetric, and load_kernel_csv refuses a file whose entries are not.
-    The constructor does not check, because an exact tiled comparison of
-    E with E^T took 0.27-0.28 s against 0.56-0.81 s for assembling the
-    24^3 float32 kernel on two walker threads (2-vCPU host): up to half an
-    assembly more. It makes the entries C-contiguous, which copies nothing
-    for assembled or loaded kernels.
+    the solver and the identity checks alike. The solver applies the
+    kernel for the symmetrized action (E + E^T) / 2. matvec reads one
+    triangle through ssymv or dsymv. ssymv's elementwise error is larger
+    than sgemv's, up to 2.8e-6 against 5.0e-7 relative at 16^3 to 24^3
+    sphere nodes, but the Rayleigh quotient of the constant function, a
+    weighted sum of the product, stays within 7.7e-9 of its value with
+    float64 sums (7.4e-10 with sgemv): far inside the 1e-6 agreement the
+    float32 sharpness quotients are held to.
     """
 
     entries: np.ndarray
@@ -399,53 +407,68 @@ class KernelMatrix:
         N = len(self.grid)
         if self.entries.shape != (N, N):
             raise ValueError(f"entries must have shape ({N}, {N}), got {self.entries.shape}")
+        if self.entries.dtype not in (np.float32, np.float64):  # the dtypes symv multiplies
+            raise ValueError(f"entries must be float32 or float64, got {self.entries.dtype}")
         self.entries = np.ascontiguousarray(self.entries)
 
     def __len__(self) -> int:
         return int(self.entries.shape[0])
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """E @ x in the entries' dtype (x is cast to it), returned as float64.
+        """E @ x for the symmetric E of the upper triangle, x cast to the entries' dtype,
+        returned as float64.
 
-        Float64 entries go to numpy's bundled OpenBLAS dsymv, which reads the
-        upper triangle only: by symmetry the same product, from half the memory
-        traffic (1.8 against 4.0-5.9 ms at 16^3 nodes, 2 BLAS threads). Float32
-        entries keep E @ x, sgemv: ssymv accumulated 3.8e-6 relative error
-        against 3.3e-7 for sgemv, outside the 1e-6 agreement the float32
-        sharpness quotients are held to. Without the bundled OpenBLAS, float64
-        entries keep E @ x as well.
+        numpy's bundled OpenBLAS multiplies in the entries' dtype with ssymv or dsymv,
+        which read the upper triangle only. Without it, the product is the tile walk
+        of row_power_sums at r = 1, summed in float64.
         """
         E = self.entries
-        y = _blas.dsymv(E, x) if E.dtype == np.float64 else None
+        y = _blas.symv(E, x)
         if y is None:
-            y = E @ x.astype(E.dtype, copy=False)
+            y = self._upper_sums(x.astype(E.dtype, copy=False), 1.0)
         return np.asarray(y, np.float64)
 
     def row_power_sums(self, r: float) -> np.ndarray:
         """Weighted row sums sum_j E_ij^r w_j in float64, from one walk over the tiles.
 
-        Column sums are row sums, so each tile on or above the diagonal is raised
-        to the power r once and adds its row sums and, off the diagonal, its column sums.
-        Tiles are walked as in assemble_kernel, and their sums added in tile order.
+        The powers are taken in the entries' dtype and summed in float64. A float32
+        power is within one float32 ulp of the float64 power to float32(r); with the
+        rounding of r itself it was within 2.4 float32 eps of E_ij^r on the 24^3
+        sphere kernel at r = 1.2.
         """
-        w = self.grid.weights
-        rows = np.zeros(len(self))
+        return self._upper_sums(self.grid.weights, r)
+
+    def _upper_sums(self, x: np.ndarray, r: float) -> np.ndarray:
+        """sum_j S_ij^r x_j in float64 for the symmetric S of the upper triangle.
+
+        Column sums are row sums, so each tile on or above the diagonal is raised
+        to the power r once, in the entries' dtype, and adds its row sums and, off
+        the diagonal, its column sums; a diagonal tile is read as symv reads it,
+        from its upper triangle. Tiles are walked as in assemble_kernel, and their
+        sums added in tile order.
+        """
+        out = np.zeros(len(self))
 
         def sums(tile):
             i0, i1, j0, j1 = tile
-            P = np.asarray(self.entries[i0:i1, j0:j1], dtype=np.float64)
+            P = self.entries[i0:i1, j0:j1]
+            if i0 == j0:
+                P = np.triu(P)
             if r != 1.0:
-                P = P**r
-            return tile, P @ w[j0:j1], (w[i0:i1] @ P if i0 != j0 else None)
+                P = P ** P.dtype.type(r)
+            P = np.asarray(P, dtype=np.float64)
+            if i0 == j0:
+                return tile, (P + np.triu(P, 1).T) @ x[j0:j1], None
+            return tile, P @ x[j0:j1], x[i0:i1] @ P
 
         def add(result):
             (i0, i1, j0, j1), row, col = result
-            rows[i0:i1] += row
+            out[i0:i1] += row
             if col is not None:
-                rows[j0:j1] += col
+                out[j0:j1] += col
 
         _blas.walk(sums, list(_tiles(len(self))), add)
-        return rows
+        return out
 
 
 def _check_grid(K: KernelMatrix, grid: QuadratureGrid) -> None:
@@ -458,8 +481,9 @@ def _check_grid(K: KernelMatrix, grid: QuadratureGrid) -> None:
 def _tiles(N: int):
     """(i0, i1, j0, j1) tiles of _TILE rows and columns with j0 >= i0.
 
-    One tile per unordered pair of row and column ranges: read also
-    transposed off the diagonal, they cover a symmetric N x N matrix.
+    One tile per unordered pair of row and column ranges: they cover the
+    upper triangle of an N x N matrix, and off the diagonal every tile
+    lies wholly above it.
     """
     for i0 in range(0, N, _TILE):
         for j0 in range(i0, N, _TILE):
@@ -511,10 +535,11 @@ def assemble_kernel(
     quotients built on these matrices converge to their continuum values
     from below. Both kernel models are symmetric in the node pair (the
     green_model mass enters as the pair mean), so only the tiles on and
-    above the diagonal are evaluated and each is also stored transposed:
-    every node pair is evaluated once and the stored entries are bitwise
-    symmetric. Tiles write disjoint entries, so _blas.walk spreads them over
-    _blas.walkers threads, with BLAS on one thread meanwhile.
+    above the diagonal are evaluated and stored: every node pair is
+    evaluated and stored once, in the upper triangle, and the lower
+    triangle stays zero (see KernelMatrix). Tiles write disjoint entries,
+    so _blas.walk spreads them over _blas.walkers threads, with BLAS on
+    one thread meanwhile.
 
     Raises ValueError before allocating when the N x N entries exceed
     physical memory, or when they and the walk's scratch (_assembly_bytes)
@@ -544,7 +569,7 @@ def assemble_kernel(
             )
 
     Q, alpha, n = params.Q, params.alpha, params.n
-    entries = np.empty((N, N), dtype=dtype)
+    entries = np.zeros((N, N), dtype=dtype)
 
     def fill(bounds):
         i0, i1, j0, j1 = bounds
@@ -571,13 +596,8 @@ def assemble_kernel(
                     f"{g.flat[flat_min]:.6e}"
                 )
             tile = g ** ((Q - alpha) / (Q - 2))
-        if i0 != j0:
-            entries[i0:i1, j0:j1] = tile
-            entries[j0:j1, i0:i1] = tile.T
-        else:
-            # zero diagonal, strict upper triangle mirrored exactly (x + 0 == x)
-            upper = np.triu(tile, 1)
-            entries[i0:i1, j0:j1] = upper + upper.T
+        # zero diagonal: the strict upper triangle of a diagonal tile
+        entries[i0:i1, j0:j1] = tile if i0 != j0 else np.triu(tile, 1)
 
     _blas.walk(fill, list(_tiles(N)), lambda done: None)
     return KernelMatrix(entries=entries, spec=spec, grid=grid, params=params)
@@ -647,12 +667,15 @@ def load_grid_csv(path) -> QuadratureGrid:
 def save_kernel_csv(kernel: KernelMatrix, path) -> None:
     """Write a kernel matrix as CSV, row-major, header line "N,kind,alpha,dtype".
 
-    Intended for modest N; the file holds N^2 floats in plain text.
+    The rows are those of the symmetric matrix, mirrored from the upper
+    triangle. Intended for modest N; the file holds N^2 floats in plain text.
     """
+    E = kernel.entries
     with open(path, "w") as fh:
         alpha = _FLOAT_FMT % kernel.params.alpha
-        fh.write(f"{len(kernel)},{kernel.spec.kind},{alpha},{kernel.entries.dtype.name}\n")
-        for row in np.asarray(kernel.entries, dtype=np.float64):
+        fh.write(f"{len(kernel)},{kernel.spec.kind},{alpha},{E.dtype.name}\n")
+        for i in range(len(E)):
+            row = np.concatenate((E[:i, i], E[i, i:])).astype(np.float64)
             fh.write(",".join(_FLOAT_FMT % v for v in row) + "\n")
 
 

@@ -147,9 +147,9 @@ def solve_subcritical(
     D_prev = None
     f, y, D = evaluate(f / lp_norm(f, grid, p))
     # the first product stands in for a scan of the entries it reads, the
-    # upper triangle for symv (float64) and all of them for gemv (float32):
-    # BLAS gives 0 * NaN = NaN, and symv adds each upper entry to both its
-    # row and its column, so a NaN there reaches y even where the start is zero
+    # upper triangle in both dtypes (ssymv, dsymv or the tile walk): BLAS
+    # gives 0 * NaN = NaN, and each upper entry is added to both its row and
+    # its column, so a NaN there reaches y even where the start is zero
     if not np.max(y) > 0.0:
         raise ValueError("kernel has no positive entry or holds NaN: no positive quotient")
     while True:

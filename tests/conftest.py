@@ -27,6 +27,27 @@ def two_node_fixture(params):
     return K.grid, K
 
 
+def symmetric(entries):
+    """The symmetric matrix a kernel's entries hold, rebuilt from their upper
+    triangle (diagonal included) as every reader of the entries takes it."""
+    return np.triu(entries) + np.triu(entries, 1).T
+
+
+def pair_kernel(grid, spec, params):
+    """The kernel of every node pair from the whole grid's distances, zero diagonal:
+    a reference for the tiled assembly, equal to it up to a few roundings."""
+    Q, alpha, n = params.Q, params.alpha, params.n
+    base = grid.dist_sq(slice(None))
+    np.fill_diagonal(base, 1.0)  # no zero to raise to a negative power
+    if spec.kind == "pure_singular":
+        K = base ** (0.5 * (alpha - Q))
+    else:
+        mean_mass = 0.5 * (spec.mass[:, None] + spec.mass[None, :])
+        K = (base ** -float(n) + mean_mass + spec.c_w * np.sqrt(base)) ** ((Q - alpha) / (Q - 2))
+    np.fill_diagonal(K, 0.0)
+    return K
+
+
 def seeded_kernel_set(params, count=120, seed=20260601):
     """The shared (kernel, p) set on which solver mechanisms are compared.
 

@@ -29,7 +29,7 @@ from crhls.functional import (
     young_bound,
 )
 from crhls.solver import continuation, default_p_schedule, solve_subcritical
-from conftest import random_sphere_kernel, two_node_fixture
+from conftest import random_sphere_kernel, symmetric, two_node_fixture
 
 
 def _report(num: int, label: str, ok: bool, detail: str) -> None:
@@ -212,7 +212,8 @@ def test_criterion_9_young_bound():
         qq = 1.0 / (inv_p + 1.0 / r - 1.0)
         C = young_bound(K, grid, r)
         f = rng.normal(size=len(grid))
-        lhs = lp_norm(np.asarray(K.entries, dtype=np.float64) @ (f * grid.weights), grid, qq)
+        E = np.asarray(symmetric(K.entries), dtype=np.float64)
+        lhs = lp_norm(E @ (f * grid.weights), grid, qq)
         rhs = C * lp_norm(f, grid, p)
         worst_ratio = max(worst_ratio, lhs / rhs)
         if lhs > rhs * (1.0 + 1e-12):

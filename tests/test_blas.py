@@ -1,6 +1,7 @@
 """numpy's bundled OpenBLAS: the threaded tile walk (same bits on one or two walkers,
-first error in walk order, the BLAS thread count restored after every walk) and the
-float64 products through dsymv beside their E @ x fallback."""
+first error in walk order, the BLAS thread count restored after every walk), the
+products through ssymv and dsymv beside their tile-walk fallback, and the readers of
+a kernel's entries, which ignore its lower triangle."""
 
 import os
 import sys
@@ -21,7 +22,9 @@ from crhls.discretization import (
     cylinder_grid,
     sphere_grid,
 )
-from crhls.functional import young_bound
+from crhls.functional import rayleigh_quotient, young_bound
+from crhls.solver import solve_subcritical
+from conftest import symmetric
 
 
 @pytest.fixture
@@ -149,31 +152,38 @@ def test_walkers_capped_by_usable_cores(monkeypatch):
     assert threading.active_count() == threads
 
 
-# two float64 products within the standard GEMV bound of each other, as in test_properties
+# two products in one dtype within the standard GEMV bound of each other, as in test_properties
 GEMV_C = 2
 
 
-def _symmetric_kernel(N):
+def _symmetric_kernel(N, dtype=np.float64):
     params = make_params(1, 2.0)
     grid = sphere_grid(1, (4, 4, N // 16))
     rng = np.random.default_rng(7)
     A = rng.uniform(size=(len(grid), len(grid)))
-    return KernelMatrix(A + A.T, KernelSpec("pure_singular"), grid, params), rng
+    return KernelMatrix((A + A.T).astype(dtype), KernelSpec("pure_singular"), grid, params), rng
 
 
-def _close(y, E, x):
-    bound = GEMV_C * len(x) * np.finfo(np.float64).eps * (np.abs(E) @ np.abs(x))
-    return np.all(np.abs(y - E @ x) <= bound)
+def _close(y, S, x):
+    """y within the GEMV bound of S @ x, both taken in S's dtype."""
+    x = x.astype(S.dtype)
+    bound = GEMV_C * len(x) * np.finfo(S.dtype).eps * (np.abs(S).astype(np.float64) @ np.abs(x))
+    return np.all(np.abs(y - S @ x) <= bound)
 
 
-def test_matvec_without_bundled_openblas_is_gemv(monkeypatch):
-    K, rng = _symmetric_kernel(64)
-    x = rng.standard_normal(len(K))
-    assert _close(K.matvec(x), K.entries, x)
+def test_matvec_without_bundled_openblas_walks_the_tiles(monkeypatch, small_walks):
+    # the fallback product is row_power_sums' walk over the upper triangle at
+    # r = 1, summed in float64 whatever the entries' dtype
+    params = make_params(1, 2.0)
+    grid = sphere_grid(1, (5, 5, 5))  # 8 x 8 tiles of 16, ragged 13-node edges
+    x = np.random.default_rng(7).standard_normal(len(grid))
     monkeypatch.setattr(_blas, "_openblas", lambda: None)
-    assert _blas.dsymv(K.entries, x) is None
-    assert np.array_equal(K.matvec(x), K.entries @ x)
-    assert np.array_equal(K.matvec(x.astype(np.float32)), K.entries @ x.astype(np.float32))
+    for dtype in (np.float32, np.float64):
+        K = assemble_kernel(grid, KernelSpec("pure_singular"), params, dtype=dtype)
+        assert _blas.symv(K.entries, x) is None
+        assert _close(K.matvec(x), symmetric(K.entries).astype(np.float64), x.astype(dtype))
+    # float64 weights are not cast, so the product is row_power_sums(1) bit for bit
+    assert np.array_equal(K.matvec(grid.weights), K.row_power_sums(1.0))
 
 
 def test_matvec_of_any_layout_is_that_of_its_c_copy():
@@ -191,14 +201,16 @@ def test_matvec_of_any_layout_is_that_of_its_c_copy():
 
 
 def test_dsymv_refuses_layouts_it_cannot_read(blas_count):
+    # symv serves dsymv and ssymv: both dtypes go through the same checks
     K, rng = _symmetric_kernel(64)
     E, x = K.entries, rng.standard_normal(len(K))
-    for bad in (np.asfortranarray(E), E[:, :-1], E.astype(np.float32)):
-        with pytest.raises(ValueError, match="C-contiguous square float64"):
-            _blas.dsymv(bad, x)
-    for bad in (x[:-1], np.ones((len(x), 2))):
-        with pytest.raises(ValueError, match="length-64 vector"):
-            _blas.dsymv(E, bad)
+    for A in (E, E.astype(np.float32)):
+        for bad in (np.asfortranarray(A), A[:, :-1], A.astype(np.float16)):
+            with pytest.raises(ValueError, match="C-contiguous square float32 or float64"):
+                _blas.symv(bad, x)
+        for bad in (x[:-1], np.ones((len(x), 2))):
+            with pytest.raises(ValueError, match="length-64 vector"):
+                _blas.symv(A, bad)
     # entries swapped in after construction go through the same check
     K.entries = np.asfortranarray(E)
     with pytest.raises(ValueError, match="C-contiguous"):
@@ -206,14 +218,38 @@ def test_dsymv_refuses_layouts_it_cannot_read(blas_count):
 
 
 def test_dsymv_reads_the_upper_triangle_on_one_and_two_threads(blas_count):
-    K, rng = _symmetric_kernel(1024)  # large enough for OpenBLAS to split dsymv over threads
-    E, x = K.entries, rng.standard_normal(len(K))
-    lower = np.tril_indices(len(E), -1)
-    scrambled = E.copy()
-    scrambled[lower] = np.nan
-    for count in (1, 2):
-        with _blas.blas_threads(count):
-            y = K.matvec(x)
-            assert _close(y, E, x)
-            assert all(np.array_equal(K.matvec(x), y) for _ in range(3))  # same bits on rerun
-            assert np.array_equal(_blas.dsymv(scrambled, x), y)
+    # and ssymv: OpenBLAS splits both over threads at this size
+    for dtype in (np.float64, np.float32):
+        K, rng = _symmetric_kernel(1024, dtype)
+        E, x = K.entries, rng.standard_normal(len(K))
+        scrambled = E.copy()
+        scrambled[np.tril_indices(len(E), -1)] = np.nan
+        for count in (1, 2):
+            with _blas.blas_threads(count):
+                y = K.matvec(x)
+                assert _close(y, E, x)
+                assert all(np.array_equal(K.matvec(x), y) for _ in range(3))  # same bits on rerun
+                assert np.array_equal(_blas.symv(scrambled, x), y)
+
+
+@pytest.mark.parametrize("bundled", [True, False], ids=["symv", "tile_walk"])
+def test_readers_ignore_the_lower_triangle(monkeypatch, small_walks, bundled):
+    # every reader of an assembled kernel returns the same bits with NaN below the diagonal
+    if not bundled:
+        monkeypatch.setattr(_blas, "_openblas", lambda: None)
+    params = make_params(1, 2.0)
+    grid = sphere_grid(1, (5, 5, 5))  # 8 x 8 tiles of 16, ragged 13-node edges
+    x = np.random.default_rng(3).standard_normal(len(grid))
+    f = np.linspace(0.5, 1.5, len(grid))
+
+    def readings(K):
+        res = solve_subcritical(K, grid, 1.5, max_iter=40)
+        return (K.matvec(x), K.row_power_sums(1.2), young_bound(K, grid, 1.2),
+                rayleigh_quotient(K, f, params.q_alpha), res.f, res.D_estimate, res.iterations)
+
+    for dtype in (np.float32, np.float64):
+        K = assemble_kernel(grid, KernelSpec("pure_singular"), params, dtype=dtype)
+        before = readings(K)
+        K.entries[np.tril_indices(len(grid), -1)] = np.nan
+        after = readings(K)
+        assert all(np.array_equal(a, b) for a, b in zip(before, after)), dtype

@@ -17,7 +17,7 @@ from crhls.discretization import (
     save_kernel_csv,
     sphere_grid,
 )
-from conftest import random_sphere_grid
+from conftest import pair_kernel, random_sphere_grid, symmetric
 
 
 def test_kernel_spec_validation():
@@ -47,26 +47,27 @@ def test_assemble_zero_diagonal_and_symmetry():
     g = sphere_grid(1, (6, 6, 6))
     K = assemble_kernel(g, KernelSpec("pure_singular"), p)
     assert np.all(np.diag(K.entries) == 0.0)
-    assert np.array_equal(K.entries, K.entries.T)
-    off = K.entries[~np.eye(len(g), dtype=bool)]
+    assert not np.tril(K.entries, -1).any()  # each pair is stored once, above the diagonal
+    off = symmetric(K.entries)[~np.eye(len(g), dtype=bool)]
     assert np.all(off > 0.0)
     assert len(K) == len(g)
 
 
-def test_assembled_kernels_bitwise_symmetric():
-    # the solver applies E alone for (E + E^T) / 2, so E == E^T must hold
-    # by construction on every assembled kernel
+def test_assembled_kernels_store_the_upper_triangle():
+    # the kernel is symmetric in the node pair, so each pair is evaluated and
+    # stored once: the upper triangle holds the pair's value, the rest is zero
     p = make_params(1, 2.0)
     sphere, cyl = sphere_grid(1, (6, 6, 6)), cylinder_grid(1.5, (5, 4, 5), p)
     for g in (sphere, cyl):
         mass = np.full(len(g), 0.7)
-        for spec in (KernelSpec("pure_singular"), KernelSpec("green_model", mass=mass, c_w=0.3)):
-            K = assemble_kernel(g, spec, p)
-            assert np.array_equal(K.entries, K.entries.T), (g.kind, spec.kind)
-    # per-node mass enters as the pair mean, so it is symmetric too
-    ramp = KernelSpec("green_model", mass=np.linspace(0.0, 1.0, len(sphere)))
-    K = assemble_kernel(sphere, ramp, p)
-    assert np.array_equal(K.entries, K.entries.T)
+        ramp = np.linspace(0.0, 1.0, len(g))  # per-node mass enters as the pair mean
+        for spec in (KernelSpec("pure_singular"), KernelSpec("green_model", mass=mass, c_w=0.3),
+                     KernelSpec("green_model", mass=ramp)):
+            E = assemble_kernel(g, spec, p).entries
+            assert not np.tril(E).any(), (g.kind, spec.kind)
+            upper = np.triu_indices(len(g), 1)
+            reference = pair_kernel(g, spec, p)[upper]
+            assert np.allclose(E[upper], reference, rtol=1e-13, atol=0), (g.kind, spec.kind)
 
 
 def test_assemble_pure_matches_distance_power():
@@ -99,7 +100,7 @@ def test_green_model_mass_monotone():
     K0 = assemble_kernel(g, KernelSpec("green_model", mass=m0, c_w=0.0), p)
     K1 = assemble_kernel(g, KernelSpec("green_model", mass=3.0 * m0, c_w=0.0), p)
     off = ~np.eye(len(g), dtype=bool)
-    assert np.all(K1.entries[off] > K0.entries[off])
+    assert np.all(symmetric(K1.entries)[off] > symmetric(K0.entries)[off])
 
 
 def test_green_model_pair_mean_mass_does_not_overflow():
@@ -108,7 +109,7 @@ def test_green_model_pair_mean_mass_does_not_overflow():
     g = sphere_grid(1, (4, 4, 4))
     K = assemble_kernel(g, KernelSpec("green_model", mass=np.full(len(g), 1e308)), p)
     off = ~np.eye(len(g), dtype=bool)
-    assert np.all(K.entries[off] == 1e308)
+    assert np.all(symmetric(K.entries)[off] == 1e308)
 
 
 def test_green_model_assembly_requires_mass():
@@ -247,13 +248,13 @@ def test_cylinder_kernel_uses_group_distance(monkeypatch):
                             z=z, t=rng.standard_normal(60))]
     for g in grids:
         p = make_params(g.n, 2.0)
-        K = assemble_kernel(g, KernelSpec("pure_singular"), p)
+        E = symmetric(assemble_kernel(g, KernelSpec("pure_singular"), p).entries)
         nodes = g.nodes
         for i, u in enumerate(nodes):
             for j, v in enumerate(nodes):
                 if i != j:
                     d = hdist(u, v)
-                    assert K.entries[i, j] == pytest.approx(d ** (p.alpha - p.Q), rel=1e-12)
+                    assert E[i, j] == pytest.approx(d ** (p.alpha - p.Q), rel=1e-12)
 
 
 def test_kernel_matrix_shape_guard():
@@ -262,6 +263,9 @@ def test_kernel_matrix_shape_guard():
     with pytest.raises(ValueError):
         KernelMatrix(entries=np.zeros((3, 3)), spec=KernelSpec("pure_singular"),
                      grid=g, params=p)
+    for dtype in (np.float16, np.int64):
+        with pytest.raises(ValueError, match="float32 or float64"):
+            KernelMatrix(np.zeros((64, 64), dtype), KernelSpec("pure_singular"), g, p)
 
 
 def test_kernel_matrix_refuses_params_of_other_n(tmp_path):
@@ -287,8 +291,10 @@ def test_kernel_csv_round_trip(tmp_path):
     path = tmp_path / "kernel.csv"
     save_kernel_csv(K, path)
     K2 = load_kernel_csv(path, g, p)
-    assert np.array_equal(K2.entries, K.entries)
+    assert np.array_equal(K2.entries, symmetric(K.entries))
     assert K2.spec.kind == "green_model"
+    x = np.random.default_rng(4).standard_normal(len(g))
+    assert np.array_equal(K2.matvec(x), K.matvec(x))
 
 
 def test_kernel_csv_keeps_float32(tmp_path):
@@ -300,7 +306,26 @@ def test_kernel_csv_keeps_float32(tmp_path):
     assert path.read_text().splitlines()[0] == f"{len(g)},pure_singular,2,float32"
     K2 = load_kernel_csv(path, g, p)
     assert K2.entries.dtype == np.float32
-    assert np.array_equal(K2.entries, K.entries)
+    assert np.array_equal(K2.entries, symmetric(K.entries))
+    x = np.random.default_rng(4).standard_normal(len(g))
+    assert np.array_equal(K2.matvec(x), K.matvec(x))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_kernel_csv_writes_the_symmetric_matrix(tmp_path, dtype):
+    # the file format does not depend on the storage: rows of the symmetric
+    # matrix, 17 significant digits of each entry's float64 value
+    p = make_params(1, 1.3)
+    g = cylinder_grid(1.5, (4, 4, 4), p)
+    spec = KernelSpec("green_model", mass=np.linspace(0.0, 1.0, len(g)), c_w=0.2)
+    K = assemble_kernel(g, spec, p, dtype=dtype)
+    path = tmp_path / "kernel.csv"
+    save_kernel_csv(K, path)
+    rows = symmetric(K.entries).astype(np.float64)
+    expected = f"{len(g)},green_model,1.3,{np.dtype(dtype).name}\n" + "".join(
+        ",".join("%.17g" % v for v in row) + "\n" for row in rows
+    )
+    assert path.read_bytes() == expected.encode()
 
 
 @pytest.mark.parametrize("header", ["{N},pure_singular,2", "{N},pure_singular,2,int64",
@@ -319,12 +344,17 @@ def test_kernel_csv_refuses_header_without_a_float_dtype(tmp_path, header):
 def test_kernel_csv_rejects_asymmetric_entries(tmp_path):
     p = make_params(1, 2.0)
     g = sphere_grid(1, (4, 4, 4))
-    E = assemble_kernel(g, KernelSpec("pure_singular"), p).entries.copy()
+    E = assemble_kernel(g, KernelSpec("pure_singular"), p).entries
     path = tmp_path / "kernel.csv"
     save_kernel_csv(KernelMatrix(E, KernelSpec("pure_singular"), g, p), path)
     load_kernel_csv(path, g, p)
-    E[3, 17] = np.nextafter(E[3, 17], np.inf)  # one entry off by one ulp
-    save_kernel_csv(KernelMatrix(E, KernelSpec("pure_singular"), g, p), path)
+    # save_kernel_csv writes a symmetric matrix, so the file is edited: one
+    # entry of row 3 off by one ulp
+    lines = path.read_text().splitlines(keepends=True)
+    row = lines[1 + 3].rstrip("\n").split(",")
+    row[17] = "%.17g" % np.nextafter(E[3, 17], np.inf)
+    lines[1 + 3] = ",".join(row) + "\n"
+    path.write_text("".join(lines))
     with pytest.raises(ValueError, match="symmetric"):
         load_kernel_csv(path, g, p)
 

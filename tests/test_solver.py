@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+from crhls import _blas
 from crhls.core import make_params, sharp_constant_DH
 from crhls.discretization import (
     KernelMatrix,
@@ -139,7 +140,7 @@ def test_matvecs_one_product_per_evaluation_when_symmetric(params_n1, monkeypatc
         assert all(c is kernel for c in calls)
 
 
-def test_solver_validation(params_n1):
+def test_solver_validation(params_n1, monkeypatch):
     grid, K = two_node_fixture(params_n1)
     q = params_n1.q_alpha
     for bad_p in (q, 2.0, 2.5, 1.0):
@@ -164,17 +165,21 @@ def test_solver_validation(params_n1):
     with pytest.raises(ValueError, match="no positive entry"):
         solve_subcritical(K0, grid, 1.5)
     K0.entries = np.array([[np.nan, 1.0], [1.0, 0.0]])  # a positive entry beside NaN
-    with pytest.raises(ValueError, match="NaN"):
-        solve_subcritical(K0, grid, 1.5)
-    # the first product finds a NaN even in a column the warm start zeroes: 0 * NaN is NaN
-    with pytest.raises(ValueError, match="NaN"):
-        solve_subcritical(K0, grid, 1.5, f0=np.array([0.0, 1.0]))
+    # through dsymv, and through the tile walk that replaces it without the bundled OpenBLAS
+    for bundled in (True, False):
+        if not bundled:
+            monkeypatch.setattr(_blas, "_openblas", lambda: None)
+        with pytest.raises(ValueError, match="NaN"):
+            solve_subcritical(K0, grid, 1.5)
+        # the first product finds a NaN even in a column the warm start zeroes: 0 * NaN is NaN
+        with pytest.raises(ValueError, match="NaN"):
+            solve_subcritical(K0, grid, 1.5, f0=np.array([0.0, 1.0]))
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_solver_refuses_nan_in_upper_triangle(params_n1, dtype):
-    # a float64 product reads the upper triangle only: a NaN there is found on
-    # every row and column, also where the warm start is zero (0 * NaN is NaN)
+    # a product reads the upper triangle only: a NaN there is found on every
+    # row and column, also where the warm start is zero (0 * NaN is NaN)
     grid = sphere_grid(1, (6, 6, 6))
     K = assemble_kernel(grid, KernelSpec("pure_singular"), params_n1, dtype=dtype)
     N = len(grid)
