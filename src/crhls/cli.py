@@ -319,13 +319,10 @@ def _run_lower_bound(cfg: dict):
 
 
 def _run_mass_experiment(cfg: dict):
-    records = [
-        mass_perturbation_experiment(
-            A0, cfg["c_w"], cfg["alpha"], cfg["resolution"],
-            tol=cfg["tol"], max_iter=cfg["max_iter"],
-        )
-        for A0 in cfg["A0_list"]
-    ]
+    records = mass_perturbation_experiment(
+        cfg["A0_list"], cfg["c_w"], cfg["alpha"], cfg["resolution"],
+        tol=cfg["tol"], max_iter=cfg["max_iter"],
+    )
     deltas = [r.delta for r in records]
     results = {
         "runs": [r.to_dict() for r in records],
@@ -362,18 +359,13 @@ def _random_sphere_grid(n_nodes: int, min_sep: float, rng):
     return QuadratureGrid(kind="sphere", n=1, weights=weights, resolution=(n_nodes,), xi=nodes)
 
 
-def _random_sphere_kernel(n_nodes: int, min_sep: float, params, rng):
-    """Pure singular kernel on a _random_sphere_grid."""
-    grid = _random_sphere_grid(n_nodes, min_sep, rng)
-    return assemble_kernel(grid, KernelSpec("pure_singular"), params)
-
-
 def _run_covariance_check(cfg: dict):
     if cfg["pairs"] < 1:
         raise ValueError(f"pairs must be at least 1, got {cfg['pairs']}")
     rng = np.random.default_rng(cfg["seed"])
     params = make_params(1, cfg["alpha"])
-    K = _random_sphere_kernel(cfg["nodes"], cfg["min_sep"], params, rng)
+    grid = _random_sphere_grid(cfg["nodes"], cfg["min_sep"], rng)
+    K = assemble_kernel(grid, KernelSpec("pure_singular"), params)
     N = len(K)
     residuals = []
     for _ in range(cfg["pairs"]):
@@ -382,7 +374,7 @@ def _run_covariance_check(cfg: dict):
         else:
             phi = np.exp(rng.uniform(-0.7, 0.7, N))
         u = rng.standard_normal(N)
-        residuals.append(conformal_covariance_check(K, K.grid, phi, u, params))
+        residuals.append(conformal_covariance_check(K, grid, phi, u, params))
     worst = max(residuals)
     results = {
         "max_residual": worst,

@@ -203,46 +203,52 @@ class MassPerturbationResult(_Record):
 
 
 def mass_perturbation_experiment(
-    A0: float,
+    A0_list,
     c_w: float,
     alpha: float,
     resolution,
     tol: float = 1e-9,
     max_iter: int = 10000,
-) -> MassPerturbationResult:
-    """Compare critical-limit quotients of the mass-shifted and pure kernels.
+) -> list[MassPerturbationResult]:
+    """Compare critical-limit quotients of mass-shifted kernels with the pure one.
 
     Runs warm-started continuation down to p = q_alpha + 1e-3 on the CR
-    sphere (n = 1) for the green_model kernel with constant mass A0 and
-    for the pure singular kernel, and reports both endpoint quotients and
-    their difference. A positive mass dominates the pure kernel entrywise,
-    so delta > 0 for A0 > 0 and delta = 0 exactly for A0 = 0.
+    sphere (n = 1) for the pure singular kernel once and, for each A0 of the
+    sweep (a number is a one-entry sweep), for the green_model kernel with
+    constant mass A0; returns one record per A0. A positive mass dominates
+    the pure kernel entrywise, so delta > 0 for A0 > 0 and delta = 0
+    exactly for A0 = 0. Every A0 is checked before any assembly.
     """
-    A0 = float(A0)
-    if A0 < 0.0:
-        raise ValueError(f"A0 must be nonnegative, got {A0}")
+    masses = [float(A0) for A0 in np.atleast_1d(A0_list)]
+    if not masses:
+        raise ValueError("A0_list must not be empty")
+    for A0 in masses:
+        if A0 < 0.0:
+            raise ValueError(f"A0 must be nonnegative, got {A0}")
     params = make_params(1, alpha)
     grid = sphere_grid(1, resolution)
     schedule = default_p_schedule(params)
-    mass = np.full(len(grid), A0)
-    K_mass = assemble_kernel(grid, KernelSpec("green_model", mass=mass, c_w=c_w), params)
-    K_pure = assemble_kernel(grid, KernelSpec("pure_singular"), params)
-    runs_mass = continuation(K_mass, grid, schedule, tol=tol, max_iter=max_iter)
-    runs_pure = continuation(K_pure, grid, schedule, tol=tol, max_iter=max_iter)
-    qm = runs_mass[-1].D_estimate
+    specs = [KernelSpec("green_model", mass=np.full(len(grid), A0), c_w=c_w) for A0 in masses]
+    runs_pure, *runs_mass = [
+        continuation(assemble_kernel(grid, spec, params), grid, schedule, tol=tol, max_iter=max_iter)
+        for spec in [KernelSpec("pure_singular"), *specs]
+    ]
     qp = runs_pure[-1].D_estimate
-    return MassPerturbationResult(
-        alpha=params.alpha,
-        A0=A0,
-        c_w=float(c_w),
-        resolution=tuple(grid.resolution),
-        n_nodes=len(grid),
-        p_endpoint=schedule[-1],
-        quotient_mass=qm,
-        quotient_pure=qp,
-        delta=qm - qp,
-        all_converged=all(r.converged for r in runs_mass + runs_pure),
-    )
+    return [
+        MassPerturbationResult(
+            alpha=params.alpha,
+            A0=A0,
+            c_w=float(c_w),
+            resolution=tuple(grid.resolution),
+            n_nodes=len(grid),
+            p_endpoint=schedule[-1],
+            quotient_mass=runs[-1].D_estimate,
+            quotient_pure=qp,
+            delta=runs[-1].D_estimate - qp,
+            all_converged=all(r.converged for r in runs + runs_pure),
+        )
+        for A0, runs in zip(masses, runs_mass)
+    ]
 
 
 def _identity_inputs(K: KernelMatrix, grid: QuadratureGrid, params: Params, **values):

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from crhls.cli import _random_sphere_grid, _random_sphere_kernel, _two_node_fixture
+from crhls.cli import _random_sphere_grid, _two_node_fixture
 from crhls.core import make_params
-from crhls.discretization import KernelMatrix, KernelSpec
+from crhls.discretization import KernelMatrix, KernelSpec, assemble_kernel
 
 
 @pytest.fixture
@@ -17,8 +17,9 @@ random_sphere_grid = _random_sphere_grid
 
 
 def random_sphere_kernel(n_nodes, min_sep, rng, params):
-    K = _random_sphere_kernel(n_nodes, min_sep, params, rng)
-    return K.grid, K
+    """Pure singular kernel on random sphere nodes, built as covariance-check builds it."""
+    grid = _random_sphere_grid(n_nodes, min_sep, rng)
+    return grid, assemble_kernel(grid, KernelSpec("pure_singular"), params)
 
 
 def two_node_fixture(params):
@@ -64,7 +65,7 @@ def seeded_kernel_set(params, count=120, seed=20260601):
     for k in range(count):
         N = int(rng.integers(3, 60))
         if k % 2 == 0:
-            K = _random_sphere_kernel(N, 0.1, params, rng)
+            _, K = random_sphere_kernel(N, 0.1, rng, params)
         else:
             entries = rng.uniform(size=(N, N))
             np.fill_diagonal(entries, 0.0)

@@ -165,12 +165,9 @@ def test_criterion_6_continuation_limit(sphere_quotient_32):
 
 
 def test_criterion_7_positive_mass_strict_inequality():
-    deltas = []
-    converged = True
-    for A0 in (0.5, 1.0, 2.0):
-        res = mass_perturbation_experiment(A0, 0.0, 2.0, (8, 6, 8))
-        deltas.append(res.delta)
-        converged = converged and res.all_converged
+    records = mass_perturbation_experiment((0.5, 1.0, 2.0), 0.0, 2.0, (8, 6, 8))
+    deltas = [res.delta for res in records]
+    converged = all(res.all_converged for res in records)
     positive = all(d > 0.0 for d in deltas)
     nondecreasing = all(b >= a for a, b in zip(deltas, deltas[1:]))
     ok = converged and positive and nondecreasing

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from crhls import experiments
 from crhls.core import make_params
 from crhls.discretization import KernelSpec, QuadratureGrid, assemble_kernel, sphere_grid
 from crhls.experiments import (
@@ -112,7 +113,7 @@ def test_eps_invariance_validation(params_n1):
 
 
 def test_mass_perturbation_zero_mass_is_exactly_neutral():
-    res = mass_perturbation_experiment(0.0, 0.0, 2.0, (6, 6, 6))
+    (res,) = mass_perturbation_experiment(0.0, 0.0, 2.0, (6, 6, 6))
     assert res.delta == 0.0
     assert res.quotient_mass == res.quotient_pure
     assert res.all_converged
@@ -121,16 +122,58 @@ def test_mass_perturbation_zero_mass_is_exactly_neutral():
 def test_mass_perturbation_positive_mass_raises_quotient():
     deltas = []
     for A0 in (0.5, 1.0):
-        res = mass_perturbation_experiment(A0, 0.0, 2.0, (6, 6, 6))
+        (res,) = mass_perturbation_experiment([A0], 0.0, 2.0, (6, 6, 6))
         assert res.all_converged
         assert res.delta > 0.0
         deltas.append(res.delta)
     assert deltas[1] > deltas[0]
 
 
-def test_mass_perturbation_validation():
-    with pytest.raises(ValueError):
-        mass_perturbation_experiment(-0.5, 0.0, 2.0, (6, 6, 6))
+@pytest.fixture
+def solve_calls(monkeypatch):
+    """Counts of the calls the mass sweep makes to assemble_kernel and continuation."""
+    calls = {"assemble_kernel": 0, "continuation": 0}
+
+    def counting(name):
+        real = getattr(experiments, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(experiments, name, counting(name))
+    return calls
+
+
+def test_mass_perturbation_validation(solve_calls):
+    # every A0 is checked before anything is assembled
+    for A0_list, message in [
+        (-0.5, "A0 must be nonnegative, got -0.5"),
+        ([0.5, -1.0], "A0 must be nonnegative, got -1.0"),
+        ([], "A0_list must not be empty"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            mass_perturbation_experiment(A0_list, 0.0, 2.0, (6, 6, 6))
+    assert solve_calls == {"assemble_kernel": 0, "continuation": 0}
+
+
+def test_mass_sweep_records_equal_one_entry_sweeps():
+    sweep = mass_perturbation_experiment([0.0, 0.5, 1.0], 0.3, 2.0, (6, 6, 6))
+    assert [res.A0 for res in sweep] == [0.0, 0.5, 1.0]
+    for res in sweep:
+        (alone,) = mass_perturbation_experiment(res.A0, 0.3, 2.0, (6, 6, 6))
+        assert res == alone
+        assert type(res.A0) is float
+
+
+def test_mass_sweep_solves_the_pure_kernel_once(solve_calls):
+    A0_list = [0.0, 0.5, 1.0, 2.0]
+    records = mass_perturbation_experiment(A0_list, 0.0, 2.0, (4, 4, 4))
+    assert len(records) == len(A0_list)
+    assert solve_calls == {"assemble_kernel": 1 + len(A0_list), "continuation": 1 + len(A0_list)}
 
 
 def test_conformal_covariance_residual_is_roundoff(params_n1):
