@@ -15,8 +15,7 @@ a JSON config file passed with --config, explicit flags. Exit codes:
 0 success, 2 validation error, 3 failed convergence or failed check when
 --strict is set.
 
-Thread control: --threads (or the CRHLS_THREADS environment variable,
-which the flag overrides) sets the thread count of numpy's bundled
+Thread control: --threads sets the thread count of numpy's bundled
 OpenBLAS for the duration of the run and restores the previous count
 afterwards, so it takes effect in a process that has already imported
 numpy; capped at the usable cores, it also caps how many threads walk
@@ -72,16 +71,6 @@ _HELP = {
     "c_w": "remainder coefficient for green_model",
     "A0_list": "comma-separated mass values",
 }
-
-
-def _thread_count(flag_value) -> int | None:
-    value = flag_value if flag_value is not None else os.environ.get("CRHLS_THREADS")
-    if value is None:
-        return None
-    count = int(value)
-    if count < 1:
-        raise ValueError(f"thread count must be at least 1, got {count}")
-    return count
 
 
 def _floats(value) -> list[float]:
@@ -508,9 +497,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     command = COMMANDS[args.command]
     try:
-        threads = _thread_count(args.threads)
+        if args.threads is not None and args.threads < 1:
+            raise ValueError(f"thread count must be at least 1, got {args.threads}")
         cfg = _resolve_config(args, command)
-        with blas_threads(threads):
+        with blas_threads(args.threads):
             results, table, ok = command.run(cfg)
         summary = {"command": args.command, "config": cfg, "results": results}
         text = json.dumps(summary, indent=2, sort_keys=True) + "\n"

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _blas
-from .core import Params
+from .core import Params, make_params
 from .heisenberg import HPoint, _extremal, gauge_dist_sq
 from .sphere import SpherePoint, _sphere_extremal, sphere_dist_sq
 
@@ -384,11 +384,10 @@ class KernelMatrix:
     float64 and makes them C-contiguous, which copies nothing for
     assembled or loaded kernels.
 
-    matvec and row_power_sums are the only readers of the entries outside
-    this module, so a float32 kernel is multiplied in float32 everywhere,
-    the solver and the identity checks alike. The solver applies the
-    kernel for the symmetrized action (E + E^T) / 2. matvec reads one
-    triangle through ssymv or dsymv. ssymv's elementwise error is larger
+    matvec, row_power_sums and dtype are the only views of the entries
+    outside this module. A float32 kernel is multiplied in float32 by the
+    quotients and the identity checks; the solver refuses it. matvec reads
+    one triangle through ssymv or dsymv. ssymv's elementwise error is larger
     than sgemv's, up to 2.8e-6 against 5.0e-7 relative at 16^3 to 24^3
     sphere nodes, but the Rayleigh quotient of the constant function, a
     weighted sum of the product, stays within 7.7e-9 of its value with
@@ -413,6 +412,10 @@ class KernelMatrix:
 
     def __len__(self) -> int:
         return int(self.entries.shape[0])
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.entries.dtype
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """E @ x for the symmetric E of the upper triangle, x cast to the entries' dtype,
@@ -512,10 +515,8 @@ def _mem_available() -> int | None:
 
 
 def _pow_neg(base: np.ndarray, expo: float) -> np.ndarray:
-    if expo == -1.0:
+    if expo == -1.0:  # the bits of base**-1.0 in half the time
         return np.reciprocal(base)
-    if expo == -0.5:
-        return np.reciprocal(np.sqrt(base))
     return base**expo
 
 
@@ -588,6 +589,8 @@ def assemble_kernel(
             g += 0.5 * spec.mass[i0:i1, None] + 0.5 * spec.mass[j0:j1]
             if spec.c_w != 0.0:
                 g += spec.c_w * base**0.5
+            if i0 == j0:
+                np.fill_diagonal(g, 1.0)  # a node is no pair: its dropped cell is not checked
             flat_min = int(np.argmin(g))
             if g.flat[flat_min] <= 0.0:
                 r, c = divmod(flat_min, j1 - j0)
@@ -679,14 +682,15 @@ def save_kernel_csv(kernel: KernelMatrix, path) -> None:
             fh.write(",".join(_FLOAT_FMT % v for v in row) + "\n")
 
 
-def load_kernel_csv(path, grid: QuadratureGrid, params: Params) -> KernelMatrix:
+def load_kernel_csv(path, grid: QuadratureGrid) -> KernelMatrix:
     """Load a kernel written by save_kernel_csv onto its grid.
 
-    The header is validated against the grid size and params, the
-    entries come back in the saved dtype (float32 or float64), and they
-    must be finite, nonnegative and bitwise symmetric, as saved assembled
-    kernels are. green_model mass values are not stored in the CSV; the
-    loaded spec carries only the kind label.
+    The header is validated against the grid size, and the params are
+    those of the grid's n and the header's alpha. The entries come back
+    in the saved dtype (float32 or float64), and they must be finite,
+    nonnegative and bitwise symmetric, as saved assembled kernels are.
+    green_model mass values are not stored in the CSV; the loaded spec
+    carries only the kind label.
     """
     with open(path) as fh:
         header = fh.readline().strip().split(",")
@@ -699,9 +703,7 @@ def load_kernel_csv(path, grid: QuadratureGrid, params: Params) -> KernelMatrix:
     N, kind, alpha = int(header[0]), header[1], float(header[2])
     if N != len(grid):
         raise ValueError(f"kernel holds {N} nodes but the grid has {len(grid)}")
-    if abs(alpha - params.alpha) > 1e-12:
-        raise ValueError(f"kernel was assembled with alpha = {alpha}, params have {params.alpha}")
-    K = KernelMatrix(entries=entries, spec=KernelSpec(kind=kind), grid=grid, params=params)
+    K = KernelMatrix(entries, KernelSpec(kind=kind), grid, make_params(grid.n, alpha))
     if not np.all(np.isfinite(entries) & (entries >= 0.0)):
         raise ValueError("kernel entries must be finite and nonnegative")
     if not np.array_equal(entries, entries.T):

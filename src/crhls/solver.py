@@ -33,6 +33,10 @@ from .functional import lp_norm
 
 # number of past residual differences an Anderson step mixes
 _ANDERSON_WINDOW = 3
+# default_p_schedule ends this far above q_alpha; another endpoint needs its own schedule
+_ENDPOINT_OFFSET = 1e-3
+# blowup_diagnostic's profile keeps the nodes within this many mu_p of the peak
+_RADIUS_FACTOR = 8.0
 
 __all__ = [
     "SubcriticalResult",
@@ -73,8 +77,8 @@ class BlowupReport:
 
     mu_p = f_max^{-(2-p)/alpha} is the predicted concentration scale. The
     profile holds the maximizer rescaled by its peak, sampled at nodes
-    within radius_factor * mu_p of the peak node, against the rescaled
-    gauge radius; profile value 1 at radius 0 is exact by construction.
+    within 8 mu_p of the peak node, against the rescaled gauge radius;
+    profile value 1 at radius 0 is exact by construction.
     profile_deviation is the sup distance to the model bubble profile
     (1 + s^2)^{-(Q+alpha)/2}, the |z|-axis section of the extremal; flat
     near-constant maximizers therefore score a large deviation.
@@ -100,7 +104,9 @@ def solve_subcritical(
     Starts from the normalized constant unless a warm start f0 is given.
     Converged means both the relative quotient change and the stationarity
     defect dropped below tol (the defect scaled by 1 + D). Hitting
-    max_iter returns converged = False rather than raising.
+    max_iter returns converged = False rather than raising. A kernel whose
+    entries are not float64 is refused: float32 products leave a rounding
+    floor above the default tol, so such a solve would run to max_iter.
     """
     p = float(p)
     q_alpha = K.params.q_alpha
@@ -109,6 +115,8 @@ def solve_subcritical(
             f"p must lie in the subcritical window (q_alpha, 2) = ({q_alpha:.6f}, 2), got p = {p}"
         )
     _check_grid(K, grid)
+    if K.dtype != np.float64:
+        raise ValueError(f"the solver needs a float64 kernel, got {K.dtype} entries")
     if not float(tol) > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
     if int(max_iter) < 1:
@@ -215,12 +223,12 @@ def solve_subcritical(
     )
 
 
-def default_p_schedule(params: Params, endpoint_offset: float = 1e-3) -> list[float]:
-    """Decreasing exponent schedule from mid-window down to q_alpha + offset."""
+def default_p_schedule(params: Params) -> list[float]:
+    """Decreasing exponents from mid-window down to q_alpha + 1e-3, for windows wider than 1e-3."""
     q = params.q_alpha
-    if not 0.0 < endpoint_offset < 2.0 - q:
-        raise ValueError(f"endpoint_offset must lie in (0, {2.0 - q:.6f}), got {endpoint_offset}")
-    endpoint = q + endpoint_offset
+    if not _ENDPOINT_OFFSET < 2.0 - q:
+        raise ValueError(f"window ({q:.6f}, 2) narrower than {_ENDPOINT_OFFSET}: pass a schedule")
+    endpoint = q + _ENDPOINT_OFFSET
     schedule = [q + (2.0 - q) * fr for fr in (0.7, 0.4, 0.175, 0.04)]
     schedule = [p for p in schedule if p > endpoint * (1.0 + 1e-12)]
     schedule.append(endpoint)
@@ -260,20 +268,15 @@ def continuation(
 
 
 def blowup_diagnostic(
-    result: SubcriticalResult,
-    grid: QuadratureGrid,
-    params: Params,
-    radius_factor: float = 8.0,
+    result: SubcriticalResult, grid: QuadratureGrid, params: Params
 ) -> BlowupReport:
     """Rescale a maximizer around its peak and compare to the model bubble.
 
     The peak node (lowest index on ties) is the center; mu_p is the
-    concentration scale f_max^{-(2-p)/alpha}. Nodes within
-    radius_factor * mu_p of the center enter the profile at rescaled
-    radius dist/mu_p with value f/f_max, sorted by radius.
+    concentration scale f_max^{-(2-p)/alpha}. Nodes within 8 mu_p of the
+    center enter the profile at rescaled radius dist/mu_p with value
+    f/f_max, sorted by radius.
     """
-    if not float(radius_factor) > 0.0:
-        raise ValueError(f"radius_factor must be positive, got {radius_factor}")
     f = np.asarray(result.f, dtype=np.float64)
     if f.shape != (len(grid),):
         raise ValueError(f"result holds {f.shape} values but the grid has {len(grid)} nodes")
@@ -283,7 +286,7 @@ def blowup_diagnostic(
         raise ValueError("maximizer peak must be positive")
     mu = f_max ** (-(2.0 - result.p) / params.alpha)
     radii = distances_from_node(grid, center) / mu
-    mask = radii <= radius_factor
+    mask = radii <= _RADIUS_FACTOR
     order = np.argsort(radii[mask], kind="stable")
     rad = radii[mask][order]
     prof = (f[mask] / f_max)[order]

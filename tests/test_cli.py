@@ -23,6 +23,10 @@ from crhls.cli import (
     build_parser,
     main,
 )
+from crhls.core import make_params
+from crhls.discretization import KernelSpec, assemble_kernel, sphere_grid
+from crhls.experiments import curvature_equation_residual
+from crhls.solver import continuation, default_p_schedule
 
 
 def _read_json(path):
@@ -297,6 +301,18 @@ def test_continuation_command(tmp_path):
     assert len(csv_lines) == 3
 
 
+def test_continuation_zero_mass_green_model_matches_pure(tmp_path):
+    # zero mass and c_w = 0 reduce the model to the pure kernel exactly
+    argv = ["continuation", "--resolution", "6,6,6", "--strict", "--output"]
+    assert main([*argv, str(tmp_path / "pure")]) == EXIT_OK
+    green = ["--kernel", "green_model", "--A0", "0", "--c-w", "0"]
+    assert main([*argv, str(tmp_path / "green"), *green]) == EXIT_OK
+    pure = _read_json(tmp_path / "pure" / "continuation.json")["results"]
+    model = _read_json(tmp_path / "green" / "continuation.json")["results"]
+    assert model["final_quotient"] == pure["final_quotient"]
+    assert model["stages"] == pure["stages"]
+
+
 def test_lower_bound_command_and_determinism(tmp_path):
     args = [
         "lower-bound",
@@ -428,6 +444,14 @@ def test_covariance_check_command(tmp_path):
     assert data["results"]["max_residual"] < 1e-10
 
 
+def test_covariance_check_constant_phi(tmp_path):
+    argv = ["covariance-check", "--phi", "constant", "--nodes", "12", "--pairs", "5", "--strict"]
+    assert main([*argv, "--output", str(tmp_path)]) == EXIT_OK
+    results = _read_json(tmp_path / "covariance-check.json")["results"]
+    assert results["ok"] is True
+    assert results["max_residual"] < 1e-10
+
+
 def test_covariance_check_seeded_reproducible(tmp_path):
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"
@@ -469,6 +493,20 @@ def test_curvature_residual_modes(tmp_path):
         assert data["results"]["mode"] == mode
         assert np.isfinite(data["results"]["residual"])
         assert data["results"]["residual"] > 0.0
+
+
+def test_curvature_residual_maximizer_mode(tmp_path):
+    # the residual of the last stage's maximizer of the default continuation
+    argv = ["curvature-residual", "--mode", "maximizer", "--resolution", "6,6,6", "--strict"]
+    assert main([*argv, "--output", str(tmp_path)]) == EXIT_OK
+    results = _read_json(tmp_path / "curvature-residual.json")["results"]
+    assert results["mode"] == "maximizer" and results["all_converged"] is True
+    params = make_params(1, 2.0)
+    grid = sphere_grid(1, (6, 6, 6))
+    K = assemble_kernel(grid, KernelSpec("pure_singular"), params)
+    last = continuation(K, grid, default_p_schedule(params))[-1]
+    phi = last.f ** (last.p - 1.0)
+    assert results["residual"] == curvature_equation_residual(K, grid, phi, params)
 
 
 def test_config_file_precedence(tmp_path):
@@ -654,23 +692,8 @@ def test_threads_flag_sets_blas_threads(tmp_path, monkeypatch, blas_threads):
         assert rc == EXIT_OK
         assert seen.pop() == asked
         assert get() == before
-
-
-def test_threads_env_variable(tmp_path, monkeypatch, blas_threads):
-    get, set_ = blas_threads
-    seen = _record_threads(monkeypatch, get)
-    set_(2)
-    monkeypatch.delenv("CRHLS_THREADS", raising=False)
-    assert main(["constants", "--output", str(tmp_path)]) == EXIT_OK
-    assert seen.pop() == 2  # nothing asked: BLAS left as it is
-    monkeypatch.setenv("CRHLS_THREADS", "1")
-    assert main(["constants", "--output", str(tmp_path)]) == EXIT_OK
-    assert seen.pop() == 1
-    assert get() == 2
-    set_(1)
-    assert main(["constants", "--threads", "2", "--output", str(tmp_path)]) == EXIT_OK
-    assert seen.pop() == 2  # the flag overrides the variable
-    assert get() == 1
+        assert main(["constants", "--output", str(tmp_path)]) == EXIT_OK
+        assert seen.pop() == before  # nothing asked: BLAS left as it is
 
 
 def test_threads_without_bundled_openblas_warn(tmp_path, monkeypatch, capsys):
@@ -683,11 +706,15 @@ def test_threads_without_bundled_openblas_warn(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "constants.json").is_file()
 
 
-def test_invalid_thread_count(tmp_path, monkeypatch, capsys):
-    for value in ("0", "-1", "two", "1.5"):
-        monkeypatch.setenv("CRHLS_THREADS", value)
-        rc = main(["constants", "--output", str(tmp_path)])
+def test_invalid_thread_count(tmp_path, capsys):
+    for value in ("0", "-1"):
+        rc = main(["constants", "--threads", value, "--output", str(tmp_path)])
         assert rc == EXIT_VALIDATION
+        assert "thread count must be at least 1" in capsys.readouterr().err
+    for value in ("two", "1.5"):  # not an integer: argparse exits with its usage code
+        with pytest.raises(SystemExit) as exc:
+            main(["constants", "--threads", value, "--output", str(tmp_path)])
+        assert exc.value.code == 2
     assert not (tmp_path / "constants.json").exists()
 
 

@@ -55,19 +55,23 @@ def test_assemble_zero_diagonal_and_symmetry():
 
 def test_assembled_kernels_store_the_upper_triangle():
     # the kernel is symmetric in the node pair, so each pair is evaluated and
-    # stored once: the upper triangle holds the pair's value, the rest is zero
-    p = make_params(1, 2.0)
-    sphere, cyl = sphere_grid(1, (6, 6, 6)), cylinder_grid(1.5, (5, 4, 5), p)
-    for g in (sphere, cyl):
-        mass = np.full(len(g), 0.7)
-        ramp = np.linspace(0.0, 1.0, len(g))  # per-node mass enters as the pair mean
-        for spec in (KernelSpec("pure_singular"), KernelSpec("green_model", mass=mass, c_w=0.3),
-                     KernelSpec("green_model", mass=ramp)):
-            E = assemble_kernel(g, spec, p).entries
-            assert not np.tril(E).any(), (g.kind, spec.kind)
-            upper = np.triu_indices(len(g), 1)
-            reference = pair_kernel(g, spec, p)[upper]
-            assert np.allclose(E[upper], reference, rtol=1e-13, atol=0), (g.kind, spec.kind)
+    # stored once: the upper triangle holds the pair's value, the rest is zero.
+    # At alpha = 3 the pure kernel raises rho^2 to the power -1/2.
+    for alpha in (2.0, 3.0):
+        p = make_params(1, alpha)
+        sphere, cyl = sphere_grid(1, (6, 6, 6)), cylinder_grid(1.5, (5, 4, 5), p)
+        for g in (sphere, cyl):
+            mass = np.full(len(g), 0.7)
+            ramp = np.linspace(0.0, 1.0, len(g))  # per-node mass enters as the pair mean
+            for spec in (KernelSpec("pure_singular"),
+                         KernelSpec("green_model", mass=mass, c_w=0.3),
+                         KernelSpec("green_model", mass=ramp)):
+                E = assemble_kernel(g, spec, p).entries
+                label = (alpha, g.kind, spec.kind)
+                assert not np.tril(E).any(), label
+                upper = np.triu_indices(len(g), 1)
+                reference = pair_kernel(g, spec, p)[upper]
+                assert np.allclose(E[upper], reference, rtol=1e-13, atol=0), label
 
 
 def test_assemble_pure_matches_distance_power():
@@ -110,6 +114,35 @@ def test_green_model_pair_mean_mass_does_not_overflow():
     K = assemble_kernel(g, KernelSpec("green_model", mass=np.full(len(g), 1e308)), p)
     off = ~np.eye(len(g), dtype=bool)
     assert np.all(symmetric(K.entries)[off] == 1e308)
+
+
+def test_green_model_refuses_nonpositive_base():
+    # mass -2 at node k gives its pairs the base rho^{-2} - 1, lowest and
+    # negative at the node farthest from k; that pair is named
+    p = make_params(1, 2.0)
+    g = sphere_grid(1, (4, 4, 4))
+    k = 5
+    mass = np.zeros(len(g))
+    mass[k] = -2.0
+    far = int(np.argmax(g.dist_sq(slice(None), k)))
+    assert g.dist_sq(far, k) > 1.0
+    i, j = sorted((k, far))
+    with pytest.raises(ValueError, match=rf"green_model base is nonpositive at node pair \({i}, {j}\)"):
+        assemble_kernel(g, KernelSpec("green_model", mass=mass), p)
+
+
+def test_green_model_base_check_skips_the_diagonal():
+    # three close nodes: every pair has rho^{-2} > 2, so mass -1.5 keeps each
+    # pair's base positive, while 1 + mass at the dropped diagonal is not
+    p = make_params(1, 2.0)
+    t, a = np.array([0.1, 0.2, 0.3]), np.array([0.0, 0.1, -0.1])
+    xi = np.stack([np.cos(t) * np.exp(1j * a), np.sin(t)], axis=-1)
+    g = QuadratureGrid(kind="sphere", n=1, weights=np.ones(3), resolution=(3,), xi=xi)
+    spec = KernelSpec("green_model", mass=np.full(3, -1.5))
+    E = assemble_kernel(g, spec, p).entries
+    upper = np.triu_indices(3, 1)
+    assert np.all(E[upper] > 0.0)
+    assert np.allclose(E[upper], pair_kernel(g, spec, p)[upper], rtol=1e-13, atol=0)
 
 
 def test_green_model_assembly_requires_mass():
@@ -268,17 +301,13 @@ def test_kernel_matrix_shape_guard():
             KernelMatrix(np.zeros((64, 64), dtype), KernelSpec("pure_singular"), g, p)
 
 
-def test_kernel_matrix_refuses_params_of_other_n(tmp_path):
+def test_kernel_matrix_refuses_params_of_other_n():
     # q_alpha of n = 2 would set the solver's window on an n = 1 kernel
     p1, p2 = make_params(1, 2.0), make_params(2, 2.0)
     g = sphere_grid(1, (4, 4, 4))
     K = assemble_kernel(g, KernelSpec("pure_singular"), p1)
     with pytest.raises(ValueError, match="n = 1 but params have n = 2"):
         KernelMatrix(K.entries, K.spec, g, p2)
-    path = tmp_path / "kernel.csv"
-    save_kernel_csv(K, path)
-    with pytest.raises(ValueError, match="n = 1 but params have n = 2"):
-        load_kernel_csv(path, g, p2)
     with pytest.raises(ValueError, match="n = 1 but params have n = 2"):
         assemble_kernel(g, KernelSpec("pure_singular"), p2)
 
@@ -290,9 +319,10 @@ def test_kernel_csv_round_trip(tmp_path):
     K = assemble_kernel(g, spec, p)
     path = tmp_path / "kernel.csv"
     save_kernel_csv(K, path)
-    K2 = load_kernel_csv(path, g, p)
+    K2 = load_kernel_csv(path, g)
     assert np.array_equal(K2.entries, symmetric(K.entries))
     assert K2.spec.kind == "green_model"
+    assert K2.params == p  # the grid's n and the header's alpha
     x = np.random.default_rng(4).standard_normal(len(g))
     assert np.array_equal(K2.matvec(x), K.matvec(x))
 
@@ -304,7 +334,7 @@ def test_kernel_csv_keeps_float32(tmp_path):
     path = tmp_path / "kernel.csv"
     save_kernel_csv(K, path)
     assert path.read_text().splitlines()[0] == f"{len(g)},pure_singular,2,float32"
-    K2 = load_kernel_csv(path, g, p)
+    K2 = load_kernel_csv(path, g)
     assert K2.entries.dtype == np.float32
     assert np.array_equal(K2.entries, symmetric(K.entries))
     x = np.random.default_rng(4).standard_normal(len(g))
@@ -338,7 +368,7 @@ def test_kernel_csv_refuses_header_without_a_float_dtype(tmp_path, header):
     lines = path.read_text().splitlines(keepends=True)
     path.write_text(header.format(N=len(g)) + "\n" + "".join(lines[1:]))
     with pytest.raises(ValueError, match="N,kind,alpha,dtype"):
-        load_kernel_csv(path, g, p)
+        load_kernel_csv(path, g)
 
 
 def test_kernel_csv_rejects_asymmetric_entries(tmp_path):
@@ -347,7 +377,7 @@ def test_kernel_csv_rejects_asymmetric_entries(tmp_path):
     E = assemble_kernel(g, KernelSpec("pure_singular"), p).entries
     path = tmp_path / "kernel.csv"
     save_kernel_csv(KernelMatrix(E, KernelSpec("pure_singular"), g, p), path)
-    load_kernel_csv(path, g, p)
+    load_kernel_csv(path, g)
     # save_kernel_csv writes a symmetric matrix, so the file is edited: one
     # entry of row 3 off by one ulp
     lines = path.read_text().splitlines(keepends=True)
@@ -356,7 +386,7 @@ def test_kernel_csv_rejects_asymmetric_entries(tmp_path):
     lines[1 + 3] = ",".join(row) + "\n"
     path.write_text("".join(lines))
     with pytest.raises(ValueError, match="symmetric"):
-        load_kernel_csv(path, g, p)
+        load_kernel_csv(path, g)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
@@ -369,7 +399,7 @@ def test_kernel_csv_rejects_nonfinite_or_negative_entries(tmp_path, bad):
     path = tmp_path / "kernel.csv"
     save_kernel_csv(KernelMatrix(E, KernelSpec("pure_singular"), g, p), path)
     with pytest.raises(ValueError, match="finite and nonnegative"):
-        load_kernel_csv(path, g, p)
+        load_kernel_csv(path, g)
 
 
 def test_kernel_csv_rejects_malformed_header(tmp_path):
@@ -381,17 +411,15 @@ def test_kernel_csv_rejects_malformed_header(tmp_path):
     lines = path.read_text().splitlines(keepends=True)
     path.write_text(f"{len(g)},pure_singular\n" + "".join(lines[1:]))
     with pytest.raises(ValueError, match="N,kind,alpha"):
-        load_kernel_csv(path, g, p)
+        load_kernel_csv(path, g)
 
 
-def test_kernel_csv_rejects_mismatched_grid_or_alpha(tmp_path):
+def test_kernel_csv_rejects_mismatched_grid(tmp_path):
     p = make_params(1, 2.0)
     g = sphere_grid(1, (4, 4, 4))
     K = assemble_kernel(g, KernelSpec("pure_singular"), p)
     path = tmp_path / "kernel.csv"
     save_kernel_csv(K, path)
     other = sphere_grid(1, (5, 5, 5))
-    with pytest.raises(ValueError):
-        load_kernel_csv(path, other, p)
-    with pytest.raises(ValueError):
-        load_kernel_csv(path, g, make_params(1, 1.5))
+    with pytest.raises(ValueError, match="64 nodes but the grid has 125"):
+        load_kernel_csv(path, other)

@@ -179,7 +179,10 @@ def test_solver_validation(params_n1, monkeypatch):
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_solver_refuses_nan_in_upper_triangle(params_n1, dtype):
     # a product reads the upper triangle only: a NaN there is found on every
-    # row and column, also where the warm start is zero (0 * NaN is NaN)
+    # row and column, also where the warm start is zero (0 * NaN is NaN). A
+    # float32 kernel is refused for its dtype before the first product:
+    # float32 products stall above tol, so its solves ran to max_iter.
+    message = "NaN" if dtype == np.float64 else "float64 kernel, got float32"
     grid = sphere_grid(1, (6, 6, 6))
     K = assemble_kernel(grid, KernelSpec("pure_singular"), params_n1, dtype=dtype)
     N = len(grid)
@@ -190,7 +193,7 @@ def test_solver_refuses_nan_in_upper_triangle(params_n1, dtype):
         f0 = np.ones(N)
         f0[[i, j]] = 0.0
         for start in (None, f0):
-            with pytest.raises(ValueError, match="NaN"):
+            with pytest.raises(ValueError, match=message):
                 solve_subcritical(bad, grid, 1.5, f0=start)
 
 
@@ -222,13 +225,16 @@ def test_default_p_schedule(params_n1):
     assert sched[-1] == pytest.approx(q + 1e-3, abs=1e-15)
     assert all(b < a for a, b in zip(sched, sched[1:]))
     assert all(q < p < 2.0 for p in sched)
-    short = default_p_schedule(params_n1, endpoint_offset=0.6)
-    assert short[-1] == pytest.approx(q + 0.6)
-    assert all(b < a for a, b in zip(short, short[1:]))
-    with pytest.raises(ValueError):
-        default_p_schedule(params_n1, endpoint_offset=0.0)
-    with pytest.raises(ValueError):
-        default_p_schedule(params_n1, endpoint_offset=2.0 - q)
+    # at alpha = 0.01 the window is 0.005 wide: of its fractions 0.7, 0.4,
+    # 0.175 and 0.04, the last two fall below the endpoint and are dropped
+    narrow = make_params(1, 0.01)
+    q = narrow.q_alpha
+    short = default_p_schedule(narrow)
+    assert short[:-1] == [q + (2.0 - q) * fr for fr in (0.7, 0.4)]
+    assert short[-1] == pytest.approx(q + 1e-3, abs=1e-15)
+    # a window narrower than the endpoint offset has no default schedule
+    with pytest.raises(ValueError, match="narrower"):
+        default_p_schedule(make_params(1, 0.001))
 
 
 def test_continuation_on_sphere(params_n1):
@@ -301,28 +307,18 @@ def test_blowup_flat_profile_scores_large_deviation(params_n1):
 
 def test_blowup_validation(params_n1):
     grid = cylinder_grid(1.0, (6, 4, 6), params_n1)
-    res = SubcriticalResult(
-        p=1.5,
-        D_estimate=1.0,
-        f=np.ones(len(grid)),
-        iterations=0,
-        residual=0.0,
-        converged=True,
-        quotient_history=np.array([1.0]),
-    )
-    with pytest.raises(ValueError):
-        blowup_diagnostic(res, grid, params_n1, radius_factor=0.0)
-    bad = SubcriticalResult(
-        p=1.5,
-        D_estimate=1.0,
-        f=np.ones(3),
-        iterations=0,
-        residual=0.0,
-        converged=True,
-        quotient_history=np.array([1.0]),
-    )
-    with pytest.raises(ValueError):
-        blowup_diagnostic(bad, grid, params_n1)
+    for f, message in ((np.ones(3), "grid has"), (np.zeros(len(grid)), "peak must be positive")):
+        bad = SubcriticalResult(
+            p=1.5,
+            D_estimate=1.0,
+            f=f,
+            iterations=0,
+            residual=0.0,
+            converged=True,
+            quotient_history=np.array([1.0]),
+        )
+        with pytest.raises(ValueError, match=message):
+            blowup_diagnostic(bad, grid, params_n1)
 
 
 def test_result_json_round_trip(tmp_path, params_n1):
