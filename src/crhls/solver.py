@@ -107,6 +107,8 @@ def solve_subcritical(
     max_iter returns converged = False rather than raising. A kernel whose
     entries are not float64 is refused: float32 products leave a rounding
     floor above the default tol, so such a solve would run to max_iter.
+    The matrix-free operator is densified first (KernelMatrix.densified),
+    so a kernel too large for memory is refused before any product.
     """
     p = float(p)
     q_alpha = K.params.q_alpha
@@ -121,6 +123,7 @@ def solve_subcritical(
         raise ValueError(f"tol must be positive, got {tol}")
     if int(max_iter) < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    K = K.densified()  # many products: the matrix-free operator would rebuild every tile each time
     w = grid.weights
     N = len(grid)
 
@@ -245,7 +248,8 @@ def continuation(
     """Warm-started solves along a strictly decreasing exponent schedule.
 
     Each stage starts from the previous maximizer; stages that fail to
-    converge still seed the next one, and carry converged = False.
+    converge still seed the next one, and carry converged = False. The
+    matrix-free operator is densified once, before the first stage.
     """
     schedule = [float(p) for p in p_schedule]
     if len(schedule) == 0:
@@ -258,6 +262,7 @@ def continuation(
             )
     if any(b >= a for a, b in zip(schedule, schedule[1:])):
         raise ValueError(f"p_schedule must be strictly decreasing, got {schedule}")
+    K = K.densified()
     results: list[SubcriticalResult] = []
     f_warm = None
     for p in schedule:

@@ -59,12 +59,14 @@ def sphere_dist_sq(xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
 
     xi and eta hold points of S^{2n+1} in C^{n+1} as rows, or one point
     as a 1-d vector; the result has shape xi.shape[:-1] + eta.shape[:-1].
-    The inner products are overwritten in place, so a block of distances
-    needs one complex scratch array, not two.
+    The inner products and the moduli are overwritten in place, so a block
+    of distances needs one complex and one real scratch array.
     """
     ip = np.asarray(xi @ np.conj(eta).T)
     np.subtract(1.0, ip, out=ip)
-    return 2.0 * np.abs(ip)
+    d = np.abs(ip)
+    d *= 2.0
+    return d
 
 
 def sphere_dist(a: SpherePoint, b: SpherePoint) -> float:

@@ -59,9 +59,9 @@ def small_walks(monkeypatch):
 def test_walk_bits_do_not_depend_on_walker_count(monkeypatch, blas_count, small_walks):
     seen, pow_neg = set(), discretization._pow_neg
 
-    def recorded_pow_neg(base, expo):
+    def recorded_pow_neg(base, expo, out=None):
         seen.add(blas_count())
-        return pow_neg(base, expo)
+        return pow_neg(base, expo, out=out)
 
     monkeypatch.setattr(discretization, "_pow_neg", recorded_pow_neg)
     for grid, spec, params in _walk_cases():
@@ -81,6 +81,21 @@ def test_walk_bits_do_not_depend_on_walker_count(monkeypatch, blas_count, small_
             assert E1.dtype == dtype
             assert np.array_equal(E1, E2)
             assert y1 == y2
+
+
+def test_matrix_free_sums_do_not_depend_on_walker_count(blas_count, small_walks):
+    # each tile's sums are added in the caller's thread in tile order, whichever
+    # walker computed the tile
+    for grid, spec, params in _walk_cases():
+        K = KernelMatrix(None, spec, grid, params)
+        x = np.linspace(-1.0, 1.0, len(grid))
+        runs = []
+        for count in (1, 2):
+            with _blas.blas_threads(count):
+                runs.append((K.matvec(x), K.row_power_sums(1.0), K.row_power_sums(1.2)))
+                assert blas_count() == count
+        for one, two in zip(*runs):
+            assert np.array_equal(one, two)
 
 
 def test_walk_raises_first_error_in_walk_order(blas_count, small_walks):

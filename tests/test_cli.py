@@ -255,6 +255,34 @@ def test_kernel_beyond_available_memory_refused(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "continuation.json").exists()
 
 
+# `python -m crhls` that prints its own peak resident set in KiB to stderr on exit
+_PEAK_REPORTING_CLI = """
+import resource, runpy, sys
+sys.argv[0] = "crhls"
+try:
+    runpy.run_module("crhls", run_name="__main__")
+finally:
+    print("peak_kib", resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)
+"""
+
+
+def test_kernel_beyond_the_dense_budget_runs_in_a_few_tiles(tmp_path):
+    # 24^3 nodes: the float64 kernel alone would take 1.4 GiB; the quotient
+    # walks it matrix-free
+    argv = ["lower-bound", "--resolution", "24,24,24", "--output", str(tmp_path)]
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK_REPORTING_CLI, *argv],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    quotient = _read_json(tmp_path / "lower-bound.json")["results"]["quotient"]
+    assert 0.0 < quotient < 8.0
+    peak_mib = int(re.search(r"peak_kib (\d+)", proc.stderr).group(1)) / 1024
+    assert peak_mib < 300, peak_mib
+
+
 def test_strict_flags_unconverged_run(tmp_path):
     args = [
         "extremal-sub",

@@ -17,6 +17,8 @@ from crhls.discretization import (
     save_kernel_csv,
     sphere_grid,
 )
+from crhls.functional import rayleigh_quotient
+from crhls.solver import continuation, solve_subcritical
 from conftest import pair_kernel, random_sphere_grid, symmetric
 
 
@@ -127,8 +129,14 @@ def test_green_model_refuses_nonpositive_base():
     far = int(np.argmax(g.dist_sq(slice(None), k)))
     assert g.dist_sq(far, k) > 1.0
     i, j = sorted((k, far))
-    with pytest.raises(ValueError, match=rf"green_model base is nonpositive at node pair \({i}, {j}\)"):
-        assemble_kernel(g, KernelSpec("green_model", mass=mass), p)
+    message = rf"green_model base is nonpositive at node pair \({i}, {j}\)"
+    spec = KernelSpec("green_model", mass=mass)
+    with pytest.raises(ValueError, match=message):
+        assemble_kernel(g, spec, p)
+    K = KernelMatrix(None, spec, g, p)
+    for read in (lambda: K.matvec(np.ones(64)), lambda: K.row_power_sums(1.2)):
+        with pytest.raises(ValueError, match=message):
+            read()
 
 
 def test_green_model_base_check_skips_the_diagonal():
@@ -148,25 +156,37 @@ def test_green_model_base_check_skips_the_diagonal():
 def test_green_model_assembly_requires_mass():
     p = make_params(1, 2.0)
     g = sphere_grid(1, (4, 4, 4))
-    with pytest.raises(ValueError):
-        assemble_kernel(g, KernelSpec("green_model"), p)
-    with pytest.raises(ValueError):
-        assemble_kernel(g, KernelSpec("green_model", mass=np.ones(3)), p)
+    for build in (assemble_kernel, lambda g, spec, p: KernelMatrix(None, spec, g, p)):
+        with pytest.raises(ValueError, match="needs per-node mass"):
+            build(g, KernelSpec("green_model"), p)
+        with pytest.raises(ValueError, match=r"mass must have shape \(64,\)"):
+            build(g, KernelSpec("green_model", mass=np.ones(3)), p)
 
 
 def test_assemble_rejects_coincident_nodes():
     p = make_params(1, 2.0)
     xi = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]], dtype=complex)
     g = QuadratureGrid(kind="sphere", n=1, weights=np.ones(3), resolution=(3,), xi=xi)
-    with pytest.raises(ValueError):
+    message = r"coincident nodes at indices \(0, 1\): zero distance"
+    with pytest.raises(ValueError, match=message):
         assemble_kernel(g, KernelSpec("pure_singular"), p)
+    # the matrix-free operator builds the same tiles when it walks them
+    K = KernelMatrix(None, KernelSpec("pure_singular"), g, p)
+    for read in (lambda: K.matvec(np.ones(3)), lambda: K.row_power_sums(1.2)):
+        with pytest.raises(ValueError, match=message):
+            read()
 
 
 def test_assemble_refuses_kernel_beyond_physical_memory(monkeypatch):
     p = make_params(1, 2.0)
     big = sphere_grid(1, (100, 100, 100))  # 10^6 nodes: 8 TB of float64 entries
+    # beyond the dense budget nothing is stored; the bound holds where entries are made
+    K = assemble_kernel(big, KernelSpec("pure_singular"), p)
+    assert K.entries is None and len(K) == 10**6
     with pytest.raises(ValueError, match="physical memory"):
-        assemble_kernel(big, KernelSpec("pure_singular"), p)
+        K.densified()
+    with pytest.raises(ValueError, match="physical memory"):
+        solve_subcritical(K, big, 1.5)
     # the bound is N^2 * itemsize against SC_PHYS_PAGES * SC_PAGE_SIZE
     g = sphere_grid(1, (4, 4, 4))
     physical = {"SC_PHYS_PAGES": 64 * 64 * 4, "SC_PAGE_SIZE": 1}
@@ -189,9 +209,42 @@ def test_assemble_refuses_kernel_beyond_available_memory(monkeypatch):
     with pytest.raises(ValueError, match="64 x 64 kernel of 8-byte entries .* available memory"):
         assemble_kernel(g, KernelSpec("pure_singular"), p)
     monkeypatch.setattr(discretization, "_mem_available", lambda: int(0.3 * 2**30))
-    big = sphere_grid(1, (20, 20, 20))  # 0.48 GiB of float64 entries
+    big = sphere_grid(1, (20, 20, 20))  # 0.48 GiB of float64 entries: matrix-free
+    K = assemble_kernel(big, KernelSpec("pure_singular"), p)
     with pytest.raises(ValueError, match=r"needs 0\.5 GiB, more than the 0\.3 GiB of available"):
-        assemble_kernel(big, KernelSpec("pure_singular"), p)
+        K.densified()
+    with pytest.raises(ValueError, match="available memory"):
+        continuation(K, big, [1.5])
+
+
+def test_assemble_beyond_the_dense_budget_stores_nothing(monkeypatch):
+    # 20^3 float32 entries would take 244 MiB, above the 128 MiB budget: the
+    # operator is returned whatever memory is free, with the same bits
+    p = make_params(1, 2.0)
+    g = sphere_grid(1, (20, 20, 20))
+    assert len(g) ** 2 * 4 > discretization._DENSE_BYTES
+    K = assemble_kernel(g, KernelSpec("pure_singular"), p, dtype=np.float32)
+    assert K.entries is None and K.dtype == np.float64 and len(K) == len(g)
+    x = np.ones(len(g))
+    monkeypatch.setattr(discretization, "_mem_available", lambda: 2**20)
+    K_low = assemble_kernel(g, KernelSpec("pure_singular"), p, dtype=np.float32)
+    assert K_low.entries is None
+    assert np.array_equal(K_low.matvec(x), K.matvec(x))
+
+
+def test_matrix_free_quotient_holds_a_few_tiles():
+    # the float32 entries of this kernel alone would take 244 MiB
+    p = make_params(1, 2.0)
+    g = sphere_grid(1, (20, 20, 20))
+    K = assemble_kernel(g, KernelSpec("pure_singular"), p, dtype=np.float32)
+    tracemalloc.start()
+    try:
+        quotient = rayleigh_quotient(K, np.ones(len(g)), p.q_alpha)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 7.8 < quotient < 8.0
+    assert peak < 16 * 2**20, peak
 
 
 def _assembly_cases():
@@ -310,6 +363,16 @@ def test_kernel_matrix_refuses_params_of_other_n():
         KernelMatrix(K.entries, K.spec, g, p2)
     with pytest.raises(ValueError, match="n = 1 but params have n = 2"):
         assemble_kernel(g, KernelSpec("pure_singular"), p2)
+
+
+def test_save_kernel_csv_refuses_the_matrix_free_operator(tmp_path):
+    p = make_params(1, 2.0)
+    g = sphere_grid(1, (4, 4, 4))
+    K = KernelMatrix(None, KernelSpec("pure_singular"), g, p)
+    assert len(K) == 64
+    with pytest.raises(ValueError, match="matrix-free operator"):
+        save_kernel_csv(K, tmp_path / "kernel.csv")
+    assert not (tmp_path / "kernel.csv").exists()
 
 
 def test_kernel_csv_round_trip(tmp_path):

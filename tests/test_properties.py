@@ -15,7 +15,13 @@ from hypothesis import strategies as st
 
 from crhls import discretization
 from crhls.core import make_params
-from crhls.discretization import KernelSpec, QuadratureGrid, assemble_kernel, sphere_grid
+from crhls.discretization import (
+    KernelMatrix,
+    KernelSpec,
+    QuadratureGrid,
+    assemble_kernel,
+    sphere_grid,
+)
 from crhls.functional import rayleigh_quotient
 from crhls.heisenberg import HPoint, dilate, group_inv, group_mul, hdist, hnorm
 from crhls.sphere import SpherePoint, cayley, cayley_inv, sphere_dist
@@ -233,3 +239,40 @@ def test_row_power_sums_match_dense_sums(grid, dtype, r, tile):
     if dtype == np.float32:
         exact = S.astype(np.float64) ** np.float64(np.float32(r))
         assert np.all(np.abs(powers - exact) <= POWF_C * np.finfo(np.float32).eps * exact)
+
+
+@_settings
+@given(node_sets(), st.sampled_from((1.3, 2.0)), st.floats(0.0, 2.0), st.floats(0.0, 1.0), tiles,
+       st.integers(0, 2**32 - 1))
+def test_matrix_free_operator_matches_the_stored_kernel(grid, alpha, mass, c_w, tile, seed):
+    # the operator builds the tiles assembly stores, in float64, and adds them in
+    # another order than dsymv: a few N roundings apart, far inside 1e-12 of
+    # |S| @ |x|. Its row sums take the stored kernel's tile walk; at r = 1.2 it
+    # raises the base once where the stored sums raise the stored entry, a few
+    # roundings of the power apart.
+    params = make_params(grid.n, alpha)
+    N = len(grid)
+    x = np.random.default_rng(seed).standard_normal(N)
+    specs = (KernelSpec("pure_singular"),
+             KernelSpec("green_model", mass=np.full(N, mass), c_w=c_w),
+             KernelSpec("green_model", mass=np.linspace(0.0, mass, N), c_w=c_w))
+    with mock.patch.object(discretization, "_TILE", tile):
+        for spec in specs:
+            stored = assemble_kernel(grid, spec, params)
+            free = KernelMatrix(None, spec, grid, params)
+            S = symmetric(stored.entries)
+            assert np.all(np.abs(free.matvec(x) - stored.matvec(x)) <= 1e-12 * (S @ np.abs(x)))
+            for r in (1.0, 1.2):
+                assert np.allclose(free.row_power_sums(r), stored.row_power_sums(r),
+                                   rtol=1e-12, atol=0.0)
+
+
+def test_matrix_free_quotient_at_the_dense_budget():
+    # the 16^3 float64 kernel takes exactly the budget, so it is the largest stored one
+    grid = sphere_grid(1, (16, 16, 16))
+    stored = assemble_kernel(grid, KernelSpec("pure_singular"), _PARAMS)
+    assert stored.entries.nbytes == discretization._DENSE_BYTES
+    free = KernelMatrix(None, stored.spec, grid, _PARAMS)
+    ones = np.ones(len(grid))
+    q_stored, q_free = (rayleigh_quotient(K, ones, _PARAMS.q_alpha) for K in (stored, free))
+    assert abs(q_free - q_stored) <= 1e-12 * q_stored
