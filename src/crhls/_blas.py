@@ -19,6 +19,10 @@ _WALK_LOCK = threading.Lock()  # two callers' walks must not restore each other'
 # a walker thread costs about a millisecond to start (2-vCPU host): both tile walks were
 # slower on two threads at 28 tiles (1 728 nodes), as fast or faster from 66 tiles on
 _ITEMS_PER_WALKER = 32
+# a threaded walk hands each walker about this many contiguous chunks of items, one task
+# each: a few tasks, not one per tile, keep the caller's submissions and wake-ups few,
+# and several per walker still even out tiles of unequal cost
+_CHUNKS_PER_WALKER = 8
 _ROW_MAJOR, _UPPER = 101, 121  # CBLAS_ORDER and CBLAS_UPLO
 
 
@@ -104,8 +108,11 @@ def walk(fn, items: list, consume) -> None:
     """consume(fn(item)) for every item, consume in the caller's thread and in item order.
 
     fn runs on walkers(len(items)) threads, numpy releasing the GIL, with BLAS on one
-    thread meanwhile, or in the caller's thread for one walker, BLAS left alone. The
-    first exception of fn in item order is raised.
+    thread meanwhile, or in the caller's thread for one walker, BLAS left alone. On
+    several walkers the items are split into contiguous chunks, _CHUNKS_PER_WALKER per
+    walker, each one task that runs fn over its chunk in order; the caller consumes a
+    chunk's results once the whole chunk is done. The first exception of fn in item
+    order is raised; consume is not called for the items before it in its chunk.
     """
     with _WALK_LOCK:
         count = walkers(len(items))
@@ -113,6 +120,9 @@ def walk(fn, items: list, consume) -> None:
             for item in items:
                 consume(fn(item))
             return
+        size = -(-len(items) // (count * _CHUNKS_PER_WALKER))
+        chunks = [items[k : k + size] for k in range(0, len(items), size)]
         with blas_threads(1), ThreadPoolExecutor(count) as pool:
-            for result in pool.map(fn, items):
-                consume(result)
+            for results in pool.map(lambda chunk: [fn(item) for item in chunk], chunks):
+                for result in results:
+                    consume(result)

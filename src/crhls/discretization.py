@@ -119,6 +119,9 @@ class QuadratureGrid:
                 raise ValueError(f"z must have shape ({N}, {self.n}), got {self.z.shape}")
             if self.t.shape != (N,):
                 raise ValueError(f"t must have shape ({N},), got {self.t.shape}")
+        for name in ("xi",) if self.kind == "sphere" else ("z", "t"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite")
 
     def __len__(self) -> int:
         return int(self.weights.size)

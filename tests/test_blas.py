@@ -1,9 +1,11 @@
-"""numpy's bundled OpenBLAS: the threaded tile walk (same bits on one or two walkers,
-first error in walk order, the BLAS thread count restored after every walk), the
-products through ssymv and dsymv beside their tile-walk fallback, and the readers of
-a kernel's entries, which ignore its lower triangle."""
+"""numpy's bundled OpenBLAS: the threaded tile walk (same bits on one or two walkers
+and in any chunks, items consumed in order, first error in walk order, the BLAS thread
+count restored after every walk), the products through ssymv and dsymv beside their
+tile-walk fallback, and the readers of a kernel's entries, which ignore its lower
+triangle."""
 
 import os
+import re
 import sys
 import threading
 import time
@@ -98,18 +100,68 @@ def test_matrix_free_sums_do_not_depend_on_walker_count(blas_count, small_walks)
             assert np.array_equal(one, two)
 
 
-def test_walk_raises_first_error_in_walk_order(blas_count, small_walks):
+def test_walk_bits_do_not_depend_on_chunk_count(monkeypatch, blas_count, small_walks):
+    # on two walkers: the default chunks, one chunk per walker, and one item per chunk
+    for grid, spec, params in _walk_cases():
+        tiles = len(list(discretization._tiles(len(grid))))
+        K = KernelMatrix(None, spec, grid, params)
+        x = np.linspace(-1.0, 1.0, len(grid))
+        runs = []
+        with _blas.blas_threads(2):
+            for chunks in (_blas._CHUNKS_PER_WALKER, 1, tiles):
+                monkeypatch.setattr(_blas, "_CHUNKS_PER_WALKER", chunks)
+                found = [K.matvec(x), K.row_power_sums(1.0), K.row_power_sums(1.2)]
+                for dtype in (np.float32, np.float64):
+                    S = assemble_kernel(grid, spec, params, dtype=dtype)
+                    found += [S.entries, young_bound(S, grid, 1.2)]
+                runs.append(found)
+        for other in runs[1:]:
+            assert all(np.array_equal(a, b) for a, b in zip(runs[0], other))
+
+
+def test_walk_consumes_every_item_in_order(blas_count, small_walks):
+    # on two walkers the items go out in contiguous chunks, and the caller still
+    # consumes each result once, in item order
+    for n in (1, 2, 17, 100):
+        for count in (1, 2):
+            seen, threads = [], set()
+
+            def fn(item):
+                threads.add(threading.get_ident())
+                return item
+
+            with _blas.blas_threads(count):
+                walkers = _blas.walkers(n)
+                _blas.walk(fn, list(range(n)), seen.append)
+            assert seen == list(range(n))
+            # one walker walks in the caller's thread, two never do
+            assert (threading.get_ident() in threads) == (walkers == 1)
+
+
+def test_walk_raises_first_error_in_walk_order(monkeypatch, blas_count, small_walks):
+    # 64 nodes: 4 x 4 tiles of 16, walked (0, 0), (0, 16), (0, 32), (0, 48), (16, 16),
+    # (16, 32), (16, 48), (32, 32), (32, 48), (48, 48)
     params = make_params(1, 2.0)
-    xi = sphere_grid(1, (4, 4, 4)).xi.copy()  # 64 nodes: 4 x 4 tiles of 16
-    xi[40] = xi[5]  # tile (0, 32), the third one walked
-    xi[60] = xi[20]  # tile (16, 48), walked later
-    xi[55] = xi[50]  # tile (48, 48), walked last
-    grid = QuadratureGrid(kind="sphere", n=1, weights=np.ones(64), resolution=(4, 4, 4), xi=xi)
-    for count in (1, 2):
-        with _blas.blas_threads(count):
-            with pytest.raises(ValueError, match=r"coincident nodes at indices \(5, 40\)"):
-                assemble_kernel(grid, KernelSpec("pure_singular"), params)
-            assert blas_count() == count
+    later = {40: 5, 60: 20, 55: 50}  # tiles (0, 32), (16, 48) and (48, 48)
+    same = {20: 3, 40: 5}  # tiles (0, 16) and (0, 32)
+    cases = (
+        (later, _blas._CHUNKS_PER_WALKER, "(5, 40)"),  # one tile per chunk
+        (later, 1, "(5, 40)"),  # chunks of five tiles: the second one fails too
+        (same, 1, "(3, 20)"),  # both in the first chunk
+    )
+    for copies, chunks, first in cases:
+        monkeypatch.setattr(_blas, "_CHUNKS_PER_WALKER", chunks)
+        xi = sphere_grid(1, (4, 4, 4)).xi.copy()
+        for i, j in copies.items():
+            xi[i] = xi[j]
+        grid = QuadratureGrid(kind="sphere", n=1, weights=np.ones(64), resolution=(4, 4, 4),
+                              xi=xi)
+        message = re.escape(f"coincident nodes at indices {first}")
+        for count in (1, 2):
+            with _blas.blas_threads(count):
+                with pytest.raises(ValueError, match=message):
+                    assemble_kernel(grid, KernelSpec("pure_singular"), params)
+                assert blas_count() == count
 
 
 def test_concurrent_callers_keep_blas_count(monkeypatch, blas_count, small_walks):

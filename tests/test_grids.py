@@ -157,6 +157,42 @@ def test_quadrature_grid_validation():
                        xi=np.eye(2, dtype=complex))
 
 
+def test_quadrature_grid_refuses_non_finite_nodes():
+    # a NaN node made NaN quotients, and t = inf a finite, wrong one (5.786), without an error
+    g = sphere_grid(1, (4, 4, 4))
+    xi = g.xi.copy()
+    xi[3, 0] = np.nan
+    with pytest.raises(ValueError, match="xi must be finite"):
+        QuadratureGrid(kind="sphere", n=1, weights=g.weights, resolution=g.resolution, xi=xi)
+    c = cylinder_grid(2.0, (4, 5, 4), make_params(1, 2.0))
+    t = c.t.copy()
+    t[0] = np.inf
+    with pytest.raises(ValueError, match="t must be finite"):
+        QuadratureGrid(kind="cylinder", n=1, weights=c.weights, resolution=c.resolution,
+                       z=c.z, t=t)
+    z = c.z.copy()
+    z[5, 0] = complex(0.0, -np.inf)
+    with pytest.raises(ValueError, match="z must be finite"):
+        QuadratureGrid(kind="cylinder", n=1, weights=c.weights, resolution=c.resolution,
+                       z=z, t=c.t)
+
+
+@pytest.mark.parametrize("kind, column, value", [("sphere", 1, "nan"), ("cylinder", 2, "inf")])
+def test_grid_csv_refuses_non_finite_nodes(tmp_path, kind, column, value):
+    # load_grid_csv builds through the constructor: column 1 is Im xi0, column 2 is t
+    g = sphere_grid(1, (4, 4, 4)) if kind == "sphere" else cylinder_grid(
+        2.0, (4, 5, 4), make_params(1, 2.0))
+    path = tmp_path / "grid.csv"
+    save_grid_csv(g, path)
+    lines = path.read_text().split("\n")
+    row = lines[7].split(",")
+    row[column] = value
+    lines[7] = ",".join(row)
+    path.write_text("\n".join(lines))
+    with pytest.raises(ValueError, match=f"{'xi' if kind == 'sphere' else 't'} must be finite"):
+        load_grid_csv(path)
+
+
 def test_grid_csv_round_trip_sphere(tmp_path):
     g = sphere_grid(1, (4, 4, 6))
     path = tmp_path / "sphere.csv"
