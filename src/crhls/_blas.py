@@ -1,5 +1,5 @@
-"""numpy's bundled OpenBLAS through ctypes: its thread count, its symmetric products
-ssymv and dsymv, and the threaded tile walk.
+"""numpy's bundled OpenBLAS through ctypes: its thread count, its symmetric product
+dsymv, and the threaded tile walk.
 
 symv reads the upper triangle of a row-major matrix, diagonal included, and never
 its lower triangle, which is why a kernel need store only that triangle."""
@@ -28,7 +28,7 @@ _ROW_MAJOR, _UPPER = 101, 121  # CBLAS_ORDER and CBLAS_UPLO
 
 @functools.cache
 def _openblas():
-    """numpy's bundled OpenBLAS with its thread calls, ssymv and dsymv declared, or None."""
+    """numpy's bundled OpenBLAS with its thread calls and dsymv declared, or None."""
     libdir = Path(np.__file__).resolve().parent.parent / "numpy.libs"
     paths = sorted(libdir.glob("libscipy_openblas64_*.so*"))
     if not paths:
@@ -37,36 +37,36 @@ def _openblas():
     get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
     get.argtypes, get.restype = [], ctypes.c_int
     set_.argtypes, set_.restype = [ctypes.c_int], None
-    # cblas_?symv(order, uplo, N, alpha, A, lda, x, incx, beta, y, incy), 64-bit integers
-    idx, ptr = ctypes.c_int64, ctypes.c_void_p
-    for name, real in (("ssymv", ctypes.c_float), ("dsymv", ctypes.c_double)):
-        fn = getattr(lib, f"scipy_cblas_{name}64_")
-        fn.argtypes = [ctypes.c_int, ctypes.c_int, idx, real, ptr, idx, ptr, idx, real, ptr, idx]
-        fn.restype = None
+    # cblas_dsymv(order, uplo, N, alpha, A, lda, x, incx, beta, y, incy), 64-bit integers
+    idx, ptr, real = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
+    fn = lib.scipy_cblas_dsymv64_
+    fn.argtypes = [ctypes.c_int, ctypes.c_int, idx, real, ptr, idx, ptr, idx, real, ptr, idx]
+    fn.restype = None
     return lib
 
 
 def symv(a: np.ndarray, x: np.ndarray) -> np.ndarray | None:
-    """a @ x in a's dtype for a symmetric float32 or float64 a, read from its upper
-    triangle (ssymv or dsymv), or None for another BLAS.
+    """a @ x for a symmetric float64 a, read from its upper triangle (dsymv), or None
+    for another BLAS.
 
-    a must be C-contiguous and N x N, and x of length N (it is cast to a's dtype): the
-    product reads raw memory, so a layout that does not fit is refused with ValueError.
+    a must be C-contiguous, N x N and float64, and x of length N (it is cast to float64):
+    the product reads raw memory, so a layout that does not fit is refused with ValueError.
     """
     lib = _openblas()
     if lib is None:
         return None
     N = len(a)
-    if a.dtype not in (np.float32, np.float64) or a.shape != (N, N) or not a.flags.c_contiguous:
+    if a.dtype != np.float64 or a.shape != (N, N) or not a.flags.c_contiguous:
         raise ValueError(
-            f"symv needs a C-contiguous square float32 or float64 matrix, got {a.shape} {a.dtype}"
+            f"symv needs a C-contiguous square float64 matrix, got {a.shape} {a.dtype}"
         )
-    x = np.ascontiguousarray(x, dtype=a.dtype)
+    x = np.ascontiguousarray(x, dtype=np.float64)
     if x.shape != (N,):
         raise ValueError(f"symv of an {N} x {N} matrix needs a length-{N} vector, got {x.shape}")
-    y = np.zeros(N, a.dtype)  # not np.empty: scaling garbage by beta = 0 could leave NaN (0 * NaN)
-    product = lib.scipy_cblas_ssymv64_ if a.dtype == np.float32 else lib.scipy_cblas_dsymv64_
-    product(_ROW_MAJOR, _UPPER, N, 1.0, a.ctypes.data, N, x.ctypes.data, 1, 0.0, y.ctypes.data, 1)
+    y = np.zeros(N)  # not np.empty: scaling garbage by beta = 0 could leave NaN (0 * NaN)
+    lib.scipy_cblas_dsymv64_(
+        _ROW_MAJOR, _UPPER, N, 1.0, a.ctypes.data, N, x.ctypes.data, 1, 0.0, y.ctypes.data, 1
+    )
     return y
 
 

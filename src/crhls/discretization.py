@@ -69,10 +69,10 @@ _KERNEL_KINDS = ("pure_singular", "green_model")
 # the kernel bits would then depend on the tile layout.
 _TILE = 256
 
-# assemble_kernel stores N^2 entries of the requested itemsize up to this many
-# bytes and returns the matrix-free operator above it. A constant, not a share
-# of MemAvailable, so that a rerun stores the same way and gives the same bits;
-# the 16^3 float64 kernel is exactly 128 MiB and stays stored.
+# assemble_kernel stores N^2 float64 entries up to this many bytes and returns
+# the matrix-free operator above it. A constant, not a share of MemAvailable,
+# so that a rerun stores the same way and gives the same bits; the 16^3
+# kernel is exactly 128 MiB and stays stored.
 _DENSE_BYTES = 128 * 2**20
 
 
@@ -389,28 +389,21 @@ class KernelMatrix:
     save_kernel_csv writes the symmetric matrix, and load_kernel_csv
     refuses a file whose entries are not bitwise symmetric. A matrix
     built whole, both triangles equal, works unchanged. The constructor
-    checks neither triangle. It refuses entries that are not float32 or
-    float64 and makes them C-contiguous, which copies nothing for
-    assembled or loaded kernels.
+    checks neither triangle. It refuses entries that are not float64 (a
+    nested list of floats is taken as an array) and makes them
+    C-contiguous, which copies nothing for assembled or loaded kernels.
 
     entries = None makes the matrix-free operator of spec over grid, which
     assemble_kernel returns above _DENSE_BYTES. It stores nothing: matvec
     and row_power_sums compute each tile of the upper triangle in float64
     as they walk it (_kernel_tile, the tiles assembly stores), in O(N^2)
-    time per call and a few tiles of memory per walking thread. Its dtype
-    is float64, and densified() gives its stored float64 matrix for callers
-    that multiply many times, as the solver does. For this operator the
-    constructor checks the green_model mass against the grid.
+    time per call and a few tiles of memory per walking thread.
+    densified() gives its stored matrix for callers that multiply many
+    times, as the solver does. For this operator the constructor checks
+    the green_model mass against the grid.
 
-    matvec, row_power_sums and dtype are the only views of the entries
-    outside this module. A float32 kernel is multiplied in float32 by the
-    quotients and the identity checks; the solver refuses it. matvec reads
-    one triangle through ssymv or dsymv. ssymv's elementwise error is larger
-    than sgemv's, up to 2.8e-6 against 5.0e-7 relative at 16^3 to 24^3
-    sphere nodes, but the Rayleigh quotient of the constant function, a
-    weighted sum of the product, stays within 7.7e-9 of its value with
-    float64 sums (7.4e-10 with sgemv): far inside the 1e-6 agreement the
-    float32 sharpness quotients are held to.
+    matvec and row_power_sums are the only views of the entries outside
+    this module; matvec reads one triangle through dsymv.
     """
 
     entries: np.ndarray | None
@@ -429,51 +422,43 @@ class KernelMatrix:
                 if self.spec.mass.shape != (N,):
                     raise ValueError(f"mass must have shape ({N},), got {self.spec.mass.shape}")
             return
-        if self.entries.shape != (N, N):
-            raise ValueError(f"entries must have shape ({N}, {N}), got {self.entries.shape}")
-        if self.entries.dtype not in (np.float32, np.float64):  # the dtypes symv multiplies
-            raise ValueError(f"entries must be float32 or float64, got {self.entries.dtype}")
-        self.entries = np.ascontiguousarray(self.entries)
+        entries = np.asarray(self.entries)
+        if entries.shape != (N, N):
+            raise ValueError(f"entries must have shape ({N}, {N}), got {entries.shape}")
+        if entries.dtype != np.float64:  # the dtype symv multiplies
+            raise ValueError(f"entries must be float64, got {entries.dtype}")
+        self.entries = np.ascontiguousarray(entries)
 
     def __len__(self) -> int:
         return len(self.grid)
 
-    @property
-    def dtype(self) -> np.dtype:
-        return np.dtype(np.float64) if self.entries is None else self.entries.dtype
-
     def densified(self) -> KernelMatrix:
         """This kernel with stored entries: itself, or for the matrix-free operator its
-        float64 entries filled as assemble_kernel fills them, under the same memory
-        refusals, checked before allocating."""
+        entries filled as assemble_kernel fills them, under the same memory refusals,
+        checked before allocating."""
         if self.entries is not None:
             return self
-        entries = _dense_entries(self.grid, self.spec, self.params, np.float64)
+        entries = _dense_entries(self.grid, self.spec, self.params)
         return KernelMatrix(entries, self.spec, self.grid, self.params)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """E @ x for the symmetric E of the upper triangle, x cast to the entries' dtype,
-        returned as float64.
+        """E @ x in float64 for the symmetric E of the upper triangle.
 
-        numpy's bundled OpenBLAS multiplies stored entries in their dtype with ssymv or
-        dsymv, which read the upper triangle only. The matrix-free operator, and stored
-        entries without that BLAS, take the tile walk of row_power_sums at r = 1, summed
-        in float64.
+        numpy's bundled OpenBLAS multiplies stored entries with dsymv, which reads the
+        upper triangle only. The matrix-free operator, and stored entries without that
+        BLAS, take the tile walk of row_power_sums at r = 1.
         """
         E = self.entries
         y = None if E is None else _blas.symv(E, x)
         if y is None:
-            y = self._upper_sums(x.astype(self.dtype, copy=False), 1.0)
-        return np.asarray(y, np.float64)
+            y = self._upper_sums(np.asarray(x, dtype=np.float64), 1.0)
+        return y
 
     def row_power_sums(self, r: float) -> np.ndarray:
         """Weighted row sums sum_j E_ij^r w_j in float64, from one walk over the tiles.
 
-        Stored powers are taken in the entries' dtype and summed in float64. A float32
-        power is within one float32 ulp of the float64 power to float32(r); with the
-        rounding of r itself it was within 2.4 float32 eps of E_ij^r on the 24^3
-        sphere kernel at r = 1.2. The matrix-free operator raises each tile's base to
-        the combined exponent in float64 (_kernel_tile), one power per entry.
+        Stored entries are raised to the power r; the matrix-free operator raises
+        each tile's base to the combined exponent (_kernel_tile), one power per entry.
         """
         return self._upper_sums(self.grid.weights, r)
 
@@ -481,9 +466,9 @@ class KernelMatrix:
         """sum_j S_ij^r x_j in float64 for the symmetric S of the upper triangle.
 
         Column sums are row sums, so each tile on or above the diagonal is raised
-        to the power r once, in the entries' dtype or, matrix-free, computed at that
-        power in float64, and adds its row sums and, off the diagonal, its column
-        sums; a diagonal tile is read as symv reads it, from its upper triangle.
+        to the power r once, or, matrix-free, computed at that power, and adds its
+        row sums and, off the diagonal, its column sums; a diagonal tile is read as
+        symv reads it, from its upper triangle.
         Tiles are walked as in assemble_kernel, and their sums added in tile order
         in the caller's thread, so the result does not depend on the walker count.
         """
@@ -498,8 +483,7 @@ class KernelMatrix:
                 if i0 == j0:
                     P = np.triu(P)
                 if r != 1.0:
-                    P = P ** P.dtype.type(r)
-                P = np.asarray(P, dtype=np.float64)
+                    P = P**r
             if i0 == j0:
                 return tile, (P + np.triu(P, 1).T) @ x[j0:j1], None
             return tile, P @ x[j0:j1], x[i0:i1] @ P
@@ -533,18 +517,18 @@ def _tiles(N: int):
             yield i0, min(i0 + _TILE, N), j0, min(j0 + _TILE, N)
 
 
-def _assembly_bytes(N: int, n: int, itemsize: int) -> int:
-    """Bytes an assembly over N nodes of dimension n needs, at itemsize bytes per entry.
+def _assembly_bytes(N: int, n: int) -> int:
+    """Bytes an assembly over N nodes of dimension n needs.
 
-    The N x N entries; per walker, one tile's scratch of (64 + 32 n) bytes per node
-    pair: complex inner products (16), the n complex coordinate differences of the
-    cylinder metric and their conjugates (32 n), up to six float64 temporaries (48);
-    and the grid's N-vectors: weights, mass, t and n + 1 complex coordinates.
+    The N x N float64 entries; per walker, one tile's scratch of (64 + 32 n) bytes per
+    node pair: complex inner products (16), the n complex coordinate differences of
+    the cylinder metric and their conjugates (32 n), up to six float64 temporaries
+    (48); and the grid's N-vectors: weights, mass, t and n + 1 complex coordinates.
     """
     tiles = -(-N // _TILE)
     walkers = _blas.walkers(tiles * (tiles + 1) // 2)
     scratch = walkers * min(N, _TILE) ** 2 * (64 + 32 * n)
-    return N * N * itemsize + scratch + N * (24 + 16 * (n + 1))
+    return N * N * 8 + scratch + N * (24 + 16 * (n + 1))
 
 
 def _mem_available() -> int | None:
@@ -617,8 +601,8 @@ def _kernel_tile(
     return tile if i0 != j0 else np.triu(tile, 1)
 
 
-def _dense_entries(grid: QuadratureGrid, spec: KernelSpec, params: Params, dtype) -> np.ndarray:
-    """The N x N entries in dtype: the tiles of _tiles filled by _kernel_tile on the walk's
+def _dense_entries(grid: QuadratureGrid, spec: KernelSpec, params: Params) -> np.ndarray:
+    """The N x N float64 entries: the tiles of _tiles filled by _kernel_tile on the walk's
     threads (they write disjoint entries), the lower triangle left zero.
 
     Raises ValueError before allocating when the entries exceed physical memory, or
@@ -626,18 +610,17 @@ def _dense_entries(grid: QuadratureGrid, spec: KernelSpec, params: Params, dtype
     /proc/meminfo.
     """
     N = len(grid)
-    itemsize = np.dtype(dtype).itemsize
     physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     for limit, need, name in (
-        (physical, N * N * itemsize, "physical"),
-        (_mem_available(), _assembly_bytes(N, grid.n, itemsize), "available"),
+        (physical, N * N * 8, "physical"),
+        (_mem_available(), _assembly_bytes(N, grid.n), "available"),
     ):
         if limit is not None and need > limit:
             raise ValueError(
-                f"a dense {N} x {N} kernel of {itemsize}-byte entries needs "
+                f"a dense {N} x {N} kernel of 8-byte entries needs "
                 f"{need / 2**30:.1f} GiB, more than the {limit / 2**30:.1f} GiB of {name} memory"
             )
-    entries = np.zeros((N, N), dtype=dtype)
+    entries = np.zeros((N, N))
 
     def fill(bounds):
         i0, i1, j0, j1 = bounds
@@ -653,13 +636,15 @@ def assemble_kernel(
     params: Params,
     dtype=np.float64,
 ) -> KernelMatrix:
-    """The kernel matrix of a KernelSpec over a grid: stored in dtype when its N^2
+    """The kernel matrix of a KernelSpec over a grid: stored in float64 when its N^2
     entries take at most _DENSE_BYTES (128 MiB), the matrix-free operator above.
 
-    Entries are computed in float64 tiles of _TILE x _TILE node pairs and
-    stored in the requested dtype (float32 halves the storage); the scratch
-    is a few tiles, not a share of N^2. The diagonal is set to zero: the
-    singular self-interaction cell is dropped, which biases weighted row
+    dtype=np.float32 gives the matrix-free operator at every size: kernels are
+    stored only as float64, and the operator sums in float64 too.
+
+    Entries are computed in float64 tiles of _TILE x _TILE node pairs; the
+    scratch is a few tiles, not a share of N^2. The diagonal is set to zero:
+    the singular self-interaction cell is dropped, which biases weighted row
     sums low by O(h^alpha), so Rayleigh quotients built on these matrices
     converge to their continuum values from below. Both kernel models are
     symmetric in the node pair (the green_model mass enters as the pair
@@ -670,11 +655,10 @@ def assemble_kernel(
     threads, with BLAS on one thread meanwhile.
 
     Above the budget nothing is stored and nothing is evaluated yet: the
-    returned KernelMatrix has entries None, its readers compute the same
-    float64 tiles as they walk them, and dtype does not apply. The budget
-    is a constant, not a share of free memory, so a rerun stores the same
-    way and gives the same bits. The 16^3 float64 kernel, exactly 128 MiB,
-    is stored; float32 from 20^3 on is not.
+    returned KernelMatrix has entries None, and its readers compute the same
+    float64 tiles as they walk them. The budget is a constant, not a share
+    of free memory, so a rerun stores the same way and gives the same bits.
+    The 16^3 kernel, exactly 128 MiB, is stored.
 
     Raises ValueError for a dtype other than float32 or float64, for
     green_model kernels without a length-N mass, and, when storing, before
@@ -690,9 +674,9 @@ def assemble_kernel(
     dtype = np.dtype(dtype)
     if dtype not in (np.float32, np.float64):
         raise ValueError(f"entries must be float32 or float64, got {dtype}")
-    if len(grid) ** 2 * dtype.itemsize > _DENSE_BYTES:
+    if dtype == np.float32 or len(grid) ** 2 * 8 > _DENSE_BYTES:
         return K
-    return KernelMatrix(_dense_entries(grid, spec, params, dtype), spec, grid, params)
+    return KernelMatrix(_dense_entries(grid, spec, params), spec, grid, params)
 
 
 # ---------------------------------------------------------------------------
@@ -779,19 +763,19 @@ def load_kernel_csv(path, grid: QuadratureGrid) -> KernelMatrix:
 
     The header is validated against the grid size, and the params are
     those of the grid's n and the header's alpha. The entries come back
-    in the saved dtype (float32 or float64), and they must be finite,
-    nonnegative and bitwise symmetric, as saved assembled kernels are.
-    green_model mass values are not stored in the CSV; the loaded spec
-    carries only the kind label.
+    as float64, and they must be finite, nonnegative and bitwise symmetric,
+    as saved assembled kernels are; a float32 file, which earlier versions
+    wrote, is refused. green_model mass values are not stored in the CSV;
+    the loaded spec carries only the kind label.
     """
     with open(path) as fh:
         header = fh.readline().strip().split(",")
-        if len(header) != 4 or header[3] not in ("float32", "float64"):
+        if len(header) != 4 or header[3] != "float64":
             raise ValueError(
-                f"kernel header must read N,kind,alpha,dtype with dtype float32 or float64, "
-                f"got {','.join(header)!r}"
+                "kernel header must read N,kind,alpha,dtype with dtype float64 (kernels "
+                f"are stored only as float64), got {','.join(header)!r}"
             )
-        entries = np.loadtxt(fh, delimiter=",", ndmin=2, dtype=header[3])
+        entries = np.loadtxt(fh, delimiter=",", ndmin=2)
     N, kind, alpha = int(header[0]), header[1], float(header[2])
     if N != len(grid):
         raise ValueError(f"kernel holds {N} nodes but the grid has {len(grid)}")

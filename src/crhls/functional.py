@@ -2,9 +2,9 @@
 
 All operations consume grid weights explicitly; kernel matrices carry no
 weights of their own. The kernel is read only through KernelMatrix.matvec
-(the bilinear form: the double sum over all node pairs, in the entries'
-dtype for stored entries, and in float64 tiles computed as they are walked
-for the matrix-free operator) and KernelMatrix.row_power_sums (young_bound).
+(the bilinear form: the double sum over all node pairs, in float64, from
+stored entries or from tiles computed as they are walked for the
+matrix-free operator) and KernelMatrix.row_power_sums (young_bound).
 """
 
 from __future__ import annotations

@@ -104,11 +104,9 @@ def solve_subcritical(
     Starts from the normalized constant unless a warm start f0 is given.
     Converged means both the relative quotient change and the stationarity
     defect dropped below tol (the defect scaled by 1 + D). Hitting
-    max_iter returns converged = False rather than raising. A kernel whose
-    entries are not float64 is refused: float32 products leave a rounding
-    floor above the default tol, so such a solve would run to max_iter.
-    The matrix-free operator is densified first (KernelMatrix.densified),
-    so a kernel too large for memory is refused before any product.
+    max_iter returns converged = False rather than raising. The
+    matrix-free operator is densified first (KernelMatrix.densified), so a
+    kernel too large for memory is refused before any product.
     """
     p = float(p)
     q_alpha = K.params.q_alpha
@@ -117,8 +115,6 @@ def solve_subcritical(
             f"p must lie in the subcritical window (q_alpha, 2) = ({q_alpha:.6f}, 2), got p = {p}"
         )
     _check_grid(K, grid)
-    if K.dtype != np.float64:
-        raise ValueError(f"the solver needs a float64 kernel, got {K.dtype} entries")
     if not float(tol) > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
     if int(max_iter) < 1:
@@ -158,7 +154,7 @@ def solve_subcritical(
     D_prev = None
     f, y, D = evaluate(f / lp_norm(f, grid, p))
     # the first product stands in for a scan of the entries it reads, the
-    # upper triangle in both dtypes (ssymv, dsymv or the tile walk): BLAS
+    # upper triangle (dsymv or the tile walk): BLAS
     # gives 0 * NaN = NaN, and each upper entry is added to both its row and
     # its column, so a NaN there reaches y even where the start is zero
     if not np.max(y) > 0.0:

@@ -38,7 +38,7 @@ def _report(num: int, label: str, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def sphere_quotient_32():
-    """Constant-function quotient on the 32^3 sphere rule, float32 kernel.
+    """Constant-function quotient on the 32^3 sphere rule, matrix-free operator.
 
     The constant is the exact critical extremal on the sphere, so the
     quotient approaches the sharp constant from below under refinement.
@@ -47,7 +47,7 @@ def sphere_quotient_32():
     params = make_params(1, 2.0)
     grid = sphere_grid(1, (32, 32, 32))
     t0 = time.perf_counter()
-    K = assemble_kernel(grid, KernelSpec("pure_singular"), params, dtype=np.float32)
+    K = assemble_kernel(grid, KernelSpec("pure_singular"), params)
     quotient = rayleigh_quotient(K, np.ones(len(grid)), params.q_alpha)
     return quotient, len(grid), time.perf_counter() - t0
 
@@ -209,7 +209,7 @@ def test_criterion_9_young_bound():
         qq = 1.0 / (inv_p + 1.0 / r - 1.0)
         C = young_bound(K, grid, r)
         f = rng.normal(size=len(grid))
-        E = np.asarray(symmetric(K.entries), dtype=np.float64)
+        E = symmetric(K.entries)
         lhs = lp_norm(E @ (f * grid.weights), grid, qq)
         rhs = C * lp_norm(f, grid, p)
         worst_ratio = max(worst_ratio, lhs / rhs)

@@ -1,7 +1,7 @@
 """numpy's bundled OpenBLAS: the threaded tile walk (same bits on one or two walkers
 and in any chunks, items consumed in order, first error in walk order, the BLAS thread
-count restored after every walk), the products through ssymv and dsymv beside their
-tile-walk fallback, and the readers of a kernel's entries, which ignore its lower
+count restored after every walk), the product through dsymv beside its tile-walk
+fallback, and the readers of a kernel's entries, which ignore its lower
 triangle."""
 
 import os
@@ -67,22 +67,20 @@ def test_walk_bits_do_not_depend_on_walker_count(monkeypatch, blas_count, small_
 
     monkeypatch.setattr(discretization, "_pow_neg", recorded_pow_neg)
     for grid, spec, params in _walk_cases():
-        for dtype in (np.float32, np.float64):
-            runs = []
-            for count in (1, 2):
-                with _blas.blas_threads(count):
-                    walkers = _blas.walkers(10**6)
-                    assert walkers == min(count, len(os.sched_getaffinity(0)))
-                    seen.clear()
-                    K = assemble_kernel(grid, spec, params, dtype=dtype)
-                    runs.append((K.entries, young_bound(K, grid, 1.0), young_bound(K, grid, 1.2)))
-                    assert blas_count() == count
-                # BLAS runs on one thread inside a walk on two walkers
-                assert seen == {1 if walkers > 1 else count}
-            (E1, *y1), (E2, *y2) = runs
-            assert E1.dtype == dtype
-            assert np.array_equal(E1, E2)
-            assert y1 == y2
+        runs = []
+        for count in (1, 2):
+            with _blas.blas_threads(count):
+                walkers = _blas.walkers(10**6)
+                assert walkers == min(count, len(os.sched_getaffinity(0)))
+                seen.clear()
+                K = assemble_kernel(grid, spec, params)
+                runs.append((K.entries, young_bound(K, grid, 1.0), young_bound(K, grid, 1.2)))
+                assert blas_count() == count
+            # BLAS runs on one thread inside a walk on two walkers
+            assert seen == {1 if walkers > 1 else count}
+        (E1, *y1), (E2, *y2) = runs
+        assert np.array_equal(E1, E2)
+        assert y1 == y2
 
 
 def test_matrix_free_sums_do_not_depend_on_walker_count(blas_count, small_walks):
@@ -110,11 +108,9 @@ def test_walk_bits_do_not_depend_on_chunk_count(monkeypatch, blas_count, small_w
         with _blas.blas_threads(2):
             for chunks in (_blas._CHUNKS_PER_WALKER, 1, tiles):
                 monkeypatch.setattr(_blas, "_CHUNKS_PER_WALKER", chunks)
-                found = [K.matvec(x), K.row_power_sums(1.0), K.row_power_sums(1.2)]
-                for dtype in (np.float32, np.float64):
-                    S = assemble_kernel(grid, spec, params, dtype=dtype)
-                    found += [S.entries, young_bound(S, grid, 1.2)]
-                runs.append(found)
+                S = assemble_kernel(grid, spec, params)
+                runs.append([K.matvec(x), K.row_power_sums(1.0), K.row_power_sums(1.2),
+                             S.entries, young_bound(S, grid, 1.2)])
         for other in runs[1:]:
             assert all(np.array_equal(a, b) for a, b in zip(runs[0], other))
 
@@ -219,37 +215,34 @@ def test_walkers_capped_by_usable_cores(monkeypatch):
     assert threading.active_count() == threads
 
 
-# two products in one dtype within the standard GEMV bound of each other, as in test_properties
+# two float64 products within the standard GEMV bound of each other, as in test_properties
 GEMV_C = 2
 
 
-def _symmetric_kernel(N, dtype=np.float64):
+def _symmetric_kernel(N):
     params = make_params(1, 2.0)
     grid = sphere_grid(1, (4, 4, N // 16))
     rng = np.random.default_rng(7)
     A = rng.uniform(size=(len(grid), len(grid)))
-    return KernelMatrix((A + A.T).astype(dtype), KernelSpec("pure_singular"), grid, params), rng
+    return KernelMatrix(A + A.T, KernelSpec("pure_singular"), grid, params), rng
 
 
 def _close(y, S, x):
-    """y within the GEMV bound of S @ x, both taken in S's dtype."""
-    x = x.astype(S.dtype)
-    bound = GEMV_C * len(x) * np.finfo(S.dtype).eps * (np.abs(S).astype(np.float64) @ np.abs(x))
+    """y within the GEMV bound of S @ x."""
+    bound = GEMV_C * len(x) * np.finfo(np.float64).eps * (np.abs(S) @ np.abs(x))
     return np.all(np.abs(y - S @ x) <= bound)
 
 
 def test_matvec_without_bundled_openblas_walks_the_tiles(monkeypatch, small_walks):
-    # the fallback product is row_power_sums' walk over the upper triangle at
-    # r = 1, summed in float64 whatever the entries' dtype
+    # the fallback product is row_power_sums' walk over the upper triangle at r = 1
     params = make_params(1, 2.0)
     grid = sphere_grid(1, (5, 5, 5))  # 8 x 8 tiles of 16, ragged 13-node edges
     x = np.random.default_rng(7).standard_normal(len(grid))
     monkeypatch.setattr(_blas, "_openblas", lambda: None)
-    for dtype in (np.float32, np.float64):
-        K = assemble_kernel(grid, KernelSpec("pure_singular"), params, dtype=dtype)
-        assert _blas.symv(K.entries, x) is None
-        assert _close(K.matvec(x), symmetric(K.entries).astype(np.float64), x.astype(dtype))
-    # float64 weights are not cast, so the product is row_power_sums(1) bit for bit
+    K = assemble_kernel(grid, KernelSpec("pure_singular"), params)
+    assert _blas.symv(K.entries, x) is None
+    assert _close(K.matvec(x), symmetric(K.entries), x)
+    # the product with the weights is row_power_sums(1) bit for bit
     assert np.array_equal(K.matvec(grid.weights), K.row_power_sums(1.0))
 
 
@@ -268,16 +261,14 @@ def test_matvec_of_any_layout_is_that_of_its_c_copy():
 
 
 def test_dsymv_refuses_layouts_it_cannot_read(blas_count):
-    # symv serves dsymv and ssymv: both dtypes go through the same checks
     K, rng = _symmetric_kernel(64)
     E, x = K.entries, rng.standard_normal(len(K))
-    for A in (E, E.astype(np.float32)):
-        for bad in (np.asfortranarray(A), A[:, :-1], A.astype(np.float16)):
-            with pytest.raises(ValueError, match="C-contiguous square float32 or float64"):
-                _blas.symv(bad, x)
-        for bad in (x[:-1], np.ones((len(x), 2))):
-            with pytest.raises(ValueError, match="length-64 vector"):
-                _blas.symv(A, bad)
+    for bad in (np.asfortranarray(E), E[:, :-1], E.astype(np.float32), E.astype(np.float16)):
+        with pytest.raises(ValueError, match="C-contiguous square float64"):
+            _blas.symv(bad, x)
+    for bad in (x[:-1], np.ones((len(x), 2))):
+        with pytest.raises(ValueError, match="length-64 vector"):
+            _blas.symv(E, bad)
     # entries swapped in after construction go through the same check
     K.entries = np.asfortranarray(E)
     with pytest.raises(ValueError, match="C-contiguous"):
@@ -285,18 +276,17 @@ def test_dsymv_refuses_layouts_it_cannot_read(blas_count):
 
 
 def test_dsymv_reads_the_upper_triangle_on_one_and_two_threads(blas_count):
-    # and ssymv: OpenBLAS splits both over threads at this size
-    for dtype in (np.float64, np.float32):
-        K, rng = _symmetric_kernel(1024, dtype)
-        E, x = K.entries, rng.standard_normal(len(K))
-        scrambled = E.copy()
-        scrambled[np.tril_indices(len(E), -1)] = np.nan
-        for count in (1, 2):
-            with _blas.blas_threads(count):
-                y = K.matvec(x)
-                assert _close(y, E, x)
-                assert all(np.array_equal(K.matvec(x), y) for _ in range(3))  # same bits on rerun
-                assert np.array_equal(_blas.symv(scrambled, x), y)
+    # OpenBLAS splits the product over threads at this size
+    K, rng = _symmetric_kernel(1024)
+    E, x = K.entries, rng.standard_normal(len(K))
+    scrambled = E.copy()
+    scrambled[np.tril_indices(len(E), -1)] = np.nan
+    for count in (1, 2):
+        with _blas.blas_threads(count):
+            y = K.matvec(x)
+            assert _close(y, E, x)
+            assert all(np.array_equal(K.matvec(x), y) for _ in range(3))  # same bits on rerun
+            assert np.array_equal(_blas.symv(scrambled, x), y)
 
 
 @pytest.mark.parametrize("bundled", [True, False], ids=["symv", "tile_walk"])
@@ -310,16 +300,12 @@ def test_readers_ignore_the_lower_triangle(monkeypatch, small_walks, bundled):
     f = np.linspace(0.5, 1.5, len(grid))
 
     def readings(K):
-        found = (K.matvec(x), K.row_power_sums(1.2), young_bound(K, grid, 1.2),
-                 rayleigh_quotient(K, f, params.q_alpha))
-        if K.dtype != np.float64:  # the solver refuses it
-            return found
         res = solve_subcritical(K, grid, 1.5, max_iter=40)
-        return (*found, res.f, res.D_estimate, res.iterations)
+        return (K.matvec(x), K.row_power_sums(1.2), young_bound(K, grid, 1.2),
+                rayleigh_quotient(K, f, params.q_alpha), res.f, res.D_estimate, res.iterations)
 
-    for dtype in (np.float32, np.float64):
-        K = assemble_kernel(grid, KernelSpec("pure_singular"), params, dtype=dtype)
-        before = readings(K)
-        K.entries[np.tril_indices(len(grid), -1)] = np.nan
-        after = readings(K)
-        assert all(np.array_equal(a, b) for a, b in zip(before, after)), dtype
+    K = assemble_kernel(grid, KernelSpec("pure_singular"), params)
+    before = readings(K)
+    K.entries[np.tril_indices(len(grid), -1)] = np.nan
+    after = readings(K)
+    assert all(np.array_equal(a, b) for a, b in zip(before, after))

@@ -208,10 +208,10 @@ def test_conformal_covariance_validation(params_n1):
 
 
 def test_conformal_covariance_scratch_is_order_N(params_n1):
-    # a float32 kernel is multiplied as stored, not copied to float64 first
-    # (a 22.9 MiB peak over its 11.4 MiB of entries at 12^3)
+    # the kernel is multiplied as stored, not copied: a copy of its 22.8 MiB
+    # of entries at 12^3 would show in the peak
     grid = sphere_grid(1, (12, 12, 12))
-    K = assemble_kernel(grid, KernelSpec("pure_singular"), params_n1, dtype=np.float32)
+    K = assemble_kernel(grid, KernelSpec("pure_singular"), params_n1)
     phi = np.linspace(0.5, 2.0, len(grid))
     tracemalloc.start()
     try:

@@ -1,5 +1,8 @@
 """Norms, bilinear forms, quotients, Young-type bounds, tail integrals."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -25,7 +28,7 @@ from conftest import random_sphere_grid, random_sphere_kernel, symmetric, two_no
 
 def _apply(K, f):
     # weighted kernel operator (A f)_i = sum_j K_ij f_j w_j
-    return np.asarray(symmetric(K.entries), dtype=np.float64) @ (f * K.grid.weights)
+    return symmetric(K.entries) @ (f * K.grid.weights)
 
 
 def test_lp_norm_hand_values():
@@ -163,16 +166,31 @@ def test_young_bound_guards_bilinear_form():
         )
 
 
+def test_sharpness_rung_16_matches_the_perfbench_reference():
+    # the 16^3 rung of perfbench's sharpness ladder, called as the harness calls
+    # it (a float32 request: the matrix-free operator), against its recorded values
+    reference = json.loads((Path(__file__).parents[1] / "perfbench" / "reference.json").read_text())
+    checks = {c["path"]: c for c in reference["sharpness"]["checks"]}
+    params = make_params(1, 2.0)
+    grid = sphere_grid(1, (16, 16, 16))
+    K = assemble_kernel(grid, KernelSpec("pure_singular"), params, dtype=np.float32)
+    observed = {"quotient.n4096": rayleigh_quotient(K, np.ones(len(grid)), params.q_alpha),
+                "young_bound.n4096": young_bound(K, grid, 1.2)}
+    for path, value in observed.items():
+        assert checks[path]["rtol"] == 1e-6
+        assert value == pytest.approx(checks[path]["value"], rel=1e-6, abs=0.0), path
+
+
 def test_young_bound_blocked_path():
     # 3375 nodes span 14 x 14 tiles, so the accumulation runs over many
     params = make_params(1, 2.0)
     grid = sphere_grid(1, (15, 15, 15))
     assert len(grid) > 13 * discretization._TILE
-    K = assemble_kernel(grid, KernelSpec("pure_singular"), params, dtype=np.float32)
+    K = assemble_kernel(grid, KernelSpec("pure_singular"), params)
     C = young_bound(K, grid, 1.5)
     assert np.isfinite(C) and C > 0.0
     f = np.ones(len(grid))
-    applied = np.asarray(symmetric(K.entries) @ (f * grid.weights), dtype=np.float64)
+    applied = K.matvec(f * grid.weights)
     lhs = lp_norm(applied, grid, 3.0)
     # 1/q = 1/p + 1/r - 1 with r = 1.5, q = 3 gives p = 1
     assert lhs <= C * lp_norm(f, grid, 1.0) * (1.0 + 1e-6)
@@ -188,7 +206,7 @@ def test_young_bound_block_size_independent(monkeypatch):
 
 
 def _dense_young(K, grid, r):
-    P = np.asarray(symmetric(K.entries), dtype=np.float64) ** r
+    P = symmetric(K.entries) ** r
     w = grid.weights
     return max(np.max(P @ w), np.max(w @ P)) ** (1.0 / r)
 

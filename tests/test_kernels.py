@@ -19,7 +19,7 @@ from crhls.discretization import (
 )
 from crhls.functional import rayleigh_quotient
 from crhls.solver import continuation, solve_subcritical
-from conftest import pair_kernel, random_sphere_grid, symmetric
+from conftest import pair_kernel, random_sphere_grid, symmetric, two_node_fixture
 
 
 def test_kernel_spec_validation():
@@ -187,11 +187,12 @@ def test_assemble_refuses_kernel_beyond_physical_memory(monkeypatch):
         K.densified()
     with pytest.raises(ValueError, match="physical memory"):
         solve_subcritical(K, big, 1.5)
-    # the bound is N^2 * itemsize against SC_PHYS_PAGES * SC_PAGE_SIZE
+    # the bound is N^2 * 8 bytes against SC_PHYS_PAGES * SC_PAGE_SIZE
     g = sphere_grid(1, (4, 4, 4))
-    physical = {"SC_PHYS_PAGES": 64 * 64 * 4, "SC_PAGE_SIZE": 1}
+    physical = {"SC_PHYS_PAGES": 64 * 64 * 8, "SC_PAGE_SIZE": 1}
     monkeypatch.setattr(discretization.os, "sysconf", physical.__getitem__)
-    assert len(assemble_kernel(g, KernelSpec("pure_singular"), p, dtype=np.float32)) == 64
+    assert assemble_kernel(g, KernelSpec("pure_singular"), p).entries is not None
+    physical["SC_PHYS_PAGES"] -= 1
     with pytest.raises(ValueError, match="64 x 64 kernel of 8-byte entries"):
         assemble_kernel(g, KernelSpec("pure_singular"), p)
 
@@ -200,12 +201,13 @@ def test_assemble_refuses_kernel_beyond_available_memory(monkeypatch):
     p = make_params(1, 2.0)
     available = discretization._mem_available()
     assert available is None or available > 0
-    # the bound is N^2 * itemsize plus the walk's scratch against MemAvailable,
+    # the bound is N^2 * 8 bytes plus the walk's scratch against MemAvailable,
     # after the physical check
-    need32 = discretization._assembly_bytes(64, 1, 4)
-    monkeypatch.setattr(discretization, "_mem_available", lambda: need32)
+    need = discretization._assembly_bytes(64, 1)
+    monkeypatch.setattr(discretization, "_mem_available", lambda: need)
     g = sphere_grid(1, (4, 4, 4))
-    assert len(assemble_kernel(g, KernelSpec("pure_singular"), p, dtype=np.float32)) == 64
+    assert assemble_kernel(g, KernelSpec("pure_singular"), p).entries is not None
+    monkeypatch.setattr(discretization, "_mem_available", lambda: need - 1)
     with pytest.raises(ValueError, match="64 x 64 kernel of 8-byte entries .* available memory"):
         assemble_kernel(g, KernelSpec("pure_singular"), p)
     monkeypatch.setattr(discretization, "_mem_available", lambda: int(0.3 * 2**30))
@@ -218,25 +220,25 @@ def test_assemble_refuses_kernel_beyond_available_memory(monkeypatch):
 
 
 def test_assemble_beyond_the_dense_budget_stores_nothing(monkeypatch):
-    # 20^3 float32 entries would take 244 MiB, above the 128 MiB budget: the
-    # operator is returned whatever memory is free, with the same bits
+    # 20^3 entries would take 488 MiB, above the 128 MiB budget: the operator
+    # is returned whatever memory is free, with the same bits
     p = make_params(1, 2.0)
     g = sphere_grid(1, (20, 20, 20))
-    assert len(g) ** 2 * 4 > discretization._DENSE_BYTES
-    K = assemble_kernel(g, KernelSpec("pure_singular"), p, dtype=np.float32)
-    assert K.entries is None and K.dtype == np.float64 and len(K) == len(g)
+    assert len(g) ** 2 * 8 > discretization._DENSE_BYTES
+    K = assemble_kernel(g, KernelSpec("pure_singular"), p)
+    assert K.entries is None and len(K) == len(g)
     x = np.ones(len(g))
     monkeypatch.setattr(discretization, "_mem_available", lambda: 2**20)
-    K_low = assemble_kernel(g, KernelSpec("pure_singular"), p, dtype=np.float32)
+    K_low = assemble_kernel(g, KernelSpec("pure_singular"), p)
     assert K_low.entries is None
     assert np.array_equal(K_low.matvec(x), K.matvec(x))
 
 
 def test_matrix_free_quotient_holds_a_few_tiles():
-    # the float32 entries of this kernel alone would take 244 MiB
+    # the entries of this kernel alone would take 488 MiB
     p = make_params(1, 2.0)
     g = sphere_grid(1, (20, 20, 20))
-    K = assemble_kernel(g, KernelSpec("pure_singular"), p, dtype=np.float32)
+    K = assemble_kernel(g, KernelSpec("pure_singular"), p)
     tracemalloc.start()
     try:
         quotient = rayleigh_quotient(K, np.ones(len(g)), p.q_alpha)
@@ -251,21 +253,21 @@ def _assembly_cases():
     p1, p2 = make_params(1, 2.0), make_params(2, 1.3)
     sphere, cylinder = sphere_grid(1, (12, 12, 12)), cylinder_grid(2.0, (4, 4, 4), p2)
     ramp = KernelSpec("green_model", mass=np.linspace(0.0, 1.0, len(sphere)), c_w=0.3)
-    yield sphere, KernelSpec("pure_singular"), p1, np.float64
-    yield sphere, ramp, p1, np.float32
-    yield cylinder, KernelSpec("pure_singular"), p2, np.float64
+    yield sphere, KernelSpec("pure_singular"), p1
+    yield sphere, ramp, p1
+    yield cylinder, KernelSpec("pure_singular"), p2
 
 
 def test_assemble_refuses_entries_without_room_for_scratch(monkeypatch):
     # MemAvailable just above the entries alone leaves no room for the walk's
     # scratch: refused before the entries are allocated
-    for grid, spec, params, dtype in _assembly_cases():
-        entries = len(grid) ** 2 * np.dtype(dtype).itemsize
+    for grid, spec, params in _assembly_cases():
+        entries = len(grid) ** 2 * 8
         monkeypatch.setattr(discretization, "_mem_available", lambda: entries + 1)
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match="available memory"):
-                assemble_kernel(grid, spec, params, dtype=dtype)
+                assemble_kernel(grid, spec, params)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -274,26 +276,17 @@ def test_assemble_refuses_entries_without_room_for_scratch(monkeypatch):
 
 def test_assembly_bytes_bound_the_assembly(monkeypatch):
     # with exactly _assembly_bytes available the assembly runs, and allocates no more
-    for grid, spec, params, dtype in _assembly_cases():
-        need = discretization._assembly_bytes(len(grid), grid.n, np.dtype(dtype).itemsize)
+    for grid, spec, params in _assembly_cases():
+        need = discretization._assembly_bytes(len(grid), grid.n)
         monkeypatch.setattr(discretization, "_mem_available", lambda: need)
         tracemalloc.start()
         try:
-            K = assemble_kernel(grid, spec, params, dtype=dtype)
+            K = assemble_kernel(grid, spec, params)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert K.entries.dtype == dtype
+        assert K.entries is not None
         assert peak <= need
-
-
-def test_assemble_float32_storage():
-    p = make_params(1, 2.0)
-    g = sphere_grid(1, (5, 5, 5))
-    K64 = assemble_kernel(g, KernelSpec("pure_singular"), p)
-    K32 = assemble_kernel(g, KernelSpec("pure_singular"), p, dtype=np.float32)
-    assert K32.entries.dtype == np.float32
-    assert np.allclose(K32.entries, K64.entries.astype(np.float32), rtol=0, atol=0)
 
 
 def test_assemble_block_rows_independent(monkeypatch):
@@ -349,9 +342,22 @@ def test_kernel_matrix_shape_guard():
     with pytest.raises(ValueError):
         KernelMatrix(entries=np.zeros((3, 3)), spec=KernelSpec("pure_singular"),
                      grid=g, params=p)
-    for dtype in (np.float16, np.int64):
-        with pytest.raises(ValueError, match="float32 or float64"):
+    for dtype in (np.float16, np.float32, np.int64):
+        with pytest.raises(ValueError, match="entries must be float64"):
             KernelMatrix(np.zeros((64, 64), dtype), KernelSpec("pure_singular"), g, p)
+
+
+def test_kernel_matrix_takes_a_nested_list_of_floats(params_n1):
+    # a list is taken as an array, with the dtype of its values: floats are
+    # float64, ints and float32 values are refused like arrays of them
+    grid, K = two_node_fixture(params_n1)
+    L = KernelMatrix([[0.0, 1.0], [1.0, 0.0]], K.spec, grid, params_n1)
+    assert L.entries.dtype == np.float64 and L.entries.flags.c_contiguous
+    assert np.array_equal(L.entries, symmetric(K.entries))
+    assert np.array_equal(L.matvec(np.array([2.0, 3.0])), [3.0, 2.0])
+    for bad in ([[0, 1], [1, 0]], [[np.float32(0.0), np.float32(1.0)]] * 2):
+        with pytest.raises(ValueError, match="entries must be float64"):
+            KernelMatrix(bad, K.spec, grid, params_n1)
 
 
 def test_kernel_matrix_refuses_params_of_other_n():
@@ -390,32 +396,30 @@ def test_kernel_csv_round_trip(tmp_path):
     assert np.array_equal(K2.matvec(x), K.matvec(x))
 
 
-def test_kernel_csv_keeps_float32(tmp_path):
+def test_kernel_csv_refuses_float32(tmp_path):
+    # earlier versions saved float32 kernels; kernels are now stored only as
+    # float64, and the refusal says so
     p = make_params(1, 2.0)
     g = sphere_grid(1, (4, 4, 4))
-    K = assemble_kernel(g, KernelSpec("pure_singular"), p, dtype=np.float32)
     path = tmp_path / "kernel.csv"
-    save_kernel_csv(K, path)
-    assert path.read_text().splitlines()[0] == f"{len(g)},pure_singular,2,float32"
-    K2 = load_kernel_csv(path, g)
-    assert K2.entries.dtype == np.float32
-    assert np.array_equal(K2.entries, symmetric(K.entries))
-    x = np.random.default_rng(4).standard_normal(len(g))
-    assert np.array_equal(K2.matvec(x), K.matvec(x))
+    save_kernel_csv(assemble_kernel(g, KernelSpec("pure_singular"), p), path)
+    header, *rows = path.read_text().splitlines(keepends=True)
+    assert header == f"{len(g)},pure_singular,2,float64\n"
+    path.write_text(f"{len(g)},pure_singular,2,float32\n" + "".join(rows))
+    with pytest.raises(ValueError, match=r"dtype float64 \(kernels are stored only as float64\)"):
+        load_kernel_csv(path, g)
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_kernel_csv_writes_the_symmetric_matrix(tmp_path, dtype):
-    # the file format does not depend on the storage: rows of the symmetric
-    # matrix, 17 significant digits of each entry's float64 value
+def test_kernel_csv_writes_the_symmetric_matrix(tmp_path):
+    # rows of the symmetric matrix, 17 significant digits of each entry
     p = make_params(1, 1.3)
     g = cylinder_grid(1.5, (4, 4, 4), p)
     spec = KernelSpec("green_model", mass=np.linspace(0.0, 1.0, len(g)), c_w=0.2)
-    K = assemble_kernel(g, spec, p, dtype=dtype)
+    K = assemble_kernel(g, spec, p)
     path = tmp_path / "kernel.csv"
     save_kernel_csv(K, path)
-    rows = symmetric(K.entries).astype(np.float64)
-    expected = f"{len(g)},green_model,1.3,{np.dtype(dtype).name}\n" + "".join(
+    rows = symmetric(K.entries)
+    expected = f"{len(g)},green_model,1.3,float64\n" + "".join(
         ",".join("%.17g" % v for v in row) + "\n" for row in rows
     )
     assert path.read_bytes() == expected.encode()

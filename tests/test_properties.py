@@ -200,45 +200,36 @@ def test_per_node_mass_kernel_adds_mean_mass(grid, top, tile):
     assert np.all(err[off] <= ROUNDINGS * EPS * KS[off])
 
 
-# each of two products of an N x N matrix in one dtype lies within gamma_N |S| @ |x|
-# of the exact one, gamma_N = N u / (1 - N u) with u = eps / 2 of that dtype (the
-# standard GEMV bound), so they differ by at most 2 gamma_N <= GEMV_C N eps for N u < 1/2
+# each of two float64 products of an N x N matrix lies within gamma_N |S| @ |x| of
+# the exact one, gamma_N = N u / (1 - N u) with u = eps / 2 (the standard GEMV
+# bound), so they differ by at most 2 gamma_N <= GEMV_C N eps for N u < 1/2
 GEMV_C = 2
-# numpy's float32 power is within one ulp of the exact one: measured at most
-# 0.88 float32 eps relative over 2e7 random bases in [1e-4, 1e5] and exponents
-# in [1, 4], against the float64 power of the same float32 base and exponent
-POWF_C = 1
 
 
 @_settings
-@given(node_sets(), st.sampled_from((np.float64, np.float32)), st.integers(0, 2**32 - 1))
-def test_matvec_is_the_product_in_the_entries_dtype(grid, dtype, seed):
-    # ssymv or dsymv reads one triangle and is held to the GEMV bound against
-    # S @ x in the same dtype, S the symmetric matrix of that triangle
-    K = assemble_kernel(grid, KernelSpec("pure_singular"), make_params(grid.n, 2.0), dtype=dtype)
-    x = np.random.default_rng(seed).standard_normal(len(grid)).astype(dtype)
+@given(node_sets(), st.integers(0, 2**32 - 1))
+def test_matvec_is_the_product_in_the_entries_dtype(grid, seed):
+    # dsymv reads one triangle and is held to the GEMV bound against S @ x,
+    # S the symmetric matrix of that triangle
+    K = assemble_kernel(grid, KernelSpec("pure_singular"), make_params(grid.n, 2.0))
+    x = np.random.default_rng(seed).standard_normal(len(grid))
     y = K.matvec(x)
     assert y.dtype == np.float64
     S = symmetric(K.entries)
-    bound = GEMV_C * len(grid) * np.finfo(dtype).eps * (np.abs(S.astype(np.float64)) @ np.abs(x))
+    bound = GEMV_C * len(grid) * np.finfo(np.float64).eps * (np.abs(S) @ np.abs(x))
     assert np.all(np.abs(y - S @ x) <= bound)
 
 
 @_settings
-@given(node_sets(), st.sampled_from((np.float64, np.float32)), st.floats(1.0, 4.0), tiles)
-def test_row_power_sums_match_dense_sums(grid, dtype, r, tile):
-    # the tile walk adds the same float64 terms as the dense sum, in another
-    # order: N terms of one sign, so a few N roundings of the sum. The powers
-    # are taken in the entries' dtype.
-    K = assemble_kernel(grid, KernelSpec("pure_singular"), make_params(grid.n, 2.0), dtype=dtype)
+@given(node_sets(), st.floats(1.0, 4.0), tiles)
+def test_row_power_sums_match_dense_sums(grid, r, tile):
+    # the tile walk adds the same terms as the dense sum, in another order:
+    # N terms of one sign, so a few N roundings of the sum
+    K = assemble_kernel(grid, KernelSpec("pure_singular"), make_params(grid.n, 2.0))
     with mock.patch.object(discretization, "_TILE", tile):
         rows = K.row_power_sums(r)
     S = symmetric(K.entries)
-    powers = (S ** S.dtype.type(r)).astype(np.float64)
-    assert np.allclose(rows, powers @ grid.weights, rtol=1e-12, atol=0.0)
-    if dtype == np.float32:
-        exact = S.astype(np.float64) ** np.float64(np.float32(r))
-        assert np.all(np.abs(powers - exact) <= POWF_C * np.finfo(np.float32).eps * exact)
+    assert np.allclose(rows, S**r @ grid.weights, rtol=1e-12, atol=0.0)
 
 
 @_settings

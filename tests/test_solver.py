@@ -176,15 +176,11 @@ def test_solver_validation(params_n1, monkeypatch):
             solve_subcritical(K0, grid, 1.5, f0=np.array([0.0, 1.0]))
 
 
-@pytest.mark.parametrize("dtype", [np.float64, np.float32])
-def test_solver_refuses_nan_in_upper_triangle(params_n1, dtype):
+def test_solver_refuses_nan_in_upper_triangle(params_n1):
     # a product reads the upper triangle only: a NaN there is found on every
-    # row and column, also where the warm start is zero (0 * NaN is NaN). A
-    # float32 kernel is refused for its dtype before the first product:
-    # float32 products stall above tol, so its solves ran to max_iter.
-    message = "NaN" if dtype == np.float64 else "float64 kernel, got float32"
+    # row and column, also where the warm start is zero (0 * NaN is NaN)
     grid = sphere_grid(1, (6, 6, 6))
-    K = assemble_kernel(grid, KernelSpec("pure_singular"), params_n1, dtype=dtype)
+    K = assemble_kernel(grid, KernelSpec("pure_singular"), params_n1)
     N = len(grid)
     for i, j in ((0, 0), (0, N - 1), (N // 2, N - 1), (N - 1, N - 1), (3, 4)):
         entries = K.entries.copy()
@@ -193,8 +189,22 @@ def test_solver_refuses_nan_in_upper_triangle(params_n1, dtype):
         f0 = np.ones(N)
         f0[[i, j]] = 0.0
         for start in (None, f0):
-            with pytest.raises(ValueError, match=message):
+            with pytest.raises(ValueError, match="NaN"):
                 solve_subcritical(bad, grid, 1.5, f0=start)
+
+
+def test_float32_request_solves_as_float64_at_every_size(params_n1):
+    # kernels are stored only as float64: a float32 request gives the
+    # matrix-free operator, which the solver densifies into the same entries
+    for m in (4, 6):
+        grid = sphere_grid(1, (m, m, m))
+        K32 = assemble_kernel(grid, KernelSpec("pure_singular"), params_n1, dtype=np.float32)
+        K64 = assemble_kernel(grid, KernelSpec("pure_singular"), params_n1, dtype=np.float64)
+        assert K32.entries is None and K64.entries is not None
+        r32, r64 = (solve_subcritical(K, grid, 1.5) for K in (K32, K64))
+        assert r32.D_estimate == r64.D_estimate
+        assert r32.iterations == r64.iterations
+        assert np.array_equal(r32.f, r64.f)
 
 
 def test_solve_scratch_is_order_N(params_n1):
