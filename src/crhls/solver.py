@@ -13,11 +13,11 @@ The fixed-point map inverts that relation and renormalizes:
 A KernelMatrix is symmetric, K = K^T, so S is one product with K per
 evaluation. The solver accelerates the map by Anderson mixing
 (Walker and Ni, SIAM J. Numer. Anal. 49, 2011) on u = log f over a short
-window, and keeps a mixed step only when the quotient does not decrease;
-otherwise it damps the plain map step until the quotient stops decreasing.
-So the quotient never decreases (up to roundoff); this is tracked in the
-result's quotient history. Approaching p -> q_alpha from above is done by
-warm-started continuation.
+window. It keeps a mixed step only when the quotient does not fall by more
+than a roundoff slack of 1e-14 relative; otherwise it damps the plain map
+step until the quotient meets the same test. So the quotient may fall by at
+most the slack per step; this is tracked in the result's quotient history.
+Approaching p -> q_alpha from above is done by warm-started continuation.
 """
 
 from __future__ import annotations
@@ -33,6 +33,12 @@ from .functional import lp_norm
 
 # number of past residual differences an Anderson step mixes
 _ANDERSON_WINDOW = 3
+# a step counts as ascent unless it lowers the quotient by more than this,
+# relative. Without it, every refused candidate and backtrack of the 8^3,
+# 12^3 and 16^3 sphere continuations, on one or two BLAS threads, came from
+# falls of 1.1e-16 to 1.1e-15, the rounding of the product; at 12^3 on two
+# threads they cost 81 of 178 products
+_ROUNDOFF_SLACK = 1e-14
 # default_p_schedule ends this far above q_alpha; another endpoint needs its own schedule
 _ENDPOINT_OFFSET = 1e-3
 # blowup_diagnostic's profile keeps the nodes within this many mu_p of the peak
@@ -56,9 +62,11 @@ class SubcriticalResult:
 
     residual is the sup-norm defect of the stationarity equation at the
     returned iterate; quotient_history records the quotient after every
-    iteration (nondecreasing up to roundoff). converged = False signals
-    max_iter was hit, it is not an error. matvecs counts the products
-    with the N x N kernel matrix the solve made.
+    iteration (each step falls by at most 1e-14 relative). converged =
+    False signals max_iter was hit, it is not an error. matvecs counts the
+    products with the N x N kernel matrix the solve made; rejected counts
+    the Anderson candidates refused and backtracks the damped map steps
+    evaluated, each one product.
     """
 
     p: float
@@ -69,6 +77,8 @@ class SubcriticalResult:
     converged: bool
     quotient_history: np.ndarray
     matvecs: int = 0
+    rejected: int = 0
+    backtracks: int = 0
 
 
 @dataclass
@@ -132,7 +142,7 @@ def solve_subcritical(
         if np.any(f < 0.0) or not np.any(f > 0.0):
             raise ValueError("warm start must be nonnegative and not identically zero")
 
-    matvecs = 0
+    matvecs = rejected = backtracks = 0
 
     def evaluate(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
         nonlocal matvecs
@@ -176,10 +186,11 @@ def solve_subcritical(
         # candidate combines the last map values with the coefficients that
         # minimize the sqrt(w)-weighted norm of the combined residual. The
         # map step is not always ascent for p < 2, so a candidate is kept
-        # only if the quotient does not decrease. Otherwise the history is
-        # cut to its latest entry and the map step is damped geometrically
-        # toward the current iterate until the quotient stops decreasing.
-        # Zeros in f or g have no logarithm and clear the history.
+        # only if the quotient does not fall below floor. Otherwise the
+        # history is cut to its latest entry and the map step is damped
+        # geometrically toward the current iterate until it reaches floor.
+        # The not (... >= floor) form refuses a NaN quotient. Zeros in f or
+        # g have no logarithm and clear the history.
         with np.errstate(divide="ignore", invalid="ignore"):
             u = np.log(f)
             r = np.log(g) - u
@@ -190,6 +201,7 @@ def solve_subcritical(
         else:
             logs.clear()
             residuals.clear()
+        floor = D - _ROUNDOFF_SLACK * abs(D)
         accepted = False
         if len(logs) > 1:
             d_u = np.diff(logs, axis=0)
@@ -198,14 +210,16 @@ def solve_subcritical(
             u_mix = u + r - gamma @ (d_u + d_r)
             c = np.exp(u_mix - np.max(u_mix))
             cand, y_c, D_c = evaluate(c / lp_norm(c, grid, p))
-            accepted = D_c >= D
+            accepted = D_c >= floor
             if not accepted:
+                rejected += 1
                 del logs[:-1], residuals[:-1]
         if not accepted:
             theta = 1.0
             cand, y_c, D_c = evaluate(g)
-            while not D_c >= D and theta >= 1e-6:
+            while not D_c >= floor and theta >= 1e-6:
                 theta *= 0.5
+                backtracks += 1
                 cand, y_c, D_c = evaluate(blend(1.0 - theta, theta))
         f, y, D = cand, y_c, D_c
         iterations += 1
@@ -219,6 +233,8 @@ def solve_subcritical(
         converged=converged,
         quotient_history=np.asarray(history),
         matvecs=matvecs,
+        rejected=rejected,
+        backtracks=backtracks,
     )
 
 

@@ -140,6 +140,64 @@ def test_matvecs_one_product_per_evaluation_when_symmetric(params_n1, monkeypatc
         assert all(c is kernel for c in calls)
 
 
+def test_roundoff_costs_no_products(params_n1):
+    # every step of the 12^3 sphere continuation is one product: no dip of
+    # one rounding error refuses a candidate or damps a map step
+    grid = sphere_grid(1, (12, 12, 12))
+    K = assemble_kernel(grid, KernelSpec("pure_singular"), params_n1)
+    for res in continuation(K, grid, default_p_schedule(params_n1)):
+        assert res.converged
+        assert res.rejected == res.backtracks == 0
+        assert res.matvecs == res.iterations + 1
+
+
+def test_solve_does_not_depend_on_blas_thread_count(params_n1):
+    # dsymv splits its sum by thread, so the bits differ; the steps taken do not
+    if _blas._openblas() is None:
+        pytest.skip("numpy does not link its bundled OpenBLAS")
+    grid = sphere_grid(1, (8, 8, 8))
+    K = assemble_kernel(grid, KernelSpec("pure_singular"), params_n1)
+    counts = []
+    for threads in (1, 2):
+        with _blas.blas_threads(threads):
+            results = continuation(K, grid, default_p_schedule(params_n1))
+        counts.append([(r.iterations, r.matvecs) for r in results])
+    assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize(
+    "fall, rejected, backtracks",
+    [(1e-10, 1, 1), (1e-15, 0, 0)],
+    ids=["descent-refused", "roundoff-kept"],
+)
+def test_ascent_test_slack(params_n1, monkeypatch, fall, rejected, backtracks):
+    # the first Anderson candidate (the third product) and the product after
+    # it are scaled to the quotient D (1 - fall), D that of the iterate the
+    # candidate steps from: a fall of 1e-10 is a descent, so the candidate is
+    # refused and the map step after it damped once; one of 1e-15 is
+    # roundoff, and the candidate is kept
+    grid = sphere_grid(1, (6, 6, 6))
+    K = assemble_kernel(grid, KernelSpec("pure_singular"), params_n1)
+    quotients = []
+    matvec = KernelMatrix.matvec
+
+    def lowered(self, x):
+        y = matvec(self, x)
+        if len(quotients) in (2, 3):
+            y = y * (quotients[1] * (1.0 - fall) / np.dot(x, y))
+        quotients.append(float(np.dot(x, y)))
+        return y
+
+    monkeypatch.setattr(KernelMatrix, "matvec", lowered)
+    res = solve_subcritical(K, grid, 1.5)
+    assert (quotients[1] - quotients[2]) / quotients[1] == pytest.approx(fall, rel=0.5)
+    assert res.converged
+    assert (res.rejected, res.backtracks) == (rejected, backtracks)
+    assert res.matvecs == len(quotients) == res.iterations + 1 + rejected + backtracks
+    h = res.quotient_history
+    assert np.all(np.diff(h) >= -1e-12 * np.abs(h[:-1]))
+
+
 def test_solver_validation(params_n1, monkeypatch):
     grid, K = two_node_fixture(params_n1)
     q = params_n1.q_alpha
@@ -338,6 +396,8 @@ def test_result_json_round_trip(tmp_path, params_n1):
     save_result_json(res, path)
     data = json.loads(path.read_text())
     assert data == result_to_dict(res)
+    # the solve's counters stay out of the artifact
+    assert set(data) == {"p", "D", "residual", "iterations", "converged", "f"}
     assert data["p"] == 1.5
     assert data["converged"] is True
     assert data["D"] == pytest.approx(res.D_estimate, rel=0)
