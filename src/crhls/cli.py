@@ -265,11 +265,11 @@ def _run_continuation(cfg: dict):
     if cfg["p_schedule"] is None:
         cfg["p_schedule"] = default_p_schedule(params)
     grid = sphere_grid(1, cfg["resolution"])
-    if cfg["kernel"] == "pure_singular":
-        spec = KernelSpec("pure_singular")
-    else:
-        spec = KernelSpec("green_model", mass=np.full(len(grid), cfg["A0"]), c_w=cfg["c_w"])
-    K = assemble_kernel(grid, spec, params)
+    # KernelSpec refuses a mass or a nonzero c_w with the pure kernel, so a
+    # nonzero A0 or c_w there is an error, not ignored
+    massless = cfg["kernel"] == "pure_singular" and cfg["A0"] == 0.0
+    mass = None if massless else np.full(len(grid), cfg["A0"])
+    K = assemble_kernel(grid, KernelSpec(cfg["kernel"], mass=mass, c_w=cfg["c_w"]), params)
     runs = continuation(K, grid, cfg["p_schedule"], tol=cfg["tol"], max_iter=cfg["max_iter"])
     stages = [result_to_dict(run) for run in runs]
     for stage in stages[:-1]:  # only the final maximizer is kept
@@ -351,6 +351,8 @@ def _random_sphere_grid(n_nodes: int, min_sep: float, rng):
 def _run_covariance_check(cfg: dict):
     if cfg["pairs"] < 1:
         raise ValueError(f"pairs must be at least 1, got {cfg['pairs']}")
+    if cfg["nodes"] < 1:
+        raise ValueError(f"nodes must be at least 1, got {cfg['nodes']}")
     rng = np.random.default_rng(cfg["seed"])
     params = make_params(1, cfg["alpha"])
     grid = _random_sphere_grid(cfg["nodes"], cfg["min_sep"], rng)

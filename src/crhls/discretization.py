@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _blas
-from .core import Params, make_params
+from .core import Params
 from .heisenberg import HPoint, _extremal, gauge_dist_sq
 from .sphere import SpherePoint, _sphere_extremal, sphere_dist_sq
 
@@ -56,8 +56,6 @@ __all__ = [
     "distances_from_node",
     "save_grid_csv",
     "load_grid_csv",
-    "save_kernel_csv",
-    "load_kernel_csv",
 ]
 
 _GRID_KINDS = ("sphere", "cylinder")
@@ -342,8 +340,9 @@ class KernelSpec:
     pure_singular: K(x, y) = rho(x, y)^{alpha - Q}.
     green_model:   K(x, y) = (rho^{-2n} + m(x, y) + c_w rho)^{(Q-alpha)/(Q-2)},
     with m(x, y) = (mass(x) + mass(y)) / 2 the pair mean of a finite mass
-    given per node (the pole-dependent mass A(xi) of the Green expansion)
-    and a finite remainder coefficient c_w >= 0. The pair mean keeps
+    given per node (the pole-dependent mass A(xi) of the Green expansion;
+    a green_model spec without it is refused) and a finite remainder
+    coefficient c_w >= 0. The pair mean keeps
     K(x, y) = K(y, x), as the Green function's own symmetry
     G_xi(eta) = G_eta(xi) does, and equals the node's mass when the mass
     is constant. Since 2n = Q - 2, zero mass and c_w = 0 reduce the model
@@ -360,17 +359,20 @@ class KernelSpec:
         object.__setattr__(self, "c_w", float(self.c_w))
         if not (math.isfinite(self.c_w) and self.c_w >= 0.0):
             raise ValueError(f"c_w must be finite and nonnegative, got {self.c_w}")
-        if self.mass is not None:
-            if self.kind == "pure_singular":
+        if self.kind == "pure_singular":
+            if self.mass is not None:
                 raise ValueError("mass is only meaningful for the green_model kernel")
-            mass = np.asarray(self.mass, dtype=np.float64)
-            if mass.ndim != 1:
-                raise ValueError(f"mass must be a 1-d per-node array, got shape {mass.shape}")
-            if not np.all(np.isfinite(mass)):
-                raise ValueError("mass values must be finite")
-            object.__setattr__(self, "mass", mass)
-        if self.kind == "pure_singular" and self.c_w != 0.0:
-            raise ValueError("c_w is only meaningful for the green_model kernel")
+            if self.c_w != 0.0:
+                raise ValueError("c_w is only meaningful for the green_model kernel")
+            return
+        if self.mass is None:
+            raise ValueError("the green_model kernel needs per-node mass values")
+        mass = np.asarray(self.mass, dtype=np.float64)
+        if mass.ndim != 1:
+            raise ValueError(f"mass must be a 1-d per-node array, got shape {mass.shape}")
+        if not np.all(np.isfinite(mass)):
+            raise ValueError("mass values must be finite")
+        object.__setattr__(self, "mass", mass)
 
 
 @dataclass(eq=False)
@@ -378,20 +380,18 @@ class KernelMatrix:
     """Kernel matrix over a grid, stored or matrix-free; diagonal entries are zero.
 
     The entries contain no quadrature weights. Params used at assembly
-    time ride along so downstream consumers (solver window validation,
-    serialization headers) need no extra context.
+    time ride along so downstream consumers (solver window validation)
+    need no extra context.
 
     The kernel is symmetric, as the paper's kernel is (the Green function
     has G_xi(eta) = G_eta(xi)), and only the upper triangle of entries,
     diagonal included, holds it: every reader takes entry (i, j) with
     i > j from (j, i) and never reads the lower triangle. assemble_kernel
-    stores each node pair once and leaves zeros below the diagonal;
-    save_kernel_csv writes the symmetric matrix, and load_kernel_csv
-    refuses a file whose entries are not bitwise symmetric. A matrix
-    built whole, both triangles equal, works unchanged. The constructor
-    checks neither triangle. It refuses entries that are not float64 (a
-    nested list of floats is taken as an array) and makes them
-    C-contiguous, which copies nothing for assembled or loaded kernels.
+    stores each node pair once and leaves zeros below the diagonal. A
+    matrix built whole, both triangles equal, works unchanged. The
+    constructor checks neither triangle. It refuses entries that are not
+    float64 (a nested list of floats is taken as an array) and makes them
+    C-contiguous, which copies nothing for assembled kernels.
 
     entries = None makes the matrix-free operator of spec over grid, which
     assemble_kernel returns above _DENSE_BYTES. It stores nothing: matvec
@@ -400,7 +400,7 @@ class KernelMatrix:
     time per call and a few tiles of memory per walking thread.
     densified() gives its stored matrix for callers that multiply many
     times, as the solver does. For this operator the constructor checks
-    the green_model mass against the grid.
+    the length of the green_model mass against the grid.
 
     matvec and row_power_sums are the only views of the entries outside
     this module; matvec reads one triangle through dsymv.
@@ -416,11 +416,8 @@ class KernelMatrix:
             raise ValueError(f"grid has n = {self.grid.n} but params have n = {self.params.n}")
         N = len(self.grid)
         if self.entries is None:
-            if self.spec.kind == "green_model":
-                if self.spec.mass is None:
-                    raise ValueError("green_model assembly needs per-node mass values")
-                if self.spec.mass.shape != (N,):
-                    raise ValueError(f"mass must have shape ({N},), got {self.spec.mass.shape}")
+            if self.spec.kind == "green_model" and self.spec.mass.shape != (N,):
+                raise ValueError(f"mass must have shape ({N},), got {self.spec.mass.shape}")
             return
         entries = np.asarray(self.entries)
         if entries.shape != (N, N):
@@ -661,8 +658,8 @@ def assemble_kernel(
     The 16^3 kernel, exactly 128 MiB, is stored.
 
     Raises ValueError for a dtype other than float32 or float64, for
-    green_model kernels without a length-N mass, and, when storing, before
-    allocating when the N x N entries exceed physical memory, or when they
+    green_model kernels whose mass is not of length N, and, when storing,
+    before allocating when the N x N entries exceed physical memory, or when they
     and the walk's scratch (_assembly_bytes) exceed MemAvailable of
     /proc/meminfo; on the coincident distinct nodes that come first in tile
     order; and for green_model kernels whose base rho^{-2n} + mass + c_w rho
@@ -739,49 +736,3 @@ def load_grid_csv(path) -> QuadratureGrid:
         kind="cylinder", n=n, weights=data[:, -1], resolution=resolution, z=z, t=data[:, -2]
     )
 
-
-def save_kernel_csv(kernel: KernelMatrix, path) -> None:
-    """Write a kernel matrix as CSV, row-major, header line "N,kind,alpha,dtype".
-
-    The rows are those of the symmetric matrix, mirrored from the upper
-    triangle. Intended for modest N; the file holds N^2 floats in plain text.
-    The matrix-free operator is refused before the file is opened.
-    """
-    E = kernel.entries
-    if E is None:
-        raise ValueError("save_kernel_csv needs stored entries, not the matrix-free operator")
-    with open(path, "w") as fh:
-        alpha = _FLOAT_FMT % kernel.params.alpha
-        fh.write(f"{len(kernel)},{kernel.spec.kind},{alpha},{E.dtype.name}\n")
-        for i in range(len(E)):
-            row = np.concatenate((E[:i, i], E[i, i:])).astype(np.float64)
-            fh.write(",".join(_FLOAT_FMT % v for v in row) + "\n")
-
-
-def load_kernel_csv(path, grid: QuadratureGrid) -> KernelMatrix:
-    """Load a kernel written by save_kernel_csv onto its grid.
-
-    The header is validated against the grid size, and the params are
-    those of the grid's n and the header's alpha. The entries come back
-    as float64, and they must be finite, nonnegative and bitwise symmetric,
-    as saved assembled kernels are; a float32 file, which earlier versions
-    wrote, is refused. green_model mass values are not stored in the CSV;
-    the loaded spec carries only the kind label.
-    """
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        if len(header) != 4 or header[3] != "float64":
-            raise ValueError(
-                "kernel header must read N,kind,alpha,dtype with dtype float64 (kernels "
-                f"are stored only as float64), got {','.join(header)!r}"
-            )
-        entries = np.loadtxt(fh, delimiter=",", ndmin=2)
-    N, kind, alpha = int(header[0]), header[1], float(header[2])
-    if N != len(grid):
-        raise ValueError(f"kernel holds {N} nodes but the grid has {len(grid)}")
-    K = KernelMatrix(entries, KernelSpec(kind=kind), grid, make_params(grid.n, alpha))
-    if not np.all(np.isfinite(entries) & (entries >= 0.0)):
-        raise ValueError("kernel entries must be finite and nonnegative")
-    if not np.array_equal(entries, entries.T):
-        raise ValueError("kernel entries must be symmetric, E == E^T bit for bit")
-    return K

@@ -22,7 +22,6 @@ Approaching p -> q_alpha from above is done by warm-started continuation.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,7 +51,6 @@ __all__ = [
     "default_p_schedule",
     "blowup_diagnostic",
     "result_to_dict",
-    "save_result_json",
 ]
 
 
@@ -327,8 +325,3 @@ def result_to_dict(result: SubcriticalResult) -> dict:
         "converged": bool(result.converged),
         "f": [float(v) for v in result.f],
     }
-
-
-def save_result_json(result: SubcriticalResult, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(json.dumps(result_to_dict(result), indent=2, sort_keys=True) + "\n")

@@ -183,8 +183,16 @@ def test_non_integer_resolution_rejected(tmp_path, capsys, argv, config):
         ("continuation", ["--p-schedule", " "], None, "p_schedule must not be empty"),
         ("covariance-check", ["--pairs", "0"], None, "pairs must be at least 1"),
         ("covariance-check", [], {"pairs": -2}, "pairs must be at least 1"),
+        ("covariance-check", ["--nodes", "0"], None, "nodes must be at least 1, got 0"),
+        ("covariance-check", ["--nodes", "-5"], None, "nodes must be at least 1, got -5"),
+        ("covariance-check", [], {"nodes": 0}, "nodes must be at least 1, got 0"),
+        ("continuation", ["--A0", "5"], None, "mass is only meaningful for the green_model"),
+        ("continuation", ["--c-w", "0.3"], None, "c_w is only meaningful for the green_model"),
+        ("continuation", [], {"A0": 5, "c_w": 0.3}, "only meaningful for the green_model"),
     ],
-    ids=["flag", "config", "config-string", "p-schedule", "pairs-flag", "pairs-config"],
+    ids=["flag", "config", "config-string", "p-schedule", "pairs-flag", "pairs-config",
+         "nodes-flag", "negative-nodes-flag", "nodes-config", "pure-A0-flag", "pure-c-w-flag",
+         "pure-mass-config"],
 )
 def test_empty_sweep_rejected(tmp_path, capsys, command, argv, config, message):
     if config is not None:

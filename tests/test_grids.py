@@ -7,7 +7,9 @@ import pytest
 
 from crhls.core import make_params
 from crhls.discretization import (
+    KernelSpec,
     QuadratureGrid,
+    assemble_kernel,
     cylinder_grid,
     cylinder_shell_grid,
     distances_from_node,
@@ -193,6 +195,16 @@ def test_grid_csv_refuses_non_finite_nodes(tmp_path, kind, column, value):
         load_grid_csv(path)
 
 
+def _assert_kernels_rebuild(g, h, p):
+    # a kernel is saved as its grid and its spec: assembly on the reloaded
+    # grid gives the same bits, pure and green_model
+    specs = (KernelSpec("pure_singular"),
+             KernelSpec("green_model", mass=np.linspace(0.0, 2.0, len(g)), c_w=0.3))
+    for spec in specs:
+        K, L = assemble_kernel(g, spec, p), assemble_kernel(h, spec, p)
+        assert np.array_equal(L.entries, K.entries)
+
+
 def test_grid_csv_round_trip_sphere(tmp_path):
     g = sphere_grid(1, (4, 4, 6))
     path = tmp_path / "sphere.csv"
@@ -202,6 +214,7 @@ def test_grid_csv_round_trip_sphere(tmp_path):
     assert tuple(h.resolution) == tuple(g.resolution)
     assert np.array_equal(h.weights, g.weights)
     assert np.array_equal(h.xi, g.xi)
+    _assert_kernels_rebuild(g, h, make_params(1, 2.0))
 
 
 def test_grid_csv_round_trip_cylinder(tmp_path):
@@ -214,6 +227,7 @@ def test_grid_csv_round_trip_cylinder(tmp_path):
     assert np.array_equal(h.weights, g.weights)
     assert np.array_equal(h.z, g.z)
     assert np.array_equal(h.t, g.t)
+    _assert_kernels_rebuild(g, h, make_params(1, 1.3))
 
 
 @pytest.mark.parametrize("drop", ["kind", "resolution"])

@@ -1,4 +1,4 @@
-"""Kernel assembly: symmetry, positivity, the green/pure identity, CSV I/O."""
+"""Kernel assembly: symmetry, positivity, the green/pure identity, memory refusals."""
 
 import tracemalloc
 
@@ -13,8 +13,6 @@ from crhls.discretization import (
     QuadratureGrid,
     assemble_kernel,
     cylinder_grid,
-    load_kernel_csv,
-    save_kernel_csv,
     sphere_grid,
 )
 from crhls.functional import rayleigh_quotient
@@ -35,6 +33,9 @@ def test_kernel_spec_validation():
         KernelSpec("green_model", mass=np.ones((2, 2)))
     with pytest.raises(ValueError):
         KernelSpec("pure_singular", c_w=0.5)
+    # a green_model spec always carries its mass
+    with pytest.raises(ValueError, match="needs per-node mass"):
+        KernelSpec("green_model")
     # non-finite values would assemble into NaN or inf entries
     with pytest.raises(ValueError, match="finite"):
         KernelSpec("green_model", mass=np.array([1.0, np.nan, 1.0]))
@@ -154,11 +155,12 @@ def test_green_model_base_check_skips_the_diagonal():
 
 
 def test_green_model_assembly_requires_mass():
+    # the spec refuses a missing mass, the kernel one of another length than the grid
     p = make_params(1, 2.0)
     g = sphere_grid(1, (4, 4, 4))
+    with pytest.raises(ValueError, match="needs per-node mass"):
+        KernelSpec("green_model", c_w=0.5)
     for build in (assemble_kernel, lambda g, spec, p: KernelMatrix(None, spec, g, p)):
-        with pytest.raises(ValueError, match="needs per-node mass"):
-            build(g, KernelSpec("green_model"), p)
         with pytest.raises(ValueError, match=r"mass must have shape \(64,\)"):
             build(g, KernelSpec("green_model", mass=np.ones(3)), p)
 
@@ -369,124 +371,3 @@ def test_kernel_matrix_refuses_params_of_other_n():
         KernelMatrix(K.entries, K.spec, g, p2)
     with pytest.raises(ValueError, match="n = 1 but params have n = 2"):
         assemble_kernel(g, KernelSpec("pure_singular"), p2)
-
-
-def test_save_kernel_csv_refuses_the_matrix_free_operator(tmp_path):
-    p = make_params(1, 2.0)
-    g = sphere_grid(1, (4, 4, 4))
-    K = KernelMatrix(None, KernelSpec("pure_singular"), g, p)
-    assert len(K) == 64
-    with pytest.raises(ValueError, match="matrix-free operator"):
-        save_kernel_csv(K, tmp_path / "kernel.csv")
-    assert not (tmp_path / "kernel.csv").exists()
-
-
-def test_kernel_csv_round_trip(tmp_path):
-    p = make_params(1, 2.0)
-    g = sphere_grid(1, (4, 4, 4))
-    spec = KernelSpec("green_model", mass=np.full(len(g), 0.7), c_w=0.2)
-    K = assemble_kernel(g, spec, p)
-    path = tmp_path / "kernel.csv"
-    save_kernel_csv(K, path)
-    K2 = load_kernel_csv(path, g)
-    assert np.array_equal(K2.entries, symmetric(K.entries))
-    assert K2.spec.kind == "green_model"
-    assert K2.params == p  # the grid's n and the header's alpha
-    x = np.random.default_rng(4).standard_normal(len(g))
-    assert np.array_equal(K2.matvec(x), K.matvec(x))
-
-
-def test_kernel_csv_refuses_float32(tmp_path):
-    # earlier versions saved float32 kernels; kernels are now stored only as
-    # float64, and the refusal says so
-    p = make_params(1, 2.0)
-    g = sphere_grid(1, (4, 4, 4))
-    path = tmp_path / "kernel.csv"
-    save_kernel_csv(assemble_kernel(g, KernelSpec("pure_singular"), p), path)
-    header, *rows = path.read_text().splitlines(keepends=True)
-    assert header == f"{len(g)},pure_singular,2,float64\n"
-    path.write_text(f"{len(g)},pure_singular,2,float32\n" + "".join(rows))
-    with pytest.raises(ValueError, match=r"dtype float64 \(kernels are stored only as float64\)"):
-        load_kernel_csv(path, g)
-
-
-def test_kernel_csv_writes_the_symmetric_matrix(tmp_path):
-    # rows of the symmetric matrix, 17 significant digits of each entry
-    p = make_params(1, 1.3)
-    g = cylinder_grid(1.5, (4, 4, 4), p)
-    spec = KernelSpec("green_model", mass=np.linspace(0.0, 1.0, len(g)), c_w=0.2)
-    K = assemble_kernel(g, spec, p)
-    path = tmp_path / "kernel.csv"
-    save_kernel_csv(K, path)
-    rows = symmetric(K.entries)
-    expected = f"{len(g)},green_model,1.3,float64\n" + "".join(
-        ",".join("%.17g" % v for v in row) + "\n" for row in rows
-    )
-    assert path.read_bytes() == expected.encode()
-
-
-@pytest.mark.parametrize("header", ["{N},pure_singular,2", "{N},pure_singular,2,int64",
-                                    "{N},pure_singular,2,float64,extra"])
-def test_kernel_csv_refuses_header_without_a_float_dtype(tmp_path, header):
-    p = make_params(1, 2.0)
-    g = sphere_grid(1, (4, 4, 4))
-    path = tmp_path / "kernel.csv"
-    save_kernel_csv(assemble_kernel(g, KernelSpec("pure_singular"), p), path)
-    lines = path.read_text().splitlines(keepends=True)
-    path.write_text(header.format(N=len(g)) + "\n" + "".join(lines[1:]))
-    with pytest.raises(ValueError, match="N,kind,alpha,dtype"):
-        load_kernel_csv(path, g)
-
-
-def test_kernel_csv_rejects_asymmetric_entries(tmp_path):
-    p = make_params(1, 2.0)
-    g = sphere_grid(1, (4, 4, 4))
-    E = assemble_kernel(g, KernelSpec("pure_singular"), p).entries
-    path = tmp_path / "kernel.csv"
-    save_kernel_csv(KernelMatrix(E, KernelSpec("pure_singular"), g, p), path)
-    load_kernel_csv(path, g)
-    # save_kernel_csv writes a symmetric matrix, so the file is edited: one
-    # entry of row 3 off by one ulp
-    lines = path.read_text().splitlines(keepends=True)
-    row = lines[1 + 3].rstrip("\n").split(",")
-    row[17] = "%.17g" % np.nextafter(E[3, 17], np.inf)
-    lines[1 + 3] = ",".join(row) + "\n"
-    path.write_text("".join(lines))
-    with pytest.raises(ValueError, match="symmetric"):
-        load_kernel_csv(path, g)
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
-def test_kernel_csv_rejects_nonfinite_or_negative_entries(tmp_path, bad):
-    # a NaN entry used to load, then fail the solve as "function values must be finite"
-    p = make_params(1, 2.0)
-    g = sphere_grid(1, (4, 4, 4))
-    E = assemble_kernel(g, KernelSpec("pure_singular"), p).entries.copy()
-    E[3, 17] = E[17, 3] = bad
-    path = tmp_path / "kernel.csv"
-    save_kernel_csv(KernelMatrix(E, KernelSpec("pure_singular"), g, p), path)
-    with pytest.raises(ValueError, match="finite and nonnegative"):
-        load_kernel_csv(path, g)
-
-
-def test_kernel_csv_rejects_malformed_header(tmp_path):
-    p = make_params(1, 2.0)
-    g = sphere_grid(1, (4, 4, 4))
-    K = assemble_kernel(g, KernelSpec("pure_singular"), p)
-    path = tmp_path / "kernel.csv"
-    save_kernel_csv(K, path)
-    lines = path.read_text().splitlines(keepends=True)
-    path.write_text(f"{len(g)},pure_singular\n" + "".join(lines[1:]))
-    with pytest.raises(ValueError, match="N,kind,alpha"):
-        load_kernel_csv(path, g)
-
-
-def test_kernel_csv_rejects_mismatched_grid(tmp_path):
-    p = make_params(1, 2.0)
-    g = sphere_grid(1, (4, 4, 4))
-    K = assemble_kernel(g, KernelSpec("pure_singular"), p)
-    path = tmp_path / "kernel.csv"
-    save_kernel_csv(K, path)
-    other = sphere_grid(1, (5, 5, 5))
-    with pytest.raises(ValueError, match="64 nodes but the grid has 125"):
-        load_kernel_csv(path, other)

@@ -1,4 +1,5 @@
-"""Package surface: the re-exports of each submodule's public names, and who reads a kernel."""
+"""Package surface: the re-exports of each submodule's public names, who reads a kernel,
+and that every import is used."""
 
 import ast
 from importlib import import_module
@@ -33,3 +34,29 @@ def test_only_discretization_reads_kernel_entries():
             if isinstance(node, ast.ImportFrom) and any(a.name == "_tiles" for a in node.names):
                 found.append(f"{path.name}:{node.lineno} imports _tiles")
     assert found == []
+
+
+def test_every_import_is_used():
+    # no linter runs offline, so this keeps deletions from leaving dead imports behind;
+    # a name listed in __all__ is a re-export and counts as used
+    unused = []
+    for path in sorted(Path(crhls.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    if alias.name != "*":
+                        imported[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                used.update(c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant))
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                   if name not in used]
+    assert unused == []
