@@ -30,7 +30,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -226,8 +226,8 @@ def _run_verify_hls(cfg: dict):
     spread_ok = inv.spread_rel <= cfg["spread_tol"]
     upper_ok = bound.quotient <= sharp * (1.0 + cfg["slack"])
     results = {
-        "eps_invariance": inv.to_dict(),
-        "upper_bound_run": bound.to_dict(),
+        "eps_invariance": asdict(inv),
+        "upper_bound_run": asdict(bound),
         "sharp_constant": sharp,
         "spread_ok": spread_ok,
         "upper_bound_ok": upper_ok,
@@ -304,7 +304,7 @@ def _run_lower_bound(cfg: dict):
         f"quotient = {res.quotient!r} on {res.n_nodes} nodes "
         f"(sharp constant {res.sharp_constant!r})"
     )
-    return res.to_dict(), (res.csv_header, [res.csv_row()]), True
+    return asdict(res), (res.csv_header, [res.csv_row()]), True
 
 
 def _run_mass_experiment(cfg: dict):
@@ -314,7 +314,7 @@ def _run_mass_experiment(cfg: dict):
     )
     deltas = [r.delta for r in records]
     results = {
-        "runs": [r.to_dict() for r in records],
+        "runs": [asdict(r) for r in records],
         "deltas_nondecreasing": all(b >= a for a, b in zip(deltas, deltas[1:])),
         "deltas_positive_for_positive_mass": all(r.delta > 0.0 for r in records if r.A0 > 0.0),
         "all_converged": all(r.all_converged for r in records),

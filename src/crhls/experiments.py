@@ -1,12 +1,12 @@
 """Experiment drivers: truncated lower bounds, mass perturbation, identities.
 
-Each driver returns a small record with plain-type fields; the CLI turns
-records into JSON summaries and CSV rows.
+Each driver returns a small dataclass record with plain-type fields; the
+CLI turns records into JSON summaries (dataclasses.asdict) and CSV rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,9 +21,10 @@ from .discretization import (
     extremal_values,
     sphere_grid,
 )
-from .functional import lp_norm, rayleigh_quotient
+from .functional import _as_values, lp_norm, rayleigh_quotient
+from .heisenberg import _extremal, gauge_dist_sq
 from .solver import continuation, default_p_schedule
-from .sphere import _cayley_inv
+from .sphere import _cayley_inv, _cayley_jacobian
 
 __all__ = [
     "LowerBoundResult",
@@ -37,15 +38,8 @@ __all__ = [
 ]
 
 
-class _Record:
-    """Base of the result records: to_dict is asdict with tuples as lists."""
-
-    def to_dict(self) -> dict:
-        return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
-
-
 @dataclass(frozen=True)
-class LowerBoundResult(_Record):
+class LowerBoundResult:
     """Truncated-extremal Rayleigh quotient against the sharp constant."""
 
     n: int
@@ -70,22 +64,18 @@ class LowerBoundResult(_Record):
 def _transported_extremal_values(grid: QuadratureGrid, params: Params, eps: float, R: float) -> np.ndarray:
     """Eps-scale group extremal moved to the sphere, truncated at gauge radius R.
 
-    Pulls each sphere node back through the inverse Cayley map, evaluates the
-    eps-scale extremal there, multiplies by the Jacobian power that matches
-    the lower sharp exponent, and zeroes nodes whose preimage has gauge norm
-    above R. At eps = 1 the untruncated result is constant to rounding.
+    The pullback f(C^{-1} xi) * J(C^{-1} xi)^{-1/q_alpha} of f = _extremal
+    through the Cayley map C with Jacobian J = _cayley_jacobian, which
+    keeps the L^{q_alpha} norm and the quotient; nodes whose preimage has
+    gauge norm above R are zeroed. At eps = 1 the untruncated result is
+    constant to rounding.
     """
-    if grid.kind != "sphere" or grid.n != 1:
-        raise ValueError("transported extremal needs an n = 1 sphere grid")
-    Q, al = params.Q, params.alpha
+    if grid.kind != "sphere":
+        raise ValueError(f"transported extremal needs a sphere grid, got a {grid.kind} grid")
     z, t = _cayley_inv(grid.xi)
-    az2 = np.abs(z[:, 0]) ** 2
-    mask = az2**2 + t**2 <= R**4
-    # f(C^{-1} xi) * J_{C^{-1}}^{1/q} fused into one bounded ratio
-    ratio = ((1.0 + az2) ** 2 + t**2) / ((eps**2 + az2) ** 2 + t**2)
-    g = eps ** (0.5 * (Q + al)) * ratio ** (0.25 * (Q + al))
-    g *= 2.0 ** (-(Q - 1.0) * (Q + al) / (2.0 * Q))
-    return np.where(mask, g, 0.0)
+    g = _extremal(z, t, eps, params) * _cayley_jacobian(z, t) ** (-1.0 / params.q_alpha)
+    g[gauge_dist_sq(z, t, np.zeros(z.shape[-1]), 0.0) > R**2] = 0.0
+    return g
 
 
 def lower_bound_experiment(eps: float, R: float, resolution, params: Params) -> LowerBoundResult:
@@ -96,16 +86,17 @@ def lower_bound_experiment(eps: float, R: float, resolution, params: Params) -> 
     R. The quotient is evaluated on the sphere through the Cayley transport
     that leaves it invariant, because the equidistributed sphere rule resolves
     the singular kernel without the coherent near-diagonal pairs a product
-    rule on the group would produce. Approaches the sharp constant from below
-    as R/eps grows and the mesh refines.
+    rule on the group would produce: the sphere trial function is built from
+    the extremal, the inverse Cayley map and the Cayley Jacobian
+    (_transported_extremal_values). Approaches the sharp constant from below
+    as R/eps grows and the mesh refines. Sphere grids, and so this bound,
+    exist for n = 1 only.
     """
     eps, R = float(eps), float(R)
     if not eps > 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
     if not R > eps:
         raise ValueError(f"need eps < R, got eps = {eps}, R = {R}")
-    if params.n != 1:
-        raise ValueError("lower_bound_experiment is implemented for n = 1 only")
     grid = sphere_grid(params.n, resolution)
     g = _transported_extremal_values(grid, params, eps, R)
     K = assemble_kernel(grid, KernelSpec("pure_singular"), params)
@@ -124,7 +115,7 @@ def lower_bound_experiment(eps: float, R: float, resolution, params: Params) -> 
 
 
 @dataclass(frozen=True)
-class EpsInvarianceResult(_Record):
+class EpsInvarianceResult:
     """Norm of the concentrating family across eps at a fixed R/eps ratio."""
 
     n: int
@@ -176,7 +167,7 @@ def eps_invariance_experiment(
 
 
 @dataclass(frozen=True)
-class MassPerturbationResult(_Record):
+class MassPerturbationResult:
     """Critical-limit quotients with and without a positive-mass kernel term."""
 
     alpha: float
@@ -256,17 +247,10 @@ def _identity_inputs(K: KernelMatrix, grid: QuadratureGrid, params: Params, **va
     _check_grid(K, grid)
     if params != K.params:
         raise ValueError("params do not match the kernel's assembly params")
-    N = len(K)
-    arrays = []
-    for name, v in values.items():
-        arr = np.asarray(v, dtype=np.float64)
-        if arr.shape != (N,):
-            raise ValueError(f"{name} must be sampled on all {N} nodes, got shape {arr.shape}")
-        positive = name == "phi"
-        if not np.all(np.isfinite(arr)) or (positive and np.any(arr <= 0.0)):
-            raise ValueError(f"{name} must be {'strictly positive and ' if positive else ''}finite")
-        arrays.append(arr)
-    return arrays
+    arrays = {name: _as_values(v, len(K), name) for name, v in values.items()}
+    if "phi" in arrays and np.any(arrays["phi"] <= 0.0):
+        raise ValueError("phi must be strictly positive")
+    return list(arrays.values())
 
 
 def conformal_covariance_check(
@@ -289,7 +273,7 @@ def conformal_covariance_check(
     w = grid.weights
     beta = (Q - alpha) / (Q - 2.0)
     scale = phi_v**-beta
-    w_tilde = phi_v ** (2.0 * Q / (Q - 2.0)) * w
+    w_tilde = phi_v**params.b_n * w
     lhs = scale * K.matvec(scale * u_v * w_tilde)
     rhs = scale * K.matvec(phi_v ** ((Q + alpha) / (Q - 2.0)) * u_v * w)
     return float(np.max(np.abs(lhs - rhs)))

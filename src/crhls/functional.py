@@ -39,12 +39,13 @@ TAIL_ENLARGEMENT = 8.0
 _REF_RADIUS = 64.0
 
 
-def _as_values(f, N: int) -> np.ndarray:
+def _as_values(f, N: int, name: str) -> np.ndarray:
+    """f as float64 node values, refused unless finite and sampled on all N nodes."""
     arr = np.asarray(f, dtype=np.float64)
     if arr.shape != (N,):
-        raise ValueError(f"expected a function sampled on {N} nodes, got shape {arr.shape}")
+        raise ValueError(f"{name} must be sampled on all {N} nodes, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
-        raise ValueError("function values must be finite")
+        raise ValueError(f"{name} must be finite")
     return arr
 
 
@@ -53,7 +54,7 @@ def lp_norm(f, grid: QuadratureGrid, p: float) -> float:
     p = float(p)
     if not (math.isfinite(p) and p >= 1.0):
         raise ValueError(f"lp_norm needs a finite p >= 1, got p = {p}")
-    fv = _as_values(f, len(grid))
+    fv = _as_values(f, len(grid), "f")
     return float(np.dot(np.abs(fv) ** p, grid.weights)) ** (1.0 / p)
 
 
@@ -61,8 +62,8 @@ def bilinear_form(K: KernelMatrix, f, g) -> float:
     """Double sum B(f, g) = sum_ij f_i K_ij g_j w_i w_j."""
     N = len(K)
     w = K.grid.weights
-    fv = _as_values(f, N)
-    gv = _as_values(g, N)
+    fv = _as_values(f, N, "f")
+    gv = _as_values(g, N, "g")
     return float(np.dot(fv * w, K.matvec(gv * w)))
 
 

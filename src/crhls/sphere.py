@@ -119,14 +119,19 @@ def cayley_inv(p: SpherePoint) -> HPoint:
     return HPoint(*_cayley_inv(p.xi))
 
 
+def _cayley_jacobian(z: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """cayley_jacobian on rows z, t of points of H^n, or on one point."""
+    n = z.shape[-1]
+    return 2.0 ** (2 * n + 1) * np.hypot(1.0 + _sq_norm(z), t) ** (-2 * (n + 1))
+
+
 def cayley_jacobian(u: HPoint) -> float:
     """Jacobian of the Cayley transform, 2^{2n+1} / ((1+|z|^2)^2 + t^2)^{n+1}.
 
     Relative to Lebesgue measure on C^n x R upstream and Euclidean surface
     measure on S^{2n+1} downstream; decays like hnorm(u)^{-2Q}.
     """
-    zz = float(_sq_norm(u.z))
-    return 2.0 ** (2 * u.n + 1) * math.hypot(1.0 + zz, u.t) ** (-2 * (u.n + 1))
+    return float(_cayley_jacobian(u.z, u.t))
 
 
 def _sphere_extremal(xi: np.ndarray, pole, params: Params) -> np.ndarray:

@@ -1,13 +1,21 @@
 """Numerical experiments: lower bounds, invariances, mass shifts, covariance."""
 
+import json
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from crhls import experiments
 from crhls.core import make_params
-from crhls.discretization import KernelSpec, QuadratureGrid, assemble_kernel, sphere_grid
+from crhls.discretization import (
+    KernelSpec,
+    QuadratureGrid,
+    assemble_kernel,
+    sphere_extremal_values,
+    sphere_grid,
+)
 from crhls.experiments import (
     _transported_extremal_values,
     conformal_covariance_check,
@@ -36,8 +44,8 @@ def test_transported_extremal_constant_at_unit_scale(params_n1):
 
 
 def test_transported_extremal_matches_pointwise_pullback(params_n1):
-    # fused expression == extremal at the Cayley preimage times the
-    # inverse-map Jacobian raised to 1/q_alpha
+    # vectorized pullback == scalar extremal at the Cayley preimage times
+    # the inverse-map Jacobian raised to 1/q_alpha
     grid = sphere_grid(1, (8, 8, 8))
     eps = 0.7
     g = _transported_extremal_values(grid, params_n1, eps, 1e12)
@@ -47,6 +55,25 @@ def test_transported_extremal_matches_pointwise_pullback(params_n1):
         jac_inv = 1.0 / cayley_jacobian(u)
         expect = extremal_family(eps, u, params_n1) * jac_inv**inv_q
         assert g[i] == pytest.approx(expect, rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 2.0, 3.0])
+@pytest.mark.parametrize("eps", [0.1, 0.5, 2.0])
+def test_transported_extremal_is_a_sphere_extremal(alpha, eps):
+    # closed form, independent of the pullback's formulas: the transported
+    # eps-scale extremal is the sphere extremal with pole
+    # (0, (1 - eps^2)/(1 + eps^2)) times the constant
+    # (2 eps/(1 + eps^2))^{(Q+alpha)/2} * 2^{-(Q-1)(Q+alpha)/(2Q)}
+    params = make_params(1, alpha)
+    Q = params.Q
+    grid = sphere_grid(1, (10, 10, 10))
+    g = _transported_extremal_values(grid, params, eps, 1e12)
+    pole = [0.0, (1.0 - eps**2) / (1.0 + eps**2)]
+    quotient = g / sphere_extremal_values(grid, pole, params)
+    const = (2.0 * eps / (1.0 + eps**2)) ** ((Q + alpha) / 2) * 2.0 ** (
+        -(Q - 1) * (Q + alpha) / (2 * Q)
+    )
+    assert np.max(np.abs(quotient / const - 1.0)) <= 1e-12
 
 
 def test_transported_extremal_truncation_mask(params_n1):
@@ -75,7 +102,7 @@ def test_lower_bound_experiment_window(params_n1):
     assert res.sharp_constant == pytest.approx(8.0, rel=1e-12)
     assert res.ratio == 8.0
     assert res.n_nodes == 12**3
-    d = res.to_dict()
+    d = json.loads(json.dumps(asdict(res)))
     assert d["quotient"] == res.quotient
     assert d["resolution"] == [12, 12, 12]
     assert res.csv_row().startswith("lower_bound,1,")
@@ -99,7 +126,7 @@ def test_eps_invariance_spread(params_n1):
     assert res.spread_rel < 1e-10
     assert all(nrm > 0.0 for nrm in res.norms)
     assert len(res.csv_rows()) == 5
-    d = res.to_dict()
+    d = json.loads(json.dumps(asdict(res)))
     assert d["eps_list"] == [0.05, 0.1, 0.2, 1.0, 5.0]
 
 
