@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import mmap
 import os
 from dataclasses import dataclass
 
@@ -72,6 +73,11 @@ _TILE = 256
 # so that a rerun stores the same way and gives the same bits; the 16^3
 # kernel is exactly 128 MiB and stays stored.
 _DENSE_BYTES = 128 * 2**20
+
+# stored entries above this many bytes get a mapping of their own (_zero_entries).
+# 32 MiB is glibc's largest mmap threshold: below it np.zeros reuses freed heap
+# that is already resident, where a fresh mapping would fault in every page.
+_MAPPED_BYTES = 32 * 2**20
 
 
 @dataclass(eq=False)
@@ -391,7 +397,10 @@ class KernelMatrix:
     matrix built whole, both triangles equal, works unchanged. The
     constructor checks neither triangle. It refuses entries that are not
     float64 (a nested list of floats is taken as an array) and makes them
-    C-contiguous, which copies nothing for assembled kernels.
+    C-contiguous, which copies nothing for assembled kernels. Assembled
+    entries above _MAPPED_BYTES (32 MiB) view a private anonymous mapping
+    (_zero_entries) in which only the pages the upper triangle writes are
+    resident, about half the entries: 72 of 128 MiB at 16^3.
 
     entries = None makes the matrix-free operator of spec over grid, which
     assemble_kernel returns above _DENSE_BYTES. It stores nothing: matvec
@@ -598,13 +607,36 @@ def _kernel_tile(
     return tile if i0 != j0 else np.triu(tile, 1)
 
 
+def _zero_entries(N: int) -> np.ndarray:
+    """N x N float64 zeros: np.zeros up to _MAPPED_BYTES, a private anonymous mapping above.
+
+    numpy advises huge pages on every array of 4 MiB or more, and a 2 MiB page spans
+    whole rows, lower triangle included, so writing the upper triangle alone would
+    make all of np.zeros' entries resident. In the mapping, with huge pages advised
+    off, a page is resident once written: about half the entries (72 of 128 MiB at
+    16^3). MAP_PRIVATE, not mmap's default MAP_SHARED, so that a forked child's
+    writes stay its own.
+    """
+    nbytes = N * N * 8
+    if nbytes <= _MAPPED_BYTES:
+        return np.zeros((N, N))
+    buf = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    if hasattr(mmap, "MADV_NOHUGEPAGE"):
+        buf.madvise(mmap.MADV_NOHUGEPAGE)
+    return np.frombuffer(buf).reshape(N, N)
+
+
 def _dense_entries(grid: QuadratureGrid, spec: KernelSpec, params: Params) -> np.ndarray:
     """The N x N float64 entries: the tiles of _tiles filled by _kernel_tile on the walk's
     threads (they write disjoint entries), the lower triangle left zero.
 
+    The zeros come from _zero_entries, so above _MAPPED_BYTES (32 MiB) only about half
+    the entries become resident (72 of 128 MiB at 16^3): the lower triangle is never
+    written.
+
     Raises ValueError before allocating when the entries exceed physical memory, or
     when they and the walk's scratch (_assembly_bytes) exceed MemAvailable of
-    /proc/meminfo.
+    /proc/meminfo. Both count all N^2 * 8 bytes of the entries, resident or not.
     """
     N = len(grid)
     physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
@@ -617,7 +649,7 @@ def _dense_entries(grid: QuadratureGrid, spec: KernelSpec, params: Params) -> np
                 f"a dense {N} x {N} kernel of 8-byte entries needs "
                 f"{need / 2**30:.1f} GiB, more than the {limit / 2**30:.1f} GiB of {name} memory"
             )
-    entries = np.zeros((N, N))
+    entries = _zero_entries(N)
 
     def fill(bounds):
         i0, i1, j0, j1 = bounds
@@ -649,7 +681,11 @@ def assemble_kernel(
     stored: every node pair is evaluated and stored once, in the upper
     triangle, and the lower triangle stays zero (see KernelMatrix). Tiles
     write disjoint entries, so _blas.walk spreads them over _blas.walkers
-    threads, with BLAS on one thread meanwhile.
+    threads, with BLAS on one thread meanwhile. Entries above _MAPPED_BYTES
+    (32 MiB) are stored in a private anonymous mapping with huge pages
+    advised off, so the never-written lower triangle takes no memory: about
+    half the entries are resident, 72 of 128 MiB at 16^3. Smaller entries
+    keep np.zeros, whose freed memory the heap reuses without page faults.
 
     Above the budget nothing is stored and nothing is evaluated yet: the
     returned KernelMatrix has entries None, and its readers compute the same
@@ -661,7 +697,8 @@ def assemble_kernel(
     green_model kernels whose mass is not of length N, and, when storing,
     before allocating when the N x N entries exceed physical memory, or when they
     and the walk's scratch (_assembly_bytes) exceed MemAvailable of
-    /proc/meminfo; on the coincident distinct nodes that come first in tile
+    /proc/meminfo, counting all N^2 * 8 bytes of the entries whether or not
+    they become resident; on the coincident distinct nodes that come first in tile
     order; and for green_model kernels whose base rho^{-2n} + mass + c_w rho
     is not strictly positive at some node pair. The matrix-free operator
     raises the last two when a walk reaches the tile, and the memory

@@ -113,14 +113,24 @@ def dilate(r: float, u: HPoint) -> HPoint:
 
 
 def _extremal(z: np.ndarray, t: np.ndarray, eps: float, params: Params) -> np.ndarray:
-    """extremal_family at scale eps on rows z, t of points, or on one point."""
+    """extremal_family at scale eps on rows z, t of points, or on one point.
+
+    Raises ValueError for an eps that is not positive, so small that the peak
+    eps^{-(Q+alpha)/2} overflows a float (eps = 1e-103 at alpha = 2 on H^1), or
+    so large that eps^2 does (above about 1.3e154).
+    """
     if z.shape[-1] != params.n:
         raise ValueError(f"points live on H^{z.shape[-1]} but params have n = {params.n}")
     eps = float(eps)
     if not eps > 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
     expo = -0.5 * (params.Q + params.alpha)
-    return eps**expo * np.hypot(1.0 + _sq_norm(z) / eps**2, t / eps**2) ** expo
+    try:
+        peak, eps_sq = eps**expo, eps**2
+    except OverflowError:
+        what = f"the peak eps^{{-(Q+alpha)/2}} = {eps!r}^{expo!r}" if eps < 1.0 else "eps^2"
+        raise ValueError(f"eps = {eps!r} is out of range: {what} overflows a float") from None
+    return peak * np.hypot(1.0 + _sq_norm(z) / eps_sq, t / eps_sq) ** expo
 
 
 def extremal_H(u: HPoint, params: Params) -> float:

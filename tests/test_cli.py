@@ -246,6 +246,14 @@ def test_lower_bound_rejects_zero_eps(tmp_path, capsys):
     assert not (tmp_path / "lower-bound.json").exists()
 
 
+@pytest.mark.parametrize("eps, overflows", [("1e-200", "the peak"), ("1e200", "eps^2")])
+def test_lower_bound_rejects_eps_beyond_the_float_range(tmp_path, capsys, eps, overflows):
+    rc = main(["lower-bound", "--eps", eps, "--resolution", "4,4,4", "--output", str(tmp_path)])
+    assert rc == EXIT_VALIDATION
+    assert f"eps = {float(eps)!r} is out of range: {overflows}" in capsys.readouterr().err
+    assert not (tmp_path / "lower-bound.json").exists()
+
+
 def test_oversized_kernel_refused(tmp_path, capsys):
     # 10^6 nodes: the dense float64 kernel would need 8 TB
     rc = main(["continuation", "--resolution", "100,100,100", "--output", str(tmp_path)])

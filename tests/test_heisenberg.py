@@ -177,3 +177,16 @@ def test_extremal_family_scaling_identity():
     assert extremal_family(1.0, HPoint(np.zeros(1), 0.0), p) == pytest.approx(1.0)
     with pytest.raises(ValueError):
         extremal_family(0.0, HPoint([1.0], 0.0), p)
+
+
+def test_extremal_family_refuses_eps_beyond_the_float_range():
+    # at alpha = 2 on H^1 the peak is eps^-3: finite at 1e-102, beyond the float range at
+    # 1e-103; the scale eps^2 is finite at 1e154 and not at 1e155
+    p = make_params(1, 2.0)
+    origin = HPoint(np.zeros(1), 0.0)
+    assert extremal_family(1e-102, origin, p) == 1e-102**-3.0
+    assert extremal_family(1e154, origin, p) == 0.0  # the peak underflows
+    with pytest.raises(ValueError, match=r"eps = 1e-103 is out of range: the peak eps\^\{-\(Q\+alpha\)/2\}"):
+        extremal_family(1e-103, origin, p)
+    with pytest.raises(ValueError, match=r"eps = 1e\+155 is out of range: eps\^2 overflows"):
+        extremal_family(1e155, origin, p)

@@ -1,5 +1,7 @@
 """Kernel assembly: symmetry, positivity, the green/pure identity, memory refusals."""
 
+import mmap
+import os
 import tracemalloc
 
 import numpy as np
@@ -314,6 +316,76 @@ def test_assembly_scratch_is_a_few_tiles():
         finally:
             tracemalloc.stop()
         assert peak - K.entries.nbytes <= 16 * 2**20, (g.kind, peak)
+
+
+def _is_mapped(entries) -> bool:
+    """Whether entries view an mmap, which np.frombuffer keeps behind a memoryview."""
+    while isinstance(entries, np.ndarray):
+        entries = entries.base
+    return isinstance(entries, memoryview) and isinstance(entries.obj, mmap.mmap)
+
+
+def _assemble_stored(monkeypatch, grid, spec, params, mapped):
+    """assemble_kernel with every stored kernel mapped (mapped=True) or none."""
+    monkeypatch.setattr(discretization, "_MAPPED_BYTES", 0 if mapped else 2**62)
+    K = assemble_kernel(grid, spec, params)
+    assert _is_mapped(K.entries) == mapped
+    return K
+
+
+def test_mapped_entries_have_the_bits_of_np_zeros(monkeypatch):
+    rng = np.random.default_rng(23)
+    for grid, spec, params in _assembly_cases():
+        heap, mapped = (_assemble_stored(monkeypatch, grid, spec, params, m) for m in (False, True))
+        E = mapped.entries
+        assert E.dtype == np.float64 and E.flags.c_contiguous and E.flags.writeable
+        assert not np.tril(E, -1).any()
+        assert E.tobytes() == heap.entries.tobytes()
+        x = rng.uniform(size=len(grid))
+        assert mapped.matvec(x).tobytes() == heap.matvec(x).tobytes()
+        assert mapped.row_power_sums(1.2).tobytes() == heap.row_power_sums(1.2).tobytes()
+        # densified() allocates as assembly does
+        dense = KernelMatrix(None, spec, grid, params).densified()
+        assert _is_mapped(dense.entries)
+        assert dense.entries.tobytes() == heap.entries.tobytes()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_childs_writes_to_mapped_entries_stay_its_own(monkeypatch, params_n1):
+    # the mapping is private: a shared one would carry the child's write to the parent
+    grid = sphere_grid(1, (4, 4, 4))
+    K = _assemble_stored(monkeypatch, grid, KernelSpec("pure_singular"), params_n1, mapped=True)
+    before = float(K.entries[0, 1])
+    pid = os.fork()
+    if pid == 0:
+        try:
+            K.entries[0, 1] = before + 1.0
+        finally:
+            os._exit(0 if K.entries[0, 1] == before + 1.0 else 1)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0  # the child wrote
+    assert K.entries[0, 1] == before
+
+
+def _vm_rss() -> int:
+    with open("/proc/self/status") as fh:
+        return 1024 * int(next(ln for ln in fh if ln.startswith("VmRSS:")).split()[1])
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+def test_stored_kernel_keeps_about_its_upper_triangle_resident(params_n1):
+    # 16^3 entries take 128 MiB, but only the pages that the upper tiles write
+    # become resident: 72 MiB. tracemalloc does not see the mapping, VmRSS does.
+    grid = sphere_grid(1, (16, 16, 16))
+    nbytes = len(grid) ** 2 * 8
+    assert nbytes > discretization._MAPPED_BYTES
+    # a first assembly warms the walker threads' heaps, which then hold its scratch
+    assemble_kernel(grid, KernelSpec("pure_singular"), params_n1)
+    before = _vm_rss()
+    K = assemble_kernel(grid, KernelSpec("pure_singular"), params_n1)
+    grown = _vm_rss() - before
+    assert K.entries.nbytes == nbytes
+    assert grown <= 0.6 * nbytes, grown / 2**20
 
 
 def test_cylinder_kernel_uses_group_distance(monkeypatch):
