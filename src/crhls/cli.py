@@ -6,8 +6,10 @@ is one entry of the COMMANDS table: its defaults, the allowed values of
 its string keys, and a run function holding only its own computation and
 printing. One driver resolves the configuration, runs the entry and
 writes <command>.json (and <command>.csv where natural) into the
---output directory; the summary embeds the fully resolved configuration
-so a run can be reproduced from its own artifact. The parser is derived
+--output directory; it is the only code in the package that formats or
+writes an artifact. The summary embeds the fully resolved configuration
+so a run can be reproduced from its own artifact: every grid a command
+builds is a function of that configuration. The parser is derived
 from the same table: every config key is also a flag.
 
 Configuration sources, lowest to highest precedence: built-in defaults,
@@ -37,16 +39,22 @@ import numpy as np
 
 from ._blas import blas_threads
 from .core import make_params, sharp_constant_DH
-from .discretization import KernelMatrix, KernelSpec, QuadratureGrid, assemble_kernel, sphere_grid
+from .discretization import (
+    KernelMatrix,
+    KernelSpec,
+    QuadratureGrid,
+    _refuse_oversized_grid,
+    assemble_kernel,
+    sphere_grid,
+)
 from .experiments import (
-    MassPerturbationResult,
     conformal_covariance_check,
     curvature_equation_residual,
     eps_invariance_experiment,
     lower_bound_experiment,
     mass_perturbation_experiment,
 )
-from .solver import continuation, default_p_schedule, result_to_dict, solve_subcritical
+from .solver import SubcriticalResult, continuation, default_p_schedule, solve_subcritical
 from .sphere import sphere_dist_sq
 
 EXIT_OK = 0
@@ -99,9 +107,9 @@ def _write(output_dir: str, name: str, text: str) -> str:
 @dataclass(frozen=True)
 class Command:
     """One subcommand as data: one flag per defaults key, and choices lists
-    the allowed values of string keys. run(cfg) returns (results, csv, ok):
-    the JSON results, a (header, rows) pair or None, and whether every
-    solve converged and every check passed.
+    the allowed values of string keys. run(cfg) returns (results, table, ok):
+    the JSON results, a (column names, rows of plain values) pair or None,
+    and whether every solve converged and every check passed.
     """
 
     help: str
@@ -199,7 +207,19 @@ def _resolve_config(args: argparse.Namespace, command: Command) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# subcommand computations; each returns (results, csv or None, ok)
+# subcommand computations; each returns (results, table or None, ok)
+
+
+def _result_to_dict(result: SubcriticalResult) -> dict:
+    """Plain-types view of a solve for the JSON results; its counters stay out."""
+    return {
+        "p": float(result.p),
+        "D": float(result.D_estimate),
+        "residual": float(result.residual),
+        "iterations": int(result.iterations),
+        "converged": bool(result.converged),
+        "f": [float(v) for v in result.f],
+    }
 
 
 def _run_constants(cfg: dict):
@@ -235,7 +255,9 @@ def _run_verify_hls(cfg: dict):
     }
     print(f"norm spread across eps = {inv.spread_rel:.3e} (tol {cfg['spread_tol']})")
     print(f"quotient at ratio {cfg['ratio']} = {bound.quotient:.6f} <= {sharp:.6f} * (1 + slack)")
-    return results, (inv.csv_header, inv.csv_rows()), results["all_ok"]
+    rows = [("eps_invariance", inv.n, inv.alpha, inv.ratio, eps, norm)
+            for eps, norm in zip(inv.eps_list, inv.norms)]
+    return results, (("experiment", "n", "alpha", "ratio", "eps", "norm"), rows), results["all_ok"]
 
 
 def _two_node_fixture(params):
@@ -257,7 +279,7 @@ def _run_extremal_sub(cfg: dict):
         f"p = {result.p}  D = {result.D_estimate!r}  iterations = {result.iterations}"
         f"  converged = {result.converged}"
     )
-    return result_to_dict(result), None, result.converged
+    return _result_to_dict(result), None, result.converged
 
 
 def _run_continuation(cfg: dict):
@@ -271,7 +293,7 @@ def _run_continuation(cfg: dict):
     mass = None if massless else np.full(len(grid), cfg["A0"])
     K = assemble_kernel(grid, KernelSpec(cfg["kernel"], mass=mass, c_w=cfg["c_w"]), params)
     runs = continuation(K, grid, cfg["p_schedule"], tol=cfg["tol"], max_iter=cfg["max_iter"])
-    stages = [result_to_dict(run) for run in runs]
+    stages = [_result_to_dict(run) for run in runs]
     for stage in stages[:-1]:  # only the final maximizer is kept
         del stage["f"]
     sharp = sharp_constant_DH(params)
@@ -288,8 +310,9 @@ def _run_continuation(cfg: dict):
             f"  converged = {run.converged}"
         )
     print(f"final/sharp = {results['final_over_sharp']:.6f}")
-    rows = [f"{r.p!r},{r.D_estimate!r},{r.iterations},{r.residual!r},{r.converged}" for r in runs]
-    return results, ("p,D,iterations,residual,converged", rows), results["all_converged"]
+    rows = [(r.p, r.D_estimate, r.iterations, r.residual, r.converged) for r in runs]
+    columns = ("p", "D", "iterations", "residual", "converged")
+    return results, (columns, rows), results["all_converged"]
 
 
 def _run_lower_bound(cfg: dict):
@@ -304,7 +327,10 @@ def _run_lower_bound(cfg: dict):
         f"quotient = {res.quotient!r} on {res.n_nodes} nodes "
         f"(sharp constant {res.sharp_constant!r})"
     )
-    return asdict(res), (res.csv_header, [res.csv_row()]), True
+    results = asdict(res)
+    columns = ("experiment", "n", "alpha", "eps", "R", "ratio", "n_nodes", "quotient",
+               "sharp_constant")
+    return results, (columns, [("lower_bound", *(results[c] for c in columns[1:]))]), True
 
 
 def _run_mass_experiment(cfg: dict):
@@ -321,8 +347,11 @@ def _run_mass_experiment(cfg: dict):
     }
     for r in records:
         print(f"A0 = {r.A0}  quotient_mass = {r.quotient_mass!r}  delta = {r.delta!r}")
-    table = (MassPerturbationResult.csv_header, [r.csv_row() for r in records])
-    return results, table, results["all_converged"]
+    columns = ("experiment", "alpha", "A0", "c_w", "n_nodes", "p_endpoint", "quotient_mass",
+               "quotient_pure", "delta", "converged")
+    rows = [("mass_perturbation", r.alpha, r.A0, r.c_w, r.n_nodes, r.p_endpoint, r.quotient_mass,
+             r.quotient_pure, r.delta, r.all_converged) for r in records]
+    return results, (columns, rows), results["all_converged"]
 
 
 def _random_sphere_grid(n_nodes: int, min_sep: float, rng):
@@ -331,6 +360,7 @@ def _random_sphere_grid(n_nodes: int, min_sep: float, rng):
     Candidates are drawn one at a time and kept when they lie at least
     min_sep from every node kept so far.
     """
+    _refuse_oversized_grid(n_nodes, 1)
     nodes = np.empty((n_nodes, 2), dtype=np.complex128)
     count = attempts = 0
     while count < n_nodes:
@@ -508,8 +538,10 @@ def main(argv=None) -> int:
         text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
         path = _write(cfg["output"], f"{args.command}.json", text)
         if table is not None:
-            header, rows = table
-            _write(cfg["output"], f"{args.command}.csv", "".join(f"{r}\n" for r in [header, *rows]))
+            # str of a Python float is its shortest round-trip repr
+            columns, rows = table
+            lines = "".join(",".join(map(str, row)) + "\n" for row in [columns, *rows])
+            _write(cfg["output"], f"{args.command}.csv", lines)
         print(f"wrote {path}")
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

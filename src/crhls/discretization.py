@@ -55,8 +55,6 @@ __all__ = [
     "sphere_extremal_values",
     "hnorm_values",
     "distances_from_node",
-    "save_grid_csv",
-    "load_grid_csv",
 ]
 
 _GRID_KINDS = ("sphere", "cylinder")
@@ -192,12 +190,15 @@ def sphere_grid(n: int, resolution) -> QuadratureGrid:
 
     The three resolution components fix the node budget N = m1 m2 m3, so
     refinement sweeps written against per-axis resolutions keep working.
-    Only n = 1 is supported; higher n is covered by cylinder grids.
+    Only n = 1 is supported; higher n is covered by cylinder grids. A grid
+    whose node arrays exceed physical memory is refused before any node is
+    computed.
     """
     if n != 1:
         raise ValueError(f"sphere grids are implemented for n = 1 only, got n = {n}")
     res = _validate_resolution(resolution, 3)
     N = res[0] * res[1] * res[2]
+    _refuse_oversized_grid(N, 1)
     j = np.arange(N)
     theta = np.arcsin(np.sqrt((j + 0.5) / N))
     phi1 = 2.0 * math.pi * np.mod(0.5 + _SPHERE_GEN1 * (j + 1), 1.0)
@@ -249,6 +250,12 @@ def _vertical_rule(s_lo: float, s_hi: float, m_t: int) -> tuple[np.ndarray, np.n
     return t, wt
 
 
+def _cylinder_block_size(resolution, n: int) -> int:
+    """Nodes of one _cylinder_block: m_r radii, m_ang^(2n-1) directions, 2 m_t heights."""
+    m_r, m_ang, m_t = resolution
+    return m_r * m_ang ** (2 * n - 1) * 2 * m_t
+
+
 def _cylinder_block(
     r_lo: float, r_hi: float, s_lo: float, s_hi: float, resolution, params: Params
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -274,12 +281,14 @@ def cylinder_grid(R: float, resolution, params: Params) -> QuadratureGrid:
     Radial Gauss-Legendre against r^{2n-1} dr, Hopf-type angles on the
     direction sphere of C^n (plain polar angle for n = 1), parabolic
     Gauss-Legendre rule in t. Weights include the measure factor 2^{2n} n!,
-    so the total weight equals 2^{2n+1} pi^n R^{2n+2} exactly.
+    so the total weight equals 2^{2n+1} pi^n R^{2n+2} exactly. A grid whose
+    node arrays exceed physical memory is refused before any node is computed.
     """
     R = float(R)
     if not R > 0.0:
         raise ValueError(f"cylinder radius must be positive, got R = {R}")
     res = _validate_resolution(resolution, 3)
+    _refuse_oversized_grid(_cylinder_block_size(res, params.n), params.n)
     z, t, w = _cylinder_block(0.0, R, 0.0, R, res, params)
     return QuadratureGrid(kind="cylinder", n=params.n, weights=w, resolution=res, z=z, t=t)
 
@@ -296,6 +305,7 @@ def cylinder_shell_grid(R1: float, R2: float, resolution, params: Params) -> Qua
     if not 0.0 < R1 < R2:
         raise ValueError(f"shell radii must satisfy 0 < R1 < R2, got R1 = {R1}, R2 = {R2}")
     res = _validate_resolution(resolution, 3)
+    _refuse_oversized_grid(2 * _cylinder_block_size(res, params.n), params.n)
     za, ta, wa = _cylinder_block(R1, R2, 0.0, R2, res, params)
     zb, tb, wb = _cylinder_block(0.0, R1, R1, R2, res, params)
     return QuadratureGrid(
@@ -544,6 +554,26 @@ def _mem_available() -> int | None:
     return None
 
 
+def _refuse_beyond_memory(what: str, need: int, available_need: int | None = None) -> None:
+    """Raise ValueError when need bytes exceed physical memory or, if given, available_need
+    bytes exceed MemAvailable of /proc/meminfo; callers check before allocating."""
+    checks = [(os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"), need, "physical")]
+    if available_need is not None:
+        checks.append((_mem_available(), available_need, "available"))
+    for limit, nbytes, name in checks:
+        if limit is not None and nbytes > limit:
+            raise ValueError(
+                f"{what} needs {nbytes / 2**30:.1f} GiB, "
+                f"more than the {limit / 2**30:.1f} GiB of {name} memory"
+            )
+
+
+def _refuse_oversized_grid(N: int, n: int) -> None:
+    """Refuse, before any node is computed, a grid of N nodes whose node arrays exceed
+    physical memory: weights, t and n + 1 complex coordinates, a bound for both kinds."""
+    _refuse_beyond_memory(f"a grid of {N} nodes", N * (16 + 16 * (n + 1)))
+
+
 def _pow_neg(base: np.ndarray, expo: float, out: np.ndarray | None = None) -> np.ndarray:
     if expo == -1.0:  # the bits of base**-1.0 in half the time
         return np.reciprocal(base, out=out)
@@ -639,16 +669,9 @@ def _dense_entries(grid: QuadratureGrid, spec: KernelSpec, params: Params) -> np
     /proc/meminfo. Both count all N^2 * 8 bytes of the entries, resident or not.
     """
     N = len(grid)
-    physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    for limit, need, name in (
-        (physical, N * N * 8, "physical"),
-        (_mem_available(), _assembly_bytes(N, grid.n), "available"),
-    ):
-        if limit is not None and need > limit:
-            raise ValueError(
-                f"a dense {N} x {N} kernel of 8-byte entries needs "
-                f"{need / 2**30:.1f} GiB, more than the {limit / 2**30:.1f} GiB of {name} memory"
-            )
+    _refuse_beyond_memory(
+        f"a dense {N} x {N} kernel of 8-byte entries", N * N * 8, _assembly_bytes(N, grid.n)
+    )
     entries = _zero_entries(N)
 
     def fill(bounds):
@@ -711,65 +734,3 @@ def assemble_kernel(
     if dtype == np.float32 or len(grid) ** 2 * 8 > _DENSE_BYTES:
         return K
     return KernelMatrix(_dense_entries(grid, spec, params), spec, grid, params)
-
-
-# ---------------------------------------------------------------------------
-# plain-text serialization (CSV, no binary formats)
-
-_FLOAT_FMT = "%.17g"
-
-
-def save_grid_csv(grid: QuadratureGrid, path) -> None:
-    """Write a grid as CSV: a metadata line, a column-name line, data rows.
-
-    Floats are written with 17 significant digits so a load round-trips
-    bit for bit.
-    """
-    res = ";".join(str(m) for m in grid.resolution)
-    lines = [f"kind={grid.kind},n={grid.n},resolution={res}"]
-    if grid.kind == "sphere":
-        cols = [f"xi{k}_{part}" for k in range(grid.n + 1) for part in ("re", "im")]
-        cols.append("weight")
-        lines.append(",".join(cols))
-        data = np.empty((len(grid), 2 * (grid.n + 1) + 1))
-        data[:, 0:-1:2] = grid.xi.real
-        data[:, 1:-1:2] = grid.xi.imag
-        data[:, -1] = grid.weights
-    else:
-        cols = [f"z{k}_{part}" for k in range(grid.n) for part in ("re", "im")]
-        cols += ["t", "weight"]
-        lines.append(",".join(cols))
-        data = np.empty((len(grid), 2 * grid.n + 2))
-        data[:, 0 : 2 * grid.n : 2] = grid.z.real
-        data[:, 1 : 2 * grid.n : 2] = grid.z.imag
-        data[:, -2] = grid.t
-        data[:, -1] = grid.weights
-    for row in data:
-        lines.append(",".join(_FLOAT_FMT % v for v in row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_grid_csv(path) -> QuadratureGrid:
-    """Load a grid written by save_grid_csv."""
-    with open(path) as fh:
-        meta_line = fh.readline().strip()
-        fh.readline()  # column names carry no extra information
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    meta = dict(item.split("=", 1) for item in meta_line.split(","))
-    missing = [key for key in ("kind", "n", "resolution") if key not in meta]
-    if missing:
-        raise ValueError(f"grid header {meta_line!r} lacks {', '.join(missing)}")
-    kind = meta["kind"]
-    n = int(meta["n"])
-    resolution = tuple(int(m) for m in meta["resolution"].split(";"))
-    if kind == "sphere":
-        xi = data[:, 0:-1:2] + 1j * data[:, 1:-1:2]
-        return QuadratureGrid(
-            kind="sphere", n=n, weights=data[:, -1], resolution=resolution, xi=xi
-        )
-    z = data[:, 0 : 2 * n : 2] + 1j * data[:, 1 : 2 * n : 2]
-    return QuadratureGrid(
-        kind="cylinder", n=n, weights=data[:, -1], resolution=resolution, z=z, t=data[:, -2]
-    )
-

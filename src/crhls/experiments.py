@@ -1,7 +1,8 @@
 """Experiment drivers: truncated lower bounds, mass perturbation, identities.
 
 Each driver returns a small dataclass record with plain-type fields; the
-CLI turns records into JSON summaries (dataclasses.asdict) and CSV rows.
+CLI alone turns records into artifacts: JSON summaries (dataclasses.asdict)
+and CSV rows.
 """
 
 from __future__ import annotations
@@ -51,14 +52,6 @@ class LowerBoundResult:
     n_nodes: int
     quotient: float
     sharp_constant: float
-
-    csv_header = "experiment,n,alpha,eps,R,ratio,n_nodes,quotient,sharp_constant"
-
-    def csv_row(self) -> str:
-        return (
-            f"lower_bound,{self.n},{self.alpha!r},{self.eps!r},{self.R!r},"
-            f"{self.ratio!r},{self.n_nodes},{self.quotient!r},{self.sharp_constant!r}"
-        )
 
 
 def _transported_extremal_values(grid: QuadratureGrid, params: Params, eps: float, R: float) -> np.ndarray:
@@ -126,14 +119,6 @@ class EpsInvarianceResult:
     norms: tuple[float, ...]
     spread_rel: float
 
-    csv_header = "experiment,n,alpha,ratio,eps,norm"
-
-    def csv_rows(self) -> list[str]:
-        return [
-            f"eps_invariance,{self.n},{self.alpha!r},{self.ratio!r},{eps!r},{nrm!r}"
-            for eps, nrm in zip(self.eps_list, self.norms)
-        ]
-
 
 def eps_invariance_experiment(
     eps_list, ratio: float, resolution, params: Params
@@ -180,17 +165,6 @@ class MassPerturbationResult:
     quotient_pure: float
     delta: float
     all_converged: bool
-
-    csv_header = (
-        "experiment,alpha,A0,c_w,n_nodes,p_endpoint,quotient_mass,quotient_pure,delta,converged"
-    )
-
-    def csv_row(self) -> str:
-        return (
-            f"mass_perturbation,{self.alpha!r},{self.A0!r},{self.c_w!r},{self.n_nodes},"
-            f"{self.p_endpoint!r},{self.quotient_mass!r},{self.quotient_pure!r},"
-            f"{self.delta!r},{self.all_converged}"
-        )
 
 
 def mass_perturbation_experiment(

@@ -29,6 +29,7 @@ import numpy as np
 from .core import Params
 from .discretization import KernelMatrix, QuadratureGrid, _check_grid, distances_from_node
 from .functional import lp_norm
+from .heisenberg import _extremal
 
 # number of past residual differences an Anderson step mixes
 _ANDERSON_WINDOW = 3
@@ -50,7 +51,6 @@ __all__ = [
     "continuation",
     "default_p_schedule",
     "blowup_diagnostic",
-    "result_to_dict",
 ]
 
 
@@ -305,7 +305,9 @@ def blowup_diagnostic(
     order = np.argsort(radii[mask], kind="stable")
     rad = radii[mask][order]
     prof = (f[mask] / f_max)[order]
-    model = (1.0 + rad**2) ** (-0.5 * (params.Q + params.alpha))
+    axis = np.zeros((rad.size, params.n), dtype=np.complex128)
+    axis[:, 0] = rad  # the model bubble is the unit-scale extremal on the |z| axis
+    model = _extremal(axis, np.zeros(rad.size), 1.0, params)
     return BlowupReport(
         mu_p=float(mu),
         center_index=center,
@@ -314,14 +316,3 @@ def blowup_diagnostic(
         profile_deviation=float(np.max(np.abs(prof - model))),
     )
 
-
-def result_to_dict(result: SubcriticalResult) -> dict:
-    """Plain-types view of a result, ready for JSON emission."""
-    return {
-        "p": float(result.p),
-        "D": float(result.D_estimate),
-        "residual": float(result.residual),
-        "iterations": int(result.iterations),
-        "converged": bool(result.converged),
-        "f": [float(v) for v in result.f],
-    }

@@ -20,13 +20,15 @@ from crhls.cli import (
     EXIT_OK,
     EXIT_VALIDATION,
     _resolve_config,
+    _result_to_dict,
     build_parser,
     main,
 )
 from crhls.core import make_params
 from crhls.discretization import KernelSpec, assemble_kernel, sphere_grid
 from crhls.experiments import curvature_equation_residual
-from crhls.solver import continuation, default_p_schedule
+from crhls.solver import continuation, default_p_schedule, solve_subcritical
+from conftest import two_node_fixture
 
 
 def _read_json(path):
@@ -262,6 +264,23 @@ def test_oversized_kernel_refused(tmp_path, capsys):
     assert not (tmp_path / "continuation.json").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["lower-bound", "--resolution", "10000,10000,10000"],
+    ["continuation", "--resolution", "10000,10000,10000"],
+    ["curvature-residual", "--resolution", "10000,10000,10000"],
+    ["covariance-check", "--nodes", "1000000000000", "--pairs", "1"],
+    ["verify-hls", "--resolution", "10000,10000,10000"],
+])
+def test_oversized_grid_refused(tmp_path, capsys, argv):
+    # 10^12 nodes and more: refused from the resolution or node count, before any node
+    # array is allocated (verify-hls would otherwise first call leggauss(10000))
+    assert main([*argv, "--output", str(tmp_path)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert re.fullmatch(r"error: a grid of \d+ nodes needs .* of physical memory", err[0])
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_kernel_beyond_available_memory_refused(tmp_path, monkeypatch, capsys):
     # 512 nodes: the dense float64 kernel needs 2 MiB, 1 MiB is available
     monkeypatch.setattr(discretization, "_mem_available", lambda: 2**20)
@@ -403,6 +422,46 @@ def test_rerun_artifacts_byte_identical(tmp_path, command):
         snapshots.append({p.name: p.read_bytes() for p in sorted(tmp_path.iterdir())})
     assert f"{command}.json" in snapshots[0]
     assert snapshots[0] == snapshots[1]
+
+
+# the four CSV artifacts: the header, and the first column of each row from the JSON results
+_CSV_ARTIFACTS = {
+    "verify-hls": ("experiment,n,alpha,ratio,eps,norm",
+                   lambda r: ["eps_invariance"] * len(r["eps_invariance"]["eps_list"])),
+    "continuation": ("p,D,iterations,residual,converged",
+                     lambda r: [repr(stage["p"]) for stage in r["stages"]]),
+    "lower-bound": ("experiment,n,alpha,eps,R,ratio,n_nodes,quotient,sharp_constant",
+                    lambda r: ["lower_bound"]),
+    "mass-experiment": (
+        "experiment,alpha,A0,c_w,n_nodes,p_endpoint,quotient_mass,quotient_pure,delta,converged",
+        lambda r: ["mass_perturbation"] * len(r["runs"]),
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_CSV_ARTIFACTS))
+def test_csv_artifact_columns(tmp_path, command):
+    assert main([command, *_SMALL_RUNS[command], "--output", str(tmp_path)]) == EXIT_OK
+    header, first_column = _CSV_ARTIFACTS[command]
+    results = _read_json(tmp_path / f"{command}.json")["results"]
+    lines = (tmp_path / f"{command}.csv").read_text().splitlines()
+    assert lines[0] == header
+    rows = [line.split(",") for line in lines[1:]]
+    assert [row[0] for row in rows] == first_column(results)
+    assert {len(row) for row in rows} == {header.count(",") + 1}
+
+
+def test_result_to_dict(params_n1):
+    grid, K = two_node_fixture(params_n1)
+    res = solve_subcritical(K, grid, 1.5)
+    data = _result_to_dict(res)
+    assert json.loads(json.dumps(data)) == data
+    # the solve's counters stay out of the artifact
+    assert set(data) == {"p", "D", "residual", "iterations", "converged", "f"}
+    assert data["p"] == 1.5
+    assert data["converged"] is True
+    assert data["D"] == res.D_estimate
+    assert data["f"] == res.f.tolist()
 
 
 def test_lower_bound_ratio_fills_R(tmp_path):

@@ -1,10 +1,11 @@
-"""Quadrature grids: measures, dilation covariance, node accessors, CSV I/O."""
+"""Quadrature grids: measures, dilation covariance, node accessors, kernel rebuilds."""
 
 import math
 
 import numpy as np
 import pytest
 
+from crhls import discretization
 from crhls.core import make_params
 from crhls.discretization import (
     KernelSpec,
@@ -15,8 +16,6 @@ from crhls.discretization import (
     distances_from_node,
     extremal_values,
     hnorm_values,
-    load_grid_csv,
-    save_grid_csv,
     sphere_grid,
 )
 from crhls.heisenberg import HPoint, dilate, extremal_family, hdist, hnorm
@@ -179,25 +178,10 @@ def test_quadrature_grid_refuses_non_finite_nodes():
                        z=z, t=c.t)
 
 
-@pytest.mark.parametrize("kind, column, value", [("sphere", 1, "nan"), ("cylinder", 2, "inf")])
-def test_grid_csv_refuses_non_finite_nodes(tmp_path, kind, column, value):
-    # load_grid_csv builds through the constructor: column 1 is Im xi0, column 2 is t
-    g = sphere_grid(1, (4, 4, 4)) if kind == "sphere" else cylinder_grid(
-        2.0, (4, 5, 4), make_params(1, 2.0))
-    path = tmp_path / "grid.csv"
-    save_grid_csv(g, path)
-    lines = path.read_text().split("\n")
-    row = lines[7].split(",")
-    row[column] = value
-    lines[7] = ",".join(row)
-    path.write_text("\n".join(lines))
-    with pytest.raises(ValueError, match=f"{'xi' if kind == 'sphere' else 't'} must be finite"):
-        load_grid_csv(path)
-
-
 def _assert_kernels_rebuild(g, h, p):
-    # a kernel is saved as its grid and its spec: assembly on the reloaded
-    # grid gives the same bits, pure and green_model
+    # a kernel is a pure function of its grid, its spec and (n, alpha), and an
+    # artifact's embedded config repeats the constructor call: assembly on the
+    # rebuilt grid gives the same bits, pure and green_model
     specs = (KernelSpec("pure_singular"),
              KernelSpec("green_model", mass=np.linspace(0.0, 2.0, len(g)), c_w=0.3))
     for spec in specs:
@@ -205,38 +189,36 @@ def _assert_kernels_rebuild(g, h, p):
         assert np.array_equal(L.entries, K.entries)
 
 
-def test_grid_csv_round_trip_sphere(tmp_path):
-    g = sphere_grid(1, (4, 4, 6))
-    path = tmp_path / "sphere.csv"
-    save_grid_csv(g, path)
-    h = load_grid_csv(path)
-    assert h.kind == g.kind and h.n == g.n
-    assert tuple(h.resolution) == tuple(g.resolution)
+def test_grid_csv_round_trip_sphere():
+    # an artifact's config gives the constructor call back, with lists for tuples
+    g, h = sphere_grid(1, (4, 4, 6)), sphere_grid(1, [4, 4, 6])
     assert np.array_equal(h.weights, g.weights)
     assert np.array_equal(h.xi, g.xi)
     _assert_kernels_rebuild(g, h, make_params(1, 2.0))
 
 
-def test_grid_csv_round_trip_cylinder(tmp_path):
+def test_grid_csv_round_trip_cylinder():
     p = make_params(1, 2.0)
-    g = cylinder_grid(2.0, (4, 4, 4), p)
-    path = tmp_path / "cyl.csv"
-    save_grid_csv(g, path)
-    h = load_grid_csv(path)
-    assert h.kind == "cylinder"
+    g, h = cylinder_grid(2.0, (4, 4, 4), p), cylinder_grid(2.0, [4, 4, 4], p)
     assert np.array_equal(h.weights, g.weights)
     assert np.array_equal(h.z, g.z)
     assert np.array_equal(h.t, g.t)
     _assert_kernels_rebuild(g, h, make_params(1, 1.3))
 
 
-@pytest.mark.parametrize("drop", ["kind", "resolution"])
-def test_grid_csv_rejects_header_without_key(tmp_path, drop):
-    g = sphere_grid(1, (4, 4, 4))
-    path = tmp_path / "sphere.csv"
-    save_grid_csv(g, path)
-    header, rest = path.read_text().split("\n", 1)
-    kept = [item for item in header.split(",") if not item.startswith(drop + "=")]
-    path.write_text(",".join(kept) + "\n" + rest)
-    with pytest.raises(ValueError, match=drop):
-        load_grid_csv(path)
+def test_grid_memory_bound_is_its_node_arrays(monkeypatch):
+    # weights, t and n + 1 complex coordinates: 48 bytes a node at n = 1, checked from the
+    # resolution before any node is computed; 10^12 nodes through the CLI in test_cli.py
+    physical = {"SC_PHYS_PAGES": 128 * 48, "SC_PAGE_SIZE": 1}
+    monkeypatch.setattr(discretization.os, "sysconf", physical.__getitem__)
+    assert len(sphere_grid(1, (4, 4, 4))) == 64
+    assert len(cylinder_grid(1.0, (4, 4, 4), make_params(1, 2.0))) == 128
+    physical["SC_PHYS_PAGES"] = 128 * 48 - 1
+    assert len(sphere_grid(1, (4, 4, 4))) == 64
+    with pytest.raises(ValueError, match="a grid of 128 nodes"):
+        cylinder_grid(1.0, (4, 4, 4), make_params(1, 2.0))
+    with pytest.raises(ValueError, match="a grid of 256 nodes"):
+        cylinder_shell_grid(1.0, 2.0, (4, 4, 4), make_params(1, 2.0))
+    physical["SC_PHYS_PAGES"] = 64 * 48 - 1
+    with pytest.raises(ValueError, match=r"a grid of 64 nodes needs .* of physical memory"):
+        sphere_grid(1, (4, 4, 4))

@@ -1,5 +1,5 @@
 """Package surface: the re-exports of each submodule's public names, who reads a kernel,
-and that every import is used."""
+who writes a file, and that every import is used."""
 
 import ast
 from importlib import import_module
@@ -33,6 +33,36 @@ def test_only_discretization_reads_kernel_entries():
                 found.append(f"{path.name}:{node.lineno} .{node.attr}")
             if isinstance(node, ast.ImportFrom) and any(a.name == "_tiles" for a in node.names):
                 found.append(f"{path.name}:{node.lineno} imports _tiles")
+    assert found == []
+
+
+def _writes_a_file(node) -> bool:
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    if isinstance(func, ast.Name) and func.id == "open":
+        modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
+        # a mode that is not a literal could write
+        return any(not isinstance(m, ast.Constant) or set(str(m.value)) & set("wax")
+                   for m in modes)
+    if isinstance(func, ast.Attribute):
+        if func.attr in ("write_text", "write_bytes", "tofile"):
+            return True
+        return (isinstance(func.value, ast.Name) and func.value.id in ("np", "numpy")
+                and func.attr.startswith("save"))
+    return False
+
+
+def test_only_cli_writes_files():
+    # cli.main is the one writer of artifacts; every other module computes and
+    # returns values. Reads stay allowed (_mem_available opens /proc/meminfo)
+    found = []
+    for path in sorted(Path(crhls.__file__).parent.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if _writes_a_file(node):
+                found.append(f"{path.name}:{node.lineno}")
     assert found == []
 
 

@@ -1,6 +1,5 @@
 """Subcritical fixed-point solver, continuation, blow-up diagnostics."""
 
-import json
 import tracemalloc
 
 import numpy as np
@@ -23,7 +22,6 @@ from crhls.solver import (
     blowup_diagnostic,
     continuation,
     default_p_schedule,
-    result_to_dict,
     solve_subcritical,
 )
 from conftest import random_sphere_kernel, seeded_kernel_set, two_node_fixture
@@ -387,15 +385,3 @@ def test_blowup_validation(params_n1):
         with pytest.raises(ValueError, match=message):
             blowup_diagnostic(bad, grid, params_n1)
 
-
-def test_result_to_dict(params_n1):
-    grid, K = two_node_fixture(params_n1)
-    res = solve_subcritical(K, grid, 1.5)
-    data = result_to_dict(res)
-    assert json.loads(json.dumps(data)) == data
-    # the solve's counters stay out of the artifact
-    assert set(data) == {"p", "D", "residual", "iterations", "converged", "f"}
-    assert data["p"] == 1.5
-    assert data["converged"] is True
-    assert data["D"] == res.D_estimate
-    assert data["f"] == res.f.tolist()
