@@ -28,6 +28,7 @@ applied, tiles are walked on one thread, and one warning on stderr says so.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -505,7 +506,8 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """One subparser per COMMANDS entry, one flag per key of its defaults."""
+    """One subparser per COMMANDS entry, one flag per key of its defaults; a new
+    parser on every call (main builds one per process, _parser)."""
     parser = argparse.ArgumentParser(
         prog="crhls",
         description="Sharp Hardy-Littlewood-Sobolev machinery on model CR manifolds.",
@@ -525,8 +527,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once per process: parse_args leaves a parser unchanged, and COMMANDS is
+# read at call time, so a replaced run function still takes effect
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     command = COMMANDS[args.command]
     try:
         if args.threads is not None and args.threads < 1:

@@ -413,7 +413,8 @@ class KernelMatrix:
     resident, about half the entries: 72 of 128 MiB at 16^3.
 
     entries = None makes the matrix-free operator of spec over grid, which
-    assemble_kernel returns above _DENSE_BYTES. It stores nothing: matvec
+    assemble_kernel returns above _DENSE_BYTES and lower_bound_experiment,
+    reading its kernel once, builds at every size. It stores nothing: matvec
     and row_power_sums compute each tile of the upper triangle in float64
     as they walk it (_kernel_tile, the tiles assembly stores), in O(N^2)
     time per call and a few tiles of memory per walking thread.

@@ -84,6 +84,11 @@ def lower_bound_experiment(eps: float, R: float, resolution, params: Params) -> 
     (_transported_extremal_values). Approaches the sharp constant from below
     as R/eps grows and the mesh refines. Sphere grids, and so this bound,
     exist for n = 1 only.
+
+    The kernel is read once, so it is never stored: the quotient walks the
+    matrix-free operator, computing each float64 tile of the upper triangle
+    (the tiles assemble_kernel stores) once, in a few tiles of memory at
+    every size.
     """
     eps, R = float(eps), float(R)
     if not eps > 0.0:
@@ -92,7 +97,7 @@ def lower_bound_experiment(eps: float, R: float, resolution, params: Params) -> 
         raise ValueError(f"need eps < R, got eps = {eps}, R = {R}")
     grid = sphere_grid(params.n, resolution)
     g = _transported_extremal_values(grid, params, eps, R)
-    K = assemble_kernel(grid, KernelSpec("pure_singular"), params)
+    K = KernelMatrix(None, KernelSpec("pure_singular"), grid, params)
     quotient = rayleigh_quotient(K, g, params.q_alpha)
     return LowerBoundResult(
         n=params.n,

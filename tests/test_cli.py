@@ -749,6 +749,18 @@ def test_readme_examples_parse(tmp_path):
     _resolve_config(parser.parse_args(["lower-bound", "--config", str(cfg)]), COMMANDS["lower-bound"])
 
 
+def test_main_reuses_its_parser_without_carrying_flags(tmp_path):
+    # main parses every call with one parser; a flag of one call must not
+    # become the next call's value
+    argv = ["lower-bound", "--resolution", "6,4,6", "--output", str(tmp_path)]
+    assert main([*argv, "--eps", "0.2"]) == EXIT_OK
+    assert _read_json(tmp_path / "lower-bound.json")["config"]["eps"] == 0.2
+    assert main(argv) == EXIT_OK
+    assert _read_json(tmp_path / "lower-bound.json")["config"]["eps"] == 0.1
+    # callers of build_parser get a parser of their own
+    assert build_parser() is not build_parser()
+
+
 def test_missing_subcommand_exits_with_usage():
     with pytest.raises(SystemExit) as exc:
         main([])

@@ -24,6 +24,7 @@ from crhls.experiments import (
     lower_bound_experiment,
     mass_perturbation_experiment,
 )
+from crhls.functional import rayleigh_quotient
 from crhls.heisenberg import HPoint, extremal_family
 from crhls.sphere import SpherePoint, cayley_inv, cayley_jacobian
 from conftest import random_sphere_kernel
@@ -105,6 +106,26 @@ def test_lower_bound_experiment_window(params_n1):
     d = json.loads(json.dumps(asdict(res)))
     assert d["quotient"] == res.quotient
     assert d["resolution"] == [12, 12, 12]
+
+
+def test_lower_bound_stores_no_kernel(params_n1):
+    # the CLI default grid: its stored float64 kernel would take 32 MiB; the
+    # matrix-free quotient holds a few tiles at a time
+    resolution = (16, 8, 16)
+    tracemalloc.start()
+    try:
+        res = lower_bound_experiment(0.1, 5.0, resolution, params_n1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak / 2**20
+    # the quotient of the stored kernel, summed in dsymv's order: the two orders
+    # may part by an ulp
+    grid = sphere_grid(1, resolution)
+    g = _transported_extremal_values(grid, params_n1, 0.1, 5.0)
+    K = assemble_kernel(grid, KernelSpec("pure_singular"), params_n1)
+    assert K.entries is not None
+    assert res.quotient == pytest.approx(rayleigh_quotient(K, g, params_n1.q_alpha), rel=1e-14)
 
 
 def test_lower_bound_validation(params_n1):
