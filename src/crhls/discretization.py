@@ -40,8 +40,8 @@ import numpy as np
 
 from . import _blas
 from .core import Params
-from .heisenberg import HPoint, _extremal, gauge_dist_sq
-from .sphere import SpherePoint, _sphere_extremal, sphere_dist_sq
+from .heisenberg import _extremal, gauge_dist_sq
+from .sphere import _sphere_extremal, sphere_dist_sq
 
 __all__ = [
     "QuadratureGrid",
@@ -127,17 +127,6 @@ class QuadratureGrid:
 
     def __len__(self) -> int:
         return int(self.weights.size)
-
-    def node(self, i: int):
-        """Node i as a SpherePoint or HPoint, matching the grid kind."""
-        if self.kind == "sphere":
-            return SpherePoint(self.xi[i])
-        return HPoint(self.z[i], self.t[i])
-
-    @property
-    def nodes(self) -> list:
-        """All nodes as point objects. Materializes a list; small grids only."""
-        return [self.node(i) for i in range(len(self))]
 
     @property
     def total_weight(self) -> float:
@@ -402,25 +391,31 @@ class KernelMatrix:
     The kernel is symmetric, as the paper's kernel is (the Green function
     has G_xi(eta) = G_eta(xi)), and only the upper triangle of entries,
     diagonal included, holds it: every reader takes entry (i, j) with
-    i > j from (j, i) and never reads the lower triangle. assemble_kernel
-    stores each node pair once and leaves zeros below the diagonal. A
-    matrix built whole, both triangles equal, works unchanged. The
-    constructor checks neither triangle. It refuses entries that are not
-    float64 (a nested list of floats is taken as an array) and makes them
-    C-contiguous, which copies nothing for assembled kernels. Assembled
-    entries above _MAPPED_BYTES (32 MiB) view a private anonymous mapping
-    (_zero_entries) in which only the pages the upper triangle writes are
-    resident, about half the entries: 72 of 128 MiB at 16^3.
+    i > j from (j, i) and never reads the lower triangle. A matrix built
+    whole, both triangles equal, works unchanged. The constructor checks
+    neither triangle. It refuses entries that are not float64 (a nested
+    list of floats is taken as an array) and makes them C-contiguous,
+    which copies nothing for densified kernels.
 
-    entries = None makes the matrix-free operator of spec over grid, which
-    assemble_kernel returns above _DENSE_BYTES and lower_bound_experiment,
-    reading its kernel once, builds at every size. It stores nothing: matvec
-    and row_power_sums compute each tile of the upper triangle in float64
-    as they walk it (_kernel_tile, the tiles assembly stores), in O(N^2)
-    time per call and a few tiles of memory per walking thread.
-    densified() gives its stored matrix for callers that multiply many
-    times, as the solver does. For this operator the constructor checks
-    the length of the green_model mass against the grid.
+    entries = None makes the matrix-free operator of spec over grid. It
+    stores nothing: matvec and row_power_sums compute each float64 tile of
+    _tiles, which covers the upper triangle, as they walk it (_kernel_tile),
+    in O(N^2) time per call and a few tiles of memory per walking thread.
+    For this operator the constructor checks the length of the green_model
+    mass against the grid.
+
+    densified() is the one filler of stored entries. It writes the
+    operator's tiles, disjoint, on the walk's threads into the zeros of
+    _zero_entries and never writes the lower triangle, so entries above
+    _MAPPED_BYTES (32 MiB) keep only the pages of the upper triangle
+    resident: about half, 72 of 128 MiB at 16^3. Before allocating it raises
+    ValueError when the N^2 * 8 bytes of entries exceed physical memory, or
+    when they and the walk's scratch (_assembly_bytes) exceed MemAvailable
+    of /proc/meminfo; both count every entry, resident or not.
+    assemble_kernel densifies kernels up to _DENSE_BYTES (128 MiB) and
+    returns the operator above; the solver densifies what it multiplies
+    many times, and lower_bound_experiment, reading its kernel once, walks
+    the operator at every size.
 
     matvec and row_power_sums are the only views of the entries outside
     this module; matvec reads one triangle through dsymv.
@@ -450,12 +445,23 @@ class KernelMatrix:
         return len(self.grid)
 
     def densified(self) -> KernelMatrix:
-        """This kernel with stored entries: itself, or for the matrix-free operator its
-        entries filled as assemble_kernel fills them, under the same memory refusals,
-        checked before allocating."""
+        """This kernel with stored entries: itself, or the operator's tiles written into
+        new entries, under the memory refusals of the class docstring."""
         if self.entries is not None:
             return self
-        entries = _dense_entries(self.grid, self.spec, self.params)
+        N = len(self)
+        _refuse_beyond_memory(
+            f"a dense {N} x {N} kernel of 8-byte entries",
+            N * N * 8,
+            _assembly_bytes(N, self.grid.n),
+        )
+        entries = _zero_entries(N)
+
+        def fill(bounds):
+            i0, i1, j0, j1 = bounds
+            entries[i0:i1, j0:j1] = _kernel_tile(self.grid, self.spec, self.params, bounds)
+
+        _blas.walk(fill, list(_tiles(N)), lambda done: None)
         return KernelMatrix(entries, self.spec, self.grid, self.params)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
@@ -486,7 +492,7 @@ class KernelMatrix:
         to the power r once, or, matrix-free, computed at that power, and adds its
         row sums and, off the diagonal, its column sums; a diagonal tile is read as
         symv reads it, from its upper triangle.
-        Tiles are walked as in assemble_kernel, and their sums added in tile order
+        Tiles are walked as in densified(), and their sums added in tile order
         in the caller's thread, so the result does not depend on the walker count.
         """
         out = np.zeros(len(self))
@@ -593,11 +599,20 @@ def _exp_pow(base: np.ndarray, expo: float) -> np.ndarray:
     return np.exp(base, out=base)
 
 
+def _refuse_nonpositive(a: np.ndarray, i0: int, j0: int, message: str) -> None:
+    """Raise ValueError(message.format(i, j, value)) when the first minimum of tile a,
+    in tile order, is not positive; (i, j) is its node pair and a starts at (i0, j0)."""
+    flat = int(np.argmin(a))
+    if a.flat[flat] <= 0.0:
+        row, col = divmod(flat, a.shape[1])
+        raise ValueError(message.format(i0 + row, j0 + col, a.flat[flat]))
+
+
 def _kernel_tile(
     grid: QuadratureGrid, spec: KernelSpec, params: Params, bounds, r: float = 1.0
 ) -> np.ndarray:
     """The kernel to the power r of the node pairs of one tile of _tiles, in float64,
-    as assembly stores it: a diagonal tile holds its strict upper triangle only.
+    as densified() stores it: a diagonal tile holds its strict upper triangle only.
 
     The base is raised once, to the combined exponent r (alpha - Q) / 2 or
     r (Q - alpha) / (Q - 2), which at r = 1 are the kernel's own and are taken
@@ -610,10 +625,7 @@ def _kernel_tile(
     base = grid.dist_sq(slice(i0, i1), slice(j0, j1))  # rho^2 for both grid kinds
     if i0 == j0:
         np.fill_diagonal(base, 1.0)  # placeholder, overwritten with 0 below
-    flat_min = int(np.argmin(base))
-    if base.flat[flat_min] <= 0.0:
-        row, col = divmod(flat_min, j1 - j0)
-        raise ValueError(f"coincident nodes at indices ({i0 + row}, {j0 + col}): zero distance")
+    _refuse_nonpositive(base, i0, j0, "coincident nodes at indices ({}, {}): zero distance")
     if spec.kind == "pure_singular":
         expo = 0.5 * (alpha - Q)
         tile = _pow_neg(base, expo, out=base) if r == 1.0 else _exp_pow(base, r * expo)
@@ -625,13 +637,9 @@ def _kernel_tile(
             g += spec.c_w * base**0.5
         if i0 == j0:
             np.fill_diagonal(g, 1.0)  # a node is no pair: its dropped cell is not checked
-        flat_min = int(np.argmin(g))
-        if g.flat[flat_min] <= 0.0:
-            row, col = divmod(flat_min, j1 - j0)
-            raise ValueError(
-                f"green_model base is nonpositive at node pair ({i0 + row}, {j0 + col}): "
-                f"{g.flat[flat_min]:.6e}"
-            )
+        _refuse_nonpositive(
+            g, i0, j0, "green_model base is nonpositive at node pair ({}, {}): {:.6e}"
+        )
         expo = (Q - alpha) / (Q - 2)
         tile = g**expo if r == 1.0 else _exp_pow(g, r * expo)
     # zero diagonal: the strict upper triangle of a diagonal tile
@@ -644,9 +652,8 @@ def _zero_entries(N: int) -> np.ndarray:
     numpy advises huge pages on every array of 4 MiB or more, and a 2 MiB page spans
     whole rows, lower triangle included, so writing the upper triangle alone would
     make all of np.zeros' entries resident. In the mapping, with huge pages advised
-    off, a page is resident once written: about half the entries (72 of 128 MiB at
-    16^3). MAP_PRIVATE, not mmap's default MAP_SHARED, so that a forked child's
-    writes stay its own.
+    off, a page is resident once written. MAP_PRIVATE, not mmap's default MAP_SHARED,
+    so that a forked child's writes stay its own.
     """
     nbytes = N * N * 8
     if nbytes <= _MAPPED_BYTES:
@@ -657,76 +664,29 @@ def _zero_entries(N: int) -> np.ndarray:
     return np.frombuffer(buf).reshape(N, N)
 
 
-def _dense_entries(grid: QuadratureGrid, spec: KernelSpec, params: Params) -> np.ndarray:
-    """The N x N float64 entries: the tiles of _tiles filled by _kernel_tile on the walk's
-    threads (they write disjoint entries), the lower triangle left zero.
-
-    The zeros come from _zero_entries, so above _MAPPED_BYTES (32 MiB) only about half
-    the entries become resident (72 of 128 MiB at 16^3): the lower triangle is never
-    written.
-
-    Raises ValueError before allocating when the entries exceed physical memory, or
-    when they and the walk's scratch (_assembly_bytes) exceed MemAvailable of
-    /proc/meminfo. Both count all N^2 * 8 bytes of the entries, resident or not.
-    """
-    N = len(grid)
-    _refuse_beyond_memory(
-        f"a dense {N} x {N} kernel of 8-byte entries", N * N * 8, _assembly_bytes(N, grid.n)
-    )
-    entries = _zero_entries(N)
-
-    def fill(bounds):
-        i0, i1, j0, j1 = bounds
-        entries[i0:i1, j0:j1] = _kernel_tile(grid, spec, params, bounds)
-
-    _blas.walk(fill, list(_tiles(N)), lambda done: None)
-    return entries
-
-
 def assemble_kernel(
     grid: QuadratureGrid,
     spec: KernelSpec,
     params: Params,
     dtype=np.float64,
 ) -> KernelMatrix:
-    """The kernel matrix of a KernelSpec over a grid: stored in float64 when its N^2
-    entries take at most _DENSE_BYTES (128 MiB), the matrix-free operator above.
+    """The kernel matrix of a KernelSpec over a grid: densified when its N^2 float64
+    entries take at most _DENSE_BYTES (128 MiB), the matrix-free operator above; see
+    KernelMatrix for both.
 
     dtype=np.float32 gives the matrix-free operator at every size: kernels are
     stored only as float64, and the operator sums in float64 too.
 
-    Entries are computed in float64 tiles of _TILE x _TILE node pairs; the
-    scratch is a few tiles, not a share of N^2. The diagonal is set to zero:
-    the singular self-interaction cell is dropped, which biases weighted row
-    sums low by O(h^alpha), so Rayleigh quotients built on these matrices
-    converge to their continuum values from below. Both kernel models are
-    symmetric in the node pair (the green_model mass enters as the pair
-    mean), so only the tiles on and above the diagonal are evaluated and
-    stored: every node pair is evaluated and stored once, in the upper
-    triangle, and the lower triangle stays zero (see KernelMatrix). Tiles
-    write disjoint entries, so _blas.walk spreads them over _blas.walkers
-    threads, with BLAS on one thread meanwhile. Entries above _MAPPED_BYTES
-    (32 MiB) are stored in a private anonymous mapping with huge pages
-    advised off, so the never-written lower triangle takes no memory: about
-    half the entries are resident, 72 of 128 MiB at 16^3. Smaller entries
-    keep np.zeros, whose freed memory the heap reuses without page faults.
+    The diagonal is set to zero: the singular self-interaction cell is dropped,
+    which biases weighted row sums low by O(h^alpha), so Rayleigh quotients built
+    on these matrices converge to their continuum values from below.
 
-    Above the budget nothing is stored and nothing is evaluated yet: the
-    returned KernelMatrix has entries None, and its readers compute the same
-    float64 tiles as they walk them. The budget is a constant, not a share
-    of free memory, so a rerun stores the same way and gives the same bits.
-    The 16^3 kernel, exactly 128 MiB, is stored.
-
-    Raises ValueError for a dtype other than float32 or float64, for
-    green_model kernels whose mass is not of length N, and, when storing,
-    before allocating when the N x N entries exceed physical memory, or when they
-    and the walk's scratch (_assembly_bytes) exceed MemAvailable of
-    /proc/meminfo, counting all N^2 * 8 bytes of the entries whether or not
-    they become resident; on the coincident distinct nodes that come first in tile
-    order; and for green_model kernels whose base rho^{-2n} + mass + c_w rho
-    is not strictly positive at some node pair. The matrix-free operator
-    raises the last two when a walk reaches the tile, and the memory
-    refusals when it is densified.
+    Raises ValueError for a dtype other than float32 or float64 and for green_model
+    kernels whose mass is not of length N; when storing, the memory refusals of
+    densified() before allocating, then the refusals of _kernel_tile (coincident
+    distinct nodes, a green_model base rho^{-2n} + mass + c_w rho that is not
+    strictly positive) at the first such tile in tile order. The operator raises the
+    latter when a walk reaches the tile, and the memory refusals when it is densified.
     """
     K = KernelMatrix(None, spec, grid, params)
     dtype = np.dtype(dtype)
@@ -734,4 +694,4 @@ def assemble_kernel(
         raise ValueError(f"entries must be float32 or float64, got {dtype}")
     if dtype == np.float32 or len(grid) ** 2 * 8 > _DENSE_BYTES:
         return K
-    return KernelMatrix(_dense_entries(grid, spec, params), spec, grid, params)
+    return K.densified()

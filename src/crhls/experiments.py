@@ -149,7 +149,7 @@ def eps_invariance_experiment(
         n=params.n,
         alpha=params.alpha,
         ratio=ratio,
-        resolution=tuple(int(m) for m in np.atleast_1d(resolution)),
+        resolution=grid.resolution,
         eps_list=eps_tuple,
         norms=tuple(norms),
         spread_rel=(hi - lo) / hi,
@@ -186,8 +186,9 @@ def mass_perturbation_experiment(
     sphere (n = 1) for the pure singular kernel once and, for each A0 of the
     sweep (a number is a one-entry sweep), for the green_model kernel with
     constant mass A0; returns one record per A0. A positive mass dominates
-    the pure kernel entrywise, so delta > 0 for A0 > 0 and delta = 0
-    exactly for A0 = 0. Every A0 is checked before any assembly.
+    the pure kernel entrywise, so delta > 0 for A0 > 0. With A0 = 0 and
+    c_w = 0 the green_model kernel is the pure one, whose solve is reused,
+    so delta = 0 exactly. Every A0 is checked before any assembly.
     """
     masses = [float(A0) for A0 in np.atleast_1d(A0_list)]
     if not masses:
@@ -198,11 +199,17 @@ def mass_perturbation_experiment(
     params = make_params(1, alpha)
     grid = sphere_grid(1, resolution)
     schedule = default_p_schedule(params)
-    specs = [KernelSpec("green_model", mass=np.full(len(grid), A0), c_w=c_w) for A0 in masses]
-    runs_pure, *runs_mass = [
-        continuation(assemble_kernel(grid, spec, params), grid, schedule, tol=tol, max_iter=max_iter)
-        for spec in [KernelSpec("pure_singular"), *specs]
+    specs = [
+        KernelSpec("green_model", mass=np.full(len(grid), A0), c_w=c_w) if A0 or c_w else None
+        for A0 in masses
     ]
+
+    def solve(spec):
+        K = assemble_kernel(grid, spec, params)
+        return continuation(K, grid, schedule, tol=tol, max_iter=max_iter)
+
+    runs_pure = solve(KernelSpec("pure_singular"))
+    runs_mass = [runs_pure if spec is None else solve(spec) for spec in specs]
     qp = runs_pure[-1].D_estimate
     return [
         MassPerturbationResult(

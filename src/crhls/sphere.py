@@ -81,6 +81,13 @@ def sphere_dist(a: SpherePoint, b: SpherePoint) -> float:
     return math.sqrt(sphere_dist_sq(a.xi, b.xi))
 
 
+def _cayley(z: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """cayley on rows z, t of points of H^n, or on one point, returned as the array xi."""
+    zz, it = _sq_norm(z), 1j * np.asarray(t)
+    xi = np.concatenate([2.0 * z, (1.0 - zz - it)[..., None]], axis=-1)
+    return xi / (1.0 + zz + it)[..., None]
+
+
 def cayley(u: HPoint) -> SpherePoint:
     """Cayley transform H^n -> S^{2n+1} minus the south pole.
 
@@ -88,12 +95,7 @@ def cayley(u: HPoint) -> SpherePoint:
     The image is unit length identically, and the origin maps to the
     north pole (0, ..., 0, 1).
     """
-    zz = float(_sq_norm(u.z))
-    w = complex(1.0 + zz, u.t)
-    xi = np.empty(u.n + 1, dtype=np.complex128)
-    xi[: u.n] = 2.0 * u.z / w
-    xi[u.n] = complex(1.0 - zz, -u.t) / w
-    return SpherePoint(xi)
+    return SpherePoint(_cayley(u.z, u.t))
 
 
 def _cayley_inv(xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,4 +1,4 @@
-"""Quadrature grids: measures, dilation covariance, node accessors, kernel rebuilds."""
+"""Quadrature grids: measures, dilation covariance, node arrays, kernel rebuilds."""
 
 import math
 
@@ -19,7 +19,7 @@ from crhls.discretization import (
     sphere_grid,
 )
 from crhls.heisenberg import HPoint, dilate, extremal_family, hdist, hnorm
-from crhls.sphere import sphere_dist
+from crhls.sphere import SpherePoint, sphere_dist
 
 
 def test_sphere_grid_total_weight_exact():
@@ -103,25 +103,13 @@ def test_cylinder_shell_grid_weight_is_difference():
         cylinder_shell_grid(2.0, 1.0, (8, 6, 8), p)
 
 
-def test_grid_node_accessors():
-    p = make_params(1, 2.0)
-    g = cylinder_grid(1.0, (4, 4, 4), p)
-    u = g.node(3)
-    assert isinstance(u, HPoint)
-    assert np.allclose(u.z, g.z[3])
-    assert u.t == pytest.approx(float(g.t[3]))
-    assert len(g.nodes) == len(g)
-    s = sphere_grid(1, (4, 4, 4))
-    assert np.allclose(s.node(5).xi, s.xi[5])
-
-
 def test_hnorm_and_extremal_values_match_pointwise():
     p = make_params(1, 2.0)
     g = cylinder_grid(1.5, (4, 4, 4), p)
     hv = hnorm_values(g)
     ev = extremal_values(g, p, eps=0.7)
     for i in (0, 7, 19, len(g) - 1):
-        u = g.node(i)
+        u = HPoint(g.z[i], g.t[i])
         assert hv[i] == pytest.approx(hnorm(u), rel=1e-13)
         assert ev[i] == pytest.approx(extremal_family(0.7, u, p), rel=1e-13)
 
@@ -131,12 +119,14 @@ def test_distances_from_node_match_pointwise():
         p = make_params(n, 2.0)
         g = cylinder_grid(1.0, (4, 4, 4), p)
         d = distances_from_node(g, 2)
+        v = HPoint(g.z[2], g.t[2])
         for i in (0, 5, 11, len(g) - 1):
-            assert d[i] == pytest.approx(hdist(g.node(i), g.node(2)), rel=1e-12)
+            assert d[i] == pytest.approx(hdist(HPoint(g.z[i], g.t[i]), v), rel=1e-12)
     s = sphere_grid(1, (4, 4, 4))
     ds = distances_from_node(s, 1)
+    q = SpherePoint(s.xi[1])
     for i in (0, 9):
-        assert ds[i] == pytest.approx(sphere_dist(s.node(i), s.node(1)), rel=1e-12)
+        assert ds[i] == pytest.approx(sphere_dist(SpherePoint(s.xi[i]), q), rel=1e-12)
 
 
 def test_distances_from_node_self_distance_is_zero():

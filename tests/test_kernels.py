@@ -84,10 +84,10 @@ def test_assemble_pure_matches_distance_power():
     rng = np.random.default_rng(9)
     g = random_sphere_grid(12, 0.3, rng)
     K = assemble_kernel(g, KernelSpec("pure_singular"), p)
-    from crhls.sphere import sphere_dist
+    from crhls.sphere import SpherePoint, sphere_dist
 
     i, j = 3, 7
-    d = sphere_dist(g.node(i), g.node(j))
+    d = sphere_dist(SpherePoint(g.xi[i]), SpherePoint(g.xi[j]))
     assert K.entries[i, j] == pytest.approx(d ** (p.alpha - p.Q), rel=1e-13)
 
 
@@ -391,7 +391,7 @@ def test_stored_kernel_keeps_about_its_upper_triangle_resident(params_n1):
 def test_cylinder_kernel_uses_group_distance(monkeypatch):
     # every pair; the n = 2 product grid has 2048 nodes, so n = 2 uses 60
     # random nodes instead. Small tiles make both grids span several.
-    from crhls.heisenberg import hdist
+    from crhls.heisenberg import HPoint, hdist
 
     monkeypatch.setattr(discretization, "_TILE", 16)
     rng = np.random.default_rng(11)
@@ -402,7 +402,7 @@ def test_cylinder_kernel_uses_group_distance(monkeypatch):
     for g in grids:
         p = make_params(g.n, 2.0)
         E = symmetric(assemble_kernel(g, KernelSpec("pure_singular"), p).entries)
-        nodes = g.nodes
+        nodes = [HPoint(z, t) for z, t in zip(g.z, g.t)]
         for i, u in enumerate(nodes):
             for j, v in enumerate(nodes):
                 if i != j:

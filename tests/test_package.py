@@ -36,6 +36,19 @@ def test_only_discretization_reads_kernel_entries():
     assert found == []
 
 
+def test_discretization_uses_no_point_class():
+    # grids hold node arrays and every formula they need takes rows of points, so
+    # nothing in the discretization builds an HPoint or SpherePoint
+    path = Path(import_module("crhls.discretization").__file__)
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, (ast.Name, ast.Attribute)):
+            names.add(node.id if isinstance(node, ast.Name) else node.attr)
+    assert names & {"HPoint", "SpherePoint"} == set()
+
+
 def _writes_a_file(node) -> bool:
     if not isinstance(node, ast.Call):
         return False

@@ -10,6 +10,7 @@ from crhls.discretization import cylinder_grid, sphere_extremal_values, sphere_g
 from crhls.heisenberg import HPoint, hdist, hnorm
 from crhls.sphere import (
     SpherePoint,
+    _cayley,
     _cayley_inv,
     cayley,
     cayley_inv,
@@ -115,6 +116,28 @@ def test_cayley_inv_rows_match_pointwise():
         _cayley_inv(np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex))
 
 
+def test_cayley_rows_match_pointwise():
+    rng = np.random.default_rng(6)
+    for n in (1, 2):
+        pts = [random_hpoint(rng, n) for _ in range(6)]
+        xi = _cayley(np.array([u.z for u in pts]), np.array([u.t for u in pts]))
+        assert xi.shape == (6, n + 1)
+        for k, u in enumerate(pts):
+            assert np.array_equal(xi[k], _cayley(u.z, u.t))
+            assert np.array_equal(SpherePoint(xi[k]).xi, cayley(u).xi)
+
+
+def test_cayley_round_trip_on_rows():
+    rng = np.random.default_rng(7)
+    for n in (1, 2):
+        z = 1.5 * (rng.standard_normal((40, n)) + 1j * rng.standard_normal((40, n)))
+        t = 1.5 * rng.standard_normal(40)
+        z_back, t_back = _cayley_inv(_cayley(z, t))
+        assert z_back.shape == (40, n) and t_back.shape == (40,)
+        assert np.allclose(z_back, z, rtol=1e-12, atol=1e-13)
+        assert np.allclose(t_back, t, rtol=1e-11, atol=1e-12)
+
+
 def test_cayley_jacobian_formula_and_decay():
     rng = np.random.default_rng(3)
     for n in (1, 2):
@@ -166,7 +189,8 @@ def test_sphere_extremal_values_match_pointwise():
         params = make_params(1, alpha)
         vals = sphere_extremal_values(grid, a, params)
         for i in range(0, len(grid), 7):
-            assert vals[i] == pytest.approx(sphere_extremal(grid.node(i), a, params), rel=1e-14)
+            expected = sphere_extremal(SpherePoint(grid.xi[i]), a, params)
+            assert vals[i] == pytest.approx(expected, rel=1e-14)
 
 
 def test_sphere_extremal_validation():
