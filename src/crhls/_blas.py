@@ -1,8 +1,18 @@
 """numpy's bundled OpenBLAS through ctypes: its thread count, its symmetric product
-dsymv, and the threaded tile walk.
+dsymv, the threaded tile walk, and the one-thread dot taken beside a walk.
 
 symv reads the upper triangle of a row-major matrix, diagonal included, and never
-its lower triangle, which is why a kernel need store only that triangle."""
+its lower triangle, which is why a kernel need store only that triangle.
+
+OpenBLAS splits a float64 dot longer than 10 000 elements over its thread pool. The
+woken pool worker then spins, about 2^28 cycles (0.13 s on a 2-vCPU host), before it
+sleeps, and a tile walk started in that window shares a core with it: a 24^3
+matrix-free matvec took 0.25 s wall and 0.47 s CPU right after a 13 824-element dot,
+0.200 s and 0.38 s after an idle pause. So the reductions beside a walk go through
+serial_dot, which keeps BLAS on one thread for the dot alone; their values are then
+the same bits on any thread count. It takes no callable, so it cannot wrap a walk,
+which under its pin would drop to one walker.
+"""
 
 import contextlib
 import ctypes
@@ -93,6 +103,17 @@ def blas_threads(count: int | None):
         yield
     finally:
         lib.scipy_openblas_set_num_threads64_(previous)
+
+
+def serial_dot(a: np.ndarray, b: np.ndarray) -> float:
+    """float(np.dot(a, b)) with BLAS on one thread, for a reduction beside a tile walk
+    (see the module docstring). The count is pinned and restored under _WALK_LOCK, as
+    a walk's own pin is, so that a dot and a walk in two threads never restore each
+    other's count."""
+    if _openblas() is None:
+        return float(np.dot(a, b))
+    with _WALK_LOCK, blas_threads(1):
+        return float(np.dot(a, b))
 
 
 def walkers(items: int) -> int:

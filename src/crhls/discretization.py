@@ -151,6 +151,13 @@ def _validate_resolution(resolution, length: int) -> tuple[int, ...]:
     return res
 
 
+# the largest cylinder resolution component: a Gauss-Legendre rule of m nodes takes time
+# cubic in m and an m x m companion matrix (leggauss took 0.05 s at m = 1 000 and would
+# take about a minute and 800 MB at 10 000); the radial and vertical components each
+# feed one, the angular one too for n >= 2
+_MAX_COMPONENT = 1000
+
+
 def _gauss_legendre(a: float, b: float, m: int) -> tuple[np.ndarray, np.ndarray]:
     x, w = np.polynomial.legendre.leggauss(m)
     half = 0.5 * (b - a)
@@ -239,10 +246,19 @@ def _vertical_rule(s_lo: float, s_hi: float, m_t: int) -> tuple[np.ndarray, np.n
     return t, wt
 
 
-def _cylinder_block_size(resolution, n: int) -> int:
-    """Nodes of one _cylinder_block: m_r radii, m_ang^(2n-1) directions, 2 m_t heights."""
-    m_r, m_ang, m_t = resolution
-    return m_r * m_ang ** (2 * n - 1) * 2 * m_t
+def _cylinder_resolution(resolution, n: int, blocks: int) -> tuple[int, int, int]:
+    """The validated (m_r, m_ang, m_t) of a grid of blocks _cylinder_blocks, refused
+    before any node is computed when its node arrays exceed physical memory (each block
+    has m_r radii, m_ang^(2n-1) directions and 2 m_t heights) or a component exceeds
+    _MAX_COMPONENT."""
+    res = _validate_resolution(resolution, 3)
+    m_r, m_ang, m_t = res
+    _refuse_oversized_grid(blocks * m_r * m_ang ** (2 * n - 1) * 2 * m_t, n)
+    if max(res) > _MAX_COMPONENT:
+        raise ValueError(
+            f"cylinder resolution components must be at most {_MAX_COMPONENT}, got {res}"
+        )
+    return res
 
 
 def _cylinder_block(
@@ -271,13 +287,13 @@ def cylinder_grid(R: float, resolution, params: Params) -> QuadratureGrid:
     direction sphere of C^n (plain polar angle for n = 1), parabolic
     Gauss-Legendre rule in t. Weights include the measure factor 2^{2n} n!,
     so the total weight equals 2^{2n+1} pi^n R^{2n+2} exactly. A grid whose
-    node arrays exceed physical memory is refused before any node is computed.
+    node arrays exceed physical memory, or with a resolution component above
+    _MAX_COMPONENT, is refused before any node is computed.
     """
     R = float(R)
     if not R > 0.0:
         raise ValueError(f"cylinder radius must be positive, got R = {R}")
-    res = _validate_resolution(resolution, 3)
-    _refuse_oversized_grid(_cylinder_block_size(res, params.n), params.n)
+    res = _cylinder_resolution(resolution, params.n, 1)
     z, t, w = _cylinder_block(0.0, R, 0.0, R, res, params)
     return QuadratureGrid(kind="cylinder", n=params.n, weights=w, resolution=res, z=z, t=t)
 
@@ -293,8 +309,7 @@ def cylinder_shell_grid(R1: float, R2: float, resolution, params: Params) -> Qua
     R1, R2 = float(R1), float(R2)
     if not 0.0 < R1 < R2:
         raise ValueError(f"shell radii must satisfy 0 < R1 < R2, got R1 = {R1}, R2 = {R2}")
-    res = _validate_resolution(resolution, 3)
-    _refuse_oversized_grid(2 * _cylinder_block_size(res, params.n), params.n)
+    res = _cylinder_resolution(resolution, params.n, 2)
     za, ta, wa = _cylinder_block(R1, R2, 0.0, R2, res, params)
     zb, tb, wb = _cylinder_block(0.0, R1, R1, R2, res, params)
     return QuadratureGrid(

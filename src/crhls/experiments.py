@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _blas
 from .core import Params, make_params, sharp_constant_DH
 from .discretization import (
     KernelMatrix,
@@ -281,8 +282,8 @@ def curvature_equation_residual(
     w = grid.weights
     s = (Q + alpha) / (Q - alpha)
     applied = K.matvec(phi_v * w)
-    a = float(np.dot(w, phi_v**s))
-    b = float(np.dot(w, applied))
+    a = _blas.serial_dot(w, phi_v**s)
+    b = _blas.serial_dot(w, applied)
     if not (a > 0.0 and b > 0.0):
         raise ValueError("curvature residual needs positive weighted masses on both sides")
     lam = (b / a) ** ((Q - alpha) / (2.0 * alpha))

@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 
+from . import _blas
 from .core import Params
 from .discretization import (
     KernelMatrix,
@@ -51,11 +52,16 @@ def _as_values(f, N: int, name: str) -> np.ndarray:
 
 def lp_norm(f, grid: QuadratureGrid, p: float) -> float:
     """Weighted L^p norm (sum |f_i|^p w_i)^{1/p}, finite p >= 1."""
+    return _lp_norm(f, grid, p, np.dot)
+
+
+def _lp_norm(f, grid: QuadratureGrid, p: float, dot) -> float:
+    """lp_norm with its weighted sum taken by dot."""
     p = float(p)
     if not (math.isfinite(p) and p >= 1.0):
         raise ValueError(f"lp_norm needs a finite p >= 1, got p = {p}")
     fv = _as_values(f, len(grid), "f")
-    return float(np.dot(np.abs(fv) ** p, grid.weights)) ** (1.0 / p)
+    return float(dot(np.abs(fv) ** p, grid.weights)) ** (1.0 / p)
 
 
 def bilinear_form(K: KernelMatrix, f, g) -> float:
@@ -64,7 +70,7 @@ def bilinear_form(K: KernelMatrix, f, g) -> float:
     w = K.grid.weights
     fv = _as_values(f, N, "f")
     gv = _as_values(g, N, "g")
-    return float(np.dot(fv * w, K.matvec(gv * w)))
+    return _blas.serial_dot(fv * w, K.matvec(gv * w))
 
 
 def rayleigh_quotient(K: KernelMatrix, f, p: float) -> float:
@@ -74,7 +80,7 @@ def rayleigh_quotient(K: KernelMatrix, f, p: float) -> float:
     value approaches its continuum counterpart from below under grid
     refinement.
     """
-    nrm = lp_norm(f, K.grid, p)
+    nrm = _lp_norm(f, K.grid, p, _blas.serial_dot)
     if nrm == 0.0:
         raise ValueError("rayleigh_quotient is undefined for the zero function")
     return abs(bilinear_form(K, f, f)) / nrm**2

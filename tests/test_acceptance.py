@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from crhls.core import make_params, sharp_constant_DH
+from crhls.core import make_params
 from crhls.discretization import KernelSpec, assemble_kernel, sphere_grid
 from crhls.experiments import (
     conformal_covariance_check,

@@ -24,7 +24,7 @@ from crhls.discretization import (
     cylinder_grid,
     sphere_grid,
 )
-from crhls.functional import rayleigh_quotient, young_bound
+from crhls.functional import bilinear_form, rayleigh_quotient, young_bound
 from crhls.solver import solve_subcritical
 from conftest import symmetric
 
@@ -200,6 +200,62 @@ def test_concurrent_callers_keep_blas_count(monkeypatch, blas_count, small_walks
         sys.setswitchinterval(interval)
     assert errors == []
     assert results == [True] * 20
+
+
+def _threaded_dot_operator():
+    """The matrix-free operator on 10 648 nodes, past the 10 000 elements from which
+    OpenBLAS splits a float64 dot over its threads, and a non-constant function."""
+    params = make_params(1, 2.0)
+    grid = sphere_grid(1, (22, 22, 22))
+    f = 1.0 + 0.5 * grid.xi[:, 0].real
+    return KernelMatrix(None, KernelSpec("pure_singular"), grid, params), f, params
+
+
+def test_reductions_beside_a_walk_do_not_depend_on_blas_threads(blas_count):
+    # their dots run on one BLAS thread; the walks were already thread-count free.
+    # Threaded dots gave 7.922713794665721 and 16055.250605733745 on two threads
+    # against 7.922713794665729 and 16055.250605733747 on one
+    K, f, params = _threaded_dot_operator()
+    runs = []
+    for count in (1, 2):
+        with _blas.blas_threads(count):
+            runs.append((rayleigh_quotient(K, f, params.q_alpha), bilinear_form(K, f, f)))
+            assert blas_count() == count
+    assert runs[0] == runs[1]
+
+
+def test_quotient_walk_keeps_its_walkers(monkeypatch, blas_count):
+    # the one-thread pin covers the dots alone: a walk inside it would get one walker
+    K, f, params = _threaded_dot_operator()
+    seen, walkers = [], _blas.walkers
+
+    def recorded_walkers(items):
+        seen.append((walkers(items), blas_count()))
+        return seen[-1][0]
+
+    monkeypatch.setattr(_blas, "walkers", recorded_walkers)
+    with _blas.blas_threads(2):
+        rayleigh_quotient(K, f, params.q_alpha)
+    assert seen == [(min(2, len(os.sched_getaffinity(0))), 2)]
+
+
+def test_serial_dot_pins_one_thread_and_restores_the_count(blas_count):
+    inside = []
+
+    class Probe:
+        # np.dot reads its operand through __array__, under the pin
+        def __array__(self, dtype=None, copy=None):
+            inside.append((blas_count(), _blas._WALK_LOCK.locked()))
+            return np.ones(3)
+
+    with _blas.blas_threads(2):
+        assert _blas.serial_dot(Probe(), np.arange(3.0)) == 3.0
+        assert blas_count() == 2
+        with pytest.raises(ValueError):
+            _blas.serial_dot(Probe(), np.ones(4))
+        assert blas_count() == 2
+    assert inside and set(inside) == {(1, True)}
+    assert not _blas._WALK_LOCK.locked()
 
 
 def test_walkers_capped_by_usable_cores(monkeypatch):

@@ -281,6 +281,20 @@ def test_oversized_grid_refused(tmp_path, capsys, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_long_gauss_legendre_component_refused(tmp_path, monkeypatch, capsys):
+    # 320 000 nodes fit in memory, but leggauss(10000) would take about a minute
+    def no_rule(m):
+        raise AssertionError(f"leggauss({m}) was called")
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", no_rule)
+    argv = ["verify-hls", "--resolution", "10000,4,4", "--output", str(tmp_path)]
+    assert main(argv) == EXIT_VALIDATION
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: cylinder resolution components must be at most "
+                   f"{discretization._MAX_COMPONENT}, got (10000, 4, 4)"]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_kernel_beyond_available_memory_refused(tmp_path, monkeypatch, capsys):
     # 512 nodes: the dense float64 kernel needs 2 MiB, 1 MiB is available
     monkeypatch.setattr(discretization, "_mem_available", lambda: 2**20)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from crhls.core import Params, make_params, sharp_constant_DH
+from crhls.core import make_params, sharp_constant_DH
 
 
 def test_make_params_basic():

@@ -25,7 +25,7 @@ from crhls.experiments import (
     mass_perturbation_experiment,
 )
 from crhls.functional import rayleigh_quotient
-from crhls.heisenberg import HPoint, extremal_family
+from crhls.heisenberg import extremal_family
 from crhls.sphere import SpherePoint, cayley_inv, cayley_jacobian
 from conftest import random_sphere_kernel
 

@@ -13,7 +13,6 @@ from crhls.discretization import (
     KernelSpec,
     QuadratureGrid,
     assemble_kernel,
-    cylinder_grid,
     sphere_grid,
 )
 from crhls.functional import (

@@ -18,7 +18,7 @@ from crhls.discretization import (
     hnorm_values,
     sphere_grid,
 )
-from crhls.heisenberg import HPoint, dilate, extremal_family, hdist, hnorm
+from crhls.heisenberg import HPoint, extremal_family, hdist, hnorm
 from crhls.sphere import SpherePoint, sphere_dist
 
 
@@ -212,3 +212,22 @@ def test_grid_memory_bound_is_its_node_arrays(monkeypatch):
     physical["SC_PHYS_PAGES"] = 64 * 48 - 1
     with pytest.raises(ValueError, match=r"a grid of 64 nodes needs .* of physical memory"):
         sphere_grid(1, (4, 4, 4))
+
+
+def test_cylinder_component_refused_before_any_rule(monkeypatch):
+    # a Gauss-Legendre rule costs time cubic in its nodes, so a component above the
+    # bound is refused before leggauss is called; the memory refusal still comes first
+    top, params = discretization._MAX_COMPONENT, make_params(1, 2.0)
+    assert len(cylinder_grid(1.0, (top, 4, 4), params)) == top * 4 * 8
+
+    def no_rule(m):
+        raise AssertionError(f"leggauss({m}) was called")
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", no_rule)
+    for res in ((top + 1, 4, 4), (4, top + 1, 4), (4, 4, top + 1)):
+        with pytest.raises(ValueError, match=rf"components must be at most {top}, got"):
+            cylinder_grid(1.0, res, params)
+        with pytest.raises(ValueError, match=rf"components must be at most {top}, got"):
+            cylinder_shell_grid(1.0, 2.0, res, params)
+    with pytest.raises(ValueError, match=r"a grid of \d+ nodes needs"):
+        cylinder_grid(1.0, (10**6, 10**6, 4), params)

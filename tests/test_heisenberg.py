@@ -1,7 +1,5 @@
 """Group operations, gauge norm, dilations, and the model extremal."""
 
-import math
-
 import numpy as np
 import pytest
 

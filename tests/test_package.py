@@ -80,10 +80,12 @@ def test_only_cli_writes_files():
 
 
 def test_every_import_is_used():
-    # no linter runs offline, so this keeps deletions from leaving dead imports behind;
-    # a name listed in __all__ is a re-export and counts as used
+    # no linter runs offline, so this keeps deletions from leaving dead imports behind,
+    # in the package and in its tests; a name listed in __all__ is a re-export and
+    # counts as used
     unused = []
-    for path in sorted(Path(crhls.__file__).parent.glob("*.py")):
+    paths = [*Path(crhls.__file__).parent.glob("*.py"), *Path(__file__).parent.glob("*.py")]
+    for path in sorted(paths):
         tree = ast.parse(path.read_text(), filename=str(path))
         imported = {}
         for node in ast.walk(tree):
@@ -100,6 +102,6 @@ def test_every_import_is_used():
                 isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
             ):
                 used.update(c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant))
-        unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
+        unused += [f"{path.parent.name}/{path.name}:{line} {name}" for name, line in imported.items()
                    if name not in used]
     assert unused == []

@@ -1,13 +1,11 @@
 """Cayley transform, CR chordal distance, and the intertwining identity."""
 
-import math
-
 import numpy as np
 import pytest
 
 from crhls.core import make_params
 from crhls.discretization import cylinder_grid, sphere_extremal_values, sphere_grid
-from crhls.heisenberg import HPoint, hdist, hnorm
+from crhls.heisenberg import HPoint, hnorm
 from crhls.sphere import (
     SpherePoint,
     _cayley,
