@@ -382,8 +382,8 @@ def _random_sphere_grid(n_nodes: int, min_sep: float, rng):
 def _run_covariance_check(cfg: dict):
     if cfg["pairs"] < 1:
         raise ValueError(f"pairs must be at least 1, got {cfg['pairs']}")
-    if cfg["nodes"] < 1:
-        raise ValueError(f"nodes must be at least 1, got {cfg['nodes']}")
+    if cfg["nodes"] < 2:  # one node has no pair: the residual would be 0 and pass vacuously
+        raise ValueError(f"nodes must be at least 2, got {cfg['nodes']}")
     rng = np.random.default_rng(cfg["seed"])
     params = make_params(1, cfg["alpha"])
     grid = _random_sphere_grid(cfg["nodes"], cfg["min_sep"], rng)

@@ -84,7 +84,9 @@ def lower_bound_experiment(eps: float, R: float, resolution, params: Params) -> 
     the extremal, the inverse Cayley map and the Cayley Jacobian
     (_transported_extremal_values). Approaches the sharp constant from below
     as R/eps grows and the mesh refines. Sphere grids, and so this bound,
-    exist for n = 1 only.
+    exist for n = 1 only. A trial function that is zero at every node (no
+    node pulls back within gauge radius R) is refused before the operator
+    is built.
 
     The kernel is read once, so it is never stored: the quotient walks the
     matrix-free operator, computing each float64 tile of the upper triangle
@@ -98,6 +100,12 @@ def lower_bound_experiment(eps: float, R: float, resolution, params: Params) -> 
         raise ValueError(f"need eps < R, got eps = {eps}, R = {R}")
     grid = sphere_grid(params.n, resolution)
     g = _transported_extremal_values(grid, params, eps, R)
+    if not np.any(g):
+        raise ValueError(
+            f"no node lies within gauge radius R = {R} of the origin on the sphere grid of "
+            f"resolution {tuple(grid.resolution)}: the trial function at eps = {eps} is zero "
+            "at every node; raise R or refine the grid"
+        )
     K = KernelMatrix(None, KernelSpec("pure_singular"), grid, params)
     quotient = rayleigh_quotient(K, g, params.q_alpha)
     return LowerBoundResult(

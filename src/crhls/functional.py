@@ -61,7 +61,12 @@ def _lp_norm(f, grid: QuadratureGrid, p: float, dot) -> float:
     if not (math.isfinite(p) and p >= 1.0):
         raise ValueError(f"lp_norm needs a finite p >= 1, got p = {p}")
     fv = _as_values(f, len(grid), "f")
-    return float(dot(np.abs(fv) ** p, grid.weights)) ** (1.0 / p)
+    return _positive_lp_norm(np.abs(fv), grid.weights, p, dot)
+
+
+def _positive_lp_norm(f: np.ndarray, w: np.ndarray, p: float, dot=np.dot) -> float:
+    """(sum f_i^p w_i)^{1/p} for nonnegative float64 values f, unchecked (lp_norm checks)."""
+    return float(dot(f**p, w)) ** (1.0 / p)
 
 
 def bilinear_form(K: KernelMatrix, f, g) -> float:

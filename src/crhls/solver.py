@@ -28,7 +28,7 @@ import numpy as np
 
 from .core import Params
 from .discretization import KernelMatrix, QuadratureGrid, _check_grid, distances_from_node
-from .functional import lp_norm
+from .functional import _positive_lp_norm, lp_norm
 from .heisenberg import _extremal
 
 # number of past residual differences an Anderson step mixes
@@ -156,8 +156,13 @@ def solve_subcritical(
     inv_exp = 1.0 / (p - 1.0)
     sqrt_w = np.sqrt(w)
     history: list[float] = []
-    logs: list[np.ndarray] = []  # u = log f of the latest iterates
-    residuals: list[np.ndarray] = []  # log g - u for the same iterates
+    # the Anderson history: u = log f and r = log g - u of the latest
+    # iterate, and the differences to it from up to _ANDERSON_WINDOW earlier
+    # ones, each appended once as sqrt(w) * delta r (the fit's columns) and
+    # delta u + delta r (the step's rows)
+    u_last = r_last = None
+    fit_cols: list[np.ndarray] = []
+    step_rows: list[np.ndarray] = []
     iterations = 0
     D_prev = None
     f, y, D = evaluate(f / lp_norm(f, grid, p))
@@ -168,18 +173,21 @@ def solve_subcritical(
     if not np.max(y) > 0.0:
         raise ValueError("kernel has no positive entry or holds NaN: no positive quotient")
     while True:
-        defect = float(np.max(np.abs(2.0 * D * f ** (p - 1.0) - 2.0 * y)))
         history.append(D)
         flat = D_prev is not None and abs(D - D_prev) <= tol * max(1.0, abs(D))
-        converged = flat and defect <= tol * (1.0 + D)
-        if converged or iterations >= max_iter:
-            break
+        # the defect is read only here: when the quotient is flat or the last step is taken
+        if flat or iterations >= max_iter:
+            defect = _stationarity_defect(f, y, D, p)
+            converged = flat and defect <= tol * (1.0 + D)
+            if converged or iterations >= max_iter:
+                break
         D_prev = D
         peak = float(np.max(y))
         if peak <= 0.0:
             raise ValueError("iteration collapsed: the kernel maps the iterate to zero")
-        g = (y / peak) ** inv_exp
-        g = g / lp_norm(g, grid, p)
+        g = y / peak
+        g **= inv_exp
+        g /= _positive_lp_norm(g, w, p)
         # Anderson type-II mixing on u = log f for the map u -> log g: the
         # candidate combines the last map values with the coefficients that
         # minimize the sqrt(w)-weighted norm of the combined residual. The
@@ -191,27 +199,37 @@ def solve_subcritical(
         # g have no logarithm and clear the history.
         with np.errstate(divide="ignore", invalid="ignore"):
             u = np.log(f)
-            r = np.log(g) - u
+            r = np.log(g)
+            r -= u
         if np.all(np.isfinite(r)):
-            logs.append(u)
-            residuals.append(r)
-            del logs[: -_ANDERSON_WINDOW - 1], residuals[: -_ANDERSON_WINDOW - 1]
+            if u_last is not None:
+                du = u - u_last
+                dr = r - r_last
+                du += dr
+                dr *= sqrt_w
+                step_rows.append(du)
+                fit_cols.append(dr)
+                del step_rows[:-_ANDERSON_WINDOW], fit_cols[:-_ANDERSON_WINDOW]
+            u_last, r_last = u, r
         else:
-            logs.clear()
-            residuals.clear()
+            u_last = r_last = None
+            step_rows.clear()
+            fit_cols.clear()
         floor = D - _ROUNDOFF_SLACK * abs(D)
         accepted = False
-        if len(logs) > 1:
-            d_u = np.diff(logs, axis=0)
-            d_r = np.diff(residuals, axis=0)
-            gamma = np.linalg.lstsq((d_r * sqrt_w).T, r * sqrt_w, rcond=None)[0]
-            u_mix = u + r - gamma @ (d_u + d_r)
-            c = np.exp(u_mix - np.max(u_mix))
-            cand, y_c, D_c = evaluate(c / lp_norm(c, grid, p))
+        if fit_cols:
+            gamma = np.linalg.lstsq(np.array(fit_cols).T, r * sqrt_w, rcond=None)[0]
+            c = u + r
+            c -= gamma @ np.array(step_rows)
+            c -= np.max(c)
+            np.exp(c, out=c)
+            c /= _positive_lp_norm(c, w, p)
+            cand, y_c, D_c = evaluate(c)
             accepted = D_c >= floor
             if not accepted:
                 rejected += 1
-                del logs[:-1], residuals[:-1]
+                step_rows.clear()
+                fit_cols.clear()
         if not accepted:
             theta = 1.0
             cand, y_c, D_c = evaluate(g)
@@ -234,6 +252,16 @@ def solve_subcritical(
         rejected=rejected,
         backtracks=backtracks,
     )
+
+
+def _stationarity_defect(f: np.ndarray, y: np.ndarray, D: float, p: float) -> float:
+    """max |2 D f^{p-1} - 2 y|, taken as 2 max |D f^{p-1} - y| in one work vector;
+    scaling by 2 is exact, so the two forms agree bit for bit."""
+    t = f ** (p - 1.0)
+    t *= D
+    t -= y
+    np.abs(t, out=t)
+    return 2.0 * float(np.max(t))
 
 
 def default_p_schedule(params: Params) -> list[float]:

@@ -59,14 +59,14 @@ def sphere_dist_sq(xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
 
     xi and eta hold points of S^{2n+1} in C^{n+1} as rows, or one point
     as a 1-d vector; the result has shape xi.shape[:-1] + eta.shape[:-1].
-    The inner products and the moduli are overwritten in place, so a block
-    of distances needs one complex and one real scratch array.
+    It is taken as |2 - (2 xi) . conj(eta)|, bit for bit the modulus scaled
+    by 2, since scaling by 2 is exact. The scaled inner products are
+    overwritten in place, so a block of distances needs one complex work
+    array beside the real result.
     """
-    ip = np.asarray(xi @ np.conj(eta).T)
-    np.subtract(1.0, ip, out=ip)
-    d = np.abs(ip)
-    d *= 2.0
-    return d
+    ip = np.asarray((2.0 * xi) @ np.conj(eta).T)
+    np.subtract(2.0, ip, out=ip)
+    return np.abs(ip)
 
 
 def sphere_dist(a: SpherePoint, b: SpherePoint) -> float:

@@ -185,15 +185,18 @@ def test_non_integer_resolution_rejected(tmp_path, capsys, argv, config):
         ("continuation", ["--p-schedule", " "], None, "p_schedule must not be empty"),
         ("covariance-check", ["--pairs", "0"], None, "pairs must be at least 1"),
         ("covariance-check", [], {"pairs": -2}, "pairs must be at least 1"),
-        ("covariance-check", ["--nodes", "0"], None, "nodes must be at least 1, got 0"),
-        ("covariance-check", ["--nodes", "-5"], None, "nodes must be at least 1, got -5"),
-        ("covariance-check", [], {"nodes": 0}, "nodes must be at least 1, got 0"),
+        ("covariance-check", ["--nodes", "0"], None, "nodes must be at least 2, got 0"),
+        ("covariance-check", ["--nodes", "-5"], None, "nodes must be at least 2, got -5"),
+        ("covariance-check", [], {"nodes": 0}, "nodes must be at least 2, got 0"),
+        # one node has no pair: its residual would read 0 and pass vacuously
+        ("covariance-check", ["--nodes", "1"], None, "nodes must be at least 2, got 1"),
         ("continuation", ["--A0", "5"], None, "mass is only meaningful for the green_model"),
         ("continuation", ["--c-w", "0.3"], None, "c_w is only meaningful for the green_model"),
         ("continuation", [], {"A0": 5, "c_w": 0.3}, "only meaningful for the green_model"),
     ],
     ids=["flag", "config", "config-string", "p-schedule", "pairs-flag", "pairs-config",
-         "nodes-flag", "negative-nodes-flag", "nodes-config", "pure-A0-flag", "pure-c-w-flag",
+         "nodes-flag", "negative-nodes-flag", "nodes-config", "one-node-flag", "pure-A0-flag",
+         "pure-c-w-flag",
          "pure-mass-config"],
 )
 def test_empty_sweep_rejected(tmp_path, capsys, command, argv, config, message):
@@ -245,6 +248,16 @@ def test_lower_bound_rejects_zero_eps(tmp_path, capsys):
     rc = main(["lower-bound", "--eps", "0", "--resolution", "4,4,4", "--output", str(tmp_path)])
     assert rc == EXIT_VALIDATION
     assert "eps must be positive, got 0.0" in capsys.readouterr().err
+    assert not (tmp_path / "lower-bound.json").exists()
+
+
+def test_lower_bound_rejects_a_trial_function_zero_at_every_node(tmp_path, capsys):
+    # at 4^3 no sphere node pulls back within gauge radius 0.2 of the origin
+    rc = main(["lower-bound", "--R", "0.2", "--resolution", "4,4,4", "--output", str(tmp_path)])
+    assert rc == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "no node lies within gauge radius R = 0.2" in err
+    assert "resolution (4, 4, 4)" in err and "eps = 0.1" in err
     assert not (tmp_path / "lower-bound.json").exists()
 
 

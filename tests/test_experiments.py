@@ -137,6 +137,10 @@ def test_lower_bound_validation(params_n1):
         lower_bound_experiment(2.0, 1.0, (8, 8, 8), params_n1)
     with pytest.raises(ValueError):
         lower_bound_experiment(1.0, 8.0, (8, 8, 8), make_params(2, 2.0))
+    # a trial function zero at every node is refused before any kernel is built
+    with pytest.raises(ValueError, match=r"no node lies within gauge radius R = 0\.2 .*"
+                       r"resolution \(4, 4, 4\).* eps = 0\.1 is zero at every node"):
+        lower_bound_experiment(0.1, 0.2, (4, 4, 4), params_n1)
 
 
 def test_eps_invariance_spread(params_n1):

@@ -148,6 +148,57 @@ def test_roundoff_costs_no_products(params_n1):
         assert res.matvecs == res.iterations + 1
 
 
+def _defect(K, res):
+    # the stationarity defect of the returned iterate, from a fresh product
+    y = K.matvec(res.f * K.grid.weights)
+    return 2.0 * float(np.max(np.abs(res.D_estimate * res.f ** (res.p - 1.0) - y)))
+
+
+def test_residual_is_the_defect_of_the_returned_iterate(params_n1):
+    # the solver takes the defect only when the quotient is flat or max_iter is
+    # reached; the value it returns is that of the returned f and D, bit for bit
+    grid = sphere_grid(1, (8, 8, 8))
+    K = assemble_kernel(grid, KernelSpec("pure_singular"), params_n1)
+    done = solve_subcritical(K, grid, 1.5)
+    cut = solve_subcritical(K, grid, 1.5, max_iter=2)
+    assert done.converged and not cut.converged and cut.iterations == 2
+    for res in (done, cut):
+        assert res.residual == _defect(K, res)
+        # 2 max |D f^{p-1} - y| is the form 2 D f^{p-1} - 2 y scaled by an exact 2
+        y = K.matvec(res.f * grid.weights)
+        twice = 2.0 * res.D_estimate * res.f ** (res.p - 1.0) - 2.0 * y
+        assert res.residual == float(np.max(np.abs(twice)))
+    assert cut.residual > done.residual
+
+
+def test_warm_start_with_zeros_clears_the_history(params_n1):
+    # a zero entry has no logarithm, so the first residual is not finite and
+    # the history is cleared; the solve goes on from the map step and reaches
+    # the maximizer of the constant start
+    grid = sphere_grid(1, (8, 8, 8))
+    K = assemble_kernel(grid, KernelSpec("pure_singular"), params_n1)
+    f0 = np.ones(len(grid))
+    f0[::5] = 0.0
+    ref = solve_subcritical(K, grid, 1.5)
+    res = solve_subcritical(K, grid, 1.5, f0=f0)
+    assert ref.converged and res.converged
+    assert res.D_estimate == pytest.approx(ref.D_estimate, rel=1e-12)
+    assert np.all(res.f > 0.0)
+    assert res.matvecs == res.iterations + 1 + res.rejected + res.backtracks
+    assert res.residual == _defect(K, res)
+
+
+def test_solver_refuses_an_infinite_entry(params_n1):
+    # the map value of an infinite product is not finite; the solve raises
+    # rather than iterate on NaN
+    grid = sphere_grid(1, (6, 6, 6))
+    K = assemble_kernel(grid, KernelSpec("pure_singular"), params_n1)
+    entries = K.entries.copy()
+    entries[3, 40] = np.inf
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
+        solve_subcritical(KernelMatrix(entries, K.spec, grid, params_n1), grid, 1.5)
+
+
 def test_solve_does_not_depend_on_blas_thread_count(params_n1):
     # dsymv splits its sum by thread, so the bits differ; the steps taken do not
     if _blas._openblas() is None:
