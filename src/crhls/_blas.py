@@ -8,10 +8,10 @@ OpenBLAS splits a float64 dot longer than 10 000 elements over its thread pool. 
 woken pool worker then spins, about 2^28 cycles (0.13 s on a 2-vCPU host), before it
 sleeps, and a tile walk started in that window shares a core with it: a 24^3
 matrix-free matvec took 0.25 s wall and 0.47 s CPU right after a 13 824-element dot,
-0.200 s and 0.38 s after an idle pause. So the reductions beside a walk go through
-serial_dot, which keeps BLAS on one thread for the dot alone; their values are then
-the same bits on any thread count. It takes no callable, so it cannot wrap a walk,
-which under its pin would drop to one walker.
+0.200 s and 0.38 s after an idle pause. So the reductions beside a walk, every
+lp_norm among them, go through serial_dot, which keeps BLAS on one thread for the dot
+alone; their values are then the same bits on any thread count. It takes no callable,
+so it cannot wrap a walk, which under its pin would drop to one walker.
 """
 
 import contextlib

@@ -14,15 +14,13 @@ import math
 import numpy as np
 
 from . import _blas
-from .core import Params
+from .core import Params, sharp_constant_DH
 from .discretization import (
     KernelMatrix,
     QuadratureGrid,
     _check_grid,
-    cylinder_grid,
     cylinder_shell_grid,
     extremal_values,
-    hnorm_values,
 )
 
 __all__ = [
@@ -37,7 +35,6 @@ __all__ = [
 # tails; the piece beyond the enlarged shell is a ratio-independent
 # relative bias ~ TAIL_ENLARGEMENT^{-Q}, invisible to slope fits
 TAIL_ENLARGEMENT = 8.0
-_REF_RADIUS = 64.0
 
 
 def _as_values(f, N: int, name: str) -> np.ndarray:
@@ -51,17 +48,13 @@ def _as_values(f, N: int, name: str) -> np.ndarray:
 
 
 def lp_norm(f, grid: QuadratureGrid, p: float) -> float:
-    """Weighted L^p norm (sum |f_i|^p w_i)^{1/p}, finite p >= 1."""
-    return _lp_norm(f, grid, p, np.dot)
-
-
-def _lp_norm(f, grid: QuadratureGrid, p: float, dot) -> float:
-    """lp_norm with its weighted sum taken by dot."""
+    """Weighted L^p norm (sum |f_i|^p w_i)^{1/p}, finite p >= 1, summed on one BLAS
+    thread (_blas.serial_dot), so the same bits on any thread count."""
     p = float(p)
     if not (math.isfinite(p) and p >= 1.0):
         raise ValueError(f"lp_norm needs a finite p >= 1, got p = {p}")
     fv = _as_values(f, len(grid), "f")
-    return _positive_lp_norm(np.abs(fv), grid.weights, p, dot)
+    return _positive_lp_norm(np.abs(fv), grid.weights, p, _blas.serial_dot)
 
 
 def _positive_lp_norm(f: np.ndarray, w: np.ndarray, p: float, dot=np.dot) -> float:
@@ -85,7 +78,7 @@ def rayleigh_quotient(K: KernelMatrix, f, p: float) -> float:
     value approaches its continuum counterpart from below under grid
     refinement.
     """
-    nrm = _lp_norm(f, K.grid, p, _blas.serial_dot)
+    nrm = lp_norm(f, K.grid, p)
     if nrm == 0.0:
         raise ValueError("rayleigh_quotient is undefined for the zero function")
     return abs(bilinear_form(K, f, f)) / nrm**2
@@ -117,16 +110,16 @@ def tail_integral_I1(eps: float, R: float, params: Params, resolution) -> float:
 
     Evaluates 2 * B(f_eps, f_eps) restricted to pairs with one point
     outside the truncation, reduced through the extremal's own integral
-    identity to a single weighted integral
+    identity (Frank and Lieb, Ann. of Math. 176, 2012) to a single weighted
+    integral
 
         I_1 = C * integral over the complement of f_eps^{2Q/(Q+alpha)},
 
-    where C = 2 * integral of H(v) |v|^{alpha-Q} dV_0 is the reciprocal
-    extremal eigenvalue (computed on each call, on a fixed large reference
-    cylinder at the same resolution). The complement is truncated at
-    TAIL_ENLARGEMENT times R; the integral is evaluated in dilation-scaled
-    coordinates, so the result depends on eps and R only through R/eps,
-    exactly.
+    where C = 2 * integral of H(v) |v|^{alpha-Q} dV_0 = 2 * D_H * pi^{alpha/2}
+    is the reciprocal extremal eigenvalue, taken in closed form. The
+    complement is truncated at TAIL_ENLARGEMENT times R; the integral is
+    evaluated in dilation-scaled coordinates, so the result depends on eps
+    and R only through R/eps, exactly.
 
     Decays like (R/eps)^{-Q}; meant for the regime eps << R and used for
     slope fits.
@@ -137,10 +130,12 @@ def tail_integral_I1(eps: float, R: float, params: Params, resolution) -> float:
     if not R > eps:
         raise ValueError(f"tail integral needs eps < R, got eps = {eps}, R = {R}")
     ratio = R / eps
-    ref_grid = cylinder_grid(_REF_RADIUS, resolution, params)
-    h_ref = extremal_values(ref_grid, params)
-    rho = hnorm_values(ref_grid)
-    ref = float(np.dot(h_ref * rho ** (params.alpha - params.Q), ref_grid.weights))
+    # the extremal's Euler-Lagrange identity at the group identity, where H = 1:
+    # integral of H |v|^{alpha-Q} dV_0 = D_H * (integral of H^{q_alpha} dV_0)^{alpha/Q}.
+    # H^{q_alpha} = ((1 + |z|^2)^2 + t^2)^{-(n+1)} is the Cayley map's Jacobian
+    # over 2^{2n+1}, which integrates to |S^{2n+1}| = 2 pi^{n+1} / n!; dV_0's
+    # factor 2^{2n} n! makes the integral pi^{n+1}, and (n+1) alpha / Q = alpha / 2
+    ref = sharp_constant_DH(params) * math.pi ** (0.5 * params.alpha)
     shell = cylinder_shell_grid(ratio, TAIL_ENLARGEMENT * ratio, resolution, params)
     h = extremal_values(shell, params)
     tail_mass = float(np.dot(h**params.q_alpha, shell.weights))

@@ -151,7 +151,8 @@ def solve_subcritical(
 
     def blend(a: float, b: float) -> np.ndarray:
         c = f**a * g**b
-        return c / lp_norm(c, grid, p)
+        c /= _positive_lp_norm(c, w, p)
+        return c
 
     inv_exp = 1.0 / (p - 1.0)
     sqrt_w = np.sqrt(w)
@@ -167,11 +168,18 @@ def solve_subcritical(
     D_prev = None
     f, y, D = evaluate(f / lp_norm(f, grid, p))
     # the first product stands in for a scan of the entries it reads, the
-    # upper triangle (dsymv or the tile walk): BLAS
-    # gives 0 * NaN = NaN, and each upper entry is added to both its row and
-    # its column, so a NaN there reaches y even where the start is zero
-    if not np.max(y) > 0.0:
-        raise ValueError("kernel has no positive entry or holds NaN: no positive quotient")
+    # upper triangle (dsymv or the tile walk): each upper entry is added to
+    # both its row and its column, and BLAS gives 0 * NaN = 0 * inf = NaN, so
+    # a NaN or an infinite entry reaches y even where the start is zero; a
+    # negative entry shows unless positive entries outweigh it
+    lo, hi = float(np.min(y)), float(np.max(y))
+    if not 0.0 <= lo <= hi < np.inf:
+        raise ValueError(
+            "kernel holds a NaN, an infinite or a negative entry: its first product "
+            f"is not finite and nonnegative (from {lo} to {hi})"
+        )
+    if not hi > 0.0:
+        raise ValueError("kernel has no positive entry: no positive quotient")
     while True:
         history.append(D)
         flat = D_prev is not None and abs(D - D_prev) <= tol * max(1.0, abs(D))

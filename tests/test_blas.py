@@ -1,8 +1,8 @@
 """numpy's bundled OpenBLAS: the threaded tile walk (same bits on one or two walkers
 and in any chunks, items consumed in order, first error in walk order, the BLAS thread
-count restored after every walk), the product through dsymv beside its tile-walk
-fallback, and the readers of a kernel's entries, which ignore its lower
-triangle."""
+count restored after every walk), the one-thread reductions beside it, the product
+through dsymv beside its tile-walk fallback, and the readers of a kernel's entries,
+which ignore its lower triangle."""
 
 import os
 import re
@@ -24,7 +24,8 @@ from crhls.discretization import (
     cylinder_grid,
     sphere_grid,
 )
-from crhls.functional import bilinear_form, rayleigh_quotient, young_bound
+from crhls.experiments import eps_invariance_experiment
+from crhls.functional import bilinear_form, lp_norm, rayleigh_quotient, young_bound
 from crhls.solver import solve_subcritical
 from conftest import symmetric
 
@@ -214,12 +215,21 @@ def _threaded_dot_operator():
 def test_reductions_beside_a_walk_do_not_depend_on_blas_threads(blas_count):
     # their dots run on one BLAS thread; the walks were already thread-count free.
     # Threaded dots gave 7.922713794665721 and 16055.250605733745 on two threads
-    # against 7.922713794665729 and 16055.250605733747 on one
+    # against 7.922713794665729 and 16055.250605733747 on one; a threaded lp_norm
+    # gave 45.016482874929046 against 45.016482874929025, and the eps-invariance
+    # norms on 18 432 cylinder nodes 5.565391915650527 against 5.565391915650532
     K, f, params = _threaded_dot_operator()
     runs = []
     for count in (1, 2):
         with _blas.blas_threads(count):
-            runs.append((rayleigh_quotient(K, f, params.q_alpha), bilinear_form(K, f, f)))
+            runs.append(
+                (
+                    rayleigh_quotient(K, f, params.q_alpha),
+                    bilinear_form(K, f, f),
+                    lp_norm(f, K.grid, params.q_alpha),
+                    eps_invariance_experiment([0.05, 0.1], 50.0, (24, 16, 24), params).norms,
+                )
+            )
             assert blas_count() == count
     assert runs[0] == runs[1]
 

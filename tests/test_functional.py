@@ -1,10 +1,12 @@
 """Norms, bilinear forms, quotients, Young-type bounds, tail integrals."""
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.integrate import dblquad
 
 from crhls import discretization
 from crhls.core import make_params
@@ -13,9 +15,12 @@ from crhls.discretization import (
     KernelSpec,
     QuadratureGrid,
     assemble_kernel,
+    cylinder_shell_grid,
+    extremal_values,
     sphere_grid,
 )
 from crhls.functional import (
+    TAIL_ENLARGEMENT,
     bilinear_form,
     lp_norm,
     rayleigh_quotient,
@@ -249,6 +254,27 @@ def test_tail_integral_dyadic_slope_near_minus_Q():
     vals = [tail_integral_I1(1.0, R, params, res) for R in (8.0, 16.0, 32.0, 64.0)]
     slopes = np.diff(np.log(vals)) / np.log(2.0)
     assert np.all(np.abs(slopes + params.Q) < 0.05 * params.Q)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 2.0, 3.0])
+def test_tail_integral_constant_matches_its_integral(alpha):
+    # I_1 = C * tail mass, C = 2 * integral of H(v) |v|^{alpha-Q} dV_0 over H^1,
+    # where dV_0 = 4 dx dy dt carries cylinder_grid's factor 2^{2n} n!. With
+    # s = |z|^2 the integral is 4 pi over s > 0 and all t; the integrand is even
+    # in t, and (s, t) = sigma^2 (cos phi, sin phi) removes the singularity at 0
+    params = make_params(1, alpha)
+    Q = params.Q
+
+    def integrand(sigma, phi):
+        s, t = sigma**2 * math.cos(phi), sigma**2 * math.sin(phi)
+        return 2.0 * sigma ** (alpha + 3.0 - Q) * ((1.0 + s) ** 2 + t**2) ** (-0.25 * (Q + alpha))
+
+    value = dblquad(integrand, 0.0, 0.5 * math.pi, 0.0, np.inf, epsabs=0.0, epsrel=1e-11)[0]
+    C = 2.0 * 8.0 * math.pi * value
+    res = (8, 6, 8)
+    shell = cylinder_shell_grid(4.0, 4.0 * TAIL_ENLARGEMENT, res, params)
+    mass = float(np.dot(extremal_values(shell, params) ** params.q_alpha, shell.weights))
+    assert tail_integral_I1(1.0, 4.0, params, res) / mass == pytest.approx(C, rel=1e-8)
 
 
 def test_tail_integral_validation():

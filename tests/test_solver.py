@@ -188,15 +188,89 @@ def test_warm_start_with_zeros_clears_the_history(params_n1):
     assert res.residual == _defect(K, res)
 
 
-def test_solver_refuses_an_infinite_entry(params_n1):
-    # the map value of an infinite product is not finite; the solve raises
-    # rather than iterate on NaN
+def _refused_at_first_product(params, monkeypatch, entry, message):
+    """Set entry [3, 40] of the 6^3 sphere kernel and check that the solve refuses
+    the kernel, with message, after its first product."""
+    grid = sphere_grid(1, (6, 6, 6))
+    K = assemble_kernel(grid, KernelSpec("pure_singular"), params)
+    entries = K.entries.copy()
+    entries[3, 40] = entry
+    calls = []
+    matvec = KernelMatrix.matvec
+
+    def counted(self, x):
+        calls.append(self)
+        return matvec(self, x)
+
+    monkeypatch.setattr(KernelMatrix, "matvec", counted)
+    bad = KernelMatrix(entries, K.spec, grid, params)
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match=f"^kernel .*{message}"):
+        solve_subcritical(bad, grid, 1.5, max_iter=50)
+    assert len(calls) == 1
+
+
+def test_solver_refuses_an_infinite_entry(params_n1, monkeypatch):
+    # an infinite product is refused; the solve raises rather than iterate on NaN
+    _refused_at_first_product(params_n1, monkeypatch, np.inf, "finite")
+
+
+def test_solver_refuses_a_negative_entry(params_n1, monkeypatch):
+    # a -1e6 entry makes rows 3 and 40 of the first product negative: unrefused,
+    # the solve ran 50 of 50 iterations down to D = -1237.3
+    _refused_at_first_product(params_n1, monkeypatch, -1e6, "negative entry")
+
+
+def _fits_with_a_zeroed_product(K, grid, monkeypatch, at, keep_quotient):
+    """Solve at p = 1.5 with node 7 of product number at (from 0) set to zero, its
+    quotient kept if keep_quotient by scaling the rest; return the result and each
+    Anderson fit as (products made before it, its column count)."""
+    products, fits = [], []
+    matvec, lstsq = KernelMatrix.matvec, np.linalg.lstsq
+
+    def zeroed(self, x):
+        y = matvec(self, x)
+        if len(products) == at:
+            quotient = np.dot(x, y)
+            y[7] = 0.0
+            if keep_quotient:
+                y *= quotient / np.dot(x, y)
+        products.append(y)
+        return y
+
+    def recorded(a, b, rcond=None):
+        fits.append((len(products), a.shape[1]))
+        return lstsq(a, b, rcond=rcond)
+
+    monkeypatch.setattr(KernelMatrix, "matvec", zeroed)
+    monkeypatch.setattr(np.linalg, "lstsq", recorded)
+    return solve_subcritical(K, grid, 1.5), fits
+
+
+def test_refused_candidate_cuts_the_history(params_n1, monkeypatch):
+    # the zeroed product is the second Anderson candidate's, which falls by
+    # about 1/N and is refused: the map step is taken and the next fit has one
+    # column, not the two kept differences and a new one
     grid = sphere_grid(1, (6, 6, 6))
     K = assemble_kernel(grid, KernelSpec("pure_singular"), params_n1)
-    entries = K.entries.copy()
-    entries[3, 40] = np.inf
-    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
-        solve_subcritical(KernelMatrix(entries, K.spec, grid, params_n1), grid, 1.5)
+    res, fits = _fits_with_a_zeroed_product(K, grid, monkeypatch, at=3, keep_quotient=False)
+    assert res.converged and (res.rejected, res.backtracks) == (1, 0)
+    assert fits[:5] == [(2, 1), (3, 2), (5, 1), (6, 2), (7, 3)]
+
+
+def test_non_finite_residual_clears_the_history(params_n1, monkeypatch):
+    # the first map step's product, zeroed at node 7 with its quotient kept, is
+    # taken. The map value from it is zero at node 7, so the next residual is
+    # not finite, and every damped step toward it is zero there and lowers the
+    # quotient: all 20 backtracks run and the last is taken. The residual after
+    # it is not finite either, and the iteration after these two only records
+    # u and r. So the first fit comes after 25 products (the start, the map
+    # step, 21 in the damped iteration, then one per iteration), not after 24,
+    # as when a difference to the iterate before the two is taken
+    grid = sphere_grid(1, (6, 6, 6))
+    K = assemble_kernel(grid, KernelSpec("pure_singular"), params_n1)
+    res, fits = _fits_with_a_zeroed_product(K, grid, monkeypatch, at=1, keep_quotient=True)
+    assert res.converged and (res.rejected, res.backtracks) == (0, 20)
+    assert fits[0] == (25, 1)
 
 
 def test_solve_does_not_depend_on_blas_thread_count(params_n1):
