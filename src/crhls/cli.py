@@ -9,8 +9,10 @@ writes <command>.json (and <command>.csv where natural) into the
 --output directory; it is the only code in the package that formats or
 writes an artifact. The summary embeds the fully resolved configuration
 so a run can be reproduced from its own artifact: every grid a command
-builds is a function of that configuration. The parser is derived
-from the same table: every config key is also a flag.
+builds is a function of that configuration, and the command reads every
+key. --output, like --threads and --strict, is a run setting and is not
+embedded, so reruns are byte-identical in any directory. The parser is
+derived from the same table: every config key is also a flag.
 
 Configuration sources, lowest to highest precedence: built-in defaults,
 a JSON config file passed with --config, explicit flags. Exit codes:
@@ -39,7 +41,7 @@ from typing import Callable
 import numpy as np
 
 from ._blas import blas_threads
-from .core import make_params, sharp_constant_DH
+from .core import Params, make_params, sharp_constant_DH
 from .discretization import (
     KernelMatrix,
     KernelSpec,
@@ -64,9 +66,6 @@ EXIT_NOT_CONVERGED = 3
 
 _RESIDUAL_THRESHOLD = 1e-10
 
-# config keys every subcommand carries on top of its own; flags from _add_common
-_COMMON = {"output": ".", "seed": 0}
-
 _HELP = {
     "eps_list": "comma-separated eps values",
     "ratio": "truncation ratio R/eps",
@@ -79,6 +78,7 @@ _HELP = {
     "A0": "constant mass for green_model",
     "c_w": "remainder coefficient for green_model",
     "A0_list": "comma-separated mass values",
+    "seed": "random seed for randomized inputs",
 }
 
 
@@ -108,13 +108,15 @@ def _write(output_dir: str, name: str, text: str) -> str:
 @dataclass(frozen=True)
 class Command:
     """One subcommand as data: one flag per defaults key, and choices lists
-    the allowed values of string keys. run(cfg) returns (results, table, ok):
-    the JSON results, a (column names, rows of plain values) pair or None,
-    and whether every solve converged and every check passed.
+    the allowed values of string keys. run(cfg, params) takes the resolved
+    config and its Params (n = 1 for the sphere commands, which have no n
+    key) and returns (results, table, ok): the JSON results, a (column
+    names, rows of plain values) pair or None, and whether every solve
+    converged and every check passed.
     """
 
     help: str
-    run: Callable[[dict], tuple]
+    run: Callable[[dict, Params], tuple]
     defaults: dict
     choices: dict = field(default_factory=dict)
 
@@ -171,7 +173,7 @@ def _resolve_config(args: argparse.Namespace, command: Command) -> dict:
     list keys, so config-file entries get the same checks as flags. Every
     value leaves here with its key's type.
     """
-    defaults = {**command.defaults, **_COMMON}
+    defaults = command.defaults
     resolved = dict(defaults)
     if args.config is not None:
         with open(args.config) as fh:
@@ -223,8 +225,7 @@ def _result_to_dict(result: SubcriticalResult) -> dict:
     }
 
 
-def _run_constants(cfg: dict):
-    params = make_params(cfg["n"], cfg["alpha"])
+def _run_constants(cfg: dict, params: Params):
     results = {
         "sharp_constant": sharp_constant_DH(params),
         "Q": params.Q,
@@ -237,8 +238,7 @@ def _run_constants(cfg: dict):
     return results, None, True
 
 
-def _run_verify_hls(cfg: dict):
-    params = make_params(cfg["n"], cfg["alpha"])
+def _run_verify_hls(cfg: dict, params: Params):
     sharp = sharp_constant_DH(params)
     inv = eps_invariance_experiment(cfg["eps_list"], cfg["ratio"], cfg["resolution"], params)
     # the transported quotient resolves best at unit scale; its continuum
@@ -269,8 +269,7 @@ def _two_node_fixture(params):
     return KernelMatrix(hopping, KernelSpec("pure_singular"), grid, params)
 
 
-def _run_extremal_sub(cfg: dict):
-    params = make_params(1, cfg["alpha"])
+def _run_extremal_sub(cfg: dict, params: Params):
     if cfg["manifold"] == "fixture":
         K = _two_node_fixture(params)
     else:
@@ -283,8 +282,7 @@ def _run_extremal_sub(cfg: dict):
     return _result_to_dict(result), None, result.converged
 
 
-def _run_continuation(cfg: dict):
-    params = make_params(1, cfg["alpha"])
+def _run_continuation(cfg: dict, params: Params):
     if cfg["p_schedule"] is None:
         cfg["p_schedule"] = default_p_schedule(params)
     grid = sphere_grid(1, cfg["resolution"])
@@ -316,13 +314,12 @@ def _run_continuation(cfg: dict):
     return results, (columns, rows), results["all_converged"]
 
 
-def _run_lower_bound(cfg: dict):
+def _run_lower_bound(cfg: dict, params: Params):
     if not cfg["eps"] > 0.0:
         raise ValueError(f"eps must be positive, got {cfg['eps']}")
     if cfg["R"] is None:
         cfg["R"] = cfg["ratio"] * cfg["eps"]
     cfg["ratio"] = cfg["R"] / cfg["eps"]
-    params = make_params(cfg["n"], cfg["alpha"])
     res = lower_bound_experiment(cfg["eps"], cfg["R"], cfg["resolution"], params)
     print(
         f"quotient = {res.quotient!r} on {res.n_nodes} nodes "
@@ -334,7 +331,8 @@ def _run_lower_bound(cfg: dict):
     return results, (columns, [("lower_bound", *(results[c] for c in columns[1:]))]), True
 
 
-def _run_mass_experiment(cfg: dict):
+def _run_mass_experiment(cfg: dict, params: Params):
+    # the experiment builds its kernels' Params itself, from alpha
     records = mass_perturbation_experiment(
         cfg["A0_list"], cfg["c_w"], cfg["alpha"], cfg["resolution"],
         tol=cfg["tol"], max_iter=cfg["max_iter"],
@@ -379,13 +377,12 @@ def _random_sphere_grid(n_nodes: int, min_sep: float, rng):
     return QuadratureGrid(kind="sphere", n=1, weights=weights, resolution=(n_nodes,), xi=nodes)
 
 
-def _run_covariance_check(cfg: dict):
+def _run_covariance_check(cfg: dict, params: Params):
     if cfg["pairs"] < 1:
         raise ValueError(f"pairs must be at least 1, got {cfg['pairs']}")
     if cfg["nodes"] < 2:  # one node has no pair: the residual would be 0 and pass vacuously
         raise ValueError(f"nodes must be at least 2, got {cfg['nodes']}")
     rng = np.random.default_rng(cfg["seed"])
-    params = make_params(1, cfg["alpha"])
     grid = _random_sphere_grid(cfg["nodes"], cfg["min_sep"], rng)
     K = assemble_kernel(grid, KernelSpec("pure_singular"), params)
     N = len(K)
@@ -409,8 +406,7 @@ def _run_covariance_check(cfg: dict):
     return results, None, results["ok"]
 
 
-def _run_curvature_residual(cfg: dict):
-    params = make_params(1, cfg["alpha"])
+def _run_curvature_residual(cfg: dict, params: Params):
     grid = sphere_grid(1, cfg["resolution"])
     K = assemble_kernel(grid, KernelSpec("pure_singular"), params)
     converged = True
@@ -471,13 +467,13 @@ COMMANDS = {
     "covariance-check": Command(
         "contact-form rescaling identity residual",
         _run_covariance_check,
-        {"alpha": 2.0, "nodes": 50, "pairs": 100, "min_sep": 0.2, "phi": "random"},
+        {"alpha": 2.0, "nodes": 50, "pairs": 100, "min_sep": 0.2, "phi": "random", "seed": 0},
         {"phi": ("random", "constant")},
     ),
     "curvature-residual": Command(
         "integral curvature equation defect",
         _run_curvature_residual,
-        {"alpha": 2.0, "resolution": [10, 8, 10], "mode": "constant", **_SOLVE},
+        {"alpha": 2.0, "resolution": [10, 8, 10], "mode": "constant", **_SOLVE, "seed": 0},
         {"mode": ("constant", "maximizer", "random")},
     ),
 }
@@ -495,8 +491,7 @@ def _flag_type(key: str, default):
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="JSON config file; explicit flags override its entries")
-    sub.add_argument("--output", help="output directory for JSON/CSV artifacts (default .)")
-    sub.add_argument("--seed", type=int, help="random seed for randomized inputs (default 0)")
+    sub.add_argument("--output", default=".", help="directory for JSON/CSV artifacts (default .)")
     sub.add_argument("--threads", type=int, help="BLAS thread count (default: all cores)")
     sub.add_argument(
         "--strict",
@@ -539,16 +534,17 @@ def main(argv=None) -> int:
         if args.threads is not None and args.threads < 1:
             raise ValueError(f"thread count must be at least 1, got {args.threads}")
         cfg = _resolve_config(args, command)
+        params = make_params(cfg.get("n", 1), cfg["alpha"])
         with blas_threads(args.threads):
-            results, table, ok = command.run(cfg)
+            results, table, ok = command.run(cfg, params)
         summary = {"command": args.command, "config": cfg, "results": results}
         text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
-        path = _write(cfg["output"], f"{args.command}.json", text)
+        path = _write(args.output, f"{args.command}.json", text)
         if table is not None:
             # str of a Python float is its shortest round-trip repr
             columns, rows = table
             lines = "".join(",".join(map(str, row)) + "\n" for row in [columns, *rows])
-            _write(cfg["output"], f"{args.command}.csv", lines)
+            _write(args.output, f"{args.command}.csv", lines)
         print(f"wrote {path}")
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

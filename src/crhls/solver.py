@@ -15,8 +15,9 @@ evaluation. The solver accelerates the map by Anderson mixing
 (Walker and Ni, SIAM J. Numer. Anal. 49, 2011) on u = log f over a short
 window. It keeps a mixed step only when the quotient does not fall by more
 than a roundoff slack of 1e-14 relative; otherwise it damps the plain map
-step until the quotient meets the same test. So the quotient may fall by at
-most the slack per step; this is tracked in the result's quotient history.
+step until the quotient meets the same test, and ends the solve unconverged
+when no damped step does. So the quotient may fall by at most the slack per
+step; this is tracked in the result's quotient history.
 Approaching p -> q_alpha from above is done by warm-started continuation.
 """
 
@@ -61,10 +62,11 @@ class SubcriticalResult:
     residual is the sup-norm defect of the stationarity equation at the
     returned iterate; quotient_history records the quotient after every
     iteration (each step falls by at most 1e-14 relative). converged =
-    False signals max_iter was hit, it is not an error. matvecs counts the
-    products with the N x N kernel matrix the solve made; rejected counts
-    the Anderson candidates refused and backtracks the damped map steps
-    evaluated, each one product.
+    False signals max_iter was hit, or that no damped map step kept the
+    quotient within that fall and the solve ended at the iterate it had;
+    it is not an error. matvecs counts the products with the N x N kernel
+    matrix the solve made; rejected counts the Anderson candidates refused
+    and backtracks the damped map steps evaluated, each one product.
     """
 
     p: float
@@ -112,7 +114,8 @@ def solve_subcritical(
     Starts from the normalized constant unless a warm start f0 is given.
     Converged means both the relative quotient change and the stationarity
     defect dropped below tol (the defect scaled by 1 + D). Hitting
-    max_iter returns converged = False rather than raising. The
+    max_iter, or a damped search that finds no step keeping the quotient,
+    returns converged = False rather than raising. The
     matrix-free operator is densified first (KernelMatrix.densified), so a
     kernel too large for memory is refused before any product.
     """
@@ -183,7 +186,8 @@ def solve_subcritical(
     while True:
         history.append(D)
         flat = D_prev is not None and abs(D - D_prev) <= tol * max(1.0, abs(D))
-        # the defect is read only here: when the quotient is flat or the last step is taken
+        # the defect is read only here, when the quotient is flat or the last step is
+        # taken, and where a damped search fails
         if flat or iterations >= max_iter:
             defect = _stationarity_defect(f, y, D, p)
             converged = flat and defect <= tol * (1.0 + D)
@@ -245,6 +249,10 @@ def solve_subcritical(
                 theta *= 0.5
                 backtracks += 1
                 cand, y_c, D_c = evaluate(blend(1.0 - theta, theta))
+            if not D_c >= floor:  # no step keeps the quotient: end at the current iterate
+                defect = _stationarity_defect(f, y, D, p)
+                converged = False
+                break
         f, y, D = cand, y_c, D_c
         iterations += 1
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from crhls import _blas, discretization
+from crhls import _blas, cli, discretization
 from crhls.cli import (
     COMMANDS,
     EXIT_NOT_CONVERGED,
@@ -451,6 +451,73 @@ def test_rerun_artifacts_byte_identical(tmp_path, command):
     assert snapshots[0] == snapshots[1]
 
 
+# tiny runs of every subcommand across its modes
+_MODE_RUNS = {
+    "constants": [[]],
+    "verify-hls": [_SMALL_RUNS["verify-hls"]],
+    "extremal-sub": [[], ["--manifold", "sphere", "--resolution", "4,4,4"]],
+    "continuation": [
+        ["--resolution", "4,4,4"],
+        ["--resolution", "4,4,4", "--kernel", "green_model", "--A0", "1"],
+    ],
+    "lower-bound": [_SMALL_RUNS["lower-bound"]],
+    "mass-experiment": [["--resolution", "4,4,4", "--A0-list", "0,1"]],
+    "covariance-check": [_SMALL_RUNS["covariance-check"]],
+    "curvature-residual": [
+        ["--resolution", "4,4,4", "--mode", mode] for mode in ("constant", "maximizer", "random")
+    ],
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_every_config_key_is_read(tmp_path, monkeypatch, command):
+    # an artifact embeds only what its command computes from: some run of the
+    # command reads every key of its resolved config
+    keys, read = set(), set()
+
+    class Recorded(dict):
+        def __getitem__(self, key):
+            read.add(key)
+            return super().__getitem__(key)
+
+        def get(self, key, default=None):
+            read.add(key)
+            return super().get(key, default)
+
+    resolve = cli._resolve_config
+
+    def recorded(args, cmd):
+        cfg = Recorded(resolve(args, cmd))
+        keys.update(cfg)
+        return cfg
+
+    monkeypatch.setattr(cli, "_resolve_config", recorded)
+    for argv in _MODE_RUNS[command]:
+        assert main([command, *argv, "--output", str(tmp_path)]) == EXIT_OK
+    assert keys - read == set()
+
+
+def test_seed_flag_only_where_a_run_seeds(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["constants", "--seed", "1", "--output", str(tmp_path)])
+    assert exc.value.code == 2
+
+
+_UNSEEDED = sorted(set(COMMANDS) - {"covariance-check", "curvature-residual"})
+
+
+@pytest.mark.parametrize(
+    "command, key", [*((c, "output") for c in sorted(COMMANDS)), *((c, "seed") for c in _UNSEEDED)]
+)
+def test_config_file_refuses_output_and_an_unread_seed(tmp_path, capsys, command, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: 0 if key == "seed" else str(tmp_path)}))
+    assert main([command, "--config", str(cfg), "--output", str(tmp_path)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "unknown config keys" in err and repr(key) in err
+    assert not (tmp_path / f"{command}.json").exists()
+
+
 # the four CSV artifacts: the header, and the first column of each row from the JSON results
 _CSV_ARTIFACTS = {
     "verify-hls": ("experiment,n,alpha,ratio,eps,norm",
@@ -574,6 +641,14 @@ def test_covariance_check_command(tmp_path):
     assert data["results"]["max_residual"] < 1e-10
 
 
+def test_covariance_check_refuses_an_unreachable_separation(tmp_path, capsys):
+    # the CR distance on S^3 is at most 2, so no second node lies 3 from the first
+    argv = ["covariance-check", "--nodes", "2", "--min-sep", "3", "--output", str(tmp_path)]
+    assert main(argv) == EXIT_VALIDATION
+    assert "cannot place 2 nodes with separation 3.0" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_covariance_check_constant_phi(tmp_path):
     argv = ["covariance-check", "--phi", "constant", "--nodes", "12", "--pairs", "5", "--strict"]
     assert main([*argv, "--output", str(tmp_path)]) == EXIT_OK
@@ -600,9 +675,10 @@ def test_covariance_check_seeded_reproducible(tmp_path):
             ]
         )
         assert rc == EXIT_OK
-    a = _read_json(out1 / "covariance-check.json")["results"]
-    b = _read_json(out2 / "covariance-check.json")["results"]
-    assert a == b
+    # whole files: --output is not embedded, so the two directories hold the same bytes
+    a = {p.name: p.read_bytes() for p in sorted(out1.iterdir())}
+    b = {p.name: p.read_bytes() for p in sorted(out2.iterdir())}
+    assert "covariance-check.json" in a and a == b
 
 
 def test_curvature_residual_modes(tmp_path):
@@ -727,12 +803,13 @@ def test_config_must_be_object(tmp_path, capsys):
     assert rc == EXIT_VALIDATION
 
 
-_COMMON_FLAGS = ["--config", "--output", "--seed", "--threads", "--strict"]
+_COMMON_FLAGS = ["--config", "--output", "--threads", "--strict"]
 
 
 def test_parser_option_strings():
-    # each subcommand's flags as the hand-written parser declared them; the
-    # parser derived from the command table must keep every one, in order
+    # each subcommand's flags as the hand-written parser declared them, but
+    # --seed only where a run seeds; the parser derived from the command
+    # table must keep every one, in order
     declared = {
         "constants": ["--n", "--alpha"],
         "verify-hls": [
@@ -747,8 +824,10 @@ def test_parser_option_strings():
         "mass-experiment": [
             "--alpha", "--A0-list", "--c-w", "--resolution", "--tol", "--max-iter"
         ],
-        "covariance-check": ["--alpha", "--nodes", "--pairs", "--min-sep", "--phi"],
-        "curvature-residual": ["--alpha", "--resolution", "--mode", "--tol", "--max-iter"],
+        "covariance-check": ["--alpha", "--nodes", "--pairs", "--min-sep", "--phi", "--seed"],
+        "curvature-residual": [
+            "--alpha", "--resolution", "--mode", "--tol", "--max-iter", "--seed"
+        ],
     }
     subparsers = next(a for a in build_parser()._actions if a.dest == "command")
     derived = {
@@ -817,7 +896,7 @@ def _record_threads(monkeypatch, get):
     """Swap the constants run for one that records the BLAS thread count it sees."""
     seen = []
 
-    def run(cfg):
+    def run(cfg, params):
         seen.append(get())
         return {}, None, True
 

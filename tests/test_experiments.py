@@ -10,6 +10,7 @@ import pytest
 from crhls import experiments
 from crhls.core import make_params
 from crhls.discretization import (
+    KernelMatrix,
     KernelSpec,
     QuadratureGrid,
     assemble_kernel,
@@ -319,6 +320,14 @@ def test_curvature_residual_decreases_under_refinement(params_n1):
         )
     assert vals[1] < vals[0] and vals[2] < vals[1]
     assert vals[1] < 45.0
+
+
+def test_curvature_residual_refuses_a_zero_kernel(params_n1):
+    # K phi has no weighted mass, so no scale of phi balances the two sides
+    grid = sphere_grid(1, (4, 4, 4))
+    K = KernelMatrix(np.zeros((64, 64)), KernelSpec("pure_singular"), grid, params_n1)
+    with pytest.raises(ValueError, match="positive weighted masses on both sides"):
+        curvature_equation_residual(K, grid, np.ones(64), params_n1)
 
 
 def test_curvature_residual_positive_finite_for_generic_inputs(params_n1):

@@ -148,6 +148,42 @@ def test_quadrature_grid_validation():
                        xi=np.eye(2, dtype=complex))
 
 
+@pytest.mark.parametrize(
+    "kind, arrays, message",
+    [
+        ("sphere", {"weights": np.ones((4, 2))}, "weights must be a nonempty 1-d array"),
+        ("sphere", {"xi": None}, "sphere grids need node array xi"),
+        ("cylinder", {"z": None}, "cylinder grids need node arrays z and t"),
+        ("cylinder", {"t": None}, "cylinder grids need node arrays z and t"),
+        ("cylinder", {"z": np.zeros((1, 1))}, r"z must have shape \(128, 1\), got \(1, 1\)"),
+        ("cylinder", {"t": np.zeros((128, 1))}, r"t must have shape \(128,\), got \(128, 1\)"),
+    ],
+    ids=["2-d-weights", "sphere-without-xi", "without-z", "without-t", "z-shape", "t-shape"],
+)
+def test_quadrature_grid_refuses_missing_or_misshapen_arrays(kind, arrays, message):
+    p = make_params(1, 2.0)
+    g = sphere_grid(1, (4, 4, 4)) if kind == "sphere" else cylinder_grid(1.0, (4, 4, 4), p)
+    given = {"weights": g.weights, "xi": g.xi, "z": g.z, "t": g.t, **arrays}
+    with pytest.raises(ValueError, match=message):
+        QuadratureGrid(kind=kind, n=1, resolution=g.resolution, **given)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda s, p: cylinder_grid(0.0, (4, 4, 4), p), "cylinder radius must be positive"),
+        (lambda s, p: hnorm_values(s), "hnorm_values needs a cylinder grid"),
+        (lambda s, p: extremal_values(s, p), "extremal_values needs a cylinder grid"),
+        (lambda s, p: distances_from_node(s, 64), "node index 64 out of range for grid of size 64"),
+        (lambda s, p: distances_from_node(s, -1), "node index -1 out of range"),
+    ],
+    ids=["zero-radius", "hnorm-on-sphere", "extremal-on-sphere", "past-the-end", "negative-index"],
+)
+def test_grid_functions_refuse_their_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call(sphere_grid(1, (4, 4, 4)), make_params(1, 2.0))
+
+
 def test_quadrature_grid_refuses_non_finite_nodes():
     # a NaN node made NaN quotients, and t = inf a finite, wrong one (5.786), without an error
     g = sphere_grid(1, (4, 4, 4))

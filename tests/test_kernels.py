@@ -421,6 +421,12 @@ def test_kernel_matrix_shape_guard():
             KernelMatrix(np.zeros((64, 64), dtype), KernelSpec("pure_singular"), g, p)
 
 
+def test_assemble_refuses_an_integer_dtype(params_n1):
+    with pytest.raises(ValueError, match="entries must be float32 or float64, got int32"):
+        assemble_kernel(sphere_grid(1, (4, 4, 4)), KernelSpec("pure_singular"), params_n1,
+                        dtype=np.int32)
+
+
 def test_kernel_matrix_takes_a_nested_list_of_floats(params_n1):
     # a list is taken as an array, with the dtype of its values: floats are
     # float64, ints and float32 values are refused like arrays of them

@@ -258,19 +258,45 @@ def test_refused_candidate_cuts_the_history(params_n1, monkeypatch):
 
 
 def test_non_finite_residual_clears_the_history(params_n1, monkeypatch):
+    # with row and column 7 of the kernel scaled by 0.1, the first map step's
+    # product, zeroed at node 7 with its quotient kept, is taken, and so is the
+    # map step from it, which is zero at node 7: the residuals of the two
+    # iterations that step from a zero are not finite, and the iteration after
+    # them only records u and r. So the first fit comes after 5 products (the
+    # start and four map steps), not after 4, as when a difference to the
+    # iterate before the zero is taken
+    grid = sphere_grid(1, (6, 6, 6))
+    K = assemble_kernel(grid, KernelSpec("pure_singular"), params_n1)
+    entries = K.entries.copy()
+    entries[7, :] *= 0.1
+    entries[:, 7] *= 0.1
+    K = KernelMatrix(entries, K.spec, grid, params_n1)
+    res, fits = _fits_with_a_zeroed_product(K, grid, monkeypatch, at=1, keep_quotient=True)
+    assert res.converged and (res.rejected, res.backtracks) == (0, 0)
+    assert fits[0] == (5, 1)
+
+
+def test_exhausted_damped_search_ends_the_solve(params_n1, monkeypatch):
     # the first map step's product, zeroed at node 7 with its quotient kept, is
-    # taken. The map value from it is zero at node 7, so the next residual is
-    # not finite, and every damped step toward it is zero there and lowers the
-    # quotient: all 20 backtracks run and the last is taken. The residual after
-    # it is not finite either, and the iteration after these two only records
-    # u and r. So the first fit comes after 25 products (the start, the map
-    # step, 21 in the damped iteration, then one per iteration), not after 24,
-    # as when a difference to the iterate before the two is taken
+    # taken. The map value from it is zero at node 7, and it and every damped
+    # step toward it lower the quotient: after 20 backtracks the solve ends at
+    # the iterate it kept, unconverged. Taking the last damped step instead
+    # lowered the quotient by 0.32 % (17.20484 to 17.15056)
     grid = sphere_grid(1, (6, 6, 6))
     K = assemble_kernel(grid, KernelSpec("pure_singular"), params_n1)
     res, fits = _fits_with_a_zeroed_product(K, grid, monkeypatch, at=1, keep_quotient=True)
-    assert res.converged and (res.rejected, res.backtracks) == (0, 20)
-    assert fits[0] == (25, 1)
+    assert not res.converged and fits == []
+    assert (res.iterations, res.matvecs, res.rejected, res.backtracks) == (1, 23, 0, 20)
+    h = res.quotient_history
+    assert len(h) == 2 and h[1] > h[0] and res.D_estimate == h[1]
+    assert res.D_estimate == pytest.approx(17.20484, rel=1e-6)
+    # the residual is the defect at the returned iterate, with its zeroed product
+    x = res.f * grid.weights
+    y = K.matvec(x)
+    y[7] = 0.0
+    y *= res.D_estimate / np.dot(x, y)
+    defect = 2.0 * np.max(np.abs(res.D_estimate * res.f ** (res.p - 1.0) - y))
+    assert res.residual == pytest.approx(defect, rel=1e-12)
 
 
 def test_solve_does_not_depend_on_blas_thread_count(params_n1):
