@@ -65,18 +65,18 @@ EXIT_VALIDATION = 2
 EXIT_NOT_CONVERGED = 3
 
 _RESIDUAL_THRESHOLD = 1e-10
+_SLACK = 0.02  # verify-hls: allowed excess of the quotient over the sharp constant
+_SPREAD_TOL = 0.01  # verify-hls: allowed relative norm spread across eps
 
 _HELP = {
     "eps_list": "comma-separated eps values",
     "ratio": "truncation ratio R/eps",
-    "R": "truncation radius; ratio * eps when not given",
+    "R": "truncation radius",
     "resolution": "grid resolution, three comma-separated integers",
-    "slack": "allowed excess over the sharp constant",
-    "spread_tol": "allowed norm spread",
     "p": "subcritical exponent in (q_alpha, 2)",
     "p_schedule": "comma-separated decreasing p values; ends at q_alpha + 1e-3 when not given",
-    "A0": "constant mass for green_model",
-    "c_w": "remainder coefficient for green_model",
+    "A0": "constant mass; a nonzero A0 or c_w selects the green_model kernel",
+    "c_w": "remainder coefficient of the green_model kernel",
     "A0_list": "comma-separated mass values",
     "seed": "random seed for randomized inputs",
 }
@@ -121,11 +121,8 @@ class Command:
     choices: dict = field(default_factory=dict)
 
 
-def _key_type(key: str, default) -> type:
-    # R defaults to None (filled in from ratio * eps) but is a number; the
-    # other None default, p_schedule, is a list like the list defaults
-    if key == "R":
-        return float
+def _key_type(default) -> type:
+    # the one None default, p_schedule, is a list like the list defaults
     return list if default is None or isinstance(default, list) else type(default)
 
 
@@ -148,7 +145,7 @@ def _file_value(key: str, value, default):
     float), str keys strings, list keys a list of numbers or a
     comma-separated string; keys whose default is None also take null.
     """
-    kind = _key_type(key, default)
+    kind = _key_type(default)
     if value is None and default is None:
         return None
     if kind is int:
@@ -194,7 +191,7 @@ def _resolve_config(args: argparse.Namespace, command: Command) -> dict:
                 f"unknown {key} {resolved[key]!r}, expected one of {', '.join(allowed)}"
             )
     for key, default in defaults.items():
-        kind, value = _key_type(key, default), resolved[key]
+        kind, value = _key_type(default), resolved[key]
         if value is None or kind not in (float, list):
             continue
         values = _floats(value) if kind is list else [value]
@@ -244,8 +241,8 @@ def _run_verify_hls(cfg: dict, params: Params):
     # the transported quotient resolves best at unit scale; its continuum
     # value is eps-invariant, so eps = 1 loses no generality
     bound = lower_bound_experiment(1.0, cfg["ratio"], cfg["resolution"], params)
-    spread_ok = inv.spread_rel <= cfg["spread_tol"]
-    upper_ok = bound.quotient <= sharp * (1.0 + cfg["slack"])
+    spread_ok = inv.spread_rel <= _SPREAD_TOL
+    upper_ok = bound.quotient <= sharp * (1.0 + _SLACK)
     results = {
         "eps_invariance": asdict(inv),
         "upper_bound_run": asdict(bound),
@@ -254,8 +251,8 @@ def _run_verify_hls(cfg: dict, params: Params):
         "upper_bound_ok": upper_ok,
         "all_ok": spread_ok and upper_ok,
     }
-    print(f"norm spread across eps = {inv.spread_rel:.3e} (tol {cfg['spread_tol']})")
-    print(f"quotient at ratio {cfg['ratio']} = {bound.quotient:.6f} <= {sharp:.6f} * (1 + slack)")
+    print(f"norm spread across eps = {inv.spread_rel:.3e} (tol {_SPREAD_TOL})")
+    print(f"quotient at ratio {cfg['ratio']} = {bound.quotient:.6f} <= {sharp:.6f} * {1 + _SLACK}")
     rows = [("eps_invariance", inv.n, inv.alpha, inv.ratio, eps, norm)
             for eps, norm in zip(inv.eps_list, inv.norms)]
     return results, (("experiment", "n", "alpha", "ratio", "eps", "norm"), rows), results["all_ok"]
@@ -286,11 +283,11 @@ def _run_continuation(cfg: dict, params: Params):
     if cfg["p_schedule"] is None:
         cfg["p_schedule"] = default_p_schedule(params)
     grid = sphere_grid(1, cfg["resolution"])
-    # KernelSpec refuses a mass or a nonzero c_w with the pure kernel, so a
-    # nonzero A0 or c_w there is an error, not ignored
-    massless = cfg["kernel"] == "pure_singular" and cfg["A0"] == 0.0
-    mass = None if massless else np.full(len(grid), cfg["A0"])
-    K = assemble_kernel(grid, KernelSpec(cfg["kernel"], mass=mass, c_w=cfg["c_w"]), params)
+    # a nonzero A0 or c_w selects green_model, as in mass_perturbation_experiment
+    A0, c_w = cfg["A0"], cfg["c_w"]
+    spec = (KernelSpec("green_model", mass=np.full(len(grid), A0), c_w=c_w) if A0 or c_w
+            else KernelSpec("pure_singular"))
+    K = assemble_kernel(grid, spec, params)
     runs = continuation(K, grid, cfg["p_schedule"], tol=cfg["tol"], max_iter=cfg["max_iter"])
     stages = [_result_to_dict(run) for run in runs]
     for stage in stages[:-1]:  # only the final maximizer is kept
@@ -315,11 +312,6 @@ def _run_continuation(cfg: dict, params: Params):
 
 
 def _run_lower_bound(cfg: dict, params: Params):
-    if not cfg["eps"] > 0.0:
-        raise ValueError(f"eps must be positive, got {cfg['eps']}")
-    if cfg["R"] is None:
-        cfg["R"] = cfg["ratio"] * cfg["eps"]
-    cfg["ratio"] = cfg["R"] / cfg["eps"]
     res = lower_bound_experiment(cfg["eps"], cfg["R"], cfg["resolution"], params)
     print(
         f"quotient = {res.quotient!r} on {res.n_nodes} nodes "
@@ -382,6 +374,8 @@ def _run_covariance_check(cfg: dict, params: Params):
         raise ValueError(f"pairs must be at least 1, got {cfg['pairs']}")
     if cfg["nodes"] < 2:  # one node has no pair: the residual would be 0 and pass vacuously
         raise ValueError(f"nodes must be at least 2, got {cfg['nodes']}")
+    if cfg["min_sep"] < 0.0:
+        raise ValueError(f"min_sep must be nonnegative, got {cfg['min_sep']}")
     rng = np.random.default_rng(cfg["seed"])
     grid = _random_sphere_grid(cfg["nodes"], cfg["min_sep"], rng)
     K = assemble_kernel(grid, KernelSpec("pure_singular"), params)
@@ -438,7 +432,7 @@ COMMANDS = {
         "eps-invariance and upper-bound checks",
         _run_verify_hls,
         {"n": 1, "alpha": 2.0, "eps_list": [0.05, 0.1, 0.2], "ratio": 50.0,
-         "resolution": [12, 8, 12], "slack": 0.02, "spread_tol": 0.01},
+         "resolution": [12, 8, 12]},
     ),
     "extremal-sub": Command(
         "one subcritical solve",
@@ -449,14 +443,13 @@ COMMANDS = {
     "continuation": Command(
         "warm-started sweep of p toward q_alpha",
         _run_continuation,
-        {"alpha": 2.0, "resolution": [12, 12, 12], "p_schedule": None,
-         "kernel": "pure_singular", "A0": 0.0, "c_w": 0.0, **_SOLVE},
-        {"kernel": ("pure_singular", "green_model")},
+        {"alpha": 2.0, "resolution": [12, 12, 12], "p_schedule": None, "A0": 0.0, "c_w": 0.0,
+         **_SOLVE},
     ),
     "lower-bound": Command(
         "truncated concentrating-extremal quotient",
         _run_lower_bound,
-        {"n": 1, "alpha": 2.0, "eps": 0.1, "ratio": 50.0, "R": None, "resolution": [16, 8, 16]},
+        {"n": 1, "alpha": 2.0, "eps": 0.1, "R": 5.0, "resolution": [16, 8, 16]},
     ),
     "mass-experiment": Command(
         "positive-mass kernel perturbation sweep",
@@ -483,9 +476,9 @@ COMMANDS = {
 # parser and driver
 
 
-def _flag_type(key: str, default):
+def _flag_type(default):
     # list keys take comma-separated strings, parsed by _resolve_config
-    kind = _key_type(key, default)
+    kind = _key_type(default)
     return str if kind is list else kind
 
 
@@ -514,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
             sub.add_argument(
                 "--" + key.replace("_", "-"),
                 dest=key,
-                type=_flag_type(key, default),
+                type=_flag_type(default),
                 choices=command.choices.get(key),
                 help=_HELP.get(key),
             )

@@ -68,7 +68,7 @@ def _transported_extremal_values(grid: QuadratureGrid, params: Params, eps: floa
         raise ValueError(f"transported extremal needs a sphere grid, got a {grid.kind} grid")
     z, t = _cayley_inv(grid.xi)
     g = _extremal(z, t, eps, params) * _cayley_jacobian(z, t) ** (-1.0 / params.q_alpha)
-    g[gauge_dist_sq(z, t, np.zeros(z.shape[-1]), 0.0) > R**2] = 0.0
+    g[gauge_dist_sq(z, t, np.zeros(z.shape[-1]), 0.0) > R * R] = 0.0
     return g
 
 
@@ -86,7 +86,8 @@ def lower_bound_experiment(eps: float, R: float, resolution, params: Params) -> 
     as R/eps grows and the mesh refines. Sphere grids, and so this bound,
     exist for n = 1 only. A trial function that is zero at every node (no
     node pulls back within gauge radius R) is refused before the operator
-    is built.
+    is built, and so is an R/eps beyond the float range; an R whose square
+    overflows truncates nothing.
 
     The kernel is read once, so it is never stored: the quotient walks the
     matrix-free operator, computing each float64 tile of the upper triangle
@@ -98,6 +99,8 @@ def lower_bound_experiment(eps: float, R: float, resolution, params: Params) -> 
         raise ValueError(f"eps must be positive, got {eps}")
     if not R > eps:
         raise ValueError(f"need eps < R, got eps = {eps}, R = {R}")
+    if not np.isfinite(R / eps):
+        raise ValueError(f"R/eps exceeds the float range: eps = {eps}, R = {R}")
     grid = sphere_grid(params.n, resolution)
     g = _transported_extremal_values(grid, params, eps, R)
     if not np.any(g):

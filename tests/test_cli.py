@@ -145,7 +145,6 @@ def test_extremal_sub_fixture_uses_alpha(tmp_path, capsys):
     "command, key, value",
     [
         ("extremal-sub", "manifold", "torus"),
-        ("continuation", "kernel", "gaussian"),
         ("covariance-check", "phi", "linear"),
         ("curvature-residual", "mode", "extremal"),
     ],
@@ -190,14 +189,13 @@ def test_non_integer_resolution_rejected(tmp_path, capsys, argv, config):
         ("covariance-check", [], {"nodes": 0}, "nodes must be at least 2, got 0"),
         # one node has no pair: its residual would read 0 and pass vacuously
         ("covariance-check", ["--nodes", "1"], None, "nodes must be at least 2, got 1"),
-        ("continuation", ["--A0", "5"], None, "mass is only meaningful for the green_model"),
-        ("continuation", ["--c-w", "0.3"], None, "c_w is only meaningful for the green_model"),
-        ("continuation", [], {"A0": 5, "c_w": 0.3}, "only meaningful for the green_model"),
+        ("covariance-check", ["--min-sep", "-5", "--nodes", "5", "--pairs", "2"], None,
+         "min_sep must be nonnegative, got -5.0"),
+        ("covariance-check", [], {"min_sep": -0.5}, "min_sep must be nonnegative, got -0.5"),
     ],
     ids=["flag", "config", "config-string", "p-schedule", "pairs-flag", "pairs-config",
-         "nodes-flag", "negative-nodes-flag", "nodes-config", "one-node-flag", "pure-A0-flag",
-         "pure-c-w-flag",
-         "pure-mass-config"],
+         "nodes-flag", "negative-nodes-flag", "nodes-config", "one-node-flag", "min-sep-flag",
+         "min-sep-config"],
 )
 def test_empty_sweep_rejected(tmp_path, capsys, command, argv, config, message):
     if config is not None:
@@ -212,11 +210,11 @@ def test_empty_sweep_rejected(tmp_path, capsys, command, argv, config, message):
 @pytest.mark.parametrize(
     "command, argv, config, key",
     [
-        ("lower-bound", ["--ratio", "inf"], None, "ratio"),
+        ("verify-hls", ["--ratio", "inf"], None, "ratio"),
         ("lower-bound", ["--R", "nan"], None, "R"),
         ("verify-hls", ["--eps-list", "0.1,inf"], None, "eps_list"),
         ("lower-bound", ["--resolution", "4,4,inf"], None, "resolution"),
-        ("lower-bound", [], {"ratio": float("inf")}, "ratio"),
+        ("verify-hls", [], {"ratio": float("inf")}, "ratio"),
         ("extremal-sub", [], {"tol": float("nan")}, "tol"),
         ("mass-experiment", [], {"A0_list": [0.5, float("nan")]}, "A0_list"),
         ("continuation", [], {"p_schedule": "1.6,-inf"}, "p_schedule"),
@@ -237,7 +235,7 @@ def test_non_finite_value_rejected(tmp_path, capsys, command, argv, config, key)
     assert not (tmp_path / f"{command}.json").exists()
 
 
-@pytest.mark.parametrize("command, key", [("continuation", "p_schedule"), ("lower-bound", "R")])
+@pytest.mark.parametrize("command, key", [("continuation", "p_schedule")])
 def test_null_optional_key_allowed(tmp_path, command, key):
     (tmp_path / "cfg.json").write_text(json.dumps({key: None}))
     args = build_parser().parse_args([command, "--config", str(tmp_path / "cfg.json")])
@@ -261,12 +259,24 @@ def test_lower_bound_rejects_a_trial_function_zero_at_every_node(tmp_path, capsy
     assert not (tmp_path / "lower-bound.json").exists()
 
 
-@pytest.mark.parametrize("eps, overflows", [("1e-200", "the peak"), ("1e200", "eps^2")])
-def test_lower_bound_rejects_eps_beyond_the_float_range(tmp_path, capsys, eps, overflows):
-    rc = main(["lower-bound", "--eps", eps, "--resolution", "4,4,4", "--output", str(tmp_path)])
+@pytest.mark.parametrize(
+    "eps, R, overflows",
+    [("1e-200", "5", "the peak"), ("1e200", "1e201", "eps^2")],
+    ids=["1e-200-the peak", "1e200-eps^2"],
+)
+def test_lower_bound_rejects_eps_beyond_the_float_range(tmp_path, capsys, eps, R, overflows):
+    argv = ["lower-bound", "--eps", eps, "--R", R, "--resolution", "4,4,4"]
+    rc = main([*argv, "--output", str(tmp_path)])
     assert rc == EXIT_VALIDATION
     assert f"eps = {float(eps)!r} is out of range: {overflows}" in capsys.readouterr().err
     assert not (tmp_path / "lower-bound.json").exists()
+
+
+def test_lower_bound_takes_a_radius_whose_square_overflows(tmp_path):
+    argv = ["lower-bound", "--R", "1e160", "--resolution", "4,4,4", "--output", str(tmp_path)]
+    assert main(argv) == EXIT_OK
+    results = _read_json(tmp_path / "lower-bound.json")["results"]
+    assert results["R"] == 1e160 and 0.0 < results["quotient"] < 8.0
 
 
 def test_oversized_kernel_refused(tmp_path, capsys):
@@ -391,16 +401,20 @@ def test_continuation_command(tmp_path):
     assert len(csv_lines) == 3
 
 
-def test_continuation_zero_mass_green_model_matches_pure(tmp_path):
-    # zero mass and c_w = 0 reduce the model to the pure kernel exactly
-    argv = ["continuation", "--resolution", "6,6,6", "--strict", "--output"]
-    assert main([*argv, str(tmp_path / "pure")]) == EXIT_OK
-    green = ["--kernel", "green_model", "--A0", "0", "--c-w", "0"]
-    assert main([*argv, str(tmp_path / "green"), *green]) == EXIT_OK
-    pure = _read_json(tmp_path / "pure" / "continuation.json")["results"]
-    model = _read_json(tmp_path / "green" / "continuation.json")["results"]
-    assert model["final_quotient"] == pure["final_quotient"]
-    assert model["stages"] == pure["stages"]
+@pytest.mark.parametrize("A0", [1.0, -0.2])
+def test_continuation_mass_selects_green_model(tmp_path, A0):
+    # a nonzero A0 selects the green_model kernel, as in mass-experiment; a
+    # negative one too
+    argv = ["continuation", "--resolution", "4,4,4", "--A0", str(A0), "--output", str(tmp_path)]
+    assert main(argv) == EXIT_OK
+    results = _read_json(tmp_path / "continuation.json")["results"]
+    params = make_params(1, 2.0)
+    grid = sphere_grid(1, (4, 4, 4))
+    K = assemble_kernel(grid, KernelSpec("green_model", mass=np.full(len(grid), A0)), params)
+    runs = continuation(K, grid, default_p_schedule(params))
+    assert results["final_quotient"] == runs[-1].D_estimate
+    assert [stage["D"] for stage in results["stages"]] == [r.D_estimate for r in runs]
+    assert results["stages"][-1]["f"] == runs[-1].f.tolist()
 
 
 def test_lower_bound_command_and_determinism(tmp_path):
@@ -422,8 +436,8 @@ def test_lower_bound_command_and_determinism(tmp_path):
     assert (tmp_path / "lower-bound.json").read_bytes() == first
     assert (tmp_path / "lower-bound.csv").read_bytes() == first_csv
     data = json.loads(first)
-    assert data["config"]["ratio"] == 8.0
     assert data["config"]["R"] == 8.0
+    assert data["results"]["ratio"] == 8.0
     assert 0.0 < data["results"]["quotient"] < 8.0
 
 
@@ -458,7 +472,7 @@ _MODE_RUNS = {
     "extremal-sub": [[], ["--manifold", "sphere", "--resolution", "4,4,4"]],
     "continuation": [
         ["--resolution", "4,4,4"],
-        ["--resolution", "4,4,4", "--kernel", "green_model", "--A0", "1"],
+        ["--resolution", "4,4,4", "--A0", "1"],
     ],
     "lower-bound": [_SMALL_RUNS["lower-bound"]],
     "mass-experiment": [["--resolution", "4,4,4", "--A0-list", "0,1"]],
@@ -503,15 +517,38 @@ def test_seed_flag_only_where_a_run_seeds(tmp_path):
     assert exc.value.code == 2
 
 
+# keys that would set no value of their command's run: lower-bound's ratio is
+# R/eps, continuation's kernel follows from A0 and c_w, verify-hls's
+# tolerances are fixed
+_NOT_KEYS = {
+    ("lower-bound", "ratio"): 3.0,
+    ("continuation", "kernel"): "green_model",
+    ("verify-hls", "slack"): 0.1,
+    ("verify-hls", "spread_tol"): 0.1,
+}
+
+
+@pytest.mark.parametrize("command, key", sorted(_NOT_KEYS))
+def test_one_flag_per_quantity(tmp_path, command, key):
+    flag = "--" + key.replace("_", "-")
+    with pytest.raises(SystemExit) as exc:
+        main([command, flag, str(_NOT_KEYS[command, key]), "--output", str(tmp_path)])
+    assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == []
+
+
 _UNSEEDED = sorted(set(COMMANDS) - {"covariance-check", "curvature-residual"})
 
 
 @pytest.mark.parametrize(
-    "command, key", [*((c, "output") for c in sorted(COMMANDS)), *((c, "seed") for c in _UNSEEDED)]
+    "command, key",
+    [*((c, "output") for c in sorted(COMMANDS)), *((c, "seed") for c in _UNSEEDED),
+     *sorted(_NOT_KEYS)],
 )
 def test_config_file_refuses_output_and_an_unread_seed(tmp_path, capsys, command, key):
+    value = _NOT_KEYS.get((command, key), 0 if key == "seed" else str(tmp_path))
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({key: 0 if key == "seed" else str(tmp_path)}))
+    cfg.write_text(json.dumps({key: value}))
     assert main([command, "--config", str(cfg), "--output", str(tmp_path)]) == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert "unknown config keys" in err and repr(key) in err
@@ -559,13 +596,14 @@ def test_result_to_dict(params_n1):
 
 
 def test_lower_bound_ratio_fills_R(tmp_path):
+    # the reported ratio is R/eps
     rc = main(
         [
             "lower-bound",
+            "--R",
+            "5",
             "--eps",
             "0.5",
-            "--ratio",
-            "10",
             "--resolution",
             "6.0,6,6",  # integral floats are accepted
             "--output",
@@ -576,7 +614,7 @@ def test_lower_bound_ratio_fills_R(tmp_path):
     data = _read_json(tmp_path / "lower-bound.json")
     assert data["config"]["R"] == 5.0
     assert data["config"]["resolution"] == [6, 6, 6]
-    assert data["results"]["R"] == 5.0
+    assert data["results"]["R"] == 5.0 and data["results"]["ratio"] == 10.0
 
 
 def test_lower_bound_rejects_bad_window(tmp_path, capsys):
@@ -772,11 +810,12 @@ def test_config_values_stored_as_their_flag_type(tmp_path):
     config = _read_json(tmp_path / "constants.json")["config"]
     assert isinstance(config["alpha"], float) and config["alpha"] == 2.0
     assert isinstance(config["n"], int) and config["n"] == 1
-    # None-default keys take null; list keys take a comma string
-    cfg.write_text(json.dumps({"R": None, "resolution": "6,6,6"}))
+    # list keys take a comma string
+    cfg.write_text(json.dumps({"R": 5, "resolution": "6,6,6"}))
     assert main(["lower-bound", "--config", str(cfg), "--output", str(tmp_path)]) == EXIT_OK
     config = _read_json(tmp_path / "lower-bound.json")["config"]
-    assert config["R"] == pytest.approx(5.0) and config["resolution"] == [6, 6, 6]
+    assert isinstance(config["R"], float) and config["R"] == 5.0
+    assert config["resolution"] == [6, 6, 6]
 
 
 def test_unknown_config_key_rejected(tmp_path, capsys):
@@ -808,19 +847,16 @@ _COMMON_FLAGS = ["--config", "--output", "--threads", "--strict"]
 
 def test_parser_option_strings():
     # each subcommand's flags as the hand-written parser declared them, but
-    # --seed only where a run seeds; the parser derived from the command
-    # table must keep every one, in order
+    # --seed only where a run seeds and one flag per quantity; the parser
+    # derived from the command table must keep every one, in order
     declared = {
         "constants": ["--n", "--alpha"],
-        "verify-hls": [
-            "--n", "--alpha", "--eps-list", "--ratio", "--resolution", "--slack", "--spread-tol"
-        ],
+        "verify-hls": ["--n", "--alpha", "--eps-list", "--ratio", "--resolution"],
         "extremal-sub": ["--manifold", "--alpha", "--resolution", "--p", "--tol", "--max-iter"],
         "continuation": [
-            "--alpha", "--resolution", "--p-schedule", "--kernel", "--A0", "--c-w", "--tol",
-            "--max-iter",
+            "--alpha", "--resolution", "--p-schedule", "--A0", "--c-w", "--tol", "--max-iter",
         ],
-        "lower-bound": ["--n", "--alpha", "--eps", "--ratio", "--R", "--resolution"],
+        "lower-bound": ["--n", "--alpha", "--eps", "--R", "--resolution"],
         "mass-experiment": [
             "--alpha", "--A0-list", "--c-w", "--resolution", "--tol", "--max-iter"
         ],
@@ -837,6 +873,12 @@ def test_parser_option_strings():
     assert derived == {
         name: ["-h", "--help", *flags, *_COMMON_FLAGS] for name, flags in declared.items()
     }
+
+
+def test_help_keys_are_config_keys():
+    # a key that left every command takes its help text with it
+    keys = {key for command in COMMANDS.values() for key in command.defaults}
+    assert set(cli._HELP) <= keys
 
 
 def test_readme_examples_parse(tmp_path):

@@ -144,6 +144,16 @@ def test_lower_bound_validation(params_n1):
         lower_bound_experiment(0.1, 0.2, (4, 4, 4), params_n1)
 
 
+def test_lower_bound_takes_a_radius_whose_square_overflows(params_n1):
+    # R * R overflows to inf, so a huge R truncates nothing, like any R beyond the grid
+    far = lower_bound_experiment(0.1, 1e160, (4, 4, 4), params_n1)
+    assert far.quotient == lower_bound_experiment(0.1, 1e12, (4, 4, 4), params_n1).quotient
+    assert far.R == 1e160 and far.ratio == 1e160 / 0.1
+    # a ratio R/eps beyond the float range would be written as Infinity
+    with pytest.raises(ValueError, match=r"R/eps exceeds the float range: eps = 1e-10"):
+        lower_bound_experiment(1e-10, 1e300, (4, 4, 4), params_n1)
+
+
 def test_eps_invariance_spread(params_n1):
     res = eps_invariance_experiment(
         [0.05, 0.1, 0.2, 1.0, 5.0], 50.0, (10, 8, 10), params_n1
