@@ -15,9 +15,10 @@ embedded, so reruns are byte-identical in any directory. The parser is
 derived from the same table: every config key is also a flag.
 
 Configuration sources, lowest to highest precedence: built-in defaults,
-a JSON config file passed with --config, explicit flags. Exit codes:
-0 success, 2 validation error, 3 failed convergence or failed check when
---strict is set.
+a JSON config file passed with --config, explicit flags; one checker
+takes each value from each. Exit codes: 0 success, 2 validation error,
+3 when --strict is set and a top-level boolean of the results (a
+converged solve or a passed check) is false.
 
 Thread control: --threads sets the thread count of numpy's bundled
 OpenBLAS for the duration of the run and restores the previous count
@@ -51,6 +52,7 @@ from .discretization import (
     sphere_grid,
 )
 from .experiments import (
+    _mass_spec,
     conformal_covariance_check,
     curvature_equation_residual,
     eps_invariance_experiment,
@@ -110,9 +112,10 @@ class Command:
     """One subcommand as data: one flag per defaults key, and choices lists
     the allowed values of string keys. run(cfg, params) takes the resolved
     config and its Params (n = 1 for the sphere commands, which have no n
-    key) and returns (results, table, ok): the JSON results, a (column
-    names, rows of plain values) pair or None, and whether every solve
-    converged and every check passed.
+    key) and returns (results, table): the JSON results and a (column
+    names, rows of plain values) pair or None. Every top-level boolean of
+    results is a check, a converged solve or a passed test; --strict reads
+    them all.
     """
 
     help: str
@@ -138,12 +141,15 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _file_value(key: str, value, default):
-    """Check a config-file value against the type its key's flag has.
+def _checked(key: str, value, default, allowed):
+    """One value of a key, from the defaults, a config file or a flag, in its
+    key's type.
 
-    int keys take integral numbers, float keys any number (stored as a
-    float), str keys strings, list keys a list of numbers or a
-    comma-separated string; keys whose default is None also take null.
+    int keys take integral numbers, float keys any finite number (stored as
+    a float), str keys strings (one of allowed, where the key has choices),
+    list keys a nonempty list of finite numbers or a comma-separated string
+    of them; keys whose default is None also take null. A flag arrives in
+    its parser type, so only the checks past the type can refuse it.
     """
     kind = _key_type(default)
     if value is None and default is None:
@@ -161,17 +167,30 @@ def _file_value(key: str, value, default):
     if not ok:
         null = " or null" if default is None else ""
         raise ValueError(f"config key {key!r} must be {_TYPE_NAMES[kind]}{null}, got {value!r}")
-    return kind(value) if kind in (int, float) else value
+    if allowed is not None and value not in allowed:
+        raise ValueError(f"unknown {key} {value!r}, expected one of {', '.join(allowed)}")
+    if kind in (int, str):
+        return kind(value)
+    values = _floats(value) if kind is list else [float(value)]
+    if not values:
+        raise ValueError(f"{key} must not be empty")
+    # json.dumps would write inf and nan as Infinity and NaN, which
+    # strict JSON parsers reject
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"{key} must be finite, got {value!r}")
+    if kind is float:
+        return values[0]
+    return _ints(values) if default and isinstance(default[0], int) else values
 
 
 def _resolve_config(args: argparse.Namespace, command: Command) -> dict:
     """Merge defaults, JSON config file, and explicit flags (in that order),
-    then check choices, parse list keys and refuse inf and nan in float and
-    list keys, so config-file entries get the same checks as flags. Every
-    value leaves here with its key's type.
+    each value checked by _checked as it is taken, so a config-file entry is
+    refused as its flag would be even where a flag overrides it. Every value
+    leaves here with its key's type.
     """
     defaults = command.defaults
-    resolved = dict(defaults)
+    sources = [defaults]
     if args.config is not None:
         with open(args.config) as fh:
             file_cfg = json.load(fh)
@@ -180,34 +199,17 @@ def _resolve_config(args: argparse.Namespace, command: Command) -> dict:
         unknown = sorted(set(file_cfg) - set(defaults))
         if unknown:
             raise ValueError(f"unknown config keys {unknown}; valid keys: {sorted(defaults)}")
-        resolved.update({k: _file_value(k, v, defaults[k]) for k, v in file_cfg.items()})
-    for key in defaults:
-        value = getattr(args, key)
-        if value is not None:
-            resolved[key] = value
-    for key, allowed in command.choices.items():
-        if resolved[key] not in allowed:
-            raise ValueError(
-                f"unknown {key} {resolved[key]!r}, expected one of {', '.join(allowed)}"
-            )
-    for key, default in defaults.items():
-        kind, value = _key_type(default), resolved[key]
-        if value is None or kind not in (float, list):
-            continue
-        values = _floats(value) if kind is list else [value]
-        if not values:
-            raise ValueError(f"{key} must not be empty")
-        # json.dumps would write inf and nan as Infinity and NaN, which
-        # strict JSON parsers reject
-        if not all(math.isfinite(v) for v in values):
-            raise ValueError(f"{key} must be finite, got {value!r}")
-        if kind is list:
-            resolved[key] = _ints(values) if default and isinstance(default[0], int) else values
+        sources.append(file_cfg)
+    sources.append({key: getattr(args, key) for key in defaults if getattr(args, key) is not None})
+    resolved = {}
+    for source in sources:
+        for key, value in source.items():
+            resolved[key] = _checked(key, value, defaults[key], command.choices.get(key))
     return resolved
 
 
 # ---------------------------------------------------------------------------
-# subcommand computations; each returns (results, table or None, ok)
+# subcommand computations; each returns (results, table or None)
 
 
 def _result_to_dict(result: SubcriticalResult) -> dict:
@@ -232,7 +234,7 @@ def _run_constants(cfg: dict, params: Params):
     }
     for key in ("sharp_constant", "p_alpha", "q_alpha", "Q", "b_n"):
         print(f"{key} = {results[key]!r}")
-    return results, None, True
+    return results, None
 
 
 def _run_verify_hls(cfg: dict, params: Params):
@@ -255,7 +257,7 @@ def _run_verify_hls(cfg: dict, params: Params):
     print(f"quotient at ratio {cfg['ratio']} = {bound.quotient:.6f} <= {sharp:.6f} * {1 + _SLACK}")
     rows = [("eps_invariance", inv.n, inv.alpha, inv.ratio, eps, norm)
             for eps, norm in zip(inv.eps_list, inv.norms)]
-    return results, (("experiment", "n", "alpha", "ratio", "eps", "norm"), rows), results["all_ok"]
+    return results, (("experiment", "n", "alpha", "ratio", "eps", "norm"), rows)
 
 
 def _two_node_fixture(params):
@@ -276,18 +278,14 @@ def _run_extremal_sub(cfg: dict, params: Params):
         f"p = {result.p}  D = {result.D_estimate!r}  iterations = {result.iterations}"
         f"  converged = {result.converged}"
     )
-    return _result_to_dict(result), None, result.converged
+    return _result_to_dict(result), None
 
 
 def _run_continuation(cfg: dict, params: Params):
     if cfg["p_schedule"] is None:
         cfg["p_schedule"] = default_p_schedule(params)
     grid = sphere_grid(1, cfg["resolution"])
-    # a nonzero A0 or c_w selects green_model, as in mass_perturbation_experiment
-    A0, c_w = cfg["A0"], cfg["c_w"]
-    spec = (KernelSpec("green_model", mass=np.full(len(grid), A0), c_w=c_w) if A0 or c_w
-            else KernelSpec("pure_singular"))
-    K = assemble_kernel(grid, spec, params)
+    K = assemble_kernel(grid, _mass_spec(cfg["A0"], cfg["c_w"], len(grid)), params)
     runs = continuation(K, grid, cfg["p_schedule"], tol=cfg["tol"], max_iter=cfg["max_iter"])
     stages = [_result_to_dict(run) for run in runs]
     for stage in stages[:-1]:  # only the final maximizer is kept
@@ -308,7 +306,7 @@ def _run_continuation(cfg: dict, params: Params):
     print(f"final/sharp = {results['final_over_sharp']:.6f}")
     rows = [(r.p, r.D_estimate, r.iterations, r.residual, r.converged) for r in runs]
     columns = ("p", "D", "iterations", "residual", "converged")
-    return results, (columns, rows), results["all_converged"]
+    return results, (columns, rows)
 
 
 def _run_lower_bound(cfg: dict, params: Params):
@@ -320,7 +318,7 @@ def _run_lower_bound(cfg: dict, params: Params):
     results = asdict(res)
     columns = ("experiment", "n", "alpha", "eps", "R", "ratio", "n_nodes", "quotient",
                "sharp_constant")
-    return results, (columns, [("lower_bound", *(results[c] for c in columns[1:]))]), True
+    return results, (columns, [("lower_bound", *(results[c] for c in columns[1:]))])
 
 
 def _run_mass_experiment(cfg: dict, params: Params):
@@ -329,7 +327,8 @@ def _run_mass_experiment(cfg: dict, params: Params):
         cfg["A0_list"], cfg["c_w"], cfg["alpha"], cfg["resolution"],
         tol=cfg["tol"], max_iter=cfg["max_iter"],
     )
-    deltas = [r.delta for r in records]
+    # a positive mass raises the quotient, and raises it more for a larger A0
+    deltas = [r.delta for r in sorted(records, key=lambda r: r.A0)]
     results = {
         "runs": [asdict(r) for r in records],
         "deltas_nondecreasing": all(b >= a for a, b in zip(deltas, deltas[1:])),
@@ -342,7 +341,7 @@ def _run_mass_experiment(cfg: dict, params: Params):
                "quotient_pure", "delta", "converged")
     rows = [("mass_perturbation", r.alpha, r.A0, r.c_w, r.n_nodes, r.p_endpoint, r.quotient_mass,
              r.quotient_pure, r.delta, r.all_converged) for r in records]
-    return results, (columns, rows), results["all_converged"]
+    return results, (columns, rows)
 
 
 def _random_sphere_grid(n_nodes: int, min_sep: float, rng):
@@ -397,29 +396,26 @@ def _run_covariance_check(cfg: dict, params: Params):
         "ok": worst <= _RESIDUAL_THRESHOLD,
     }
     print(f"max covariance residual over {cfg['pairs']} pairs = {worst:.3e}")
-    return results, None, results["ok"]
+    return results, None
 
 
 def _run_curvature_residual(cfg: dict, params: Params):
     grid = sphere_grid(1, cfg["resolution"])
     K = assemble_kernel(grid, KernelSpec("pure_singular"), params)
-    converged = True
+    results = {"mode": cfg["mode"], "n_nodes": len(grid)}
     if cfg["mode"] == "constant":
         phi = np.ones(len(grid))
     elif cfg["mode"] == "maximizer":
         schedule = default_p_schedule(params)
         runs = continuation(K, grid, schedule, tol=cfg["tol"], max_iter=cfg["max_iter"])
-        converged = all(r.converged for r in runs)
+        results["all_converged"] = all(r.converged for r in runs)
         phi = runs[-1].f ** (runs[-1].p - 1.0)
     else:
         rng = np.random.default_rng(cfg["seed"])
         phi = np.exp(0.3 * rng.standard_normal(len(grid)))
-    residual = curvature_equation_residual(K, grid, phi, params)
-    results = {"residual": residual, "mode": cfg["mode"], "n_nodes": len(grid)}
-    if cfg["mode"] == "maximizer":
-        results["all_converged"] = converged
-    print(f"curvature residual ({cfg['mode']} phi) = {residual:.6e}")
-    return results, None, converged
+    results["residual"] = curvature_equation_residual(K, grid, phi, params)
+    print(f"curvature residual ({cfg['mode']} phi) = {results['residual']:.6e}")
+    return results, None
 
 
 _SOLVE = {"tol": 1e-9, "max_iter": 10000}
@@ -529,7 +525,7 @@ def main(argv=None) -> int:
         cfg = _resolve_config(args, command)
         params = make_params(cfg.get("n", 1), cfg["alpha"])
         with blas_threads(args.threads):
-            results, table, ok = command.run(cfg, params)
+            results, table = command.run(cfg, params)
         summary = {"command": args.command, "config": cfg, "results": results}
         text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
         path = _write(args.output, f"{args.command}.json", text)
@@ -542,7 +538,8 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    return EXIT_NOT_CONVERGED if args.strict and not ok else EXIT_OK
+    passed = all(value for value in results.values() if isinstance(value, bool))
+    return EXIT_NOT_CONVERGED if args.strict and not passed else EXIT_OK
 
 
 if __name__ == "__main__":

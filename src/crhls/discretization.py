@@ -34,6 +34,7 @@ import contextlib
 import math
 import mmap
 import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -261,6 +262,21 @@ def _cylinder_resolution(resolution, n: int, blocks: int) -> tuple[int, int, int
     return res
 
 
+def _refuse_radius_beyond_float_range(R: float, n: int) -> None:
+    """Refuse a cylinder radius R > 0 whose heights R^2 or whose total weight
+    2^{2n+1} pi^n R^{2n+2} is not a finite, normal float, before any node is
+    computed: its rules would overflow or lose their weights to underflow."""
+    try:
+        total = 2.0 ** (2 * n + 1) * math.pi**n * R ** (2 * n + 2)
+    except OverflowError:
+        total = math.inf
+    if not all(sys.float_info.min <= v < math.inf for v in (R * R, total)):
+        raise ValueError(
+            f"cylinder radius R = {R} is beyond the float range: its heights R^2 and "
+            f"total weight 2^(2n+1) pi^n R^(2n+2) at n = {n} must be finite normal floats"
+        )
+
+
 def _cylinder_block(
     r_lo: float, r_hi: float, s_lo: float, s_hi: float, resolution, params: Params
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -287,12 +303,14 @@ def cylinder_grid(R: float, resolution, params: Params) -> QuadratureGrid:
     direction sphere of C^n (plain polar angle for n = 1), parabolic
     Gauss-Legendre rule in t. Weights include the measure factor 2^{2n} n!,
     so the total weight equals 2^{2n+1} pi^n R^{2n+2} exactly. A grid whose
-    node arrays exceed physical memory, or with a resolution component above
-    _MAX_COMPONENT, is refused before any node is computed.
+    node arrays exceed physical memory, with a resolution component above
+    _MAX_COMPONENT, or whose heights R^2 or total weight is not a finite
+    normal float, is refused before any node is computed.
     """
     R = float(R)
     if not R > 0.0:
         raise ValueError(f"cylinder radius must be positive, got R = {R}")
+    _refuse_radius_beyond_float_range(R, params.n)
     res = _cylinder_resolution(resolution, params.n, 1)
     z, t, w = _cylinder_block(0.0, R, 0.0, R, res, params)
     return QuadratureGrid(kind="cylinder", n=params.n, weights=w, resolution=res, z=z, t=t)
@@ -304,11 +322,14 @@ def cylinder_shell_grid(R1: float, R2: float, resolution, params: Params) -> Qua
     Decomposed into two product blocks: the z-annulus R1 < |z| < R2 with
     the full vertical range |t| < R2^2, and the inner z-ball |z| < R1 with
     the vertical shell R1^2 < |t| < R2^2. Used for the concentration tail
-    integrals, where the integrand is smooth on the shell.
+    integrals, where the integrand is smooth on the shell. Each radius is
+    refused as cylinder_grid refuses its R.
     """
     R1, R2 = float(R1), float(R2)
     if not 0.0 < R1 < R2:
         raise ValueError(f"shell radii must satisfy 0 < R1 < R2, got R1 = {R1}, R2 = {R2}")
+    for R in (R1, R2):
+        _refuse_radius_beyond_float_range(R, params.n)
     res = _cylinder_resolution(resolution, params.n, 2)
     za, ta, wa = _cylinder_block(R1, R2, 0.0, R2, res, params)
     zb, tb, wb = _cylinder_block(0.0, R1, R1, R2, res, params)

@@ -144,7 +144,8 @@ def eps_invariance_experiment(
 
     The continuum masses agree exactly across eps; the dilation-covariant
     cylinder rule reproduces that agreement at the discrete level, so the
-    relative spread measures only floating-point noise.
+    relative spread measures only floating-point noise. A ratio at which
+    every norm underflows to 0 is refused: there is no spread to measure.
     """
     ratio = float(ratio)
     if not ratio > 1.0:
@@ -157,6 +158,11 @@ def eps_invariance_experiment(
         grid = cylinder_grid(ratio * eps, resolution, params)
         norms.append(lp_norm(extremal_values(grid, params, eps), grid, params.q_alpha))
     lo, hi = min(norms), max(norms)
+    if hi == 0.0:
+        raise ValueError(
+            f"the extremal's L^q norm underflows to 0 on every cylinder at ratio {ratio}; "
+            "lower the ratio"
+        )
     return EpsInvarianceResult(
         n=params.n,
         alpha=params.alpha,
@@ -182,6 +188,14 @@ class MassPerturbationResult:
     quotient_pure: float
     delta: float
     all_converged: bool
+
+
+def _mass_spec(A0: float, c_w: float, n_nodes: int) -> KernelSpec:
+    """The green_model kernel of constant mass A0 when A0 or c_w is nonzero, else the
+    pure singular kernel, which green_model reduces to at A0 = c_w = 0."""
+    if A0 or c_w:
+        return KernelSpec("green_model", mass=np.full(n_nodes, A0), c_w=c_w)
+    return KernelSpec("pure_singular")
 
 
 def mass_perturbation_experiment(
@@ -211,17 +225,14 @@ def mass_perturbation_experiment(
     params = make_params(1, alpha)
     grid = sphere_grid(1, resolution)
     schedule = default_p_schedule(params)
-    specs = [
-        KernelSpec("green_model", mass=np.full(len(grid), A0), c_w=c_w) if A0 or c_w else None
-        for A0 in masses
-    ]
+    specs = [_mass_spec(A0, c_w, len(grid)) for A0 in masses]
 
     def solve(spec):
         K = assemble_kernel(grid, spec, params)
         return continuation(K, grid, schedule, tol=tol, max_iter=max_iter)
 
     runs_pure = solve(KernelSpec("pure_singular"))
-    runs_mass = [runs_pure if spec is None else solve(spec) for spec in specs]
+    runs_mass = [runs_pure if spec.kind == "pure_singular" else solve(spec) for spec in specs]
     qp = runs_pure[-1].D_estimate
     return [
         MassPerturbationResult(

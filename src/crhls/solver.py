@@ -111,7 +111,11 @@ def solve_subcritical(
 ) -> SubcriticalResult:
     """Run the Anderson-accelerated fixed-point iteration at a subcritical exponent.
 
-    Starts from the normalized constant unless a warm start f0 is given.
+    Starts from the normalized constant unless a warm start f0 is given, and
+    returns a local maximizer on the branch of its start. It climbs the
+    quotient from that start, so a higher maximum elsewhere (one concentrated
+    on a tight node cluster, say) goes unseen, and the result need not be
+    the discrete supremum.
     Converged means both the relative quotient change and the stationarity
     defect dropped below tol (the defect scaled by 1 + D). Hitting
     max_iter, or a damped search that finds no step keeping the quotient,
@@ -301,9 +305,11 @@ def continuation(
 ) -> list[SubcriticalResult]:
     """Warm-started solves along a strictly decreasing exponent schedule.
 
-    Each stage starts from the previous maximizer; stages that fail to
-    converge still seed the next one, and carry converged = False. The
-    matrix-free operator is densified once, before the first stage.
+    Each stage starts from the previous stage's result, so the last is a
+    local maximizer on the branch of the first stage's start (the constant);
+    stages that fail to converge still seed the next one, and carry
+    converged = False. The matrix-free operator is densified once, before
+    the first stage.
     """
     schedule = [float(p) for p in p_schedule]
     if len(schedule) == 0:

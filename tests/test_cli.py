@@ -26,7 +26,7 @@ from crhls.cli import (
 )
 from crhls.core import make_params
 from crhls.discretization import KernelSpec, assemble_kernel, sphere_grid
-from crhls.experiments import curvature_equation_residual
+from crhls.experiments import MassPerturbationResult, curvature_equation_residual
 from crhls.solver import continuation, default_p_schedule, solve_subcritical
 from conftest import two_node_fixture
 
@@ -315,6 +315,31 @@ def test_long_gauss_legendre_component_refused(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err.splitlines()
     assert err == ["error: cylinder resolution components must be at most "
                    f"{discretization._MAX_COMPONENT}, got (10000, 4, 4)"]
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--ratio", "1e160", "--resolution", "6,4,6"],
+         "cylinder radius R = 5.000000000000001e+158 is beyond the float range"),
+        (["--eps-list", "1e-200"], "cylinder radius R = 5e-199 is beyond the float range"),
+        (["--ratio", "1e50"], "underflows to 0 on every cylinder at ratio 1e+50"),
+    ],
+    ids=["radius-overflows", "radius-underflows", "norms-underflow"],
+)
+def test_verify_hls_refuses_a_ratio_beyond_the_float_range(tmp_path, argv, message):
+    # a fresh interpreter prints any numpy warning on stderr: there must be
+    # none, only the one error line
+    proc = subprocess.run(
+        [sys.executable, "-m", "crhls", "verify-hls", *argv, "--output", str(tmp_path)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == EXIT_VALIDATION
+    err = proc.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and message in err[0], proc.stderr
     assert list(tmp_path.iterdir()) == []
 
 
@@ -660,6 +685,64 @@ def test_mass_experiment_command(tmp_path):
     assert len(csv_lines) == 3
 
 
+def test_mass_experiment_deltas_compared_in_A0_order(tmp_path):
+    # the list runs from the largest mass down, and the deltas rise with A0
+    argv = ["mass-experiment", "--A0-list", "2,1,0.5,0", "--resolution", "5,4,5", "--strict"]
+    assert main([*argv, "--output", str(tmp_path)]) == EXIT_OK
+    results = _read_json(tmp_path / "mass-experiment.json")["results"]
+    deltas = [run["delta"] for run in results["runs"]]
+    assert deltas == sorted(deltas, reverse=True) and deltas[-1] == 0.0 < deltas[-2]
+    assert results["deltas_nondecreasing"] is True
+
+
+def _mass_record(A0, delta):
+    return MassPerturbationResult(
+        alpha=2.0, A0=A0, c_w=0.0, resolution=(4, 4, 4), n_nodes=64, p_endpoint=1.334,
+        quotient_mass=7.0 + delta, quotient_pure=7.0, delta=delta, all_converged=True,
+    )
+
+
+@pytest.mark.parametrize(
+    "deltas, failed",
+    [
+        ((0.0, 0.5, 0.4, 0.9), "deltas_nondecreasing"),
+        ((0.0, 0.0, 0.1, 0.2), "deltas_positive_for_positive_mass"),
+        ((0.0, 0.1, 0.2, 0.4), None),
+    ],
+    ids=["decreasing", "zero-at-positive-mass", "passing"],
+)
+def test_mass_experiment_strict_reads_its_delta_checks(tmp_path, monkeypatch, deltas, failed):
+    # a stand-in sweep at A0 = 0, 0.5, 1, 2 with the given deltas
+    records = [_mass_record(A0, d) for A0, d in zip((0.0, 0.5, 1.0, 2.0), deltas)]
+    monkeypatch.setattr(cli, "mass_perturbation_experiment", lambda *args, **kwargs: records)
+    argv = ["mass-experiment", "--output", str(tmp_path)]
+    assert main(argv) == EXIT_OK
+    results = _read_json(tmp_path / "mass-experiment.json")["results"]
+    assert {key for key, value in results.items() if value is False} == {failed} - {None}
+    assert main([*argv, "--strict"]) == (EXIT_OK if failed is None else EXIT_NOT_CONVERGED)
+
+
+@pytest.mark.parametrize(
+    "results, code",
+    [
+        ({"ok": True, "value": 0.0}, EXIT_OK),
+        ({"ok": True, "other_ok": False}, EXIT_NOT_CONVERGED),
+        ({"runs": [{"converged": False}], "stage": {"converged": False}}, EXIT_OK),
+    ],
+    ids=["all-true", "one-false", "nested-false"],
+)
+def test_strict_reads_the_top_level_booleans(tmp_path, monkeypatch, results, code):
+    # the verdict comes from the results alone: every top-level boolean is a
+    # check, and booleans nested below the top level are not
+    def run(cfg, params):
+        return results, None
+
+    monkeypatch.setitem(COMMANDS, "constants", replace(COMMANDS["constants"], run=run))
+    argv = ["constants", "--output", str(tmp_path)]
+    assert main(argv) == EXIT_OK
+    assert main([*argv, "--strict"]) == code
+
+
 def test_covariance_check_command(tmp_path):
     rc = main(
         [
@@ -803,6 +886,26 @@ def test_config_value_type_rejected(tmp_path, capsys, command, config, key):
     assert not (tmp_path / f"{command}.json").exists()
 
 
+@pytest.mark.parametrize(
+    "command, config, argv, message",
+    [
+        ("constants", {"alpha": "2"}, ["--alpha", "2.5"], "config key 'alpha' must be a number"),
+        ("verify-hls", {"ratio": float("inf")}, ["--ratio", "20"], "ratio must be finite"),
+        ("extremal-sub", {"manifold": "torus"}, ["--manifold", "sphere"], "unknown manifold"),
+        ("lower-bound", {"resolution": [6.5, 4, 6]}, ["--resolution", "6,4,6"],
+         "expected integers"),
+    ],
+    ids=["type", "finite", "choice", "integers"],
+)
+def test_config_file_value_checked_under_a_flag(tmp_path, capsys, command, config, argv, message):
+    # a config-file entry is checked as it is read, also where a flag overrides it
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    argv = [command, "--config", str(tmp_path / "cfg.json"), *argv, "--output", str(tmp_path)]
+    assert main(argv) == EXIT_VALIDATION
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / f"{command}.json").exists()
+
+
 def test_config_values_stored_as_their_flag_type(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"alpha": 2, "n": 1.0}))
@@ -881,20 +984,20 @@ def test_help_keys_are_config_keys():
     assert set(cli._HELP) <= keys
 
 
-def test_readme_examples_parse(tmp_path):
+def test_readme_examples_parse(tmp_path, monkeypatch):
+    # every README example runs to exit 0, the --strict ones included
     readme = Path(__file__).resolve().parents[1] / "README.md"
     blocks = re.findall(r"```sh\n(.*?)```", readme.read_text(), flags=re.S)
     lines = [ln for block in blocks for ln in block.splitlines() if ln.startswith("crhls ")]
     assert len(lines) >= 9
-    parser = build_parser()
-    for line in lines:
-        parser.parse_args(shlex.split(line)[1:])
-    # the config-file example holds valid lower-bound keys of valid types
+    # the config-file example holds lower-bound keys; its run reads run.json
+    # from the working directory
     (example,) = re.findall(r"<<'EOF'\n(.*?)\nEOF", "".join(blocks), flags=re.S)
     assert set(json.loads(example)) <= set(COMMANDS["lower-bound"].defaults)
-    cfg = tmp_path / "run.json"
-    cfg.write_text(example)
-    _resolve_config(parser.parse_args(["lower-bound", "--config", str(cfg)]), COMMANDS["lower-bound"])
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.json").write_text(example)
+    for line in lines:
+        assert main([*shlex.split(line)[1:], "--output", str(tmp_path)]) == EXIT_OK, line
 
 
 def test_main_reuses_its_parser_without_carrying_flags(tmp_path):
@@ -940,7 +1043,7 @@ def _record_threads(monkeypatch, get):
 
     def run(cfg, params):
         seen.append(get())
-        return {}, None, True
+        return {}, None
 
     monkeypatch.setitem(COMMANDS, "constants", replace(COMMANDS["constants"], run=run))
     return seen

@@ -173,6 +173,13 @@ def test_eps_invariance_validation(params_n1):
         eps_invariance_experiment([0.1, -0.2], 50.0, (8, 6, 8), params_n1)
 
 
+def test_eps_invariance_refuses_norms_that_all_underflow(params_n1):
+    # on cylinders of radius 1e50 * eps every norm underflows to 0, and the
+    # spread would divide by the largest
+    with pytest.raises(ValueError, match=r"underflows to 0 on every cylinder at ratio 1e\+50"):
+        eps_invariance_experiment([0.05, 0.1, 0.2], 1e50, (6, 4, 6), params_n1)
+
+
 @pytest.mark.parametrize("alpha", [1.0, 2.0, 3.0])
 def test_mass_perturbation_zero_mass_is_exactly_neutral(alpha):
     # only at alpha = 2 is the green_model power 1 and its kernel the pure one bit for

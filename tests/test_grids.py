@@ -1,6 +1,7 @@
 """Quadrature grids: measures, dilation covariance, node arrays, kernel rebuilds."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -248,6 +249,26 @@ def test_grid_memory_bound_is_its_node_arrays(monkeypatch):
     physical["SC_PHYS_PAGES"] = 64 * 48 - 1
     with pytest.raises(ValueError, match=r"a grid of 64 nodes needs .* of physical memory"):
         sphere_grid(1, (4, 4, 4))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_cylinder_radius_beyond_the_float_range_refused_before_any_rule(monkeypatch, n):
+    # heights R^2 or total weight 2^(2n+1) pi^n R^(2n+2) outside the finite normal
+    # floats: refused, naming R, before leggauss or any numpy overflow warning
+    params = make_params(n, 2.0)
+    top = (1e308 / (2.0 ** (2 * n + 1) * math.pi**n)) ** (1.0 / (2 * n + 2))
+    assert cylinder_grid(top / 2, (4, 4, 4), params).total_weight < math.inf
+
+    def no_rule(m):
+        raise AssertionError(f"leggauss({m}) was called")
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", no_rule)
+    for R in (2.0 * top, 1e160, 1e-160, 1e-200):
+        with pytest.raises(ValueError, match=re.escape(f"cylinder radius R = {R} is beyond the float")):
+            cylinder_grid(R, (4, 4, 4), params)
+    for R1, R2 in ((1.0, 1e160), (1e-200, 1.0)):
+        with pytest.raises(ValueError, match="is beyond the float range"):
+            cylinder_shell_grid(R1, R2, (4, 4, 4), params)
 
 
 def test_cylinder_component_refused_before_any_rule(monkeypatch):
