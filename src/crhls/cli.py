@@ -3,16 +3,22 @@
 Eight subcommands: constants, verify-hls, extremal-sub, continuation,
 lower-bound, mass-experiment, covariance-check, curvature-residual. Each
 is one entry of the COMMANDS table: its defaults, the allowed values of
-its string keys, and a run function holding only its own computation and
-printing. One driver resolves the configuration, runs the entry and
-writes <command>.json (and <command>.csv where natural) into the
---output directory; it is the only code in the package that formats or
-writes an artifact. The summary embeds the fully resolved configuration
-so a run can be reproduced from its own artifact: every grid a command
-builds is a function of that configuration, and the command reads every
-key. --output, like --threads and --strict, is a run setting and is not
-embedded, so reruns are byte-identical in any directory. The parser is
-derived from the same table: every config key is also a flag.
+its string keys, and a run function holding only its own computation.
+One driver resolves the configuration, runs the entry, writes
+<command>.json (and <command>.csv where natural) into the --output
+directory and prints one `key = value` line per top-level scalar of the
+results, in the order the run function built them and with the digits
+the JSON holds, then one `wrote <path>` line per artifact; it is the
+only code in the package that formats, writes or prints a result. The
+summary embeds the fully resolved configuration so a run can be
+reproduced from its own artifact: every grid a command builds is a
+function of that configuration. A command reads every key except in two
+modes: extremal-sub --manifold fixture reads no resolution, and
+curvature-residual reads tol and max_iter only in --mode maximizer and
+seed only in --mode random. --output, like --threads and --strict, is a
+run setting and is not embedded, so reruns are byte-identical in any
+directory. The parser is derived from the same table: every config key
+is also a flag.
 
 Configuration sources, lowest to highest precedence: built-in defaults,
 a JSON config file passed with --config, explicit flags; one checker
@@ -232,8 +238,6 @@ def _run_constants(cfg: dict, params: Params):
         "q_alpha": params.q_alpha,
         "b_n": params.b_n,
     }
-    for key in ("sharp_constant", "p_alpha", "q_alpha", "Q", "b_n"):
-        print(f"{key} = {results[key]!r}")
     return results, None
 
 
@@ -253,8 +257,6 @@ def _run_verify_hls(cfg: dict, params: Params):
         "upper_bound_ok": upper_ok,
         "all_ok": spread_ok and upper_ok,
     }
-    print(f"norm spread across eps = {inv.spread_rel:.3e} (tol {_SPREAD_TOL})")
-    print(f"quotient at ratio {cfg['ratio']} = {bound.quotient:.6f} <= {sharp:.6f} * {1 + _SLACK}")
     rows = [("eps_invariance", inv.n, inv.alpha, inv.ratio, eps, norm)
             for eps, norm in zip(inv.eps_list, inv.norms)]
     return results, (("experiment", "n", "alpha", "ratio", "eps", "norm"), rows)
@@ -274,10 +276,6 @@ def _run_extremal_sub(cfg: dict, params: Params):
     else:
         K = assemble_kernel(sphere_grid(1, cfg["resolution"]), KernelSpec("pure_singular"), params)
     result = solve_subcritical(K, K.grid, cfg["p"], tol=cfg["tol"], max_iter=cfg["max_iter"])
-    print(
-        f"p = {result.p}  D = {result.D_estimate!r}  iterations = {result.iterations}"
-        f"  converged = {result.converged}"
-    )
     return _result_to_dict(result), None
 
 
@@ -298,24 +296,13 @@ def _run_continuation(cfg: dict, params: Params):
         "final_over_sharp": runs[-1].D_estimate / sharp,
         "all_converged": all(r.converged for r in runs),
     }
-    for run in runs:
-        print(
-            f"p = {run.p:.6f}  D = {run.D_estimate:.9f}  iterations = {run.iterations}"
-            f"  converged = {run.converged}"
-        )
-    print(f"final/sharp = {results['final_over_sharp']:.6f}")
     rows = [(r.p, r.D_estimate, r.iterations, r.residual, r.converged) for r in runs]
     columns = ("p", "D", "iterations", "residual", "converged")
     return results, (columns, rows)
 
 
 def _run_lower_bound(cfg: dict, params: Params):
-    res = lower_bound_experiment(cfg["eps"], cfg["R"], cfg["resolution"], params)
-    print(
-        f"quotient = {res.quotient!r} on {res.n_nodes} nodes "
-        f"(sharp constant {res.sharp_constant!r})"
-    )
-    results = asdict(res)
+    results = asdict(lower_bound_experiment(cfg["eps"], cfg["R"], cfg["resolution"], params))
     columns = ("experiment", "n", "alpha", "eps", "R", "ratio", "n_nodes", "quotient",
                "sharp_constant")
     return results, (columns, [("lower_bound", *(results[c] for c in columns[1:]))])
@@ -335,8 +322,6 @@ def _run_mass_experiment(cfg: dict, params: Params):
         "deltas_positive_for_positive_mass": all(r.delta > 0.0 for r in records if r.A0 > 0.0),
         "all_converged": all(r.all_converged for r in records),
     }
-    for r in records:
-        print(f"A0 = {r.A0}  quotient_mass = {r.quotient_mass!r}  delta = {r.delta!r}")
     columns = ("experiment", "alpha", "A0", "c_w", "n_nodes", "p_endpoint", "quotient_mass",
                "quotient_pure", "delta", "converged")
     rows = [("mass_perturbation", r.alpha, r.A0, r.c_w, r.n_nodes, r.p_endpoint, r.quotient_mass,
@@ -395,7 +380,6 @@ def _run_covariance_check(cfg: dict, params: Params):
         "nodes": cfg["nodes"],
         "ok": worst <= _RESIDUAL_THRESHOLD,
     }
-    print(f"max covariance residual over {cfg['pairs']} pairs = {worst:.3e}")
     return results, None
 
 
@@ -414,7 +398,6 @@ def _run_curvature_residual(cfg: dict, params: Params):
         rng = np.random.default_rng(cfg["seed"])
         phi = np.exp(0.3 * rng.standard_normal(len(grid)))
     results["residual"] = curvature_equation_residual(K, grid, phi, params)
-    print(f"curvature residual ({cfg['mode']} phi) = {results['residual']:.6e}")
     return results, None
 
 
@@ -528,16 +511,21 @@ def main(argv=None) -> int:
             results, table = command.run(cfg, params)
         summary = {"command": args.command, "config": cfg, "results": results}
         text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
-        path = _write(args.output, f"{args.command}.json", text)
+        paths = [_write(args.output, f"{args.command}.json", text)]
         if table is not None:
             # str of a Python float is its shortest round-trip repr
             columns, rows = table
             lines = "".join(",".join(map(str, row)) + "\n" for row in [columns, *rows])
-            _write(args.output, f"{args.command}.csv", lines)
-        print(f"wrote {path}")
+            paths.append(_write(args.output, f"{args.command}.csv", lines))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    # the repr of a Python scalar holds the digits json.dumps writes
+    for key, value in results.items():
+        if isinstance(value, (bool, int, float, str)):
+            print(f"{key} = {value!r}")
+    for path in paths:
+        print(f"wrote {path}")
     passed = all(value for value in results.values() if isinstance(value, bool))
     return EXIT_NOT_CONVERGED if args.strict and not passed else EXIT_OK
 

@@ -644,6 +644,15 @@ def _refuse_nonpositive(a: np.ndarray, i0: int, j0: int, message: str) -> None:
         raise ValueError(message.format(i0 + row, j0 + col, a.flat[flat]))
 
 
+def _refuse_nonfinite(a: np.ndarray, i0: int, j0: int, message: str) -> None:
+    """Raise ValueError(message.format(i, j, value)) at the first entry of tile a, in
+    tile order, that is a nan or an infinity; (i, j) is its node pair."""
+    if not np.isfinite(a.max()):  # the max is nan or inf when any entry is
+        flat = int(np.argmin(np.isfinite(a)))
+        row, col = divmod(flat, a.shape[1])
+        raise ValueError(message.format(i0 + row, j0 + col, a.flat[flat]))
+
+
 def _kernel_tile(
     grid: QuadratureGrid, spec: KernelSpec, params: Params, bounds, r: float = 1.0
 ) -> np.ndarray:
@@ -654,7 +663,8 @@ def _kernel_tile(
     r (Q - alpha) / (Q - 2), which at r = 1 are the kernel's own and are taken
     as assembly always took them; other r go through _exp_pow. Raises ValueError
     on coincident distinct nodes and on a green_model base rho^{-2n} + mass + c_w rho
-    that is not strictly positive, at the first such pair of the tile.
+    that is not strictly positive, at the first minimum of the tile, or not finite,
+    at the first such pair of the tile.
     """
     i0, i1, j0, j1 = bounds
     Q, alpha, n = params.Q, params.alpha, params.n
@@ -666,16 +676,19 @@ def _kernel_tile(
         expo = 0.5 * (alpha - Q)
         tile = _pow_neg(base, expo, out=base) if r == 1.0 else _exp_pow(base, r * expo)
     else:
-        g = _pow_neg(base, -float(n))
-        # pair-mean mass, halved before the sum so that it cannot overflow
-        g += 0.5 * spec.mass[i0:i1, None] + 0.5 * spec.mass[j0:j1]
-        if spec.c_w != 0.0:
-            g += spec.c_w * base**0.5
+        # a base that overflows is refused below, not warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = _pow_neg(base, -float(n))
+            # pair-mean mass, halved before the sum so that it cannot overflow
+            g += 0.5 * spec.mass[i0:i1, None] + 0.5 * spec.mass[j0:j1]
+            if spec.c_w != 0.0:
+                g += spec.c_w * base**0.5
         if i0 == j0:
             np.fill_diagonal(g, 1.0)  # a node is no pair: its dropped cell is not checked
         _refuse_nonpositive(
             g, i0, j0, "green_model base is nonpositive at node pair ({}, {}): {:.6e}"
         )
+        _refuse_nonfinite(g, i0, j0, "green_model base is not finite at node pair ({}, {}): {}")
         expo = (Q - alpha) / (Q - 2)
         tile = g**expo if r == 1.0 else _exp_pow(g, r * expo)
     # zero diagonal: the strict upper triangle of a diagonal tile

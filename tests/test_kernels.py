@@ -142,6 +142,22 @@ def test_green_model_refuses_nonpositive_base():
             read()
 
 
+def test_green_model_refuses_a_base_that_overflows():
+    # c_w rho overflows to inf at every pair farther apart than rho = 1; the
+    # first such pair in tile order is named, with no overflow warning first
+    # (pyproject turns a RuntimeWarning into an error)
+    p = make_params(1, 2.0)
+    g = sphere_grid(1, (4, 4, 4))
+    spec = KernelSpec("green_model", mass=np.zeros(len(g)), c_w=1e308)
+    message = r"green_model base is not finite at node pair \(0, 2\): inf"
+    with pytest.raises(ValueError, match=message):
+        assemble_kernel(g, spec, p)
+    K = KernelMatrix(None, spec, g, p)
+    for read in (lambda: K.matvec(np.ones(64)), lambda: K.row_power_sums(1.2)):
+        with pytest.raises(ValueError, match=message):
+            read()
+
+
 def test_green_model_base_check_skips_the_diagonal():
     # three close nodes: every pair has rho^{-2} > 2, so mass -1.5 keeps each
     # pair's base positive, while 1 + mass at the dropped diagonal is not

@@ -1,5 +1,5 @@
 """Package surface: the re-exports of each submodule's public names, who reads a kernel,
-who writes a file, and that every import is used."""
+who writes a file, who prints, and that every import is used."""
 
 import ast
 from importlib import import_module
@@ -77,6 +77,26 @@ def test_only_cli_writes_files():
             if _writes_a_file(node):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_only_cli_main_prints():
+    # cli.main prints every result and error; the one other print is the warning
+    # of _blas.blas_threads on stderr. Each print is named by its innermost function
+    found = set()
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                    and child.func.id == "print"):
+                found.add(f"{path.name}:{where}")
+            visit(child, where)
+
+    for path in sorted(Path(crhls.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(), filename=str(path)), "<module>")
+    assert found == {"cli.py:main", "_blas.py:blas_threads"}
 
 
 def test_every_import_is_used():
