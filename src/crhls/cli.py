@@ -92,7 +92,7 @@ _HELP = {
 
 def _floats(value) -> list[float]:
     if isinstance(value, str):
-        parts = [s.strip() for s in value.replace(";", ",").split(",")]
+        parts = [s.strip() for s in value.split(",")]
         return [float(s) for s in parts if s]
     return [float(v) for v in value]
 

@@ -140,13 +140,13 @@ class QuadratureGrid:
         return gauge_dist_sq(self.z[rows], self.t[rows], self.z[cols], self.t[cols])
 
 
-def _validate_resolution(resolution, length: int) -> tuple[int, ...]:
+def _validate_resolution(resolution) -> tuple[int, int, int]:
     values = np.atleast_1d(np.asarray(resolution, dtype=np.float64))
     if not np.all(np.isfinite(values) & (values == np.round(values))):
         raise ValueError(f"resolution components must be integers, got {values.tolist()}")
     res = tuple(int(m) for m in values)
-    if len(res) != length:
-        raise ValueError(f"resolution must have {length} components, got {res}")
+    if len(res) != 3:
+        raise ValueError(f"resolution must have 3 components, got {res}")
     if any(m < 4 for m in res):
         raise ValueError(f"all resolution components must be >= 4, got {res}")
     return res
@@ -193,7 +193,7 @@ def sphere_grid(n: int, resolution) -> QuadratureGrid:
     """
     if n != 1:
         raise ValueError(f"sphere grids are implemented for n = 1 only, got n = {n}")
-    res = _validate_resolution(resolution, 3)
+    res = _validate_resolution(resolution)
     N = res[0] * res[1] * res[2]
     _refuse_oversized_grid(N, 1)
     j = np.arange(N)
@@ -247,21 +247,6 @@ def _vertical_rule(s_lo: float, s_hi: float, m_t: int) -> tuple[np.ndarray, np.n
     return t, wt
 
 
-def _cylinder_resolution(resolution, n: int, blocks: int) -> tuple[int, int, int]:
-    """The validated (m_r, m_ang, m_t) of a grid of blocks _cylinder_blocks, refused
-    before any node is computed when its node arrays exceed physical memory (each block
-    has m_r radii, m_ang^(2n-1) directions and 2 m_t heights) or a component exceeds
-    _MAX_COMPONENT."""
-    res = _validate_resolution(resolution, 3)
-    m_r, m_ang, m_t = res
-    _refuse_oversized_grid(blocks * m_r * m_ang ** (2 * n - 1) * 2 * m_t, n)
-    if max(res) > _MAX_COMPONENT:
-        raise ValueError(
-            f"cylinder resolution components must be at most {_MAX_COMPONENT}, got {res}"
-        )
-    return res
-
-
 def _refuse_radius_beyond_float_range(R: float, n: int) -> None:
     """Refuse a cylinder radius R > 0 whose heights R^2 or whose total weight
     2^{2n+1} pi^n R^{2n+2} is not a finite, normal float, before any node is
@@ -296,24 +281,44 @@ def _cylinder_block(
     return np.ascontiguousarray(z), np.ascontiguousarray(t_full), weights
 
 
+def _grid_of_blocks(blocks, radii, resolution, params: Params) -> QuadratureGrid:
+    """The cylinder grid of the product blocks (r_lo, r_hi, s_lo, s_hi) of
+    _cylinder_block, concatenated in order. Each of radii, then the resolution,
+    is refused as cylinder_grid documents; each block has m_r radii,
+    m_ang^(2n-1) directions and 2 m_t heights."""
+    n = params.n
+    for R in radii:
+        _refuse_radius_beyond_float_range(R, n)
+    res = _validate_resolution(resolution)
+    m_r, m_ang, m_t = res
+    _refuse_oversized_grid(len(blocks) * m_r * m_ang ** (2 * n - 1) * 2 * m_t, n)
+    if max(res) > _MAX_COMPONENT:
+        raise ValueError(
+            f"cylinder resolution components must be at most {_MAX_COMPONENT}, got {res}"
+        )
+    parts = zip(*(_cylinder_block(*block, res, params) for block in blocks))
+    # one block is taken as built, not copied
+    z, t, w = (np.concatenate(a) if len(a) > 1 else a[0] for a in parts)
+    return QuadratureGrid(kind="cylinder", n=n, weights=w, resolution=res, z=z, t=t)
+
+
 def cylinder_grid(R: float, resolution, params: Params) -> QuadratureGrid:
     """Product grid on the cylinder |z| < R, |t| < R^2 in H^n.
 
     Radial Gauss-Legendre against r^{2n-1} dr, Hopf-type angles on the
     direction sphere of C^n (plain polar angle for n = 1), parabolic
     Gauss-Legendre rule in t. Weights include the measure factor 2^{2n} n!,
-    so the total weight equals 2^{2n+1} pi^n R^{2n+2} exactly. A grid whose
-    node arrays exceed physical memory, with a resolution component above
-    _MAX_COMPONENT, or whose heights R^2 or total weight is not a finite
-    normal float, is refused before any node is computed.
+    so the total weight equals 2^{2n+1} pi^n R^{2n+2} exactly.
+
+    Refused, before any node is computed, in this order: R not positive; R
+    whose heights R^2 or total weight is not a finite normal float; a
+    resolution that is not three integers >= 4, whose node arrays exceed
+    physical memory or with a component above _MAX_COMPONENT.
     """
     R = float(R)
     if not R > 0.0:
         raise ValueError(f"cylinder radius must be positive, got R = {R}")
-    _refuse_radius_beyond_float_range(R, params.n)
-    res = _cylinder_resolution(resolution, params.n, 1)
-    z, t, w = _cylinder_block(0.0, R, 0.0, R, res, params)
-    return QuadratureGrid(kind="cylinder", n=params.n, weights=w, resolution=res, z=z, t=t)
+    return _grid_of_blocks([(0.0, R, 0.0, R)], (R,), resolution, params)
 
 
 def cylinder_shell_grid(R1: float, R2: float, resolution, params: Params) -> QuadratureGrid:
@@ -322,25 +327,15 @@ def cylinder_shell_grid(R1: float, R2: float, resolution, params: Params) -> Qua
     Decomposed into two product blocks: the z-annulus R1 < |z| < R2 with
     the full vertical range |t| < R2^2, and the inner z-ball |z| < R1 with
     the vertical shell R1^2 < |t| < R2^2. Used for the concentration tail
-    integrals, where the integrand is smooth on the shell. Each radius is
-    refused as cylinder_grid refuses its R.
+    integrals, where the integrand is smooth on the shell. Refused as
+    cylinder_grid is, with 0 < R1 < R2 in place of R > 0 and each radius
+    checked against the float range.
     """
     R1, R2 = float(R1), float(R2)
     if not 0.0 < R1 < R2:
         raise ValueError(f"shell radii must satisfy 0 < R1 < R2, got R1 = {R1}, R2 = {R2}")
-    for R in (R1, R2):
-        _refuse_radius_beyond_float_range(R, params.n)
-    res = _cylinder_resolution(resolution, params.n, 2)
-    za, ta, wa = _cylinder_block(R1, R2, 0.0, R2, res, params)
-    zb, tb, wb = _cylinder_block(0.0, R1, R1, R2, res, params)
-    return QuadratureGrid(
-        kind="cylinder",
-        n=params.n,
-        weights=np.concatenate([wa, wb]),
-        resolution=res,
-        z=np.concatenate([za, zb]),
-        t=np.concatenate([ta, tb]),
-    )
+    blocks = [(R1, R2, 0.0, R2), (0.0, R1, R1, R2)]
+    return _grid_of_blocks(blocks, (R1, R2), resolution, params)
 
 
 def hnorm_values(grid: QuadratureGrid) -> np.ndarray:
@@ -663,8 +658,9 @@ def _kernel_tile(
     r (Q - alpha) / (Q - 2), which at r = 1 are the kernel's own and are taken
     as assembly always took them; other r go through _exp_pow. Raises ValueError
     on coincident distinct nodes and on a green_model base rho^{-2n} + mass + c_w rho
-    that is not strictly positive, at the first minimum of the tile, or not finite,
-    at the first such pair of the tile.
+    that is not strictly positive, at the first minimum of the tile, then on a
+    green_model entry (to the power r) that is not finite, after the power, at the
+    first such pair of the tile; an infinite base gives an infinite entry.
     """
     i0, i1, j0, j1 = bounds
     Q, alpha, n = params.Q, params.alpha, params.n
@@ -676,21 +672,23 @@ def _kernel_tile(
         expo = 0.5 * (alpha - Q)
         tile = _pow_neg(base, expo, out=base) if r == 1.0 else _exp_pow(base, r * expo)
     else:
-        # a base that overflows is refused below, not warned about
+        # a base or an entry that overflows is refused below, not warned about
         with np.errstate(over="ignore", invalid="ignore"):
             g = _pow_neg(base, -float(n))
             # pair-mean mass, halved before the sum so that it cannot overflow
             g += 0.5 * spec.mass[i0:i1, None] + 0.5 * spec.mass[j0:j1]
             if spec.c_w != 0.0:
                 g += spec.c_w * base**0.5
-        if i0 == j0:
-            np.fill_diagonal(g, 1.0)  # a node is no pair: its dropped cell is not checked
-        _refuse_nonpositive(
-            g, i0, j0, "green_model base is nonpositive at node pair ({}, {}): {:.6e}"
+            if i0 == j0:
+                np.fill_diagonal(g, 1.0)  # a node is no pair: its dropped cell is not checked
+            _refuse_nonpositive(
+                g, i0, j0, "green_model base is nonpositive at node pair ({}, {}): {:.6e}"
+            )
+            expo = (Q - alpha) / (Q - 2)
+            tile = g**expo if r == 1.0 else _exp_pow(g, r * expo)
+        _refuse_nonfinite(
+            tile, i0, j0, "green_model entry is not finite at node pair ({}, {}): {}"
         )
-        _refuse_nonfinite(g, i0, j0, "green_model base is not finite at node pair ({}, {}): {}")
-        expo = (Q - alpha) / (Q - 2)
-        tile = g**expo if r == 1.0 else _exp_pow(g, r * expo)
     # zero diagonal: the strict upper triangle of a diagonal tile
     return tile if i0 != j0 else np.triu(tile, 1)
 
@@ -734,8 +732,9 @@ def assemble_kernel(
     kernels whose mass is not of length N; when storing, the memory refusals of
     densified() before allocating, then the refusals of _kernel_tile (coincident
     distinct nodes, a green_model base rho^{-2n} + mass + c_w rho that is not
-    strictly positive) at the first such tile in tile order. The operator raises the
-    latter when a walk reaches the tile, and the memory refusals when it is densified.
+    strictly positive, a green_model entry that is not finite) at the first such
+    tile in tile order. The operator raises the latter when a walk reaches the
+    tile, and the memory refusals when it is densified.
     """
     K = KernelMatrix(None, spec, grid, params)
     dtype = np.dtype(dtype)

@@ -64,8 +64,6 @@ def _transported_extremal_values(grid: QuadratureGrid, params: Params, eps: floa
     gauge norm above R are zeroed. At eps = 1 the untruncated result is
     constant to rounding.
     """
-    if grid.kind != "sphere":
-        raise ValueError(f"transported extremal needs a sphere grid, got a {grid.kind} grid")
     z, t = _cayley_inv(grid.xi)
     g = _extremal(z, t, eps, params) * _cayley_jacobian(z, t) ** (-1.0 / params.q_alpha)
     g[gauge_dist_sq(z, t, np.zeros(z.shape[-1]), 0.0) > R * R] = 0.0

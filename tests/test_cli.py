@@ -271,6 +271,13 @@ def test_null_optional_key_allowed(tmp_path, command, key):
     assert _resolve_config(args, COMMANDS[command])[key] is None
 
 
+def test_list_flag_takes_commas_only(tmp_path, capsys):
+    rc = main(["verify-hls", "--eps-list", "0.05;0.1", "--output", str(tmp_path)])
+    assert rc == EXIT_VALIDATION
+    assert "0.05;0.1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_lower_bound_rejects_zero_eps(tmp_path, capsys):
     rc = main(["lower-bound", "--eps", "0", "--resolution", "4,4,4", "--output", str(tmp_path)])
     assert rc == EXIT_VALIDATION
@@ -377,12 +384,16 @@ def test_verify_hls_refuses_a_ratio_beyond_the_float_range(tmp_path, argv, messa
     [
         ["continuation", "--resolution", "4,4,4", "--c-w", "1e308"],
         ["mass-experiment", "--resolution", "4,4,4", "--c-w", "1e308", "--A0-list", "0"],
+        ["continuation", "--alpha", "1", "--resolution", "4,4,4", "--A0", "1e300"],
+        ["mass-experiment", "--alpha", "1", "--resolution", "4,4,4", "--c-w", "1e300",
+         "--A0-list", "0"],
     ],
-    ids=["continuation", "mass-experiment"],
+    ids=["continuation", "mass-experiment", "continuation-power", "mass-experiment-power"],
 )
 def test_green_model_base_that_overflows_refused(tmp_path, argv):
-    # c_w rho overflows at every pair farther apart than rho = 1: the kernel
-    # assembly refuses it by name, before numpy can warn
+    # c_w rho overflows at every pair farther apart than rho = 1, and at
+    # alpha = 1 a finite base raised to 3/2 overflows at every pair: the kernel
+    # assembly refuses the entry by name, before numpy can warn
     proc = subprocess.run(
         [sys.executable, "-m", "crhls", *argv, "--output", str(tmp_path)],
         capture_output=True,
@@ -391,7 +402,7 @@ def test_green_model_base_that_overflows_refused(tmp_path, argv):
     )
     assert proc.returncode == EXIT_VALIDATION
     err = proc.stderr.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: green_model base is not finite"), proc.stderr
+    assert len(err) == 1 and err[0].startswith("error: green_model entry is not finite"), proc.stderr
     assert list(tmp_path.iterdir()) == []
 
 

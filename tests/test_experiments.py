@@ -89,14 +89,6 @@ def test_transported_extremal_truncation_mask(params_n1):
         assert float(np.abs(u.z[0]) ** 4 + u.t**2) > 2.0**4
 
 
-def test_transported_extremal_needs_sphere_grid(params_n1):
-    from crhls.discretization import cylinder_grid
-
-    grid = cylinder_grid(1.0, (4, 4, 4), params_n1)
-    with pytest.raises(ValueError):
-        _transported_extremal_values(grid, params_n1, 1.0, 5.0)
-
-
 def test_lower_bound_experiment_window(params_n1):
     res = lower_bound_experiment(1.0, 8.0, (12, 12, 12), params_n1)
     assert res.quotient == pytest.approx(7.843118, abs=5e-6)

@@ -104,6 +104,22 @@ def test_cylinder_shell_grid_weight_is_difference():
         cylinder_shell_grid(2.0, 1.0, (8, 6, 8), p)
 
 
+def test_cylinder_shell_grid_at_n2():
+    # at n >= 2 each of the shell's two blocks carries the Gauss-Legendre
+    # direction rule on S^3
+    p = make_params(2, 2.0)
+    inner = cylinder_grid(1.0, (6, 4, 6), p)
+    outer = cylinder_grid(2.0, (6, 4, 6), p)
+    shell = cylinder_shell_grid(1.0, 2.0, (6, 4, 6), p)
+    assert shell.total_weight == pytest.approx(
+        outer.total_weight - inner.total_weight, rel=1e-12
+    )
+    az = np.linalg.norm(shell.z, axis=1)
+    at = np.abs(shell.t)
+    assert np.all(az <= 2.0) and np.all(at <= 4.0)
+    assert not np.any((az < 1.0) & (at < 1.0))
+
+
 def test_hnorm_and_extremal_values_match_pointwise():
     p = make_params(1, 2.0)
     g = cylinder_grid(1.5, (4, 4, 4), p)

@@ -149,13 +149,31 @@ def test_green_model_refuses_a_base_that_overflows():
     p = make_params(1, 2.0)
     g = sphere_grid(1, (4, 4, 4))
     spec = KernelSpec("green_model", mass=np.zeros(len(g)), c_w=1e308)
-    message = r"green_model base is not finite at node pair \(0, 2\): inf"
+    message = r"green_model entry is not finite at node pair \(0, 2\): inf"
     with pytest.raises(ValueError, match=message):
         assemble_kernel(g, spec, p)
     K = KernelMatrix(None, spec, g, p)
-    for read in (lambda: K.matvec(np.ones(64)), lambda: K.row_power_sums(1.2)):
-        with pytest.raises(ValueError, match=message):
-            read()
+    with pytest.raises(ValueError, match=message):
+        K.matvec(np.ones(64))
+    # the row sums take each entry to the power 1.2, and the finite entry
+    # 1e308 rho of the closer pair (0, 1) overflows there
+    with pytest.raises(ValueError, match=r"entry is not finite at node pair \(0, 1\): inf"):
+        K.row_power_sums(1.2)
+
+
+def test_green_model_refuses_an_entry_that_overflows():
+    # a finite base, raised to (Q - alpha) / (Q - 2) > 1, overflows: at alpha = 1
+    # the exponent is 3/2 and a mass of 1e300 gives 1e450 at every pair; at
+    # alpha = 2 the row sums square c_w rho = 1e300 rho
+    g = sphere_grid(1, (4, 4, 4))
+    message = r"green_model entry is not finite at node pair \(0, 1\): inf"
+    spec = KernelSpec("green_model", mass=np.full(len(g), 1e300))
+    with pytest.raises(ValueError, match=message):
+        assemble_kernel(g, spec, make_params(1, 1.0))
+    spec = KernelSpec("green_model", mass=np.zeros(len(g)), c_w=1e300)
+    K = KernelMatrix(None, spec, g, make_params(1, 2.0))
+    with pytest.raises(ValueError, match=message):
+        K.row_power_sums(2.0)
 
 
 def test_green_model_base_check_skips_the_diagonal():
