@@ -90,21 +90,6 @@ _HELP = {
 }
 
 
-def _floats(value) -> list[float]:
-    if isinstance(value, str):
-        parts = [s.strip() for s in value.split(",")]
-        return [float(s) for s in parts if s]
-    return [float(v) for v in value]
-
-
-def _ints(value) -> list[int]:
-    values = _floats(value)
-    bad = [v for v in values if not v.is_integer()]
-    if bad:
-        raise ValueError(f"expected integers, got {bad}")
-    return [int(v) for v in values]
-
-
 def _write(output_dir: str, name: str, text: str) -> str:
     os.makedirs(output_dir, exist_ok=True)
     path = os.path.join(output_dir, name)
@@ -177,7 +162,15 @@ def _checked(key: str, value, default, allowed):
         raise ValueError(f"unknown {key} {value!r}, expected one of {', '.join(allowed)}")
     if kind in (int, str):
         return kind(value)
-    values = _floats(value) if kind is list else [float(value)]
+    if kind is float:
+        values = [float(value)]
+    elif isinstance(value, str):
+        try:
+            values = [float(s) for s in map(str.strip, value.split(",")) if s]
+        except ValueError:
+            raise ValueError(f"{key}: expected comma-separated numbers, got {value!r}") from None
+    else:
+        values = [float(v) for v in value]
     if not values:
         raise ValueError(f"{key} must not be empty")
     # json.dumps would write inf and nan as Infinity and NaN, which
@@ -186,7 +179,12 @@ def _checked(key: str, value, default, allowed):
         raise ValueError(f"{key} must be finite, got {value!r}")
     if kind is float:
         return values[0]
-    return _ints(values) if default and isinstance(default[0], int) else values
+    if not (default and isinstance(default[0], int)):
+        return values
+    bad = [v for v in values if not v.is_integer()]
+    if bad:
+        raise ValueError(f"{key}: expected integers, got {bad}")
+    return [int(v) for v in values]
 
 
 def _resolve_config(args: argparse.Namespace, command: Command) -> dict:
@@ -390,10 +388,11 @@ def _run_curvature_residual(cfg: dict, params: Params):
     if cfg["mode"] == "constant":
         phi = np.ones(len(grid))
     elif cfg["mode"] == "maximizer":
-        schedule = default_p_schedule(params)
-        runs = continuation(K, grid, schedule, tol=cfg["tol"], max_iter=cfg["max_iter"])
-        results["all_converged"] = all(r.converged for r in runs)
-        phi = runs[-1].f ** (runs[-1].p - 1.0)
+        # the equation is read at the endpoint alone: one solve there, from the constant
+        endpoint = default_p_schedule(params)[-1]
+        res = solve_subcritical(K, grid, endpoint, tol=cfg["tol"], max_iter=cfg["max_iter"])
+        results["all_converged"] = res.converged
+        phi = res.f ** (res.p - 1.0)
     else:
         rng = np.random.default_rng(cfg["seed"])
         phi = np.exp(0.3 * rng.standard_normal(len(grid)))

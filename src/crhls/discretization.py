@@ -513,6 +513,8 @@ class KernelMatrix:
 
         Stored entries are raised to the power r; the matrix-free operator raises
         each tile's base to the combined exponent (_kernel_tile), one power per entry.
+        Either way an entry whose power is not finite raises ValueError naming its
+        node pair.
         """
         return self._upper_sums(self.grid.weights, r)
 
@@ -527,6 +529,10 @@ class KernelMatrix:
         in the caller's thread, so the result does not depend on the walker count.
         """
         out = np.zeros(len(self))
+        power_message = (
+            f"{self.spec.kind} entry to the power {r} is not finite at node pair "
+            "({}, {}): {}"
+        )
 
         def sums(tile):
             i0, i1, j0, j1 = tile
@@ -537,7 +543,10 @@ class KernelMatrix:
                 if i0 == j0:
                     P = np.triu(P)
                 if r != 1.0:
-                    P = P**r
+                    # a finite entry whose power overflows is refused, as a tile is
+                    with np.errstate(over="ignore"):
+                        P = P**r
+                    _refuse_nonfinite(P, i0, j0, power_message)
             if i0 == j0:
                 return tile, (P + np.triu(P, 1).T) @ x[j0:j1], None
             return tile, P @ x[j0:j1], x[i0:i1] @ P

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from crhls import _blas, cli, discretization
+from crhls import _blas, cli, discretization, experiments
 from crhls.cli import (
     COMMANDS,
     EXIT_NOT_CONVERGED,
@@ -275,6 +275,32 @@ def test_list_flag_takes_commas_only(tmp_path, capsys):
     rc = main(["verify-hls", "--eps-list", "0.05;0.1", "--output", str(tmp_path)])
     assert rc == EXIT_VALIDATION
     assert "0.05;0.1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify-hls", "--eps-list", "0.05;0.1"],
+         "eps_list: expected comma-separated numbers, got '0.05;0.1'"),
+        (["lower-bound", "--resolution", "6.5,4,6"], "resolution: expected integers, got [6.5]"),
+    ],
+    ids=["numbers", "integers"],
+)
+def test_list_errors_name_their_key(tmp_path, capsys, argv, message):
+    assert main([*argv, "--output", str(tmp_path)]) == EXIT_VALIDATION
+    assert f"error: {message}\n" == capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_verify_hls_refuses_a_ratio_that_loses_the_extremal(tmp_path, capsys):
+    # at ratio 1e30 every norm reads about 1e-84, not 0, and the three agree to
+    # rounding because the cylinder rules are dilates of one another
+    argv = ["verify-hls", "--ratio", "1e30", "--resolution", "6,4,6", "--output", str(tmp_path)]
+    assert main(argv) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "at ratio 1e+30 on the cylinder rule of resolution (6, 4, 6)" in err
+    assert "below half its continuum value 5.568328" in err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -886,7 +912,7 @@ def test_curvature_residual_modes(tmp_path):
 
 
 def test_curvature_residual_maximizer_mode(tmp_path):
-    # the residual of the last stage's maximizer of the default continuation
+    # the residual of one solve at the endpoint q_alpha + 1e-3, from the constant
     argv = ["curvature-residual", "--mode", "maximizer", "--resolution", "6,6,6", "--strict"]
     assert main([*argv, "--output", str(tmp_path)]) == EXIT_OK
     results = _read_json(tmp_path / "curvature-residual.json")["results"]
@@ -894,9 +920,45 @@ def test_curvature_residual_maximizer_mode(tmp_path):
     params = make_params(1, 2.0)
     grid = sphere_grid(1, (6, 6, 6))
     K = assemble_kernel(grid, KernelSpec("pure_singular"), params)
-    last = continuation(K, grid, default_p_schedule(params))[-1]
-    phi = last.f ** (last.p - 1.0)
+    schedule = default_p_schedule(params)
+    end = solve_subcritical(K, grid, schedule[-1])
+    phi = end.f ** (end.p - 1.0)
     assert results["residual"] == curvature_equation_residual(K, grid, phi, params)
+    # the same branch as the last stage of the warm-started continuation
+    last = continuation(K, grid, schedule)[-1]
+    expected = curvature_equation_residual(K, grid, last.f ** (last.p - 1.0), params)
+    assert results["residual"] == pytest.approx(expected, rel=1e-6)
+
+
+@pytest.mark.parametrize(
+    "argv, module, before",
+    [
+        (["mass-experiment"], experiments, 205),
+        (["curvature-residual", "--mode", "maximizer"], cli, 81),
+    ],
+    ids=["mass-experiment", "maximizer"],
+)
+def test_endpoint_consumers_take_half_the_products(tmp_path, monkeypatch, argv, module, before):
+    # at CLI defaults the five-stage continuation took 205 and 81 solver products;
+    # one solve at the endpoint takes at most half of them
+    products, solves = [0], []
+    real_matvec, real_solve = discretization.KernelMatrix.matvec, module.solve_subcritical
+
+    def matvec(self, x):
+        products[0] += 1
+        return real_matvec(self, x)
+
+    def solve(*args, **kwargs):
+        solves.append(real_solve(*args, **kwargs))
+        return solves[-1]
+
+    monkeypatch.setattr(discretization.KernelMatrix, "matvec", matvec)
+    monkeypatch.setattr(module, "solve_subcritical", solve)
+    assert main([*argv, "--strict", "--output", str(tmp_path)]) == EXIT_OK
+    solver_products = sum(res.matvecs for res in solves)
+    assert solver_products <= before / 2
+    # every product is a solver's, except the residual's two
+    assert products[0] == solver_products + (2 if module is cli else 0)
 
 
 def test_config_file_precedence(tmp_path):

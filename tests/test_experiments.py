@@ -27,6 +27,7 @@ from crhls.experiments import (
 )
 from crhls.functional import rayleigh_quotient
 from crhls.heisenberg import extremal_family
+from crhls.solver import continuation, default_p_schedule
 from crhls.sphere import SpherePoint, cayley_inv, cayley_jacobian
 from conftest import random_sphere_kernel
 
@@ -205,8 +206,8 @@ def test_mass_perturbation_positive_mass_raises_quotient():
 
 @pytest.fixture
 def solve_calls(monkeypatch):
-    """Counts of the calls the mass sweep makes to assemble_kernel and continuation."""
-    calls = {"assemble_kernel": 0, "continuation": 0}
+    """Counts of the calls the mass sweep makes to assemble_kernel and solve_subcritical."""
+    calls = {"assemble_kernel": 0, "solve_subcritical": 0}
 
     def counting(name):
         real = getattr(experiments, name)
@@ -231,7 +232,7 @@ def test_mass_perturbation_validation(solve_calls):
     ]:
         with pytest.raises(ValueError, match=message):
             mass_perturbation_experiment(A0_list, 0.0, 2.0, (6, 6, 6))
-    assert solve_calls == {"assemble_kernel": 0, "continuation": 0}
+    assert solve_calls == {"assemble_kernel": 0, "solve_subcritical": 0}
 
 
 def test_mass_sweep_records_equal_one_entry_sweeps():
@@ -249,7 +250,44 @@ def test_mass_sweep_solves_the_pure_kernel_once(solve_calls, c_w, mass_solves):
     A0_list = [0.0, 0.5, 1.0, 2.0]
     records = mass_perturbation_experiment(A0_list, c_w, 2.0, (4, 4, 4))
     assert len(records) == len(A0_list)
-    assert solve_calls == {"assemble_kernel": 1 + mass_solves, "continuation": 1 + mass_solves}
+    assert solve_calls == {
+        "assemble_kernel": 1 + mass_solves,
+        "solve_subcritical": 1 + mass_solves,
+    }
+
+
+@pytest.mark.parametrize("resolution", [(6, 6, 6), (8, 6, 8)])
+@pytest.mark.parametrize("alpha", [1.0, 2.0, 3.0])
+def test_mass_sweep_endpoint_solve_matches_the_continuation(alpha, resolution):
+    # one solve at the endpoint from the constant reaches the branch that the
+    # warm-started continuation's last stage reaches, pure and green_model alike
+    (res,) = mass_perturbation_experiment(0.5, 0.3, alpha, resolution)
+    params = make_params(1, alpha)
+    grid = sphere_grid(1, resolution)
+    schedule = default_p_schedule(params)
+    assert res.p_endpoint == schedule[-1]
+    for spec, D in [
+        (KernelSpec("pure_singular"), res.quotient_pure),
+        (KernelSpec("green_model", mass=np.full(len(grid), 0.5), c_w=0.3), res.quotient_mass),
+    ]:
+        last = continuation(assemble_kernel(grid, spec, params), grid, schedule)[-1]
+        assert last.converged and res.all_converged
+        assert D == pytest.approx(last.D_estimate, rel=1e-14, abs=0.0)
+
+
+def test_mass_sweep_envelope_at_alpha_2():
+    # at alpha = 2 a constant mass adds A0 to every off-diagonal entry, so delta/A0
+    # does not decrease in A0 and stays below Hoelder's V^{2-2/p} (1 - 1/N) on
+    # equal weights; the digits are those the continuation gave on 8x6x8
+    records = mass_perturbation_experiment([0.5, 1.0, 2.0], 0.0, 2.0, (8, 6, 8))
+    slopes = [res.delta / res.A0 for res in records]
+    assert [round(s, 6) for s in slopes] == [12.598421, 12.600795, 12.602588]
+    w = sphere_grid(1, (8, 6, 8)).weights
+    assert np.all(w == w[0])
+    p = records[0].p_endpoint
+    upper = w.sum() ** (2.0 - 2.0 / p) * (1.0 - 1.0 / len(w))
+    assert round(upper, 6) == 12.605172
+    assert slopes[0] < slopes[1] < slopes[2] < upper
 
 
 def test_conformal_covariance_residual_is_roundoff(params_n1):

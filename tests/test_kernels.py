@@ -3,6 +3,7 @@
 import mmap
 import os
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -174,6 +175,26 @@ def test_green_model_refuses_an_entry_that_overflows():
     K = KernelMatrix(None, spec, g, make_params(1, 2.0))
     with pytest.raises(ValueError, match=message):
         K.row_power_sums(2.0)
+
+
+def test_stored_row_sums_refuse_a_power_that_overflows():
+    # the entries c_w rho = 1e300 rho are finite and stored; their squares are
+    # not, and the stored operator refuses them as the matrix-free one does,
+    # at the same node pair and with no overflow warning
+    g = sphere_grid(1, (4, 4, 4))
+    spec = KernelSpec("green_model", mass=np.zeros(len(g)), c_w=1e300)
+    params = make_params(1, 2.0)
+    stored = assemble_kernel(g, spec, params)
+    assert stored.entries is not None and np.all(np.isfinite(stored.entries))
+    for K, message in [
+        (stored, r"green_model entry to the power 2.0 is not finite at node pair \(0, 1\): inf"),
+        (KernelMatrix(None, spec, g, params),
+         r"green_model entry is not finite at node pair \(0, 1\): inf"),
+    ]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                K.row_power_sums(2.0)
 
 
 def test_green_model_base_check_skips_the_diagonal():
