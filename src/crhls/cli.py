@@ -3,7 +3,8 @@
 Eight subcommands: constants, verify-hls, extremal-sub, continuation,
 lower-bound, mass-experiment, covariance-check, curvature-residual. Each
 is one entry of the COMMANDS table: its defaults, the allowed values of
-its string keys, and a run function holding only its own computation.
+the keys that have choices, and a run function holding only its own
+computation.
 One driver resolves the configuration, runs the entry, writes
 <command>.json (and <command>.csv where natural) into the --output
 directory and prints one `key = value` line per top-level scalar of the
@@ -101,10 +102,11 @@ def _write(output_dir: str, name: str, text: str) -> str:
 @dataclass(frozen=True)
 class Command:
     """One subcommand as data: one flag per defaults key, and choices lists
-    the allowed values of string keys. run(cfg, params) takes the resolved
-    config and its Params (n = 1 for the sphere commands, which have no n
-    key) and returns (results, table): the JSON results and a (column
-    names, rows of plain values) pair or None. Every top-level boolean of
+    the allowed values of a key (the string keys, and n where only n = 1 is
+    implemented). run(cfg, params) takes the resolved config and its Params
+    (n = 1 for the sphere commands, which have no n key) and returns
+    (results, table): the JSON results and a (column names, rows of plain
+    values) pair or None. Every top-level boolean of
     results is a check, a converged solve or a passed test; --strict reads
     them all.
     """
@@ -137,10 +139,10 @@ def _checked(key: str, value, default, allowed):
     key's type.
 
     int keys take integral numbers, float keys any finite number (stored as
-    a float), str keys strings (one of allowed, where the key has choices),
-    list keys a nonempty list of finite numbers or a comma-separated string
-    of them; keys whose default is None also take null. A flag arrives in
-    its parser type, so only the checks past the type can refuse it.
+    a float), str keys strings, list keys a nonempty list of finite numbers
+    or a comma-separated string of them; keys whose default is None also
+    take null. A key with choices takes only one of allowed. A flag arrives
+    in its parser type, so only the checks past the type can refuse it.
     """
     kind = _key_type(default)
     if value is None and default is None:
@@ -159,7 +161,8 @@ def _checked(key: str, value, default, allowed):
         null = " or null" if default is None else ""
         raise ValueError(f"config key {key!r} must be {_TYPE_NAMES[kind]}{null}, got {value!r}")
     if allowed is not None and value not in allowed:
-        raise ValueError(f"unknown {key} {value!r}, expected one of {', '.join(allowed)}")
+        expected = ", ".join(map(str, allowed))
+        raise ValueError(f"unknown {key} {value!r}, expected one of {expected}")
     if kind in (int, str):
         return kind(value)
     if kind is float:
@@ -351,6 +354,12 @@ def _random_sphere_grid(n_nodes: int, min_sep: float, rng):
     return QuadratureGrid(kind="sphere", n=1, weights=weights, resolution=(n_nodes,), xi=nodes)
 
 
+def _rng(seed: int):
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def _run_covariance_check(cfg: dict, params: Params):
     if cfg["pairs"] < 1:
         raise ValueError(f"pairs must be at least 1, got {cfg['pairs']}")
@@ -358,7 +367,7 @@ def _run_covariance_check(cfg: dict, params: Params):
         raise ValueError(f"nodes must be at least 2, got {cfg['nodes']}")
     if cfg["min_sep"] < 0.0:
         raise ValueError(f"min_sep must be nonnegative, got {cfg['min_sep']}")
-    rng = np.random.default_rng(cfg["seed"])
+    rng = _rng(cfg["seed"])
     grid = _random_sphere_grid(cfg["nodes"], cfg["min_sep"], rng)
     K = assemble_kernel(grid, KernelSpec("pure_singular"), params)
     N = len(K)
@@ -394,7 +403,7 @@ def _run_curvature_residual(cfg: dict, params: Params):
         results["all_converged"] = res.converged
         phi = res.f ** (res.p - 1.0)
     else:
-        rng = np.random.default_rng(cfg["seed"])
+        rng = _rng(cfg["seed"])
         phi = np.exp(0.3 * rng.standard_normal(len(grid)))
     results["residual"] = curvature_equation_residual(K, grid, phi, params)
     return results, None
@@ -411,6 +420,7 @@ COMMANDS = {
         _run_verify_hls,
         {"n": 1, "alpha": 2.0, "eps_list": [0.05, 0.1, 0.2], "ratio": 50.0,
          "resolution": [12, 8, 12]},
+        {"n": (1,)},  # its sphere grids exist for n = 1 only
     ),
     "extremal-sub": Command(
         "one subcritical solve",
@@ -428,6 +438,7 @@ COMMANDS = {
         "truncated concentrating-extremal quotient",
         _run_lower_bound,
         {"n": 1, "alpha": 2.0, "eps": 0.1, "R": 5.0, "resolution": [16, 8, 16]},
+        {"n": (1,)},  # its sphere grid exists for n = 1 only
     ),
     "mass-experiment": Command(
         "positive-mass kernel perturbation sweep",

@@ -41,8 +41,8 @@ import numpy as np
 
 from . import _blas
 from .core import Params
-from .heisenberg import _extremal, gauge_dist_sq
-from .sphere import _sphere_extremal, sphere_dist_sq
+from .heisenberg import gauge_dist_sq
+from .sphere import sphere_dist_sq
 
 __all__ = [
     "QuadratureGrid",
@@ -52,10 +52,6 @@ __all__ = [
     "KernelSpec",
     "KernelMatrix",
     "assemble_kernel",
-    "extremal_values",
-    "sphere_extremal_values",
-    "hnorm_values",
-    "distances_from_node",
 ]
 
 _GRID_KINDS = ("sphere", "cylinder")
@@ -336,37 +332,6 @@ def cylinder_shell_grid(R1: float, R2: float, resolution, params: Params) -> Qua
         raise ValueError(f"shell radii must satisfy 0 < R1 < R2, got R1 = {R1}, R2 = {R2}")
     blocks = [(R1, R2, 0.0, R2), (0.0, R1, R1, R2)]
     return _grid_of_blocks(blocks, (R1, R2), resolution, params)
-
-
-def hnorm_values(grid: QuadratureGrid) -> np.ndarray:
-    """Gauge norm of every node of a cylinder grid."""
-    if grid.kind != "cylinder":
-        raise ValueError("hnorm_values needs a cylinder grid")
-    return np.sqrt(gauge_dist_sq(grid.z, grid.t, np.zeros(grid.n), 0.0))
-
-
-def extremal_values(grid: QuadratureGrid, params: Params, eps: float = 1.0) -> np.ndarray:
-    """extremal_family(eps, node, params) at every node of a cylinder grid."""
-    if grid.kind != "cylinder":
-        raise ValueError("extremal_values needs a cylinder grid")
-    return _extremal(grid.z, grid.t, eps, params)
-
-
-def sphere_extremal_values(grid: QuadratureGrid, pole, params: Params) -> np.ndarray:
-    """sphere_extremal(node, pole, params) at every node of a sphere grid."""
-    if grid.kind != "sphere":
-        raise ValueError("sphere_extremal_values needs a sphere grid")
-    return _sphere_extremal(grid.xi, pole, params)
-
-
-def distances_from_node(grid: QuadratureGrid, i: int) -> np.ndarray:
-    """Distance from node i to every node, in the grid's own metric; entry i is 0."""
-    N = len(grid)
-    if not 0 <= i < N:
-        raise ValueError(f"node index {i} out of range for grid of size {N}")
-    d = np.sqrt(grid.dist_sq(slice(None), i))
-    d[i] = 0.0  # the sphere's inner-product form leaves ~1e-15 there, ~3e-8 after the root
-    return d
 
 
 @dataclass(frozen=True, eq=False)

@@ -20,7 +20,6 @@ from .discretization import (
     _check_grid,
     assemble_kernel,
     cylinder_grid,
-    extremal_values,
     sphere_grid,
 )
 from .functional import _as_values, lp_norm, rayleigh_quotient
@@ -158,7 +157,7 @@ def eps_invariance_experiment(
     norms = []
     for eps in eps_tuple:
         grid = cylinder_grid(ratio * eps, resolution, params)
-        norms.append(lp_norm(extremal_values(grid, params, eps), grid, params.q_alpha))
+        norms.append(lp_norm(_extremal(grid.z, grid.t, eps, params), grid, params.q_alpha))
     lo, hi = min(norms), max(norms)
     if hi == 0.0:
         raise ValueError(

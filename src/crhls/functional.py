@@ -15,13 +15,8 @@ import numpy as np
 
 from . import _blas
 from .core import Params, sharp_constant_DH
-from .discretization import (
-    KernelMatrix,
-    QuadratureGrid,
-    _check_grid,
-    cylinder_shell_grid,
-    extremal_values,
-)
+from .discretization import KernelMatrix, QuadratureGrid, _check_grid, cylinder_shell_grid
+from .heisenberg import _extremal
 
 __all__ = [
     "lp_norm",
@@ -137,6 +132,6 @@ def tail_integral_I1(eps: float, R: float, params: Params, resolution) -> float:
     # factor 2^{2n} n! makes the integral pi^{n+1}, and (n+1) alpha / Q = alpha / 2
     ref = sharp_constant_DH(params) * math.pi ** (0.5 * params.alpha)
     shell = cylinder_shell_grid(ratio, TAIL_ENLARGEMENT * ratio, resolution, params)
-    h = extremal_values(shell, params)
+    h = _extremal(shell.z, shell.t, 1.0, params)
     tail_mass = float(np.dot(h**params.q_alpha, shell.weights))
     return 2.0 * ref * tail_mass

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Params
-from .discretization import KernelMatrix, QuadratureGrid, _check_grid, distances_from_node
+from .discretization import KernelMatrix, QuadratureGrid, _check_grid
 from .functional import _positive_lp_norm, lp_norm
 from .heisenberg import _extremal
 
@@ -144,8 +144,8 @@ def solve_subcritical(
         f = np.asarray(f0, dtype=np.float64).copy()
         if f.shape != (N,):
             raise ValueError(f"f0 must have shape ({N},), got {f.shape}")
-        if np.any(f < 0.0) or not np.any(f > 0.0):
-            raise ValueError("warm start must be nonnegative and not identically zero")
+        if not np.all(np.isfinite(f)) or np.any(f < 0.0) or not np.any(f > 0.0):
+            raise ValueError("warm start must be finite, nonnegative and not identically zero")
 
     matvecs = rejected = backtracks = 0
 
@@ -350,7 +350,8 @@ def blowup_diagnostic(
     if not f_max > 0.0:
         raise ValueError("maximizer peak must be positive")
     mu = f_max ** (-(2.0 - result.p) / params.alpha)
-    radii = distances_from_node(grid, center) / mu
+    radii = np.sqrt(grid.dist_sq(slice(None), center)) / mu
+    radii[center] = 0.0  # the sphere's inner-product form leaves ~3e-8 there
     mask = radii <= _RADIUS_FACTOR
     order = np.argsort(radii[mask], kind="stable")
     rad = radii[mask][order]

@@ -74,7 +74,7 @@ def sphere_dist(a: SpherePoint, b: SpherePoint) -> float:
 
     Symmetric, maximal value 2 at antipodes. The self-distance is the rounding
     of the inner-product form, up to about 3e-8; assembly keeps that form, as the
-    difference form was about 2x slower at 24^3. distances_from_node zeroes its node.
+    difference form was about 2x slower at 24^3. blowup_diagnostic zeroes it at its centre.
     """
     if a.n != b.n:
         raise ValueError(f"dimension mismatch: points live on S^{2*a.n+1} and S^{2*b.n+1}")

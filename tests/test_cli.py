@@ -186,6 +186,35 @@ def test_config_rejects_unknown_choice(tmp_path, capsys, command, key, value):
     assert f"unknown {key} {value!r}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["verify-hls", "lower-bound"])
+def test_sphere_commands_refuse_n_before_any_work(tmp_path, capsys, monkeypatch, command):
+    # their sphere grids exist for n = 1 only: n = 3 is refused by name before
+    # the run builds any grid (three n = 3 cylinder grids hold 9.4 M nodes each)
+    def run(cfg, params):
+        raise AssertionError("the run started")
+
+    monkeypatch.setitem(COMMANDS, command, replace(COMMANDS[command], run=run))
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--n", "3", "--output", str(tmp_path)])
+    assert exc.value.code == EXIT_VALIDATION
+    assert "argument --n: invalid choice: 3" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 3}))
+    assert main([command, "--config", str(cfg), "--output", str(tmp_path)]) == EXIT_VALIDATION
+    assert "unknown n 3, expected one of 1" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+@pytest.mark.parametrize(
+    "argv", [["covariance-check"], ["curvature-residual", "--mode", "random"]]
+)
+def test_negative_seed_refused_by_name(tmp_path, capsys, argv):
+    # refused by key, where numpy's own refusal names none
+    assert main([*argv, "--seed", "-1", "--output", str(tmp_path)]) == EXIT_VALIDATION
+    assert "seed must be nonnegative, got -1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "argv, config",
     [

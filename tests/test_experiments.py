@@ -14,7 +14,6 @@ from crhls.discretization import (
     KernelSpec,
     QuadratureGrid,
     assemble_kernel,
-    sphere_extremal_values,
     sphere_grid,
 )
 from crhls.experiments import (
@@ -28,7 +27,7 @@ from crhls.experiments import (
 from crhls.functional import rayleigh_quotient
 from crhls.heisenberg import extremal_family
 from crhls.solver import continuation, default_p_schedule
-from crhls.sphere import SpherePoint, cayley_inv, cayley_jacobian
+from crhls.sphere import SpherePoint, _sphere_extremal, cayley_inv, cayley_jacobian
 from conftest import random_sphere_kernel
 
 
@@ -72,7 +71,7 @@ def test_transported_extremal_is_a_sphere_extremal(alpha, eps):
     grid = sphere_grid(1, (10, 10, 10))
     g = _transported_extremal_values(grid, params, eps, 1e12)
     pole = [0.0, (1.0 - eps**2) / (1.0 + eps**2)]
-    quotient = g / sphere_extremal_values(grid, pole, params)
+    quotient = g / _sphere_extremal(grid.xi, pole, params)
     const = (2.0 * eps / (1.0 + eps**2)) ** ((Q + alpha) / 2) * 2.0 ** (
         -(Q - 1) * (Q + alpha) / (2 * Q)
     )

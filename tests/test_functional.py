@@ -16,7 +16,6 @@ from crhls.discretization import (
     QuadratureGrid,
     assemble_kernel,
     cylinder_shell_grid,
-    extremal_values,
     sphere_grid,
 )
 from crhls.functional import (
@@ -27,6 +26,7 @@ from crhls.functional import (
     tail_integral_I1,
     young_bound,
 )
+from crhls.heisenberg import _extremal
 from conftest import random_sphere_grid, random_sphere_kernel, symmetric, two_node_fixture
 
 
@@ -273,7 +273,7 @@ def test_tail_integral_constant_matches_its_integral(alpha):
     C = 2.0 * 8.0 * math.pi * value
     res = (8, 6, 8)
     shell = cylinder_shell_grid(4.0, 4.0 * TAIL_ENLARGEMENT, res, params)
-    mass = float(np.dot(extremal_values(shell, params) ** params.q_alpha, shell.weights))
+    mass = float(np.dot(_extremal(shell.z, shell.t, 1.0, params) ** params.q_alpha, shell.weights))
     assert tail_integral_I1(1.0, 4.0, params, res) / mass == pytest.approx(C, rel=1e-8)
 
 

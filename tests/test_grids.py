@@ -14,12 +14,10 @@ from crhls.discretization import (
     assemble_kernel,
     cylinder_grid,
     cylinder_shell_grid,
-    distances_from_node,
-    extremal_values,
-    hnorm_values,
     sphere_grid,
 )
-from crhls.heisenberg import HPoint, extremal_family, hdist, hnorm
+from crhls.heisenberg import HPoint, _extremal, extremal_family, gauge_dist_sq, hdist, hnorm
+from crhls.solver import SubcriticalResult, blowup_diagnostic
 from crhls.sphere import SpherePoint, sphere_dist
 
 
@@ -46,7 +44,7 @@ def test_sphere_grid_low_discrepancy_mean():
 
 def test_sphere_grid_min_separation():
     g = sphere_grid(1, (8, 8, 8))
-    d = distances_from_node(g, 0)
+    d = np.sqrt(g.dist_sq(slice(None), 0))
     assert np.min(d[1:]) > 1e-3
 
 
@@ -123,8 +121,8 @@ def test_cylinder_shell_grid_at_n2():
 def test_hnorm_and_extremal_values_match_pointwise():
     p = make_params(1, 2.0)
     g = cylinder_grid(1.5, (4, 4, 4), p)
-    hv = hnorm_values(g)
-    ev = extremal_values(g, p, eps=0.7)
+    hv = np.sqrt(gauge_dist_sq(g.z, g.t, np.zeros(1), 0.0))
+    ev = _extremal(g.z, g.t, 0.7, p)
     for i in (0, 7, 19, len(g) - 1):
         u = HPoint(g.z[i], g.t[i])
         assert hv[i] == pytest.approx(hnorm(u), rel=1e-13)
@@ -135,22 +133,31 @@ def test_distances_from_node_match_pointwise():
     for n in (1, 2):
         p = make_params(n, 2.0)
         g = cylinder_grid(1.0, (4, 4, 4), p)
-        d = distances_from_node(g, 2)
+        d = np.sqrt(g.dist_sq(slice(None), 2))
         v = HPoint(g.z[2], g.t[2])
         for i in (0, 5, 11, len(g) - 1):
             assert d[i] == pytest.approx(hdist(HPoint(g.z[i], g.t[i]), v), rel=1e-12)
     s = sphere_grid(1, (4, 4, 4))
-    ds = distances_from_node(s, 1)
+    ds = np.sqrt(s.dist_sq(slice(None), 1))
     q = SpherePoint(s.xi[1])
     for i in (0, 9):
         assert ds[i] == pytest.approx(sphere_dist(SpherePoint(s.xi[i]), q), rel=1e-12)
 
 
 def test_distances_from_node_self_distance_is_zero():
-    # the sphere's inner-product distance leaves ~1e-15 on the diagonal,
-    # which the square root turned into up to 2e-8
-    for g in (sphere_grid(1, (6, 6, 6)), cylinder_grid(1.0, (6, 6, 6), make_params(1, 2.0))):
-        assert all(distances_from_node(g, i)[i] == 0.0 for i in range(len(g)))
+    # blowup_diagnostic puts its centre at radius exactly 0: the sphere's
+    # inner-product distance leaves ~1e-15 on the diagonal, which the square
+    # root turns into up to 2e-8
+    p = make_params(1, 2.0)
+    for g in (sphere_grid(1, (6, 6, 6)), cylinder_grid(1.0, (6, 6, 6), p)):
+        for i in range(len(g)):
+            f = np.ones(len(g))
+            f[i] = 2.0
+            res = SubcriticalResult(p=1.5, D_estimate=1.0, f=f, iterations=0, residual=0.0,
+                                    converged=True, quotient_history=np.array([1.0]))
+            report = blowup_diagnostic(res, g, p)
+            assert report.center_index == i
+            assert report.radii[0] == 0.0
 
 
 def test_quadrature_grid_validation():
@@ -189,12 +196,8 @@ def test_quadrature_grid_refuses_missing_or_misshapen_arrays(kind, arrays, messa
     "call, message",
     [
         (lambda s, p: cylinder_grid(0.0, (4, 4, 4), p), "cylinder radius must be positive"),
-        (lambda s, p: hnorm_values(s), "hnorm_values needs a cylinder grid"),
-        (lambda s, p: extremal_values(s, p), "extremal_values needs a cylinder grid"),
-        (lambda s, p: distances_from_node(s, 64), "node index 64 out of range for grid of size 64"),
-        (lambda s, p: distances_from_node(s, -1), "node index -1 out of range"),
     ],
-    ids=["zero-radius", "hnorm-on-sphere", "extremal-on-sphere", "past-the-end", "negative-index"],
+    ids=["zero-radius"],
 )
 def test_grid_functions_refuse_their_input(call, message):
     with pytest.raises(ValueError, match=message):

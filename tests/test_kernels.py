@@ -1,5 +1,6 @@
 """Kernel assembly: symmetry, positivity, the green/pure identity, memory refusals."""
 
+import io
 import mmap
 import os
 import tracemalloc
@@ -276,6 +277,29 @@ def test_assemble_refuses_kernel_beyond_available_memory(monkeypatch):
         K.densified()
     with pytest.raises(ValueError, match="available memory"):
         continuation(K, big, [1.5])
+
+
+def _meminfo_without_available(path):
+    return io.StringIO("MemTotal:  8000000 kB\nMemFree:  4000000 kB\n")
+
+
+def _meminfo_unreadable(path):
+    raise OSError(f"cannot open {path}")
+
+
+@pytest.mark.parametrize(
+    "opener", [_meminfo_without_available, _meminfo_unreadable], ids=["no-field", "oserror"]
+)
+def test_memory_refusal_without_mem_available_checks_physical_memory(monkeypatch, opener):
+    # a /proc/meminfo without MemAvailable (Linux before 3.14), or one that
+    # cannot be read, leaves _mem_available None: only physical memory bounds
+    # a request then
+    monkeypatch.setattr(discretization, "open", opener, raising=False)
+    assert discretization._mem_available() is None
+    monkeypatch.setattr(discretization.os, "sysconf", {"SC_PHYS_PAGES": 1000, "SC_PAGE_SIZE": 1}.get)
+    discretization._refuse_beyond_memory("a request", 1000, 10**30)
+    with pytest.raises(ValueError, match="a request needs .* GiB of physical memory"):
+        discretization._refuse_beyond_memory("a request", 1001, 0)
 
 
 def test_assemble_beyond_the_dense_budget_stores_nothing(monkeypatch):

@@ -49,6 +49,17 @@ def test_discretization_uses_no_point_class():
     assert names & {"HPoint", "SpherePoint"} == set()
 
 
+def test_discretization_imports_only_the_metrics():
+    # grids carry nodes and their metric; the formulas evaluated at the nodes
+    # (the extremals, the gauge norm) are called on the node arrays by their users
+    path = Path(import_module("crhls.discretization").__file__)
+    imported = {}
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and node.module in ("heisenberg", "sphere"):
+            imported.setdefault(node.module, set()).update(a.name for a in node.names)
+    assert imported == {"heisenberg": {"gauge_dist_sq"}, "sphere": {"sphere_dist_sq"}}
+
+
 def _writes_a_file(node) -> bool:
     if not isinstance(node, ast.Call):
         return False

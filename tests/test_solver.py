@@ -13,7 +13,6 @@ from crhls.discretization import (
     KernelSpec,
     assemble_kernel,
     cylinder_grid,
-    distances_from_node,
     sphere_grid,
 )
 from crhls.functional import rayleigh_quotient
@@ -362,6 +361,9 @@ def test_solver_validation(params_n1, monkeypatch):
         solve_subcritical(K, grid, 1.5, f0=np.array([1.0, -0.5]))
     with pytest.raises(ValueError):
         solve_subcritical(K, grid, 1.5, f0=np.zeros(2))
+    for bad in (np.nan, np.inf):  # refused as the warm start, not as some f
+        with pytest.raises(ValueError, match="warm start must be finite"):
+            solve_subcritical(K, grid, 1.5, f0=[bad, 1.0])
     K0 = KernelMatrix(
         entries=np.zeros((2, 2)),
         spec=KernelSpec("pure_singular"),
@@ -484,7 +486,7 @@ def test_blowup_planted_bubble(params_n1):
     Q, al = params_n1.Q, params_n1.alpha
     grid = cylinder_grid(1.0, (8, 6, 8), params_n1)
     center = len(grid) // 2
-    d = distances_from_node(grid, center)
+    d = np.sqrt(grid.dist_sq(slice(None), center))
     p, eps = 1.5, 0.3
     A = eps ** (-al / (2.0 - p))
     f = A * (1.0 + (d / eps) ** 2) ** (-0.5 * (Q + al))

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from crhls.core import make_params
-from crhls.discretization import cylinder_grid, sphere_extremal_values, sphere_grid
+from crhls.discretization import sphere_grid
 from crhls.heisenberg import HPoint, hnorm
 from crhls.sphere import (
     SpherePoint,
     _cayley,
     _cayley_inv,
+    _sphere_extremal,
     cayley,
     cayley_inv,
     cayley_jacobian,
@@ -175,7 +176,7 @@ def test_sphere_extremal_poisson_normalization():
     for alpha in (1.0, 2.0, 3.0):
         params = make_params(1, alpha)
         for a in poles:
-            f = sphere_extremal_values(grid, a, params)
+            f = _sphere_extremal(grid.xi, a, params)
             mean = np.dot(grid.weights, f**params.q_alpha) / grid.total_weight
             assert mean == pytest.approx((1.0 - np.vdot(a, a).real) ** -2, rel=2e-3)
 
@@ -185,7 +186,7 @@ def test_sphere_extremal_values_match_pointwise():
     a = [0.3 - 0.1j, 0.2j]
     for alpha in (1.0, 2.0):
         params = make_params(1, alpha)
-        vals = sphere_extremal_values(grid, a, params)
+        vals = _sphere_extremal(grid.xi, a, params)
         for i in range(0, len(grid), 7):
             expected = sphere_extremal(SpherePoint(grid.xi[i]), a, params)
             assert vals[i] == pytest.approx(expected, rel=1e-14)
@@ -201,12 +202,10 @@ def test_sphere_extremal_validation():
         with pytest.raises(ValueError, match="pole"):
             sphere_extremal(north, bad_pole, p1)
         with pytest.raises(ValueError, match="pole"):
-            sphere_extremal_values(grid, bad_pole, p1)
+            _sphere_extremal(grid.xi, bad_pole, p1)
     # the points live on S^{2n+1} for the n of params
     for pole in ([0.0, 0.5], [0.0, 0.0, 0.5]):
         with pytest.raises(ValueError, match="params have n = 2"):
             sphere_extremal(north, pole, p2)
         with pytest.raises(ValueError, match="params have n = 2"):
-            sphere_extremal_values(grid, pole, p2)
-    with pytest.raises(ValueError, match="sphere grid"):
-        sphere_extremal_values(cylinder_grid(1.0, (4, 4, 4), p1), [0.0, 0.0], p1)
+            _sphere_extremal(grid.xi, pole, p2)
