@@ -84,8 +84,8 @@ def symv(a: np.ndarray, x: np.ndarray) -> np.ndarray | None:
 def blas_threads(count: int | None):
     """Run the body with BLAS on count threads, then restore the previous count.
 
-    None leaves BLAS alone. Without numpy's bundled OpenBLAS the count
-    cannot be set in-process; one warning says so and the body still runs.
+    None leaves BLAS alone. A count that cannot be set in-process (no bundled
+    OpenBLAS) or that OpenBLAS caps draws one warning; the body still runs.
     """
     lib = None if count is None else _openblas()
     if lib is None:
@@ -99,6 +99,10 @@ def blas_threads(count: int | None):
         return
     previous = lib.scipy_openblas_get_num_threads64_()
     lib.scipy_openblas_set_num_threads64_(count)
+    applied = lib.scipy_openblas_get_num_threads64_()
+    if applied != count:
+        print(f"warning: BLAS thread count {count} asked, OpenBLAS runs on {applied}",
+              file=sys.stderr)
     try:
         yield
     finally:

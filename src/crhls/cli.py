@@ -32,7 +32,8 @@ OpenBLAS for the duration of the run and restores the previous count
 afterwards, so it takes effect in a process that has already imported
 numpy; capped at the usable cores, it also caps how many threads walk
 the kernel tiles. Where numpy links another BLAS the count is not
-applied, tiles are walked on one thread, and one warning on stderr says so.
+applied, tiles are walked on one thread, and one warning on stderr says so;
+a count OpenBLAS caps is read back, and one warning names both counts.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -248,18 +249,18 @@ def _run_verify_hls(cfg: dict, params: Params):
     # the transported quotient resolves best at unit scale; its continuum
     # value is eps-invariant, so eps = 1 loses no generality
     bound = lower_bound_experiment(1.0, cfg["ratio"], cfg["resolution"], params)
-    spread_ok = inv.spread_rel <= _SPREAD_TOL
-    upper_ok = bound.quotient <= sharp * (1.0 + _SLACK)
+    spread_ok = inv["spread_rel"] <= _SPREAD_TOL
+    upper_ok = bound["quotient"] <= sharp * (1.0 + _SLACK)
     results = {
-        "eps_invariance": asdict(inv),
-        "upper_bound_run": asdict(bound),
+        "eps_invariance": inv,
+        "upper_bound_run": bound,
         "sharp_constant": sharp,
         "spread_ok": spread_ok,
         "upper_bound_ok": upper_ok,
         "all_ok": spread_ok and upper_ok,
     }
-    rows = [("eps_invariance", inv.n, inv.alpha, inv.ratio, eps, norm)
-            for eps, norm in zip(inv.eps_list, inv.norms)]
+    rows = [("eps_invariance", inv["n"], inv["alpha"], inv["ratio"], eps, norm)
+            for eps, norm in zip(inv["eps_list"], inv["norms"])]
     return results, (("experiment", "n", "alpha", "ratio", "eps", "norm"), rows)
 
 
@@ -303,7 +304,7 @@ def _run_continuation(cfg: dict, params: Params):
 
 
 def _run_lower_bound(cfg: dict, params: Params):
-    results = asdict(lower_bound_experiment(cfg["eps"], cfg["R"], cfg["resolution"], params))
+    results = lower_bound_experiment(cfg["eps"], cfg["R"], cfg["resolution"], params)
     columns = ("experiment", "n", "alpha", "eps", "R", "ratio", "n_nodes", "quotient",
                "sharp_constant")
     return results, (columns, [("lower_bound", *(results[c] for c in columns[1:]))])
@@ -311,23 +312,23 @@ def _run_lower_bound(cfg: dict, params: Params):
 
 def _run_mass_experiment(cfg: dict, params: Params):
     # the experiment builds its kernels' Params itself, from alpha
-    records = mass_perturbation_experiment(
+    runs = mass_perturbation_experiment(
         cfg["A0_list"], cfg["c_w"], cfg["alpha"], cfg["resolution"],
         tol=cfg["tol"], max_iter=cfg["max_iter"],
     )
     # a positive mass raises the quotient, and raises it more for a larger A0
-    deltas = [r.delta for r in sorted(records, key=lambda r: r.A0)]
+    deltas = [r["delta"] for r in sorted(runs, key=lambda r: r["A0"])]
     results = {
-        "runs": [asdict(r) for r in records],
+        "runs": runs,
         "deltas_nondecreasing": all(b >= a for a, b in zip(deltas, deltas[1:])),
-        "deltas_positive_for_positive_mass": all(r.delta > 0.0 for r in records if r.A0 > 0.0),
-        "all_converged": all(r.all_converged for r in records),
+        "deltas_positive_for_positive_mass": all(r["delta"] > 0.0 for r in runs if r["A0"] > 0.0),
+        "all_converged": all(r["all_converged"] for r in runs),
     }
-    columns = ("experiment", "alpha", "A0", "c_w", "n_nodes", "p_endpoint", "quotient_mass",
-               "quotient_pure", "delta", "converged")
-    rows = [("mass_perturbation", r.alpha, r.A0, r.c_w, r.n_nodes, r.p_endpoint, r.quotient_mass,
-             r.quotient_pure, r.delta, r.all_converged) for r in records]
-    return results, (columns, rows)
+    keys = ("alpha", "A0", "c_w", "n_nodes", "p_endpoint", "quotient_mass", "quotient_pure",
+            "delta", "all_converged")
+    # the CSV names the all_converged column converged
+    columns = ("experiment", *keys[:-1], "converged")
+    return results, (columns, [("mass_perturbation", *(r[k] for k in keys)) for r in runs])
 
 
 def _random_sphere_grid(n_nodes: int, min_sep: float, rng):

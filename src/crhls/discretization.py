@@ -77,7 +77,9 @@ _MAPPED_BYTES = 32 * 2**20
 
 @dataclass(eq=False)
 class QuadratureGrid:
-    """Nodes and positive weights of a product quadrature rule.
+    """Nodes and positive weights of a quadrature rule: the cylinder's product
+    rule, the sphere's Kronecker rule (module docstring) or any other nodes
+    and weights, such as a random sphere sample.
 
     kind is "sphere" (nodes stored as unit vectors xi in C^{n+1}) or
     "cylinder" (nodes stored as pairs (z, t) with z in C^n). The weights

@@ -1,13 +1,11 @@
 """Experiment drivers: truncated lower bounds, mass perturbation, identities.
 
-Each driver returns a small dataclass record with plain-type fields; the
-CLI alone turns records into artifacts: JSON summaries (dataclasses.asdict)
-and CSV rows.
+Each driver returns a plain dict (the mass sweep a list of them) of Python
+floats, ints, bools and tuples, the keys its JSON artifact section holds;
+the CLI alone turns them into artifacts: JSON summaries and CSV rows.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,30 +26,12 @@ from .solver import default_p_schedule, solve_subcritical
 from .sphere import _cayley_inv, _cayley_jacobian
 
 __all__ = [
-    "LowerBoundResult",
-    "EpsInvarianceResult",
-    "MassPerturbationResult",
     "lower_bound_experiment",
     "eps_invariance_experiment",
     "mass_perturbation_experiment",
     "conformal_covariance_check",
     "curvature_equation_residual",
 ]
-
-
-@dataclass(frozen=True)
-class LowerBoundResult:
-    """Truncated-extremal Rayleigh quotient against the sharp constant."""
-
-    n: int
-    alpha: float
-    eps: float
-    R: float
-    ratio: float
-    resolution: tuple[int, ...]
-    n_nodes: int
-    quotient: float
-    sharp_constant: float
 
 
 def _transported_extremal_values(grid: QuadratureGrid, params: Params, eps: float, R: float) -> np.ndarray:
@@ -69,7 +49,7 @@ def _transported_extremal_values(grid: QuadratureGrid, params: Params, eps: floa
     return g
 
 
-def lower_bound_experiment(eps: float, R: float, resolution, params: Params) -> LowerBoundResult:
+def lower_bound_experiment(eps: float, R: float, resolution, params: Params) -> dict:
     """Quotient of the truncated concentrating extremal at the lower exponent.
 
     The trial function is the eps-scale extremal restricted to the gauge ball
@@ -90,6 +70,8 @@ def lower_bound_experiment(eps: float, R: float, resolution, params: Params) -> 
     matrix-free operator, computing each float64 tile of the upper triangle
     (the tiles assemble_kernel stores) once, in a few tiles of memory at
     every size.
+
+    Keys: n, alpha, eps, R, ratio, resolution, n_nodes, quotient, sharp_constant.
     """
     eps, R = float(eps), float(R)
     if not eps > 0.0:
@@ -108,35 +90,20 @@ def lower_bound_experiment(eps: float, R: float, resolution, params: Params) -> 
         )
     K = KernelMatrix(None, KernelSpec("pure_singular"), grid, params)
     quotient = rayleigh_quotient(K, g, params.q_alpha)
-    return LowerBoundResult(
-        n=params.n,
-        alpha=params.alpha,
-        eps=eps,
-        R=R,
-        ratio=R / eps,
-        resolution=tuple(grid.resolution),
-        n_nodes=len(grid),
-        quotient=quotient,
-        sharp_constant=sharp_constant_DH(params),
-    )
+    return {
+        "n": params.n,
+        "alpha": params.alpha,
+        "eps": eps,
+        "R": R,
+        "ratio": R / eps,
+        "resolution": grid.resolution,
+        "n_nodes": len(grid),
+        "quotient": quotient,
+        "sharp_constant": sharp_constant_DH(params),
+    }
 
 
-@dataclass(frozen=True)
-class EpsInvarianceResult:
-    """Norm of the concentrating family across eps at a fixed R/eps ratio."""
-
-    n: int
-    alpha: float
-    ratio: float
-    resolution: tuple[int, ...]
-    eps_list: tuple[float, ...]
-    norms: tuple[float, ...]
-    spread_rel: float
-
-
-def eps_invariance_experiment(
-    eps_list, ratio: float, resolution, params: Params
-) -> EpsInvarianceResult:
+def eps_invariance_experiment(eps_list, ratio: float, resolution, params: Params) -> dict:
     """L^{q_alpha} mass of f_eps on the cylinder of radius ratio * eps.
 
     The continuum masses agree exactly across eps; the dilation-covariant
@@ -147,6 +114,8 @@ def eps_invariance_experiment(
     pi^{(n+1)/q_alpha}: the rule has then lost the extremal's mass, and the
     norms agree only because the rules are dilates of one another (a
     resolved ratio, down to R/eps near 1, reads above 0.58 of it).
+
+    Keys: n, alpha, ratio, resolution, eps_list, norms (tuples in step), spread_rel.
     """
     ratio = float(ratio)
     if not ratio > 1.0:
@@ -171,31 +140,15 @@ def eps_invariance_experiment(
             f"resolution {tuple(grid.resolution)}, below half its continuum value "
             f"{continuum:.6f}: the rule has lost the extremal; lower the ratio or refine the grid"
         )
-    return EpsInvarianceResult(
-        n=params.n,
-        alpha=params.alpha,
-        ratio=ratio,
-        resolution=grid.resolution,
-        eps_list=eps_tuple,
-        norms=tuple(norms),
-        spread_rel=(hi - lo) / hi,
-    )
-
-
-@dataclass(frozen=True)
-class MassPerturbationResult:
-    """Critical-limit quotients with and without a positive-mass kernel term."""
-
-    alpha: float
-    A0: float
-    c_w: float
-    resolution: tuple[int, ...]
-    n_nodes: int
-    p_endpoint: float
-    quotient_mass: float
-    quotient_pure: float
-    delta: float
-    all_converged: bool
+    return {
+        "n": params.n,
+        "alpha": params.alpha,
+        "ratio": ratio,
+        "resolution": grid.resolution,
+        "eps_list": eps_tuple,
+        "norms": tuple(norms),
+        "spread_rel": (hi - lo) / hi,
+    }
 
 
 def _mass_spec(A0: float, c_w: float, n_nodes: int) -> KernelSpec:
@@ -213,19 +166,22 @@ def mass_perturbation_experiment(
     resolution,
     tol: float = 1e-9,
     max_iter: int = 10000,
-) -> list[MassPerturbationResult]:
+) -> list[dict]:
     """Compare critical-limit quotients of mass-shifted kernels with the pure one.
 
     Runs one solve at p = q_alpha + 1e-3 from the constant on the CR sphere
     (n = 1) for the pure singular kernel once and, for each A0 of the sweep
     (a number is a one-entry sweep), for the green_model kernel with
-    constant mass A0; returns one record per A0. Only the endpoint is read,
+    constant mass A0; returns one dict per A0. Only the endpoint is read,
     so no continuation stage is run: from the constant the single solve
     reaches the same branch in fewer products. A positive mass dominates
     the pure kernel entrywise, so delta > 0 for A0 > 0. With A0 = 0 and
     c_w = 0 the green_model kernel is the pure one, whose solve is reused,
     so delta = 0 exactly. all_converged is the converged flag of the two
-    solves a record reads. Every A0 is checked before any assembly.
+    solves a dict reads. Every A0 is checked before any assembly.
+
+    Keys: alpha, A0, c_w, resolution, n_nodes, p_endpoint, quotient_mass,
+    quotient_pure, delta, all_converged.
     """
     masses = [float(A0) for A0 in np.atleast_1d(A0_list)]
     if not masses:
@@ -245,18 +201,18 @@ def mass_perturbation_experiment(
     pure = solve(KernelSpec("pure_singular"))
     solves = [pure if spec.kind == "pure_singular" else solve(spec) for spec in specs]
     return [
-        MassPerturbationResult(
-            alpha=params.alpha,
-            A0=A0,
-            c_w=float(c_w),
-            resolution=tuple(grid.resolution),
-            n_nodes=len(grid),
-            p_endpoint=endpoint,
-            quotient_mass=res.D_estimate,
-            quotient_pure=pure.D_estimate,
-            delta=res.D_estimate - pure.D_estimate,
-            all_converged=res.converged and pure.converged,
-        )
+        {
+            "alpha": params.alpha,
+            "A0": A0,
+            "c_w": float(c_w),
+            "resolution": grid.resolution,
+            "n_nodes": len(grid),
+            "p_endpoint": endpoint,
+            "quotient_mass": res.D_estimate,
+            "quotient_pure": pure.D_estimate,
+            "delta": res.D_estimate - pure.D_estimate,
+            "all_converged": res.converged and pure.converged,
+        }
         for A0, res in zip(masses, solves)
     ]
 

@@ -100,8 +100,8 @@ def test_criterion_3_tail_scaling_law():
 def test_criterion_4_eps_invariance():
     params = make_params(1, 2.0)
     res = eps_invariance_experiment([0.05, 0.1, 0.2], 50.0, (12, 8, 12), params)
-    ok = res.spread_rel <= 0.01
-    _report(4, "eps-invariance of extremal norms", ok, f"relative spread {res.spread_rel:.2e} <= 1e-2")
+    ok = res["spread_rel"] <= 0.01
+    _report(4, "eps-invariance of extremal norms", ok, f"relative spread {res['spread_rel']:.2e} <= 1e-2")
     assert ok
 
 
@@ -166,8 +166,8 @@ def test_criterion_6_continuation_limit(sphere_quotient_32):
 
 def test_criterion_7_positive_mass_strict_inequality():
     records = mass_perturbation_experiment((0.5, 1.0, 2.0), 0.0, 2.0, (8, 6, 8))
-    deltas = [res.delta for res in records]
-    converged = all(res.all_converged for res in records)
+    deltas = [res["delta"] for res in records]
+    converged = all(res["all_converged"] for res in records)
     positive = all(d > 0.0 for d in deltas)
     nondecreasing = all(b >= a for a, b in zip(deltas, deltas[1:]))
     ok = converged and positive and nondecreasing

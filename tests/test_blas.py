@@ -227,7 +227,7 @@ def test_reductions_beside_a_walk_do_not_depend_on_blas_threads(blas_count):
                     rayleigh_quotient(K, f, params.q_alpha),
                     bilinear_form(K, f, f),
                     lp_norm(f, K.grid, params.q_alpha),
-                    eps_invariance_experiment([0.05, 0.1], 50.0, (24, 16, 24), params).norms,
+                    eps_invariance_experiment([0.05, 0.1], 50.0, (24, 16, 24), params)["norms"],
                 )
             )
             assert blas_count() == count

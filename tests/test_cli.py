@@ -7,6 +7,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+import types
 from dataclasses import replace
 from pathlib import Path
 
@@ -26,7 +27,7 @@ from crhls.cli import (
 )
 from crhls.core import make_params
 from crhls.discretization import KernelSpec, assemble_kernel, sphere_grid
-from crhls.experiments import MassPerturbationResult, curvature_equation_residual
+from crhls.experiments import curvature_equation_residual
 from crhls.solver import continuation, default_p_schedule, solve_subcritical
 from conftest import two_node_fixture
 
@@ -814,10 +815,11 @@ def test_mass_experiment_deltas_compared_in_A0_order(tmp_path):
 
 
 def _mass_record(A0, delta):
-    return MassPerturbationResult(
-        alpha=2.0, A0=A0, c_w=0.0, resolution=(4, 4, 4), n_nodes=64, p_endpoint=1.334,
-        quotient_mass=7.0 + delta, quotient_pure=7.0, delta=delta, all_converged=True,
-    )
+    return {
+        "alpha": 2.0, "A0": A0, "c_w": 0.0, "resolution": (4, 4, 4), "n_nodes": 64,
+        "p_endpoint": 1.334, "quotient_mass": 7.0 + delta, "quotient_pure": 7.0, "delta": delta,
+        "all_converged": True,
+    }
 
 
 @pytest.mark.parametrize(
@@ -1224,6 +1226,23 @@ def test_threads_without_bundled_openblas_warn(tmp_path, monkeypatch, capsys):
     assert len(warnings) == 1
     assert "not applied" in warnings[0]
     assert (tmp_path / "constants.json").is_file()
+
+
+def test_threads_capped_by_openblas_warn(tmp_path, monkeypatch, capsys):
+    # a stand-in OpenBLAS that caps the count at 2, as a build for fewer threads than
+    # asked does, read back after it is set; no real BLAS thread starts
+    count = [1]
+    fake = types.SimpleNamespace(
+        scipy_openblas_get_num_threads64_=lambda: count[0],
+        scipy_openblas_set_num_threads64_=lambda asked: count.__setitem__(0, min(asked, 2)),
+    )
+    monkeypatch.setattr(_blas, "_openblas", lambda: fake)
+    for asked, expected in (("3", ["warning: BLAS thread count 3 asked, OpenBLAS runs on 2"]),
+                            ("2", [])):
+        assert main(["constants", "--threads", asked, "--output", str(tmp_path)]) == EXIT_OK
+        err = capsys.readouterr().err.splitlines()
+        assert [ln for ln in err if ln.startswith("warning:")] == expected
+        assert count == [1]
 
 
 def test_invalid_thread_count(tmp_path, capsys):

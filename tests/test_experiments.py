@@ -2,7 +2,6 @@
 
 import json
 import tracemalloc
-from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -91,13 +90,13 @@ def test_transported_extremal_truncation_mask(params_n1):
 
 def test_lower_bound_experiment_window(params_n1):
     res = lower_bound_experiment(1.0, 8.0, (12, 12, 12), params_n1)
-    assert res.quotient == pytest.approx(7.843118, abs=5e-6)
-    assert 7.6 < res.quotient < res.sharp_constant
-    assert res.sharp_constant == pytest.approx(8.0, rel=1e-12)
-    assert res.ratio == 8.0
-    assert res.n_nodes == 12**3
-    d = json.loads(json.dumps(asdict(res)))
-    assert d["quotient"] == res.quotient
+    assert res["quotient"] == pytest.approx(7.843118, abs=5e-6)
+    assert 7.6 < res["quotient"] < res["sharp_constant"]
+    assert res["sharp_constant"] == pytest.approx(8.0, rel=1e-12)
+    assert res["ratio"] == 8.0
+    assert res["n_nodes"] == 12**3
+    d = json.loads(json.dumps(res))
+    assert d["quotient"] == res["quotient"]
     assert d["resolution"] == [12, 12, 12]
 
 
@@ -118,7 +117,7 @@ def test_lower_bound_stores_no_kernel(params_n1):
     g = _transported_extremal_values(grid, params_n1, 0.1, 5.0)
     K = assemble_kernel(grid, KernelSpec("pure_singular"), params_n1)
     assert K.entries is not None
-    assert res.quotient == pytest.approx(rayleigh_quotient(K, g, params_n1.q_alpha), rel=1e-14)
+    assert res["quotient"] == pytest.approx(rayleigh_quotient(K, g, params_n1.q_alpha), rel=1e-14)
 
 
 def test_lower_bound_validation(params_n1):
@@ -139,8 +138,8 @@ def test_lower_bound_validation(params_n1):
 def test_lower_bound_takes_a_radius_whose_square_overflows(params_n1):
     # R * R overflows to inf, so a huge R truncates nothing, like any R beyond the grid
     far = lower_bound_experiment(0.1, 1e160, (4, 4, 4), params_n1)
-    assert far.quotient == lower_bound_experiment(0.1, 1e12, (4, 4, 4), params_n1).quotient
-    assert far.R == 1e160 and far.ratio == 1e160 / 0.1
+    assert far["quotient"] == lower_bound_experiment(0.1, 1e12, (4, 4, 4), params_n1)["quotient"]
+    assert far["R"] == 1e160 and far["ratio"] == 1e160 / 0.1
     # a ratio R/eps beyond the float range would be written as Infinity
     with pytest.raises(ValueError, match=r"R/eps exceeds the float range: eps = 1e-10"):
         lower_bound_experiment(1e-10, 1e300, (4, 4, 4), params_n1)
@@ -150,9 +149,9 @@ def test_eps_invariance_spread(params_n1):
     res = eps_invariance_experiment(
         [0.05, 0.1, 0.2, 1.0, 5.0], 50.0, (10, 8, 10), params_n1
     )
-    assert res.spread_rel < 1e-10
-    assert all(nrm > 0.0 for nrm in res.norms)
-    d = json.loads(json.dumps(asdict(res)))
+    assert res["spread_rel"] < 1e-10
+    assert all(nrm > 0.0 for nrm in res["norms"])
+    d = json.loads(json.dumps(res))
     assert d["eps_list"] == [0.05, 0.1, 0.2, 1.0, 5.0]
 
 
@@ -163,7 +162,7 @@ def test_eps_invariance_norm_matches_its_closed_form(alpha):
     params = make_params(1, alpha)
     res = eps_invariance_experiment([0.1, 1.0], 50.0, (48, 16, 48), params)
     exact = np.pi ** ((params.n + 1) / params.q_alpha)
-    assert res.norms == pytest.approx([exact] * 2, rel=1e-4)
+    assert res["norms"] == pytest.approx([exact] * 2, rel=1e-4)
 
 
 def test_eps_invariance_validation(params_n1):
@@ -188,18 +187,18 @@ def test_mass_perturbation_zero_mass_is_exactly_neutral(alpha):
     # bit; elsewhere a second solve parted from the first by a few ulps (3.6e-15 at
     # alpha = 1 on 6^3), so A0 = 0 with c_w = 0 reuses the pure solve
     (res,) = mass_perturbation_experiment(0.0, 0.0, alpha, (6, 6, 6))
-    assert res.delta == 0.0
-    assert res.quotient_mass == res.quotient_pure
-    assert res.all_converged
+    assert res["delta"] == 0.0
+    assert res["quotient_mass"] == res["quotient_pure"]
+    assert res["all_converged"]
 
 
 def test_mass_perturbation_positive_mass_raises_quotient():
     deltas = []
     for A0 in (0.5, 1.0):
         (res,) = mass_perturbation_experiment([A0], 0.0, 2.0, (6, 6, 6))
-        assert res.all_converged
-        assert res.delta > 0.0
-        deltas.append(res.delta)
+        assert res["all_converged"]
+        assert res["delta"] > 0.0
+        deltas.append(res["delta"])
     assert deltas[1] > deltas[0]
 
 
@@ -236,11 +235,11 @@ def test_mass_perturbation_validation(solve_calls):
 
 def test_mass_sweep_records_equal_one_entry_sweeps():
     sweep = mass_perturbation_experiment([0.0, 0.5, 1.0], 0.3, 2.0, (6, 6, 6))
-    assert [res.A0 for res in sweep] == [0.0, 0.5, 1.0]
+    assert [res["A0"] for res in sweep] == [0.0, 0.5, 1.0]
     for res in sweep:
-        (alone,) = mass_perturbation_experiment(res.A0, 0.3, 2.0, (6, 6, 6))
+        (alone,) = mass_perturbation_experiment(res["A0"], 0.3, 2.0, (6, 6, 6))
         assert res == alone
-        assert type(res.A0) is float
+        assert type(res["A0"]) is float
 
 
 @pytest.mark.parametrize("c_w, mass_solves", [(0.0, 3), (0.5, 4)])
@@ -264,13 +263,13 @@ def test_mass_sweep_endpoint_solve_matches_the_continuation(alpha, resolution):
     params = make_params(1, alpha)
     grid = sphere_grid(1, resolution)
     schedule = default_p_schedule(params)
-    assert res.p_endpoint == schedule[-1]
+    assert res["p_endpoint"] == schedule[-1]
     for spec, D in [
-        (KernelSpec("pure_singular"), res.quotient_pure),
-        (KernelSpec("green_model", mass=np.full(len(grid), 0.5), c_w=0.3), res.quotient_mass),
+        (KernelSpec("pure_singular"), res["quotient_pure"]),
+        (KernelSpec("green_model", mass=np.full(len(grid), 0.5), c_w=0.3), res["quotient_mass"]),
     ]:
         last = continuation(assemble_kernel(grid, spec, params), grid, schedule)[-1]
-        assert last.converged and res.all_converged
+        assert last.converged and res["all_converged"]
         assert D == pytest.approx(last.D_estimate, rel=1e-14, abs=0.0)
 
 
@@ -279,14 +278,31 @@ def test_mass_sweep_envelope_at_alpha_2():
     # does not decrease in A0 and stays below Hoelder's V^{2-2/p} (1 - 1/N) on
     # equal weights; the digits are those the continuation gave on 8x6x8
     records = mass_perturbation_experiment([0.5, 1.0, 2.0], 0.0, 2.0, (8, 6, 8))
-    slopes = [res.delta / res.A0 for res in records]
+    slopes = [res["delta"] / res["A0"] for res in records]
     assert [round(s, 6) for s in slopes] == [12.598421, 12.600795, 12.602588]
     w = sphere_grid(1, (8, 6, 8)).weights
     assert np.all(w == w[0])
-    p = records[0].p_endpoint
+    p = records[0]["p_endpoint"]
     upper = w.sum() ** (2.0 - 2.0 / p) * (1.0 - 1.0 / len(w))
     assert round(upper, 6) == 12.605172
     assert slopes[0] < slopes[1] < slopes[2] < upper
+
+
+def test_driver_results_hold_their_artifact_keys(params_n1):
+    # the keys of the verify-hls, lower-bound and mass-experiment JSON sections, each
+    # holding a plain value that json writes as it stands
+    bound = lower_bound_experiment(1.0, 8.0, (4, 4, 4), params_n1)
+    inv = eps_invariance_experiment([0.1, 0.2], 50.0, (10, 8, 10), params_n1)
+    runs = mass_perturbation_experiment([0.0, 0.5], 0.0, 2.0, (4, 4, 4))
+    assert set(bound) == {"n", "alpha", "eps", "R", "ratio", "resolution", "n_nodes",
+                          "quotient", "sharp_constant"}
+    assert set(inv) == {"n", "alpha", "ratio", "resolution", "eps_list", "norms", "spread_rel"}
+    assert len(runs) == 2
+    for run in runs:
+        assert set(run) == {"alpha", "A0", "c_w", "resolution", "n_nodes", "p_endpoint",
+                            "quotient_mass", "quotient_pure", "delta", "all_converged"}
+    for res in (bound, inv, *runs):
+        assert all(type(v) in (bool, int, float, tuple) for v in res.values()), res
 
 
 def test_conformal_covariance_residual_is_roundoff(params_n1):

@@ -91,7 +91,7 @@ def test_only_cli_writes_files():
 
 
 def test_only_cli_main_prints():
-    # cli.main prints every result and error; the one other print is the warning
+    # cli.main prints every result and error; the other prints are the warnings
     # of _blas.blas_threads on stderr. Each print is named by its innermost function
     found = set()
 
