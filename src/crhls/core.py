@@ -12,7 +12,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-__all__ = ["Params", "make_params", "sharp_constant_DH"]
+__all__ = ["Params", "make_params", "sharp_constant_DH", "sphere_kernel_eigenvalue"]
 
 
 @dataclass(frozen=True)
@@ -87,3 +87,23 @@ def sharp_constant_DH(params: Params) -> float:
             f"(log value {log_value:.6g})"
         )
     return math.exp(log_value)
+
+
+def sphere_kernel_eigenvalue(j: int, k: int, params: Params) -> float:
+    """Eigenvalue E_{j,k} / E_{0,0} of the pure kernel on S^{2n+1}, on the space
+    H_{j,k} of bigraded spherical harmonics, relative to the constants.
+
+    By Funk-Hecke (Frank and Lieb, Ann. of Math. 176, 2012) it is
+    (a)_j (a)_k / ((b)_j (b)_k) with a = (Q - alpha)/4, b = (Q + alpha)/4 and
+    (x)_j the rising factorial. H_{1,0} + H_{0,1} holds the coordinate
+    functions, the conformal directions, with eigenvalue q_alpha - 1.
+    """
+    for name, m in (("j", j), ("k", k)):
+        if isinstance(m, bool) or not isinstance(m, int) or m < 0:
+            raise ValueError(f"{name} must be a nonnegative integer, got {m!r}")
+    a = 0.25 * (params.Q - params.alpha)
+    b = 0.25 * (params.Q + params.alpha)
+    # (a)_m / (b)_m for m = j and for m = k, multiplied last so that (j, k) and
+    # (k, j) give the same bits
+    ratio_j, ratio_k = (math.prod((a + i) / (b + i) for i in range(m)) for m in (j, k))
+    return ratio_j * ratio_k

@@ -75,13 +75,19 @@ _DENSE_BYTES = 128 * 2**20
 _MAPPED_BYTES = 32 * 2**20
 
 
+# a sphere node xi is refused when | |xi|^2 - 1 | exceeds this: 2 |1 - xi . conj(eta)|
+# is the CR distance only between unit vectors (two zero nodes would lie 2 apart)
+_UNIT_TOL = 1e-12
+
+
 @dataclass(eq=False)
 class QuadratureGrid:
     """Nodes and positive weights of a quadrature rule: the cylinder's product
     rule, the sphere's Kronecker rule (module docstring) or any other nodes
     and weights, such as a random sphere sample.
 
-    kind is "sphere" (nodes stored as unit vectors xi in C^{n+1}) or
+    kind is "sphere" (nodes stored as unit vectors xi in C^{n+1}; a node with
+    | |xi|^2 - 1 | above 1e-12 is refused, and the error names the first) or
     "cylinder" (nodes stored as pairs (z, t) with z in C^n). The weights
     already include the CR measure normalization described in the module
     docstring, so plain weighted sums approximate dV_S / dV_0 integrals.
@@ -123,6 +129,14 @@ class QuadratureGrid:
         for name in ("xi",) if self.kind == "sphere" else ("z", "t"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"{name} must be finite")
+        if self.kind == "sphere":
+            norm_sq = np.sum(self.xi.real**2 + self.xi.imag**2, axis=1)
+            off = np.abs(norm_sq - 1.0) > _UNIT_TOL
+            if np.any(off):
+                i = int(np.argmax(off))
+                raise ValueError(
+                    f"sphere node {i} lies off the unit sphere: |xi|^2 = {float(norm_sq[i])!r}"
+                )
 
     def __len__(self) -> int:
         return int(self.weights.size)

@@ -19,6 +19,16 @@ step until the quotient meets the same test, and ends the solve unconverged
 when no damped step does. So the quotient may fall by at most the slack per
 step; this is tracked in the result's quotient history.
 Approaching p -> q_alpha from above is done by warm-started continuation.
+
+On a sphere grid the map's slowest directions are the real coordinate
+functions Re xi_k, Im xi_k: CR automorphisms move the extremal along them,
+and linearized at the constant the map scales them by
+sphere_kernel_eigenvalue(1, 0) / (p - 1) = (q_alpha - 1) / (p - 1), which
+tends to 1 as p -> q_alpha. A window of three differences has no room for
+that subspace. So the first time the weighted residual norm falls by less
+than half in one iteration (a stall), a sphere solve takes one secant pair
+along each coordinate function, one product each, and keeps the pairs in
+every later Anderson fit until its history is cut.
 """
 
 from __future__ import annotations
@@ -40,6 +50,12 @@ _ANDERSON_WINDOW = 3
 # falls of 1.1e-16 to 1.1e-15, the rounding of the product; at 12^3 on two
 # threads they cost 81 of 178 products
 _ROUNDOFF_SLACK = 1e-14
+# a sphere solve seeds its fit at the first iterate whose sqrt(w)-weighted
+# residual norm is above this share of the one before: a stall
+_STALL_FACTOR = 0.5
+# the step h of a seed pair: the map is evaluated at normalize_p(f exp(h v))
+# for each real coordinate function v of the sphere's nodes
+_SEED_STEP = 1e-3
 # default_p_schedule ends this far above q_alpha; another endpoint needs its own schedule
 _ENDPOINT_OFFSET = 1e-3
 # blowup_diagnostic's profile keeps the nodes within this many mu_p of the peak
@@ -64,9 +80,11 @@ class SubcriticalResult:
     iteration (each step falls by at most 1e-14 relative). converged =
     False signals max_iter was hit, or that no damped map step kept the
     quotient within that fall and the solve ended at the iterate it had;
-    it is not an error. matvecs counts the products with the N x N kernel
-    matrix the solve made; rejected counts the Anderson candidates refused
-    and backtracks the damped map steps evaluated, each one product.
+    it is not an error; stop_reason says which: "converged", "max_iter" or
+    "no_ascent". matvecs counts the products with the N x N kernel matrix
+    the solve made; rejected counts the Anderson candidates refused,
+    backtracks the damped map steps evaluated and seeded the secant pairs
+    taken along the sphere's coordinate functions, each one product.
     """
 
     p: float
@@ -79,6 +97,8 @@ class SubcriticalResult:
     matvecs: int = 0
     rejected: int = 0
     backtracks: int = 0
+    seeded: int = 0
+    stop_reason: str = "converged"
 
 
 @dataclass
@@ -119,7 +139,8 @@ def solve_subcritical(
     Converged means both the relative quotient change and the stationarity
     defect dropped below tol (the defect scaled by 1 + D). Hitting
     max_iter, or a damped search that finds no step keeping the quotient,
-    returns converged = False rather than raising. The
+    returns converged = False rather than raising. On a sphere grid the first
+    stall adds one product per real coordinate function (module docstring). The
     matrix-free operator is densified first (KernelMatrix.densified), so a
     kernel too large for memory is refused before any product.
     """
@@ -147,7 +168,7 @@ def solve_subcritical(
         if not np.all(np.isfinite(f)) or np.any(f < 0.0) or not np.any(f > 0.0):
             raise ValueError("warm start must be finite, nonnegative and not identically zero")
 
-    matvecs = rejected = backtracks = 0
+    matvecs = rejected = backtracks = seeded = 0
 
     def evaluate(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
         nonlocal matvecs
@@ -155,6 +176,15 @@ def solve_subcritical(
         cw = c * w
         y_c = K.matvec(cw)
         return c, y_c, float(np.dot(cw, y_c))
+
+    def map_value(y_c: np.ndarray) -> np.ndarray:
+        peak = float(np.max(y_c))
+        if peak <= 0.0:
+            raise ValueError("iteration collapsed: the kernel maps the iterate to zero")
+        g_c = y_c / peak
+        g_c **= inv_exp
+        g_c /= _positive_lp_norm(g_c, w, p)
+        return g_c
 
     def blend(a: float, b: float) -> np.ndarray:
         c = f**a * g**b
@@ -167,10 +197,17 @@ def solve_subcritical(
     # the Anderson history: u = log f and r = log g - u of the latest
     # iterate, and the differences to it from up to _ANDERSON_WINDOW earlier
     # ones, each appended once as sqrt(w) * delta r (the fit's columns) and
-    # delta u + delta r (the step's rows)
-    u_last = r_last = None
+    # delta u + delta r (the step's rows). From the first stall of a sphere
+    # solve the seed pairs join every fit, in the same form, until the history
+    # is cut. A seed kept after a refused candidate misleads the fit once the
+    # iterate has moved on: so kept, the 12^3 alpha = 1 continuation of
+    # green_model A0 = -0.2, which concentrates, took 12 241 products, 601
+    # without seeds and 606 with seeds cut
+    u_last = r_last = norm_last = None
     fit_cols: list[np.ndarray] = []
     step_rows: list[np.ndarray] = []
+    seed_cols: list[np.ndarray] = []
+    seed_rows: list[np.ndarray] = []
     iterations = 0
     D_prev = None
     f, y, D = evaluate(f / lp_norm(f, grid, p))
@@ -196,23 +233,19 @@ def solve_subcritical(
             defect = _stationarity_defect(f, y, D, p)
             converged = flat and defect <= tol * (1.0 + D)
             if converged or iterations >= max_iter:
+                stop_reason = "converged" if converged else "max_iter"
                 break
         D_prev = D
-        peak = float(np.max(y))
-        if peak <= 0.0:
-            raise ValueError("iteration collapsed: the kernel maps the iterate to zero")
-        g = y / peak
-        g **= inv_exp
-        g /= _positive_lp_norm(g, w, p)
+        g = map_value(y)
         # Anderson type-II mixing on u = log f for the map u -> log g: the
         # candidate combines the last map values with the coefficients that
         # minimize the sqrt(w)-weighted norm of the combined residual. The
         # map step is not always ascent for p < 2, so a candidate is kept
         # only if the quotient does not fall below floor. Otherwise the
-        # history is cut to its latest entry and the map step is damped
-        # geometrically toward the current iterate until it reaches floor.
-        # The not (... >= floor) form refuses a NaN quotient. Zeros in f or
-        # g have no logarithm and clear the history.
+        # history is cut to its latest entry, without seeds, and the map step
+        # is damped geometrically toward the current iterate until it reaches
+        # floor. The not (... >= floor) form refuses a NaN quotient. Zeros in
+        # f or g have no logarithm and clear the history.
         with np.errstate(divide="ignore", invalid="ignore"):
             u = np.log(f)
             r = np.log(g)
@@ -227,16 +260,34 @@ def solve_subcritical(
                 fit_cols.append(dr)
                 del step_rows[:-_ANDERSON_WINDOW], fit_cols[:-_ANDERSON_WINDOW]
             u_last, r_last = u, r
+            rw = r * sqrt_w
+            norm = float(np.sqrt(np.dot(rw, rw)))
+            if not seeded and norm_last is not None and norm > _STALL_FACTOR * norm_last:
+                # the secant pair from u to the log of normalize_p(f exp(h v))
+                for v in _seed_directions(grid):
+                    c = f * np.exp(_SEED_STEP * v)
+                    c /= _positive_lp_norm(c, w, p)
+                    du = np.log(c)
+                    dr = np.log(map_value(evaluate(c)[1]))
+                    dr -= du
+                    dr -= r
+                    du -= u
+                    du += dr
+                    dr *= sqrt_w
+                    seed_rows.append(du)
+                    seed_cols.append(dr)
+                    seeded += 1
+            norm_last = norm
         else:
-            u_last = r_last = None
-            step_rows.clear()
-            fit_cols.clear()
+            u_last = r_last = norm_last = None
+            for past in (step_rows, fit_cols, seed_rows, seed_cols):
+                past.clear()
         floor = D - _ROUNDOFF_SLACK * abs(D)
         accepted = False
         if fit_cols:
-            gamma = np.linalg.lstsq(np.array(fit_cols).T, r * sqrt_w, rcond=None)[0]
+            gamma = np.linalg.lstsq(np.array(fit_cols + seed_cols).T, rw, rcond=None)[0]
             c = u + r
-            c -= gamma @ np.array(step_rows)
+            c -= gamma @ np.array(step_rows + seed_rows)
             c -= np.max(c)
             np.exp(c, out=c)
             c /= _positive_lp_norm(c, w, p)
@@ -244,8 +295,8 @@ def solve_subcritical(
             accepted = D_c >= floor
             if not accepted:
                 rejected += 1
-                step_rows.clear()
-                fit_cols.clear()
+                for past in (step_rows, fit_cols, seed_rows, seed_cols):
+                    past.clear()
         if not accepted:
             theta = 1.0
             cand, y_c, D_c = evaluate(g)
@@ -256,6 +307,7 @@ def solve_subcritical(
             if not D_c >= floor:  # no step keeps the quotient: end at the current iterate
                 defect = _stationarity_defect(f, y, D, p)
                 converged = False
+                stop_reason = "no_ascent"
                 break
         f, y, D = cand, y_c, D_c
         iterations += 1
@@ -271,7 +323,17 @@ def solve_subcritical(
         matvecs=matvecs,
         rejected=rejected,
         backtracks=backtracks,
+        seeded=seeded,
+        stop_reason=stop_reason,
     )
+
+
+def _seed_directions(grid: QuadratureGrid) -> list[np.ndarray]:
+    """The real coordinate functions Re xi_k, Im xi_k of a sphere grid's nodes,
+    as views of its node array; none for a cylinder grid."""
+    if grid.kind != "sphere":
+        return []
+    return [*grid.xi.real.T, *grid.xi.imag.T]
 
 
 def _stationarity_defect(f: np.ndarray, y: np.ndarray, D: float, p: float) -> float:

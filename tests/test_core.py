@@ -1,11 +1,11 @@
-"""Dimensional bookkeeping and the closed-form sharp constant."""
+"""Dimensional bookkeeping, the closed-form sharp constant and the sphere kernel's eigenvalues."""
 
 import math
 
 import numpy as np
 import pytest
 
-from crhls.core import make_params, sharp_constant_DH
+from crhls.core import make_params, sharp_constant_DH, sphere_kernel_eigenvalue
 
 
 def test_make_params_basic():
@@ -95,3 +95,28 @@ def test_sharp_constant_alpha_limits_n1():
     vals = [sharp_constant_DH(make_params(1, a)) for a in (0.2, 1.0, 2.0, 3.0, 3.8)]
     assert all(a > b for a, b in zip(vals, vals[1:]))
     assert vals[0] > 100.0
+
+
+def test_sphere_kernel_eigenvalue_of_the_conformal_directions():
+    # E_{1,0} / E_{0,0} = a / b = (Q - alpha)/(Q + alpha) = q_alpha - 1
+    for alpha in (1.0, 2.0, 3.0):
+        p = make_params(1, alpha)
+        for jk in ((1, 0), (0, 1)):
+            assert sphere_kernel_eigenvalue(*jk, p) == pytest.approx(p.q_alpha - 1.0, abs=1e-15)
+        assert sphere_kernel_eigenvalue(0, 0, p) == 1.0
+
+
+def test_sphere_kernel_eigenvalue_closed_form():
+    # at n = 1, alpha = 2: a = 1/2 and b = 3/2, so (a)_j / (b)_j = 1 / (2 j + 1)
+    p = make_params(1, 2.0)
+    for (j, k), value in (((2, 0), 1 / 5), ((1, 1), 1 / 9), ((2, 1), 1 / 15), ((3, 2), 1 / 35)):
+        assert sphere_kernel_eigenvalue(j, k, p) == pytest.approx(value, rel=1e-14)
+        assert sphere_kernel_eigenvalue(k, j, p) == sphere_kernel_eigenvalue(j, k, p)
+    # each added degree scales by (a + m) / (b + m) < 1
+    ladder = [sphere_kernel_eigenvalue(j, 0, make_params(2, 1.5)) for j in range(6)]
+    assert all(b < a for a, b in zip(ladder, ladder[1:]))
+    for bad in (-1, 1.0, True, "1"):
+        with pytest.raises(ValueError, match="j must be a nonnegative integer"):
+            sphere_kernel_eigenvalue(bad, 0, p)
+        with pytest.raises(ValueError, match="k must be a nonnegative integer"):
+            sphere_kernel_eigenvalue(0, bad, p)

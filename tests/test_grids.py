@@ -19,6 +19,7 @@ from crhls.discretization import (
 from crhls.heisenberg import HPoint, _extremal, extremal_family, gauge_dist_sq, hdist, hnorm
 from crhls.solver import SubcriticalResult, blowup_diagnostic
 from crhls.sphere import SpherePoint, sphere_dist
+from conftest import random_sphere_grid
 
 
 def test_sphere_grid_total_weight_exact():
@@ -202,6 +203,32 @@ def test_quadrature_grid_refuses_missing_or_misshapen_arrays(kind, arrays, messa
 def test_grid_functions_refuse_their_input(call, message):
     with pytest.raises(ValueError, match=message):
         call(sphere_grid(1, (4, 4, 4)), make_params(1, 2.0))
+
+
+def test_quadrature_grid_refuses_sphere_nodes_off_the_unit_sphere():
+    # 2 |1 - xi . conj(eta)| is the CR distance only on the unit sphere: two zero
+    # nodes were accepted and lay 2 apart, where they coincide
+    g = sphere_grid(1, (4, 4, 4))
+    for row, value in ((5, 0.0), (9, 2.0)):
+        xi = g.xi.copy()
+        xi[row] *= value
+        xi[row + 1] = 0.0
+        with pytest.raises(ValueError, match=rf"^sphere node {row} lies off the unit sphere"):
+            QuadratureGrid(kind="sphere", n=1, weights=g.weights, resolution=g.resolution, xi=xi)
+    xi = g.xi.copy()
+    xi[7] = [2.0, 0.0]
+    with pytest.raises(ValueError, match=r"node 7 .*\|xi\|\^2 = 4\.0"):
+        QuadratureGrid(kind="sphere", n=1, weights=g.weights, resolution=g.resolution, xi=xi)
+    # the rules the package builds lie within the limit, as do the hand-built test grids
+    for built in (g, sphere_grid(1, (16, 16, 16)),
+                  random_sphere_grid(200, 0.05, np.random.default_rng(3))):
+        dev = np.abs(np.sum(np.abs(built.xi) ** 2, axis=1) - 1.0)
+        assert np.max(dev) < 1e-14
+    t = np.array([0.1, 0.2, 0.3])
+    QuadratureGrid(kind="sphere", n=1, weights=np.ones(3), resolution=(3,),
+                   xi=np.stack([np.cos(t) * np.exp(1j * t), np.sin(t)], axis=-1))
+    QuadratureGrid(kind="sphere", n=1, weights=np.ones(2), resolution=(2,),
+                   xi=np.eye(2, dtype=complex))
 
 
 def test_quadrature_grid_refuses_non_finite_nodes():

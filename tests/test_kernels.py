@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from crhls import discretization
-from crhls.core import make_params
+from crhls.core import make_params, sphere_kernel_eigenvalue
 from crhls.discretization import (
     KernelMatrix,
     KernelSpec,
@@ -528,3 +528,22 @@ def test_kernel_matrix_refuses_params_of_other_n():
         KernelMatrix(K.entries, K.spec, g, p2)
     with pytest.raises(ValueError, match="n = 1 but params have n = 2"):
         assemble_kernel(g, KernelSpec("pure_singular"), p2)
+
+
+def test_coordinate_function_ratio_rises_below_its_eigenvalue():
+    # B(f, f) / ||f||_2^2 for f = Re xi_1, over the same ratio for the constant,
+    # approaches E_{1,0} / E_{0,0} = 1/3 from below as the Kronecker rule refines
+    params = make_params(1, 2.0)
+    ratios = []
+    for m in (8, 12, 16):
+        grid = sphere_grid(1, (m, m, m))
+        K = assemble_kernel(grid, KernelSpec("pure_singular"), params)
+        w = grid.weights
+
+        def ratio(f):
+            fw = f * w
+            return np.dot(fw, K.matvec(fw)) / np.dot(fw, f)
+
+        ratios.append(ratio(grid.xi[:, 0].real) / ratio(np.ones(len(grid))))
+    assert ratios == pytest.approx([0.29646, 0.31861, 0.32365], abs=5e-6)
+    assert ratios[0] < ratios[1] < ratios[2] < sphere_kernel_eigenvalue(1, 0, params)

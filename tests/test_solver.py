@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from crhls import _blas
+from crhls import _blas, solver
 from crhls.core import make_params, sharp_constant_DH
 from crhls.discretization import (
     KernelMatrix,
@@ -15,6 +15,7 @@ from crhls.discretization import (
     cylinder_grid,
     sphere_grid,
 )
+from crhls.experiments import _mass_spec
 from crhls.functional import rayleigh_quotient
 from crhls.solver import (
     SubcriticalResult,
@@ -137,14 +138,82 @@ def test_matvecs_one_product_per_evaluation_when_symmetric(params_n1, monkeypatc
 
 
 def test_roundoff_costs_no_products(params_n1):
-    # every step of the 12^3 sphere continuation is one product: no dip of
-    # one rounding error refuses a candidate or damps a map step
+    # every step of the 12^3 sphere continuation is one product, beside the
+    # seed pairs' products: no dip of one rounding error refuses a candidate
+    # or damps a map step
     grid = sphere_grid(1, (12, 12, 12))
     K = assemble_kernel(grid, KernelSpec("pure_singular"), params_n1)
     for res in continuation(K, grid, default_p_schedule(params_n1)):
         assert res.converged
         assert res.rejected == res.backtracks == 0
-        assert res.matvecs == res.iterations + 1
+        assert res.seeded in (0, 4)
+        assert res.matvecs == res.iterations + 1 + res.seeded
+
+
+@pytest.mark.parametrize(
+    "m, most, endpoint_most, D",
+    [(12, 70, 20, 7.8933916205594805), (16, 65, 20, 7.938270158879471)],
+    ids=["12^3", "16^3"],
+)
+def test_seeds_cut_the_products_of_sphere_solves(params_n1, m, most, endpoint_most, D):
+    # the conformal directions stall the last stages: without seeds the
+    # continuations took 90 and 97 products and the endpoint solves 38 and 55,
+    # at the same quotient
+    grid = sphere_grid(1, (m, m, m))
+    K = assemble_kernel(grid, KernelSpec("pure_singular"), params_n1)
+    schedule = default_p_schedule(params_n1)
+    runs = continuation(K, grid, schedule)
+    endpoint = solve_subcritical(K, grid, schedule[-1])
+    for res in (*runs, endpoint):
+        assert res.converged and res.stop_reason == "converged"
+        assert res.rejected == res.backtracks == 0
+    assert sum(r.matvecs for r in runs) <= most
+    assert endpoint.matvecs <= endpoint_most
+    assert runs[-1].seeded == endpoint.seeded == 4
+    assert runs[-1].D_estimate == pytest.approx(D, rel=1e-13)
+    assert endpoint.D_estimate == pytest.approx(D, rel=1e-13)
+
+
+def test_solve_without_seed_directions_keeps_the_unseeded_bits(params_n1, monkeypatch):
+    # with no coordinate functions to seed along, the 12^3 continuation is the
+    # unseeded solver's, bit for bit on each BLAS thread count
+    if _blas._openblas() is None:
+        pytest.skip("numpy does not link its bundled OpenBLAS")
+    monkeypatch.setattr(solver, "_seed_directions", lambda grid: [])
+    grid = sphere_grid(1, (12, 12, 12))
+    K = assemble_kernel(grid, KernelSpec("pure_singular"), params_n1)
+    for threads, D in ((1, 7.893391620559479), (2, 7.8933916205594805)):
+        with _blas.blas_threads(threads):
+            runs = continuation(K, grid, default_p_schedule(params_n1))
+        assert [r.iterations for r in runs] == [8, 9, 13, 20, 35]
+        assert sum(r.matvecs for r in runs) == 90
+        assert all(r.seeded == 0 for r in runs)
+        assert runs[-1].D_estimate == D
+
+
+def test_solves_that_never_stall_take_no_seed(params_n1):
+    # green_model kernels of positive mass, cylinder grids, the sphere at
+    # p = 1.6 and the two-node fixture: no iteration falls by less than half,
+    # so the solve is the unseeded one
+    alpha2 = params_n1
+    for alpha in (1.0, 2.0, 3.0):
+        params = make_params(1, alpha)
+        grid = sphere_grid(1, (8, 6, 8))
+        endpoint = default_p_schedule(params)[-1]
+        for A0, c_w in ((0.5, 0.0), (1.0, 0.0), (2.0, 0.0), (0.5, 0.5)):
+            K = assemble_kernel(grid, _mass_spec(A0, c_w, len(grid)), params)
+            assert solve_subcritical(K, grid, endpoint).seeded == 0
+    grid = sphere_grid(1, (12, 12, 12))
+    K = assemble_kernel(grid, KernelSpec("pure_singular"), alpha2)
+    assert solve_subcritical(K, grid, 1.6).seeded == 0
+    grid = cylinder_grid(1.0, (6, 6, 6), alpha2)
+    K = assemble_kernel(grid, KernelSpec("pure_singular"), alpha2)
+    assert len(solver._seed_directions(grid)) == 0
+    assert all(r.seeded == 0 for r in continuation(K, grid, default_p_schedule(alpha2)))
+    grid, K = two_node_fixture(alpha2)
+    for p in (1.4, 1.5, 1.8):
+        assert solve_subcritical(K, grid, p).seeded == 0
+    assert solve_subcritical(K, grid, 1.5, f0=np.array([9.0, 0.25])).seeded == 0
 
 
 def _defect(K, res):
@@ -161,6 +230,7 @@ def test_residual_is_the_defect_of_the_returned_iterate(params_n1):
     done = solve_subcritical(K, grid, 1.5)
     cut = solve_subcritical(K, grid, 1.5, max_iter=2)
     assert done.converged and not cut.converged and cut.iterations == 2
+    assert (done.stop_reason, cut.stop_reason) == ("converged", "max_iter")
     for res in (done, cut):
         assert res.residual == _defect(K, res)
         # 2 max |D f^{p-1} - y| is the form 2 D f^{p-1} - 2 y scaled by an exact 2
@@ -183,7 +253,7 @@ def test_warm_start_with_zeros_clears_the_history(params_n1):
     assert ref.converged and res.converged
     assert res.D_estimate == pytest.approx(ref.D_estimate, rel=1e-12)
     assert np.all(res.f > 0.0)
-    assert res.matvecs == res.iterations + 1 + res.rejected + res.backtracks
+    assert res.matvecs == res.iterations + 1 + res.rejected + res.backtracks + res.seeded
     assert res.residual == _defect(K, res)
 
 
@@ -248,12 +318,14 @@ def _fits_with_a_zeroed_product(K, grid, monkeypatch, at, keep_quotient):
 def test_refused_candidate_cuts_the_history(params_n1, monkeypatch):
     # the zeroed product is the second Anderson candidate's, which falls by
     # about 1/N and is refused: the map step is taken and the next fit has one
-    # column, not the two kept differences and a new one
+    # window column, not the two kept differences and a new one. That map
+    # step stalls, so the four seed pairs (products 5 to 8) join that fit and
+    # the later ones
     grid = sphere_grid(1, (6, 6, 6))
     K = assemble_kernel(grid, KernelSpec("pure_singular"), params_n1)
     res, fits = _fits_with_a_zeroed_product(K, grid, monkeypatch, at=3, keep_quotient=False)
-    assert res.converged and (res.rejected, res.backtracks) == (1, 0)
-    assert fits[:5] == [(2, 1), (3, 2), (5, 1), (6, 2), (7, 3)]
+    assert res.converged and (res.rejected, res.backtracks, res.seeded) == (1, 0, 4)
+    assert fits[:5] == [(2, 1), (3, 2), (5 + 4, 1 + 4), (6 + 4, 2 + 4), (7 + 4, 3 + 4)]
 
 
 def test_non_finite_residual_clears_the_history(params_n1, monkeypatch):
@@ -263,7 +335,8 @@ def test_non_finite_residual_clears_the_history(params_n1, monkeypatch):
     # iterations that step from a zero are not finite, and the iteration after
     # them only records u and r. So the first fit comes after 5 products (the
     # start and four map steps), not after 4, as when a difference to the
-    # iterate before the zero is taken
+    # iterate before the zero is taken; that iteration stalls, and the four
+    # seed pairs' products and columns come before its fit
     grid = sphere_grid(1, (6, 6, 6))
     K = assemble_kernel(grid, KernelSpec("pure_singular"), params_n1)
     entries = K.entries.copy()
@@ -271,8 +344,8 @@ def test_non_finite_residual_clears_the_history(params_n1, monkeypatch):
     entries[:, 7] *= 0.1
     K = KernelMatrix(entries, K.spec, grid, params_n1)
     res, fits = _fits_with_a_zeroed_product(K, grid, monkeypatch, at=1, keep_quotient=True)
-    assert res.converged and (res.rejected, res.backtracks) == (0, 0)
-    assert fits[0] == (5, 1)
+    assert res.converged and (res.rejected, res.backtracks, res.seeded) == (0, 0, 4)
+    assert fits[0] == (5 + 4, 1 + 4)
 
 
 def test_exhausted_damped_search_ends_the_solve(params_n1, monkeypatch):
@@ -284,7 +357,7 @@ def test_exhausted_damped_search_ends_the_solve(params_n1, monkeypatch):
     grid = sphere_grid(1, (6, 6, 6))
     K = assemble_kernel(grid, KernelSpec("pure_singular"), params_n1)
     res, fits = _fits_with_a_zeroed_product(K, grid, monkeypatch, at=1, keep_quotient=True)
-    assert not res.converged and fits == []
+    assert not res.converged and res.stop_reason == "no_ascent" and fits == []
     assert (res.iterations, res.matvecs, res.rejected, res.backtracks) == (1, 23, 0, 20)
     h = res.quotient_history
     assert len(h) == 2 and h[1] > h[0] and res.D_estimate == h[1]
@@ -298,31 +371,40 @@ def test_exhausted_damped_search_ends_the_solve(params_n1, monkeypatch):
     assert res.residual == pytest.approx(defect, rel=1e-12)
 
 
-def test_solve_does_not_depend_on_blas_thread_count(params_n1):
-    # dsymv splits its sum by thread, so the bits differ; the steps taken do not
+def test_solve_does_not_depend_on_blas_thread_count():
+    # dsymv splits its sum by thread, so the bits differ; the steps taken do
+    # not, nor does the float comparison that finds the stall and seeds: the
+    # continuations and the endpoint solve at alpha = 1, 2 and 3
     if _blas._openblas() is None:
         pytest.skip("numpy does not link its bundled OpenBLAS")
-    grid = sphere_grid(1, (8, 8, 8))
-    K = assemble_kernel(grid, KernelSpec("pure_singular"), params_n1)
-    counts = []
-    for threads in (1, 2):
-        with _blas.blas_threads(threads):
-            results = continuation(K, grid, default_p_schedule(params_n1))
-        counts.append([(r.iterations, r.matvecs) for r in results])
-    assert counts[0] == counts[1]
+    for alpha in (1.0, 2.0, 3.0):
+        params = make_params(1, alpha)
+        schedule = default_p_schedule(params)
+        for m in (8, 12, 16):
+            grid = sphere_grid(1, (m, m, m))
+            K = assemble_kernel(grid, KernelSpec("pure_singular"), params)
+            counts = []
+            for threads in (1, 2):
+                with _blas.blas_threads(threads):
+                    results = continuation(K, grid, schedule)
+                    results.append(solve_subcritical(K, grid, schedule[-1]))
+                counts.append([(r.iterations, r.matvecs, r.seeded) for r in results])
+            assert counts[0] == counts[1], f"alpha = {alpha}, {m}^3"
+            assert counts[0][-1][2] == 4, f"alpha = {alpha}, {m}^3: the endpoint solve seeds"
 
 
 @pytest.mark.parametrize(
-    "fall, rejected, backtracks",
-    [(1e-10, 1, 1), (1e-15, 0, 0)],
+    "fall, rejected, backtracks, seeded",
+    [(1e-10, 1, 1, 4), (1e-15, 0, 0, 0)],
     ids=["descent-refused", "roundoff-kept"],
 )
-def test_ascent_test_slack(params_n1, monkeypatch, fall, rejected, backtracks):
+def test_ascent_test_slack(params_n1, monkeypatch, fall, rejected, backtracks, seeded):
     # the first Anderson candidate (the third product) and the product after
     # it are scaled to the quotient D (1 - fall), D that of the iterate the
     # candidate steps from: a fall of 1e-10 is a descent, so the candidate is
-    # refused and the map step after it damped once; one of 1e-15 is
-    # roundoff, and the candidate is kept
+    # refused and the map step after it damped once, and the solve then
+    # stalls and takes its four seed products; one of 1e-15 is roundoff, and
+    # the candidate is kept
     grid = sphere_grid(1, (6, 6, 6))
     K = assemble_kernel(grid, KernelSpec("pure_singular"), params_n1)
     quotients = []
@@ -339,8 +421,8 @@ def test_ascent_test_slack(params_n1, monkeypatch, fall, rejected, backtracks):
     res = solve_subcritical(K, grid, 1.5)
     assert (quotients[1] - quotients[2]) / quotients[1] == pytest.approx(fall, rel=0.5)
     assert res.converged
-    assert (res.rejected, res.backtracks) == (rejected, backtracks)
-    assert res.matvecs == len(quotients) == res.iterations + 1 + rejected + backtracks
+    assert (res.rejected, res.backtracks, res.seeded) == (rejected, backtracks, seeded)
+    assert res.matvecs == len(quotients) == res.iterations + 1 + rejected + backtracks + seeded
     h = res.quotient_history
     assert np.all(np.diff(h) >= -1e-12 * np.abs(h[:-1]))
 
@@ -433,7 +515,7 @@ def test_solver_max_iter_reports_unconverged(params_n1):
     rng = np.random.default_rng(4)
     grid, K = random_sphere_kernel(6, 0.3, rng, params_n1)
     res = solve_subcritical(K, grid, 1.4, tol=1e-14, max_iter=2)
-    assert not res.converged
+    assert not res.converged and res.stop_reason == "max_iter"
     assert res.iterations == 2
 
 
