@@ -139,22 +139,15 @@ def solve_subcritical(
     Converged means both the relative quotient change and the stationarity
     defect dropped below tol (the defect scaled by 1 + D). Hitting
     max_iter, or a damped search that finds no step keeping the quotient,
-    returns converged = False rather than raising. On a sphere grid the first
+    returns converged = False rather than raising. tol must be finite and
+    positive and max_iter an integer of at least 1. On a sphere grid the first
     stall adds one product per real coordinate function (module docstring). The
     matrix-free operator is densified first (KernelMatrix.densified), so a
     kernel too large for memory is refused before any product.
     """
     p = float(p)
-    q_alpha = K.params.q_alpha
-    if not q_alpha < p < 2.0:
-        raise ValueError(
-            f"p must lie in the subcritical window (q_alpha, 2) = ({q_alpha:.6f}, 2), got p = {p}"
-        )
+    _check_solve(K, p, tol, max_iter)
     _check_grid(K, grid)
-    if not float(tol) > 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    if int(max_iter) < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     K = K.densified()  # many products: the matrix-free operator would rebuild every tile each time
     w = grid.weights
     N = len(grid)
@@ -168,48 +161,46 @@ def solve_subcritical(
         if not np.all(np.isfinite(f)) or np.any(f < 0.0) or not np.any(f > 0.0):
             raise ValueError("warm start must be finite, nonnegative and not identically zero")
 
-    matvecs = rejected = backtracks = seeded = 0
+    counts = dict.fromkeys(("matvecs", "rejected", "backtracks", "seeded"), 0)
 
     def evaluate(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-        nonlocal matvecs
-        matvecs += 1
+        counts["matvecs"] += 1
         cw = c * w
         y_c = K.matvec(cw)
         return c, y_c, float(np.dot(cw, y_c))
+
+    def normalized(c: np.ndarray) -> np.ndarray:
+        c /= _positive_lp_norm(c, w, p)
+        return c
 
     def map_value(y_c: np.ndarray) -> np.ndarray:
         peak = float(np.max(y_c))
         if peak <= 0.0:
             raise ValueError("iteration collapsed: the kernel maps the iterate to zero")
-        g_c = y_c / peak
-        g_c **= inv_exp
-        g_c /= _positive_lp_norm(g_c, w, p)
-        return g_c
+        return normalized((y_c / peak) ** inv_exp)
 
-    def blend(a: float, b: float) -> np.ndarray:
-        c = f**a * g**b
-        c /= _positive_lp_norm(c, w, p)
-        return c
+    def pair(u1, r1, u0, r0) -> tuple[np.ndarray, np.ndarray]:
+        # the secant pair from (u0, r0) to (u1, r1): the step's row
+        # delta u + delta r and the fit's column sqrt(w) * delta r
+        du, dr = u1 - u0, r1 - r0
+        du += dr
+        dr *= sqrt_w
+        return du, dr
 
     inv_exp = 1.0 / (p - 1.0)
     sqrt_w = np.sqrt(w)
     history: list[float] = []
-    # the Anderson history: u = log f and r = log g - u of the latest
-    # iterate, and the differences to it from up to _ANDERSON_WINDOW earlier
-    # ones, each appended once as sqrt(w) * delta r (the fit's columns) and
-    # delta u + delta r (the step's rows). From the first stall of a sphere
-    # solve the seed pairs join every fit, in the same form, until the history
-    # is cut. A seed kept after a refused candidate misleads the fit once the
-    # iterate has moved on: so kept, the 12^3 alpha = 1 continuation of
+    # the Anderson history: last holds u = log f, r = log g - u and the
+    # sqrt(w)-weighted norm of r at the latest iterate; window holds the pairs
+    # to it from up to _ANDERSON_WINDOW earlier ones, and from the first stall
+    # of a sphere solve seeds holds the pairs along the coordinate functions.
+    # Every fit takes the window's columns, then the seeds'. The two are cut
+    # together: a seed kept after a refused candidate misleads the fit once
+    # the iterate has moved on: so kept, the 12^3 alpha = 1 continuation of
     # green_model A0 = -0.2, which concentrates, took 12 241 products, 601
     # without seeds and 606 with seeds cut
-    u_last = r_last = norm_last = None
-    fit_cols: list[np.ndarray] = []
-    step_rows: list[np.ndarray] = []
-    seed_cols: list[np.ndarray] = []
-    seed_rows: list[np.ndarray] = []
+    last, window, seeds = None, [], []
     iterations = 0
-    D_prev = None
     f, y, D = evaluate(f / lp_norm(f, grid, p))
     # the first product stands in for a scan of the entries it reads, the
     # upper triangle (dsymv or the tile walk): each upper entry is added to
@@ -226,7 +217,7 @@ def solve_subcritical(
         raise ValueError("kernel has no positive entry: no positive quotient")
     while True:
         history.append(D)
-        flat = D_prev is not None and abs(D - D_prev) <= tol * max(1.0, abs(D))
+        flat = len(history) > 1 and abs(D - history[-2]) <= tol * max(1.0, abs(D))
         # the defect is read only here, when the quotient is flat or the last step is
         # taken, and where a damped search fails
         if flat or iterations >= max_iter:
@@ -235,7 +226,6 @@ def solve_subcritical(
             if converged or iterations >= max_iter:
                 stop_reason = "converged" if converged else "max_iter"
                 break
-        D_prev = D
         g = map_value(y)
         # Anderson type-II mixing on u = log f for the map u -> log g: the
         # candidate combines the last map values with the coefficients that
@@ -251,81 +241,65 @@ def solve_subcritical(
             r = np.log(g)
             r -= u
         if np.all(np.isfinite(r)):
-            if u_last is not None:
-                du = u - u_last
-                dr = r - r_last
-                du += dr
-                dr *= sqrt_w
-                step_rows.append(du)
-                fit_cols.append(dr)
-                del step_rows[:-_ANDERSON_WINDOW], fit_cols[:-_ANDERSON_WINDOW]
-            u_last, r_last = u, r
+            if last is not None:
+                window.append(pair(u, r, *last[:2]))
+                del window[:-_ANDERSON_WINDOW]
             rw = r * sqrt_w
             norm = float(np.sqrt(np.dot(rw, rw)))
-            if not seeded and norm_last is not None and norm > _STALL_FACTOR * norm_last:
+            if not counts["seeded"] and last is not None and norm > _STALL_FACTOR * last[2]:
                 # the secant pair from u to the log of normalize_p(f exp(h v))
                 for v in _seed_directions(grid):
-                    c = f * np.exp(_SEED_STEP * v)
-                    c /= _positive_lp_norm(c, w, p)
-                    du = np.log(c)
-                    dr = np.log(map_value(evaluate(c)[1]))
-                    dr -= du
-                    dr -= r
-                    du -= u
-                    du += dr
-                    dr *= sqrt_w
-                    seed_rows.append(du)
-                    seed_cols.append(dr)
-                    seeded += 1
-            norm_last = norm
+                    c = normalized(f * np.exp(_SEED_STEP * v))
+                    u_c = np.log(c)
+                    seeds.append(pair(u_c, np.log(map_value(evaluate(c)[1])) - u_c, u, r))
+                    counts["seeded"] += 1
+            last = u, r, norm
         else:
-            u_last = r_last = norm_last = None
-            for past in (step_rows, fit_cols, seed_rows, seed_cols):
-                past.clear()
+            last = None
+            del window[:], seeds[:]
         floor = D - _ROUNDOFF_SLACK * abs(D)
         accepted = False
-        if fit_cols:
-            gamma = np.linalg.lstsq(np.array(fit_cols + seed_cols).T, rw, rcond=None)[0]
+        if window:
+            rows, cols = zip(*window, *seeds)
+            gamma = np.linalg.lstsq(np.array(cols).T, rw, rcond=None)[0]
             c = u + r
-            c -= gamma @ np.array(step_rows + seed_rows)
+            c -= gamma @ np.array(rows)
             c -= np.max(c)
             np.exp(c, out=c)
-            c /= _positive_lp_norm(c, w, p)
-            cand, y_c, D_c = evaluate(c)
+            cand, y_c, D_c = evaluate(normalized(c))
             accepted = D_c >= floor
             if not accepted:
-                rejected += 1
-                for past in (step_rows, fit_cols, seed_rows, seed_cols):
-                    past.clear()
+                counts["rejected"] += 1
+                del window[:], seeds[:]
         if not accepted:
             theta = 1.0
             cand, y_c, D_c = evaluate(g)
             while not D_c >= floor and theta >= 1e-6:
                 theta *= 0.5
-                backtracks += 1
-                cand, y_c, D_c = evaluate(blend(1.0 - theta, theta))
+                counts["backtracks"] += 1
+                cand, y_c, D_c = evaluate(normalized(f ** (1.0 - theta) * g**theta))
             if not D_c >= floor:  # no step keeps the quotient: end at the current iterate
-                defect = _stationarity_defect(f, y, D, p)
-                converged = False
-                stop_reason = "no_ascent"
+                defect, stop_reason = _stationarity_defect(f, y, D, p), "no_ascent"
                 break
         f, y, D = cand, y_c, D_c
         iterations += 1
 
     return SubcriticalResult(
-        p=p,
-        D_estimate=D,
-        f=f,
-        iterations=iterations,
-        residual=defect,
-        converged=converged,
-        quotient_history=np.asarray(history),
-        matvecs=matvecs,
-        rejected=rejected,
-        backtracks=backtracks,
-        seeded=seeded,
-        stop_reason=stop_reason,
+        p=p, D_estimate=D, f=f, iterations=iterations, residual=defect,
+        converged=stop_reason == "converged", quotient_history=np.asarray(history),
+        stop_reason=stop_reason, **counts,
     )
+
+
+def _check_solve(K: KernelMatrix, p: float, tol, max_iter) -> None:
+    """Refuse p outside (q_alpha, 2), a tol not finite and positive, a max_iter not an integer >= 1."""
+    q_alpha = K.params.q_alpha
+    if not q_alpha < p < 2.0:
+        raise ValueError(f"p = {p} lies outside the subcritical window ({q_alpha:.6f}, 2)")
+    if not 0.0 < float(tol) < np.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+    if not (isinstance(max_iter, (int, np.integer)) and max_iter >= 1):
+        raise ValueError(f"max_iter must be an integer of at least 1, got {max_iter}")
 
 
 def _seed_directions(grid: QuadratureGrid) -> list[np.ndarray]:
@@ -371,17 +345,13 @@ def continuation(
     local maximizer on the branch of the first stage's start (the constant);
     stages that fail to converge still seed the next one, and carry
     converged = False. The matrix-free operator is densified once, before
-    the first stage.
+    the first stage and after every argument is checked.
     """
     schedule = [float(p) for p in p_schedule]
     if len(schedule) == 0:
         raise ValueError("p_schedule must not be empty")
-    q_alpha = K.params.q_alpha
     for p in schedule:
-        if not q_alpha < p < 2.0:
-            raise ValueError(
-                f"schedule entry {p} outside the subcritical window ({q_alpha:.6f}, 2)"
-            )
+        _check_solve(K, p, tol, max_iter)
     if any(b >= a for a, b in zip(schedule, schedule[1:])):
         raise ValueError(f"p_schedule must be strictly decreasing, got {schedule}")
     K = K.densified()
@@ -404,6 +374,8 @@ def blowup_diagnostic(
     center enter the profile at rescaled radius dist/mu_p with value
     f/f_max, sorted by radius.
     """
+    if params.n != grid.n:
+        raise ValueError(f"params are for n = {params.n} but the grid is for n = {grid.n}")
     f = np.asarray(result.f, dtype=np.float64)
     if f.shape != (len(grid),):
         raise ValueError(f"result holds {f.shape} values but the grid has {len(grid)} nodes")

@@ -427,16 +427,36 @@ def test_ascent_test_slack(params_n1, monkeypatch, fall, rejected, backtracks, s
     assert np.all(np.diff(h) >= -1e-12 * np.abs(h[:-1]))
 
 
+def test_concentrating_solve_accounts_for_every_product():
+    # the 12^3 alpha = 1 endpoint solve of green_model A0 = -0.2 concentrates:
+    # it refuses candidates, backtracks and seeds, and each product is one of
+    # the start, a kept step, a refused candidate, a damped step or a seed. Its
+    # path follows the last bits of the product, so its counts and D are not pinned
+    params = make_params(1, 1.0)
+    grid = sphere_grid(1, (12, 12, 12))
+    K = assemble_kernel(grid, _mass_spec(-0.2, 0.0, len(grid)), params)
+    res = solve_subcritical(K, grid, default_p_schedule(params)[-1])
+    assert res.converged and res.rejected > 0 and res.backtracks > 0 and res.seeded == 4
+    assert res.matvecs == 1 + res.iterations + res.rejected + res.backtracks + res.seeded
+    h = res.quotient_history
+    assert np.all(h[1:] >= h[:-1] - 1e-14 * np.abs(h[:-1]))
+
+
 def test_solver_validation(params_n1, monkeypatch):
     grid, K = two_node_fixture(params_n1)
     q = params_n1.q_alpha
     for bad_p in (q, 2.0, 2.5, 1.0):
         with pytest.raises(ValueError):
             solve_subcritical(K, grid, bad_p)
-    with pytest.raises(ValueError):
-        solve_subcritical(K, grid, 1.5, tol=0.0)
-    with pytest.raises(ValueError):
-        solve_subcritical(K, grid, 1.5, max_iter=0)
+    # an infinite tol once reported converged after one iteration; max_iter = 1.5 ran
+    # two iterations, and max_iter = inf raised OverflowError
+    for bad_tol in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            solve_subcritical(K, grid, 1.5, tol=bad_tol)
+    for bad_max_iter in (0, -3, 1.5, 2.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="max_iter must be an integer"):
+            solve_subcritical(K, grid, 1.5, max_iter=bad_max_iter)
+    assert solve_subcritical(K, grid, 1.5, max_iter=np.int64(1)).iterations == 1
     with pytest.raises(ValueError):
         solve_subcritical(K, grid, 1.5, f0=np.ones(3))
     with pytest.raises(ValueError):
@@ -550,7 +570,7 @@ def test_continuation_on_sphere(params_n1):
     assert D[-1] < sharp_constant_DH(params_n1)
 
 
-def test_continuation_validation(params_n1):
+def test_continuation_validation(params_n1, monkeypatch):
     grid, K = two_node_fixture(params_n1)
     with pytest.raises(ValueError):
         continuation(K, grid, [])
@@ -560,6 +580,17 @@ def test_continuation_validation(params_n1):
         continuation(K, grid, [1.5, 1.7])
     with pytest.raises(ValueError):
         continuation(K, grid, [1.8, 2.1])
+    # the arguments of the solves are refused before the matrix-free operator is
+    # densified, not after the dense kernel is built
+    densified = []
+    monkeypatch.setattr(KernelMatrix, "densified", lambda self: densified.append(self) or self)
+    grid = sphere_grid(1, (6, 6, 6))
+    K = KernelMatrix(None, KernelSpec("pure_singular"), grid, params_n1)
+    for bad in ({"tol": -1.0}, {"tol": np.inf}, {"max_iter": 0}, {"max_iter": 1.5},
+                {"max_iter": np.inf}):
+        with pytest.raises(ValueError, match="tol must be|max_iter must be"):
+            continuation(K, grid, [1.8, 1.7], **bad)
+    assert densified == []
 
 
 def test_blowup_planted_bubble(params_n1):
@@ -603,6 +634,16 @@ def test_blowup_flat_profile_scores_large_deviation(params_n1):
     report = blowup_diagnostic(res, grid, params_n1)
     assert report.mu_p == 1.0
     assert report.profile_deviation > 0.3
+
+
+def test_blowup_refuses_params_of_another_n(params_n1):
+    # n = 2 params on an n = 1 sphere grid once gave mu_p = 2.224 and a deviation of 0.877
+    grid = sphere_grid(1, (6, 6, 6))
+    K = assemble_kernel(grid, KernelSpec("pure_singular"), params_n1)
+    res = solve_subcritical(K, grid, 1.5)
+    with pytest.raises(ValueError, match="params are for n = 2 but the grid is for n = 1"):
+        blowup_diagnostic(res, grid, make_params(2, 2.0))
+    assert blowup_diagnostic(res, grid, params_n1).center_index == int(np.argmax(res.f))
 
 
 def test_blowup_validation(params_n1):
