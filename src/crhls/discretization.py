@@ -69,6 +69,13 @@ _TILE = 256
 # kernel is exactly 128 MiB and stays stored.
 _DENSE_BYTES = 128 * 2**20
 
+# the matrix-free operator refuses, before its first tile, a walk over more node
+# pairs N (N + 1) / 2 than this: about 10 s at _WALK_PAIRS_PER_S, the rate of the 24^3
+# walk on one thread (about 3e8 on two; 2-vCPU host). The 24^3 sharpness rung walks
+# 9.6e7 pairs per reader and the 32^3 quotient of the sphere-sharpness criterion 5.4e8
+_WALK_PAIRS = 2 * 10**9
+_WALK_PAIRS_PER_S = 2e8
+
 # stored entries above this many bytes get a mapping of their own (_zero_entries).
 # 32 MiB is glibc's largest mmap threshold: below it np.zeros reuses freed heap
 # that is already resident, where a fresh mapping would fault in every page.
@@ -412,7 +419,9 @@ class KernelMatrix:
     entries = None makes the matrix-free operator of spec over grid. It
     stores nothing: matvec and row_power_sums compute each float64 tile of
     _tiles, which covers the upper triangle, as they walk it (_kernel_tile),
-    in O(N^2) time per call and a few tiles of memory per walking thread.
+    in O(N^2) time per call and a few tiles of memory per walking thread;
+    a walk over more than _WALK_PAIRS (2e9) node pairs raises ValueError
+    before its first tile, naming the pair count and an estimated time.
     For this operator the constructor checks the length of the green_model
     mass against the grid.
 
@@ -509,7 +518,15 @@ class KernelMatrix:
         Tiles are walked as in densified(), and their sums added in tile order
         in the caller's thread, so the result does not depend on the walker count.
         """
-        out = np.zeros(len(self))
+        N = len(self)
+        pairs = N * (N + 1) // 2
+        if self.entries is None and pairs > _WALK_PAIRS:
+            raise ValueError(
+                f"a matrix-free walk over {N} nodes visits {pairs} node pairs, about "
+                f"{pairs / _WALK_PAIRS_PER_S:.0f} s at {_WALK_PAIRS_PER_S:.0e} pairs a second: "
+                f"more than the {_WALK_PAIRS} pairs a walk may take"
+            )
+        out = np.zeros(N)
         power_message = (
             f"{self.spec.kind} entry to the power {r} is not finite at node pair "
             "({}, {}): {}"
@@ -538,7 +555,7 @@ class KernelMatrix:
             if col is not None:
                 out[j0:j1] += col
 
-        _blas.walk(sums, list(_tiles(len(self))), add)
+        _blas.walk(sums, list(_tiles(N)), add)
         return out
 
 

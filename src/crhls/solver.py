@@ -21,14 +21,18 @@ step; this is tracked in the result's quotient history.
 Approaching p -> q_alpha from above is done by warm-started continuation.
 
 On a sphere grid the map's slowest directions are the real coordinate
-functions Re xi_k, Im xi_k: CR automorphisms move the extremal along them,
-and linearized at the constant the map scales them by
+functions v_k = Re xi_k, Im xi_k: CR automorphisms move the extremal along
+them, and linearized at the constant the map scales them by
 sphere_kernel_eigenvalue(1, 0) / (p - 1) = (q_alpha - 1) / (p - 1), which
 tends to 1 as p -> q_alpha. A window of three differences has no room for
 that subspace. So the first time the weighted residual norm falls by less
-than half in one iteration (a stall), a sphere solve takes one secant pair
-along each coordinate function, one product each, and keeps the pairs in
-every later Anderson fit until its history is cut.
+than half in one iteration (a stall), a sphere solve adds one secant pair
+per coordinate function to every later Anderson fit until its history is
+cut: the pair of the map linearized at the constant function, built from
+the kernel's images E(w) and E(v_k w) of the weights and of the weighted
+coordinate functions. Those five products depend on the kernel alone, so a
+continuation takes them in its first stage that stalls and its later
+stages reuse them.
 """
 
 from __future__ import annotations
@@ -53,9 +57,6 @@ _ROUNDOFF_SLACK = 1e-14
 # a sphere solve seeds its fit at the first iterate whose sqrt(w)-weighted
 # residual norm is above this share of the one before: a stall
 _STALL_FACTOR = 0.5
-# the step h of a seed pair: the map is evaluated at normalize_p(f exp(h v))
-# for each real coordinate function v of the sphere's nodes
-_SEED_STEP = 1e-3
 # default_p_schedule ends this far above q_alpha; another endpoint needs its own schedule
 _ENDPOINT_OFFSET = 1e-3
 # blowup_diagnostic's profile keeps the nodes within this many mu_p of the peak
@@ -83,8 +84,11 @@ class SubcriticalResult:
     it is not an error; stop_reason says which: "converged", "max_iter" or
     "no_ascent". matvecs counts the products with the N x N kernel matrix
     the solve made; rejected counts the Anderson candidates refused,
-    backtracks the damped map steps evaluated and seeded the secant pairs
-    taken along the sphere's coordinate functions, each one product.
+    backtracks the damped map steps evaluated and seeded the products that
+    took the kernel's images of the sphere's conformal directions: 5 in the
+    solve that took them, 0 in a continuation stage that reuses them and in
+    a solve that never stalls. A solve that ends other than "no_ascent" has
+    matvecs = 1 + iterations + rejected + backtracks + seeded.
     """
 
     p: float
@@ -141,14 +145,29 @@ def solve_subcritical(
     max_iter, or a damped search that finds no step keeping the quotient,
     returns converged = False rather than raising. tol must be finite and
     positive and max_iter an integer of at least 1. On a sphere grid the first
-    stall adds one product per real coordinate function (module docstring). The
-    matrix-free operator is densified first (KernelMatrix.densified), so a
-    kernel too large for memory is refused before any product.
+    stall takes the kernel's five images of the conformal directions (module
+    docstring). The matrix-free operator is densified first
+    (KernelMatrix.densified), so a kernel too large for memory is refused
+    before any product.
     """
     p = float(p)
     _check_solve(K, p, tol, max_iter)
     _check_grid(K, grid)
-    K = K.densified()  # many products: the matrix-free operator would rebuild every tile each time
+    # many products: the matrix-free operator would rebuild every tile each time
+    return _solve(K.densified(), grid, p, tol, max_iter, f0, images=[])
+
+
+def _solve(
+    K: KernelMatrix, grid: QuadratureGrid, p: float, tol, max_iter, f0, images: list[np.ndarray]
+) -> SubcriticalResult:
+    """solve_subcritical on stored entries, its arguments checked.
+
+    images holds the kernel's images of the conformal directions
+    (_conformal_images) once a solve has taken them. The first stall of a
+    sphere solve takes them if it is empty, counted in seeded, and leaves them
+    there for the next solve on the same kernel; the pairs built from them do
+    not depend on which solve took them.
+    """
     w = grid.weights
     N = len(grid)
 
@@ -196,10 +215,10 @@ def solve_subcritical(
     # of a sphere solve seeds holds the pairs along the coordinate functions.
     # Every fit takes the window's columns, then the seeds'. The two are cut
     # together: a seed kept after a refused candidate misleads the fit once
-    # the iterate has moved on: so kept, the 12^3 alpha = 1 continuation of
-    # green_model A0 = -0.2, which concentrates, took 12 241 products, 601
-    # without seeds and 606 with seeds cut
-    last, window, seeds = None, [], []
+    # the iterate has moved on: so kept, two stages of the 12^3 alpha = 1
+    # continuation of green_model A0 = -0.2, which concentrates, ran to
+    # max_iter; with seeds cut it takes 568 products, 601 without seeds
+    last, window, seeds, stalled = None, [], [], False
     iterations = 0
     f, y, D = evaluate(f / lp_norm(f, grid, p))
     # the first product stands in for a scan of the entries it reads, the
@@ -246,13 +265,13 @@ def solve_subcritical(
                 del window[:-_ANDERSON_WINDOW]
             rw = r * sqrt_w
             norm = float(np.sqrt(np.dot(rw, rw)))
-            if not counts["seeded"] and last is not None and norm > _STALL_FACTOR * last[2]:
-                # the secant pair from u to the log of normalize_p(f exp(h v))
-                for v in _seed_directions(grid):
-                    c = normalized(f * np.exp(_SEED_STEP * v))
-                    u_c = np.log(c)
-                    seeds.append(pair(u_c, np.log(map_value(evaluate(c)[1])) - u_c, u, r))
-                    counts["seeded"] += 1
+            if not stalled and last is not None and norm > _STALL_FACTOR * last[2]:
+                stalled = True
+                if not images:
+                    images += _conformal_images(K)
+                    counts["matvecs"] += len(images)
+                    counts["seeded"] += len(images)
+                seeds += _seed_pairs(K.grid, images, p)
             last = u, r, norm
         else:
             last = None
@@ -310,6 +329,36 @@ def _seed_directions(grid: QuadratureGrid) -> list[np.ndarray]:
     return [*grid.xi.real.T, *grid.xi.imag.T]
 
 
+def _conformal_images(K: KernelMatrix) -> list[np.ndarray]:
+    """E(w), then E(v_k w) for each seed direction v_k of K's grid: one product
+    each, and none where the grid has no seed directions."""
+    directions = _seed_directions(K.grid)
+    if not directions:
+        return []
+    w = K.grid.weights
+    return [K.matvec(w), *(K.matvec(v * w) for v in directions)]
+
+
+def _seed_pairs(grid: QuadratureGrid, images: list[np.ndarray], p: float) -> list:
+    """The secant pairs of the map linearized at the constant function, one per
+    seed direction v: the step's row delta log g and the fit's column
+    sqrt(w) * (delta log g - delta u), where delta u = v - <v> and
+    delta log g = (a - <a>) / (p - 1), a = E(v w) / E(w), <.> the weighted mean."""
+    if not images:
+        return []
+    w = grid.weights
+    total = grid.total_weight
+    sqrt_w = np.sqrt(w)
+    E_w, *E_vw = images
+    pairs = []
+    for v, E_v in zip(_seed_directions(grid), E_vw):
+        a = E_v / E_w
+        dlog_g = (a - np.dot(w, a) / total) / (p - 1.0)
+        du = v - np.dot(w, v) / total
+        pairs.append((dlog_g, sqrt_w * (dlog_g - du)))
+    return pairs
+
+
 def _stationarity_defect(f: np.ndarray, y: np.ndarray, D: float, p: float) -> float:
     """max |2 D f^{p-1} - 2 y|, taken as 2 max |D f^{p-1} - y| in one work vector;
     scaling by 2 is exact, so the two forms agree bit for bit."""
@@ -345,7 +394,11 @@ def continuation(
     local maximizer on the branch of the first stage's start (the constant);
     stages that fail to converge still seed the next one, and carry
     converged = False. The matrix-free operator is densified once, before
-    the first stage and after every argument is checked.
+    the first stage and after every argument is checked. The first stage
+    that stalls takes the kernel's five images of the conformal directions
+    and later stages reuse them, so each stage equals
+    solve_subcritical(K, grid, p, f0=previous.f) bit for bit in D, f,
+    residual and iterations, and differs only in matvecs and seeded.
     """
     schedule = [float(p) for p in p_schedule]
     if len(schedule) == 0:
@@ -354,11 +407,12 @@ def continuation(
         _check_solve(K, p, tol, max_iter)
     if any(b >= a for a, b in zip(schedule, schedule[1:])):
         raise ValueError(f"p_schedule must be strictly decreasing, got {schedule}")
+    _check_grid(K, grid)
     K = K.densified()
     results: list[SubcriticalResult] = []
-    f_warm = None
+    f_warm, images = None, []
     for p in schedule:
-        res = solve_subcritical(K, grid, p, tol=tol, max_iter=max_iter, f0=f_warm)
+        res = _solve(K, grid, p, tol, max_iter, f_warm, images)
         results.append(res)
         f_warm = res.f
     return results

@@ -379,6 +379,22 @@ def test_oversized_kernel_refused(tmp_path, capsys):
     assert not (tmp_path / "continuation.json").exists()
 
 
+def test_unbounded_matrix_free_walk_refused(tmp_path, capsys, monkeypatch):
+    # 10^6 nodes fit in memory, but their 5e11 node pairs would walk for about 40
+    # minutes: refused with exit 2 before any tile
+    def no_tile(*args):
+        raise AssertionError("a tile was computed")
+
+    monkeypatch.setattr(discretization, "_kernel_tile", no_tile)
+    argv = ["lower-bound", "--resolution", "100,100,100", "--output", str(tmp_path)]
+    assert main(argv) == EXIT_VALIDATION
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: a matrix-free walk over 1000000 nodes visits 500000500000 node "
+                   "pairs, about 2500 s at 2e+08 pairs a second: more than the 2000000000 "
+                   "pairs a walk may take"]
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("argv", [
     ["lower-bound", "--resolution", "10000,10000,10000"],
     ["continuation", "--resolution", "10000,10000,10000"],
@@ -988,8 +1004,8 @@ def test_endpoint_consumers_take_half_the_products(tmp_path, monkeypatch, argv, 
     assert main([*argv, "--strict", "--output", str(tmp_path)]) == EXIT_OK
     solver_products = sum(res.matvecs for res in solves)
     assert solver_products <= before / 2
-    # every product is a solver's, except the residual's two
-    assert products[0] == solver_products + (2 if module is cli else 0)
+    # every product is a solver's, except the residual's one
+    assert products[0] == solver_products + (1 if module is cli else 0)
 
 
 def test_config_file_precedence(tmp_path):

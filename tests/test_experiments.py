@@ -402,6 +402,31 @@ def test_curvature_residual_refuses_a_zero_kernel(params_n1):
         curvature_equation_residual(K, grid, np.ones(64), params_n1)
 
 
+def test_curvature_residual_takes_one_product(params_n1, monkeypatch):
+    # the second side is lam E(phi w), which the first product already holds: one
+    # product per call, one walk of the matrix-free operator, and the value of the
+    # two-product form within 1e-12
+    grid = sphere_grid(1, (6, 6, 6))
+    stored = assemble_kernel(grid, KernelSpec("pure_singular"), params_n1)
+    free = KernelMatrix(None, stored.spec, grid, params_n1)
+    Q, alpha = params_n1.Q, params_n1.alpha
+    s, w = (Q + alpha) / (Q - alpha), grid.weights
+    phi = 1.0 + 0.3 * grid.xi[:, 0].real
+    calls = []
+    matvec = KernelMatrix.matvec
+    monkeypatch.setattr(
+        KernelMatrix, "matvec", lambda self, x: calls.append(self) or matvec(self, x)
+    )
+    for K in (stored, free):
+        applied = matvec(K, phi * w)
+        lam = (np.dot(w, applied) / np.dot(w, phi**s)) ** ((Q - alpha) / (2.0 * alpha))
+        two = float(np.max(np.abs((lam * phi) ** s - matvec(K, lam * phi * w))))
+        calls.clear()
+        resid = curvature_equation_residual(K, grid, phi, params_n1)
+        assert calls == [K]
+        assert resid == pytest.approx(two, rel=1e-12) and resid > 0.0
+
+
 def test_curvature_residual_positive_finite_for_generic_inputs(params_n1):
     rng = np.random.default_rng(5)
     grid, K = random_sphere_kernel(12, 0.25, rng, params_n1)

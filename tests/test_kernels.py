@@ -332,6 +332,41 @@ def test_matrix_free_quotient_holds_a_few_tiles():
     assert peak < 16 * 2**20, peak
 
 
+def test_matrix_free_walk_beyond_its_pair_bound_is_refused_before_any_tile(monkeypatch):
+    # 40^3 nodes make 2 048 032 000 node pairs, just above the 2e9 bound; 39^3 and
+    # the 32^3 quotient of the sphere-sharpness criterion stay inside it
+    p = make_params(1, 2.0)
+    tiles = []
+    kernel_tile = discretization._kernel_tile
+    monkeypatch.setattr(
+        discretization, "_kernel_tile", lambda *args: tiles.append(args) or kernel_tile(*args)
+    )
+    big = KernelMatrix(None, KernelSpec("pure_singular"), sphere_grid(1, (40, 40, 40)), p)
+    message = (r"^a matrix-free walk over 64000 nodes visits 2048032000 node pairs, "
+               r"about 10 s at 2e\+08 pairs a second: more than the 2000000000 pairs")
+    for read in (lambda: big.matvec(np.ones(len(big))), lambda: big.row_power_sums(1.2),
+                 lambda: rayleigh_quotient(big, np.ones(len(big)), p.q_alpha)):
+        with pytest.raises(ValueError, match=message):
+            read()
+    assert tiles == []
+    for m in (32, 39):
+        assert (m**3 * (m**3 + 1)) // 2 <= discretization._WALK_PAIRS
+    # the bound is on N (N + 1) / 2, the pairs of the upper triangle, diagonal included
+    g = sphere_grid(1, (4, 4, 4))
+    K = KernelMatrix(None, KernelSpec("pure_singular"), g, p)
+    stored = assemble_kernel(g, KernelSpec("pure_singular"), p)
+    monkeypatch.setattr(discretization, "_WALK_PAIRS", 64 * 65 // 2)
+    assert np.allclose(K.matvec(g.weights), stored.matvec(g.weights), rtol=1e-13, atol=0.0)
+    assert tiles
+    monkeypatch.setattr(discretization, "_WALK_PAIRS", 64 * 65 // 2 - 1)
+    tiles.clear()
+    with pytest.raises(ValueError, match="visits 2080 node pairs"):
+        K.row_power_sums(1.0)
+    assert tiles == []
+    # stored entries walk no tile of the operator and take no bound
+    assert stored.row_power_sums(1.0).shape == (64,)
+
+
 def _assembly_cases():
     p1, p2 = make_params(1, 2.0), make_params(2, 1.3)
     sphere, cylinder = sphere_grid(1, (12, 12, 12)), cylinder_grid(2.0, (4, 4, 4), p2)

@@ -139,26 +139,28 @@ def test_matvecs_one_product_per_evaluation_when_symmetric(params_n1, monkeypatc
 
 def test_roundoff_costs_no_products(params_n1):
     # every step of the 12^3 sphere continuation is one product, beside the
-    # seed pairs' products: no dip of one rounding error refuses a candidate
-    # or damps a map step
+    # five image products of the stage that first stalls: no dip of one
+    # rounding error refuses a candidate or damps a map step
     grid = sphere_grid(1, (12, 12, 12))
     K = assemble_kernel(grid, KernelSpec("pure_singular"), params_n1)
     for res in continuation(K, grid, default_p_schedule(params_n1)):
         assert res.converged
         assert res.rejected == res.backtracks == 0
-        assert res.seeded in (0, 4)
+        assert res.seeded in (0, 5)
         assert res.matvecs == res.iterations + 1 + res.seeded
 
 
 @pytest.mark.parametrize(
     "m, most, endpoint_most, D",
-    [(12, 70, 20, 7.8933916205594805), (16, 65, 20, 7.938270158879471)],
+    [(12, 59, 20, 7.8933916205594805), (16, 53, 20, 7.938270158879471)],
     ids=["12^3", "16^3"],
 )
 def test_seeds_cut_the_products_of_sphere_solves(params_n1, m, most, endpoint_most, D):
     # the conformal directions stall the last stages: without seeds the
     # continuations took 90 and 97 products and the endpoint solves 38 and 55,
-    # at the same quotient
+    # at the same quotient; with seeds from four finite-difference products in
+    # each stalled stage, 67 and 60. One stage takes the kernel's five images
+    # and the later stages reuse them
     grid = sphere_grid(1, (m, m, m))
     K = assemble_kernel(grid, KernelSpec("pure_singular"), params_n1)
     schedule = default_p_schedule(params_n1)
@@ -169,7 +171,8 @@ def test_seeds_cut_the_products_of_sphere_solves(params_n1, m, most, endpoint_mo
         assert res.rejected == res.backtracks == 0
     assert sum(r.matvecs for r in runs) <= most
     assert endpoint.matvecs <= endpoint_most
-    assert runs[-1].seeded == endpoint.seeded == 4
+    assert sorted(r.seeded for r in runs) == [0, 0, 0, 0, 5]
+    assert runs[-1].seeded == 0 and endpoint.seeded == 5
     assert runs[-1].D_estimate == pytest.approx(D, rel=1e-13)
     assert endpoint.D_estimate == pytest.approx(D, rel=1e-13)
 
@@ -319,13 +322,13 @@ def test_refused_candidate_cuts_the_history(params_n1, monkeypatch):
     # the zeroed product is the second Anderson candidate's, which falls by
     # about 1/N and is refused: the map step is taken and the next fit has one
     # window column, not the two kept differences and a new one. That map
-    # step stalls, so the four seed pairs (products 5 to 8) join that fit and
-    # the later ones
+    # step stalls, so the five image products (5 to 9) are taken and the four
+    # seed pairs join that fit and the later ones
     grid = sphere_grid(1, (6, 6, 6))
     K = assemble_kernel(grid, KernelSpec("pure_singular"), params_n1)
     res, fits = _fits_with_a_zeroed_product(K, grid, monkeypatch, at=3, keep_quotient=False)
-    assert res.converged and (res.rejected, res.backtracks, res.seeded) == (1, 0, 4)
-    assert fits[:5] == [(2, 1), (3, 2), (5 + 4, 1 + 4), (6 + 4, 2 + 4), (7 + 4, 3 + 4)]
+    assert res.converged and (res.rejected, res.backtracks, res.seeded) == (1, 0, 5)
+    assert fits[:5] == [(2, 1), (3, 2), (5 + 5, 1 + 4), (6 + 5, 2 + 4), (7 + 5, 3 + 4)]
 
 
 def test_non_finite_residual_clears_the_history(params_n1, monkeypatch):
@@ -335,8 +338,8 @@ def test_non_finite_residual_clears_the_history(params_n1, monkeypatch):
     # iterations that step from a zero are not finite, and the iteration after
     # them only records u and r. So the first fit comes after 5 products (the
     # start and four map steps), not after 4, as when a difference to the
-    # iterate before the zero is taken; that iteration stalls, and the four
-    # seed pairs' products and columns come before its fit
+    # iterate before the zero is taken; that iteration stalls, and the five
+    # image products and the four seed columns come before its fit
     grid = sphere_grid(1, (6, 6, 6))
     K = assemble_kernel(grid, KernelSpec("pure_singular"), params_n1)
     entries = K.entries.copy()
@@ -344,8 +347,8 @@ def test_non_finite_residual_clears_the_history(params_n1, monkeypatch):
     entries[:, 7] *= 0.1
     K = KernelMatrix(entries, K.spec, grid, params_n1)
     res, fits = _fits_with_a_zeroed_product(K, grid, monkeypatch, at=1, keep_quotient=True)
-    assert res.converged and (res.rejected, res.backtracks, res.seeded) == (0, 0, 4)
-    assert fits[0] == (5 + 4, 1 + 4)
+    assert res.converged and (res.rejected, res.backtracks, res.seeded) == (0, 0, 5)
+    assert fits[0] == (5 + 5, 1 + 4)
 
 
 def test_exhausted_damped_search_ends_the_solve(params_n1, monkeypatch):
@@ -390,12 +393,12 @@ def test_solve_does_not_depend_on_blas_thread_count():
                     results.append(solve_subcritical(K, grid, schedule[-1]))
                 counts.append([(r.iterations, r.matvecs, r.seeded) for r in results])
             assert counts[0] == counts[1], f"alpha = {alpha}, {m}^3"
-            assert counts[0][-1][2] == 4, f"alpha = {alpha}, {m}^3: the endpoint solve seeds"
+            assert counts[0][-1][2] == 5, f"alpha = {alpha}, {m}^3: the endpoint solve seeds"
 
 
 @pytest.mark.parametrize(
     "fall, rejected, backtracks, seeded",
-    [(1e-10, 1, 1, 4), (1e-15, 0, 0, 0)],
+    [(1e-10, 1, 1, 5), (1e-15, 0, 0, 0)],
     ids=["descent-refused", "roundoff-kept"],
 )
 def test_ascent_test_slack(params_n1, monkeypatch, fall, rejected, backtracks, seeded):
@@ -403,7 +406,7 @@ def test_ascent_test_slack(params_n1, monkeypatch, fall, rejected, backtracks, s
     # it are scaled to the quotient D (1 - fall), D that of the iterate the
     # candidate steps from: a fall of 1e-10 is a descent, so the candidate is
     # refused and the map step after it damped once, and the solve then
-    # stalls and takes its four seed products; one of 1e-15 is roundoff, and
+    # stalls and takes its five image products; one of 1e-15 is roundoff, and
     # the candidate is kept
     grid = sphere_grid(1, (6, 6, 6))
     K = assemble_kernel(grid, KernelSpec("pure_singular"), params_n1)
@@ -430,13 +433,13 @@ def test_ascent_test_slack(params_n1, monkeypatch, fall, rejected, backtracks, s
 def test_concentrating_solve_accounts_for_every_product():
     # the 12^3 alpha = 1 endpoint solve of green_model A0 = -0.2 concentrates:
     # it refuses candidates, backtracks and seeds, and each product is one of
-    # the start, a kept step, a refused candidate, a damped step or a seed. Its
+    # the start, a kept step, a refused candidate, a damped step or an image. Its
     # path follows the last bits of the product, so its counts and D are not pinned
     params = make_params(1, 1.0)
     grid = sphere_grid(1, (12, 12, 12))
     K = assemble_kernel(grid, _mass_spec(-0.2, 0.0, len(grid)), params)
     res = solve_subcritical(K, grid, default_p_schedule(params)[-1])
-    assert res.converged and res.rejected > 0 and res.backtracks > 0 and res.seeded == 4
+    assert res.converged and res.rejected > 0 and res.backtracks > 0 and res.seeded == 5
     assert res.matvecs == 1 + res.iterations + res.rejected + res.backtracks + res.seeded
     h = res.quotient_history
     assert np.all(h[1:] >= h[:-1] - 1e-14 * np.abs(h[:-1]))
@@ -568,6 +571,45 @@ def test_continuation_on_sphere(params_n1):
     # sharp constant at this resolution
     assert D[-1] == pytest.approx(7.805649, abs=5e-6)
     assert D[-1] < sharp_constant_DH(params_n1)
+
+
+def _chain(K, grid, schedule):
+    runs, f_warm = [], None
+    for p in schedule:
+        runs.append(solve_subcritical(K, grid, p, f0=f_warm))
+        f_warm = runs[-1].f
+    return runs
+
+
+@pytest.mark.parametrize(
+    "alpha, resolution, A0",
+    [(1.0, (8, 8, 8), 0.0), (2.0, (8, 8, 8), 0.0), (3.0, (8, 8, 8), 0.0), (2.0, (8, 6, 8), 0.5)],
+    ids=["alpha1-8^3", "alpha2-8^3", "alpha3-8^3", "green_model-0.5"],
+)
+def test_continuation_is_its_chain_of_warm_started_solves(alpha, resolution, A0):
+    # each stage equals solve_subcritical from the previous stage's f, bit for bit
+    # in D, f, residual and iterations; the continuation takes the kernel's images
+    # once, in its first stage that stalls, where the chain takes them in every
+    # stalled solve: only matvecs and seeded differ
+    params = make_params(1, alpha)
+    grid = sphere_grid(1, resolution)
+    spec = _mass_spec(A0, 0.0, len(grid)) if A0 else KernelSpec("pure_singular")
+    K = assemble_kernel(grid, spec, params)
+    schedule = default_p_schedule(params)
+    runs, chain = continuation(K, grid, schedule), _chain(K, grid, schedule)
+    for k, (a, b) in enumerate(zip(runs, chain, strict=True)):
+        assert a.converged and b.converged
+        assert a.D_estimate == b.D_estimate, f"stage {k}"
+        assert a.f.tobytes() == b.f.tobytes(), f"stage {k}"
+        assert (a.residual, a.iterations) == (b.residual, b.iterations), f"stage {k}"
+        assert a.matvecs - a.seeded == b.matvecs - b.seeded, f"stage {k}"
+    stalled = [k for k, b in enumerate(chain) if b.seeded]
+    assert all(b.seeded == 5 for b in chain if b.seeded)
+    if A0:  # a positive mass never stalls
+        assert stalled == [] and all(a.seeded == 0 for a in runs)
+    else:  # the later stalled stages take no product of their own
+        assert len(stalled) >= 2
+        assert [a.seeded for a in runs] == [5 if k == stalled[0] else 0 for k in range(len(runs))]
 
 
 def test_continuation_validation(params_n1, monkeypatch):
