@@ -244,11 +244,11 @@ def conformal_covariance_check(
     floating-point noise at any resolution.
     """
     phi_v, u_v = _identity_inputs(K, grid, params, phi=phi, u=u)
-    Q, alpha = params.Q, params.alpha
-    w = grid.weights
+    Q, alpha = K.params.Q, K.params.alpha
+    w = K.grid.weights
     beta = (Q - alpha) / (Q - 2.0)
     scale = phi_v**-beta
-    w_tilde = phi_v**params.b_n * w
+    w_tilde = phi_v**K.params.b_n * w
     lhs = scale * K.matvec(scale * u_v * w_tilde)
     rhs = scale * K.matvec(phi_v ** ((Q + alpha) / (Q - 2.0)) * u_v * w)
     return float(np.max(np.abs(lhs - rhs)))
@@ -266,8 +266,8 @@ def curvature_equation_residual(
     solves the equation exactly.
     """
     (phi_v,) = _identity_inputs(K, grid, params, phi=phi)
-    Q, alpha = params.Q, params.alpha
-    w = grid.weights
+    Q, alpha = K.params.Q, K.params.alpha
+    w = K.grid.weights
     s = (Q + alpha) / (Q - alpha)
     applied = K.matvec(phi_v * w)
     a = _blas.serial_dot(w, phi_v**s)

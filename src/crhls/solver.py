@@ -18,7 +18,8 @@ than a roundoff slack of 1e-14 relative; otherwise it damps the plain map
 step until the quotient meets the same test, and ends the solve unconverged
 when no damped step does. So the quotient may fall by at most the slack per
 step; this is tracked in the result's quotient history.
-Approaching p -> q_alpha from above is done by warm-started continuation.
+Approaching p -> q_alpha from above is done by warm-started continuation,
+one chain of stages of which a single solve is the one-stage case.
 
 On a sphere grid the map's slowest directions are the real coordinate
 functions v_k = Re xi_k, Im xi_k: CR automorphisms move the extremal along
@@ -143,43 +144,75 @@ def solve_subcritical(
     Converged means both the relative quotient change and the stationarity
     defect dropped below tol (the defect scaled by 1 + D). Hitting
     max_iter, or a damped search that finds no step keeping the quotient,
-    returns converged = False rather than raising. tol must be finite and
-    positive and max_iter an integer of at least 1. On a sphere grid the first
+    returns converged = False rather than raising. On a sphere grid the first
     stall takes the kernel's five images of the conformal directions (module
-    docstring). The matrix-free operator is densified first
-    (KernelMatrix.densified), so a kernel too large for memory is refused
-    before any product.
+    docstring). This is the one-stage case of continuation's chain: every
+    argument, f0 included, is refused before the matrix-free operator is
+    densified (KernelMatrix.densified), and a kernel too large for memory is
+    refused before any product.
     """
-    p = float(p)
-    _check_solve(K, p, tol, max_iter)
+    return _stages(K, grid, [p], tol, max_iter, f0)[0]
+
+
+def continuation(
+    K: KernelMatrix,
+    grid: QuadratureGrid,
+    p_schedule,
+    tol: float = 1e-9,
+    max_iter: int = 10000,
+) -> list[SubcriticalResult]:
+    """Warm-started solves along a strictly decreasing exponent schedule.
+
+    Each stage starts from the previous stage's result, so the last is a
+    local maximizer on the branch of the first stage's start (the constant);
+    stages that fail to converge still seed the next one, and carry
+    converged = False. Every argument is checked, and the matrix-free
+    operator densified once, before the first stage. The first stage that
+    stalls takes the kernel's five images of the conformal directions and
+    later stages reuse them, so each stage equals
+    solve_subcritical(K, grid, p, f0=previous.f) bit for bit in D, f,
+    residual and iterations, and differs only in matvecs and seeded.
+    """
+    return _stages(K, grid, p_schedule, tol, max_iter, None)
+
+
+def _stages(K: KernelMatrix, grid: QuadratureGrid, schedule, tol, max_iter, f0) -> list:
+    """The solves along schedule, the first from f0 or the constant, each later
+    one from the result before it. Every argument is refused here, before the
+    one densify; a later stage's start, a result, needs no check."""
+    schedule = [float(p) for p in schedule]
+    if not schedule:
+        raise ValueError("p_schedule must not be empty")
+    q_alpha = K.params.q_alpha
+    for p in schedule:
+        if not q_alpha < p < 2.0:
+            raise ValueError(f"p = {p} lies outside the subcritical window ({q_alpha:.6f}, 2)")
+    if not 0.0 < float(tol) < np.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+    if not (isinstance(max_iter, (int, np.integer)) and max_iter >= 1):
+        raise ValueError(f"max_iter must be an integer of at least 1, got {max_iter}")
+    if any(b >= a for a, b in zip(schedule, schedule[1:])):
+        raise ValueError(f"p_schedule must be strictly decreasing, got {schedule}")
     _check_grid(K, grid)
+    f = np.ones(len(K)) if f0 is None else np.asarray(f0, dtype=np.float64).copy()
+    if f.shape != (len(K),):
+        raise ValueError(f"f0 must have shape ({len(K)},), got {f.shape}")
+    if not np.all(np.isfinite(f)) or np.any(f < 0.0) or not np.any(f > 0.0):
+        raise ValueError("warm start must be finite, nonnegative and not identically zero")
     # many products: the matrix-free operator would rebuild every tile each time
-    return _solve(K.densified(), grid, p, tol, max_iter, f0, images=[])
+    K = K.densified()
+    results, images = [], []
+    for p in schedule:
+        results.append(_solve(K, p, tol, max_iter, f, images))
+        f = results[-1].f
+    return results
 
 
-def _solve(
-    K: KernelMatrix, grid: QuadratureGrid, p: float, tol, max_iter, f0, images: list[np.ndarray]
-) -> SubcriticalResult:
-    """solve_subcritical on stored entries, its arguments checked.
-
-    images holds the kernel's images of the conformal directions
-    (_conformal_images) once a solve has taken them. The first stall of a
-    sphere solve takes them if it is empty, counted in seeded, and leaves them
-    there for the next solve on the same kernel; the pairs built from them do
-    not depend on which solve took them.
-    """
-    w = grid.weights
-    N = len(grid)
-
-    if f0 is None:
-        f = np.ones(N)
-    else:
-        f = np.asarray(f0, dtype=np.float64).copy()
-        if f.shape != (N,):
-            raise ValueError(f"f0 must have shape ({N},), got {f.shape}")
-        if not np.all(np.isfinite(f)) or np.any(f < 0.0) or not np.any(f > 0.0):
-            raise ValueError("warm start must be finite, nonnegative and not identically zero")
-
+def _solve(K: KernelMatrix, p: float, tol, max_iter, f, images: list) -> SubcriticalResult:
+    """One solve on stored entries from the start f, its arguments checked. The solves of
+    a chain share images, which the first stall of a sphere solve fills if empty (_seed_pairs,
+    counted in seeded); the pairs built from it do not depend on which solve filled it."""
+    w = K.grid.weights
     counts = dict.fromkeys(("matvecs", "rejected", "backtracks", "seeded"), 0)
 
     def evaluate(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
@@ -220,7 +253,7 @@ def _solve(
     # max_iter; with seeds cut it takes 568 products, 601 without seeds
     last, window, seeds, stalled = None, [], [], False
     iterations = 0
-    f, y, D = evaluate(f / lp_norm(f, grid, p))
+    f, y, D = evaluate(f / lp_norm(f, K.grid, p))
     # the first product stands in for a scan of the entries it reads, the
     # upper triangle (dsymv or the tile walk): each upper entry is added to
     # both its row and its column, and BLAS gives 0 * NaN = 0 * inf = NaN, so
@@ -229,8 +262,8 @@ def _solve(
     lo, hi = float(np.min(y)), float(np.max(y))
     if not 0.0 <= lo <= hi < np.inf:
         raise ValueError(
-            "kernel holds a NaN, an infinite or a negative entry: its first product "
-            f"is not finite and nonnegative (from {lo} to {hi})"
+            "kernel holds a NaN, an infinite or a negative entry, or entries whose sums "
+            f"overflow: its first product is not finite and nonnegative (from {lo} to {hi})"
         )
     if not hi > 0.0:
         raise ValueError("kernel has no positive entry: no positive quotient")
@@ -266,12 +299,10 @@ def _solve(
             rw = r * sqrt_w
             norm = float(np.sqrt(np.dot(rw, rw)))
             if not stalled and last is not None and norm > _STALL_FACTOR * last[2]:
-                stalled = True
-                if not images:
-                    images += _conformal_images(K)
-                    counts["matvecs"] += len(images)
-                    counts["seeded"] += len(images)
-                seeds += _seed_pairs(K.grid, images, p)
+                stalled, taken = True, len(images)
+                seeds += _seed_pairs(K, images, p)
+                counts["seeded"] = len(images) - taken
+                counts["matvecs"] += counts["seeded"]
             last = u, r, norm
         else:
             last = None
@@ -310,17 +341,6 @@ def _solve(
     )
 
 
-def _check_solve(K: KernelMatrix, p: float, tol, max_iter) -> None:
-    """Refuse p outside (q_alpha, 2), a tol not finite and positive, a max_iter not an integer >= 1."""
-    q_alpha = K.params.q_alpha
-    if not q_alpha < p < 2.0:
-        raise ValueError(f"p = {p} lies outside the subcritical window ({q_alpha:.6f}, 2)")
-    if not 0.0 < float(tol) < np.inf:
-        raise ValueError(f"tol must be finite and positive, got {tol}")
-    if not (isinstance(max_iter, (int, np.integer)) and max_iter >= 1):
-        raise ValueError(f"max_iter must be an integer of at least 1, got {max_iter}")
-
-
 def _seed_directions(grid: QuadratureGrid) -> list[np.ndarray]:
     """The real coordinate functions Re xi_k, Im xi_k of a sphere grid's nodes,
     as views of its node array; none for a cylinder grid."""
@@ -329,29 +349,25 @@ def _seed_directions(grid: QuadratureGrid) -> list[np.ndarray]:
     return [*grid.xi.real.T, *grid.xi.imag.T]
 
 
-def _conformal_images(K: KernelMatrix) -> list[np.ndarray]:
-    """E(w), then E(v_k w) for each seed direction v_k of K's grid: one product
-    each, and none where the grid has no seed directions."""
-    directions = _seed_directions(K.grid)
+def _seed_pairs(K: KernelMatrix, images: list[np.ndarray], p: float) -> list:
+    """The secant pairs of the map linearized at the constant function, one per
+    seed direction v of K's grid: the step's row delta log g and the fit's column
+    sqrt(w) * (delta log g - delta u), where delta u = v - <v> and
+    delta log g = (a - <a>) / (p - 1), a = E(v w) / E(w), <.> the weighted mean.
+    An empty images first takes E(w), then E(v w) for each v: one product each,
+    and none where the grid has no seed directions."""
+    grid = K.grid
+    directions = _seed_directions(grid)
     if not directions:
         return []
-    w = K.grid.weights
-    return [K.matvec(w), *(K.matvec(v * w) for v in directions)]
-
-
-def _seed_pairs(grid: QuadratureGrid, images: list[np.ndarray], p: float) -> list:
-    """The secant pairs of the map linearized at the constant function, one per
-    seed direction v: the step's row delta log g and the fit's column
-    sqrt(w) * (delta log g - delta u), where delta u = v - <v> and
-    delta log g = (a - <a>) / (p - 1), a = E(v w) / E(w), <.> the weighted mean."""
-    if not images:
-        return []
     w = grid.weights
+    if not images:
+        images += [K.matvec(w), *(K.matvec(v * w) for v in directions)]
     total = grid.total_weight
     sqrt_w = np.sqrt(w)
     E_w, *E_vw = images
     pairs = []
-    for v, E_v in zip(_seed_directions(grid), E_vw):
+    for v, E_v in zip(directions, E_vw):
         a = E_v / E_w
         dlog_g = (a - np.dot(w, a) / total) / (p - 1.0)
         du = v - np.dot(w, v) / total
@@ -373,49 +389,15 @@ def default_p_schedule(params: Params) -> list[float]:
     """Decreasing exponents from mid-window down to q_alpha + 1e-3, for windows wider than 1e-3."""
     q = params.q_alpha
     if not _ENDPOINT_OFFSET < 2.0 - q:
-        raise ValueError(f"window ({q:.6f}, 2) narrower than {_ENDPOINT_OFFSET}: pass a schedule")
+        raise ValueError(
+            f"window ({q:.6f}, 2) narrower than {_ENDPOINT_OFFSET} has no default schedule "
+            "and no endpoint"
+        )
     endpoint = q + _ENDPOINT_OFFSET
     schedule = [q + (2.0 - q) * fr for fr in (0.7, 0.4, 0.175, 0.04)]
     schedule = [p for p in schedule if p > endpoint * (1.0 + 1e-12)]
     schedule.append(endpoint)
     return schedule
-
-
-def continuation(
-    K: KernelMatrix,
-    grid: QuadratureGrid,
-    p_schedule,
-    tol: float = 1e-9,
-    max_iter: int = 10000,
-) -> list[SubcriticalResult]:
-    """Warm-started solves along a strictly decreasing exponent schedule.
-
-    Each stage starts from the previous stage's result, so the last is a
-    local maximizer on the branch of the first stage's start (the constant);
-    stages that fail to converge still seed the next one, and carry
-    converged = False. The matrix-free operator is densified once, before
-    the first stage and after every argument is checked. The first stage
-    that stalls takes the kernel's five images of the conformal directions
-    and later stages reuse them, so each stage equals
-    solve_subcritical(K, grid, p, f0=previous.f) bit for bit in D, f,
-    residual and iterations, and differs only in matvecs and seeded.
-    """
-    schedule = [float(p) for p in p_schedule]
-    if len(schedule) == 0:
-        raise ValueError("p_schedule must not be empty")
-    for p in schedule:
-        _check_solve(K, p, tol, max_iter)
-    if any(b >= a for a, b in zip(schedule, schedule[1:])):
-        raise ValueError(f"p_schedule must be strictly decreasing, got {schedule}")
-    _check_grid(K, grid)
-    K = K.densified()
-    results: list[SubcriticalResult] = []
-    f_warm, images = None, []
-    for p in schedule:
-        res = _solve(K, grid, p, tol, max_iter, f_warm, images)
-        results.append(res)
-        f_warm = res.f
-    return results
 
 
 def blowup_diagnostic(

@@ -142,6 +142,33 @@ def test_extremal_sub_fixture_uses_alpha(tmp_path, capsys):
     assert not (tmp_path / "extremal-sub.json").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["mass-experiment", "--alpha", "0.0005"],
+     ["curvature-residual", "--mode", "maximizer", "--alpha", "0.0001"]],
+    ids=["mass-experiment", "curvature-residual"],
+)
+def test_window_without_endpoint_refused_without_asking_for_a_schedule(tmp_path, capsys, argv):
+    # neither command takes a schedule: the refusal once told the caller to pass one
+    rc = main([*argv, "--output", str(tmp_path)])
+    assert rc == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "narrower than 0.001 has no default schedule and no endpoint" in err
+    assert "pass a schedule" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_first_product_that_overflows_is_named(tmp_path, capsys):
+    # every entry of the A0 = 1e308 kernel is finite, the largest 1e308; it is the sums
+    # of the first product that overflow, which the refusal once left unnamed
+    rc = main(["mass-experiment", "--A0-list", "1e308", "--resolution", "4,4,4",
+               "--output", str(tmp_path)])
+    assert rc == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "entries whose sums overflow: its first product is not finite" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 # every subcommand at a small size; curvature-residual in the mode with a solve
 _SMALL_RUNS = {
     "constants": [],

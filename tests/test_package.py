@@ -36,6 +36,30 @@ def test_only_discretization_reads_kernel_entries():
     assert found == []
 
 
+def test_kernel_users_only_pass_grid_on():
+    # where a function takes the kernel K, its grid argument is only checked against
+    # K.grid: passed to a call, never read, so weights and nodes come from K.grid alone
+    found = []
+    for name in ("solver", "functional", "experiments"):
+        path = Path(import_module(f"crhls.{name}").__file__)
+        for func in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            names = {a.arg for a in func.args.posonlyargs + func.args.args + func.args.kwonlyargs}
+            if not {"K", "grid"} <= names:
+                continue
+            passed = set()
+            for node in ast.walk(func):
+                if isinstance(node, ast.Call) and not (
+                    isinstance(node.func, ast.Name) and node.func.id == "len"
+                ):
+                    passed.update(map(id, [*node.args, *(k.value for k in node.keywords)]))
+            for node in ast.walk(func):
+                if isinstance(node, ast.Name) and node.id == "grid" and id(node) not in passed:
+                    found.append(f"{path.name}:{node.lineno} {func.name} reads grid")
+    assert found == []
+
+
 def test_discretization_uses_no_point_class():
     # grids hold node arrays and every formula they need takes rows of points, so
     # nothing in the discretization builds an HPoint or SpherePoint

@@ -292,6 +292,16 @@ def test_solver_refuses_a_negative_entry(params_n1, monkeypatch):
     _refused_at_first_product(params_n1, monkeypatch, -1e6, "negative entry")
 
 
+def test_solver_names_overflow_of_finite_entries(params_n1):
+    # every entry of the A0 = 1e308 kernel is finite; the sums of its first product
+    # overflow, which the refusal once blamed on a NaN, infinite or negative entry
+    grid = sphere_grid(1, (4, 4, 4))
+    K = assemble_kernel(grid, _mass_spec(1e308, 0.0, len(grid)), params_n1)
+    assert np.all(np.isfinite(K.entries)) and np.max(K.entries) == pytest.approx(1e308)
+    with pytest.raises(ValueError, match="^kernel .*entries whose sums overflow: its first product"):
+        solve_subcritical(K, grid, 1.5)
+
+
 def _fits_with_a_zeroed_product(K, grid, monkeypatch, at, keep_quotient):
     """Solve at p = 1.5 with node 7 of product number at (from 0) set to zero, its
     quotient kept if keep_quotient by scaling the rest; return the result and each
@@ -632,6 +642,35 @@ def test_continuation_validation(params_n1, monkeypatch):
                 {"max_iter": np.inf}):
         with pytest.raises(ValueError, match="tol must be|max_iter must be"):
             continuation(K, grid, [1.8, 1.7], **bad)
+    assert densified == []
+
+
+def test_solve_refuses_every_argument_before_densify(params_n1, monkeypatch):
+    # a wrong-shape warm start was refused only after the densify: at 32^3 the caller
+    # read that a dense kernel needs 8.0 GiB rather than the f0 message
+    densified = []
+    monkeypatch.setattr(KernelMatrix, "densified", lambda self: densified.append(self) or self)
+    grid = sphere_grid(1, (6, 6, 6))
+    K = KernelMatrix(None, KernelSpec("pure_singular"), grid, params_n1)
+    N, q = len(grid), params_n1.q_alpha
+    spike = np.zeros(N)
+    spike[5] = 1.0
+    cases = [
+        ({"f0": np.ones(3)}, rf"f0 must have shape \({N},\), got \(3,\)"),
+        ({"f0": np.where(spike > 0, np.nan, 1.0)}, "warm start must be finite"),
+        ({"f0": spike - 0.5 * np.roll(spike, 1)}, "warm start must be finite, nonnegative"),
+        ({"f0": np.zeros(N)}, "not identically zero"),
+        ({"p": q}, "outside the subcritical window"),
+        ({"p": 2.0}, "outside the subcritical window"),
+        ({"tol": 0.0}, "tol must be finite and positive"),
+        ({"tol": np.nan}, "tol must be finite and positive"),
+        ({"max_iter": 0}, "max_iter must be an integer"),
+        ({"max_iter": 2.0}, "max_iter must be an integer"),
+    ]
+    for bad, message in cases:
+        kwargs = {"p": 1.5, **bad}
+        with pytest.raises(ValueError, match=message):
+            solve_subcritical(K, grid, **kwargs)
     assert densified == []
 
 
