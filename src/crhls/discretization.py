@@ -541,13 +541,14 @@ class KernelMatrix:
                 if i0 == j0:
                     P = np.triu(P)
                 if r != 1.0:
-                    # a finite entry whose power overflows is refused, as a tile is
                     with np.errstate(over="ignore"):
                         P = P**r
-                    _refuse_nonfinite(P, i0, j0, power_message)
-            if i0 == j0:
-                return tile, (P + np.triu(P, 1).T) @ x[j0:j1], None
-            return tile, P @ x[j0:j1], x[i0:i1] @ P
+            row = (P + np.triu(P, 1).T) @ x[j0:j1] if i0 == j0 else P @ x[j0:j1]
+            # at r != 1, x is the positive weights: a row sum is not finite when an
+            # entry of its row is not, so only then is the tile scanned for it
+            if r != 1.0 and not np.isfinite(row).all():
+                _refuse_nonfinite(P, i0, j0, power_message)
+            return tile, row, None if i0 == j0 else x[i0:i1] @ P
 
         def add(result):
             (i0, i1, j0, j1), row, col = result
@@ -667,7 +668,8 @@ def _kernel_tile(
     on coincident distinct nodes and on a green_model base rho^{-2n} + mass + c_w rho
     that is not strictly positive, at the first minimum of the tile, then on a
     green_model entry (to the power r) that is not finite, after the power, at the
-    first such pair of the tile; an infinite base gives an infinite entry.
+    first such pair of the tile; an infinite base gives an infinite entry. A
+    pure_singular entry whose power r != 1 overflows is left to row_power_sums.
     """
     i0, i1, j0, j1 = bounds
     Q, alpha, n = params.Q, params.alpha, params.n
@@ -677,7 +679,11 @@ def _kernel_tile(
     _refuse_nonpositive(base, i0, j0, "coincident nodes at indices ({}, {}): zero distance")
     if spec.kind == "pure_singular":
         expo = 0.5 * (alpha - Q)
-        tile = _pow_neg(base, expo, out=base) if r == 1.0 else _exp_pow(base, r * expo)
+        if r == 1.0:
+            tile = _pow_neg(base, expo, out=base)
+        else:
+            with np.errstate(over="ignore"):  # an entry that overflows is refused by its walk
+                tile = _exp_pow(base, r * expo)
     else:
         # a base or an entry that overflows is refused below, not warned about
         with np.errstate(over="ignore", invalid="ignore"):

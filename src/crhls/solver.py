@@ -34,6 +34,11 @@ the kernel's images E(w) and E(v_k w) of the weights and of the weighted
 coordinate functions. Those five products depend on the kernel alone, so a
 continuation takes them in its first stage that stalls and its later
 stages reuse them.
+
+The kernel K is read through a protocol, not a type: K.grid, K.params,
+len(K), the float64 product K.matvec(x) and K.densified(), an operator of
+the same products, taken once per chain. bilinear_form, rayleigh_quotient
+and the identity checks read the same, young_bound also K.row_power_sums(r).
 """
 
 from __future__ import annotations
@@ -45,7 +50,6 @@ import numpy as np
 from .core import Params
 from .discretization import KernelMatrix, QuadratureGrid, _check_grid
 from .functional import _positive_lp_norm, lp_norm
-from .heisenberg import _extremal
 
 # number of past residual differences an Anderson step mixes
 _ANDERSON_WINDOW = 3
@@ -60,16 +64,12 @@ _ROUNDOFF_SLACK = 1e-14
 _STALL_FACTOR = 0.5
 # default_p_schedule ends this far above q_alpha; another endpoint needs its own schedule
 _ENDPOINT_OFFSET = 1e-3
-# blowup_diagnostic's profile keeps the nodes within this many mu_p of the peak
-_RADIUS_FACTOR = 8.0
 
 __all__ = [
     "SubcriticalResult",
-    "BlowupReport",
     "solve_subcritical",
     "continuation",
     "default_p_schedule",
-    "blowup_diagnostic",
 ]
 
 
@@ -104,26 +104,6 @@ class SubcriticalResult:
     backtracks: int = 0
     seeded: int = 0
     stop_reason: str = "converged"
-
-
-@dataclass
-class BlowupReport:
-    """Concentration diagnostics of a subcritical maximizer.
-
-    mu_p = f_max^{-(2-p)/alpha} is the predicted concentration scale. The
-    profile holds the maximizer rescaled by its peak, sampled at nodes
-    within 8 mu_p of the peak node, against the rescaled gauge radius;
-    profile value 1 at radius 0 is exact by construction.
-    profile_deviation is the sup distance to the model bubble profile
-    (1 + s^2)^{-(Q+alpha)/2}, the |z|-axis section of the extremal; flat
-    near-constant maximizers therefore score a large deviation.
-    """
-
-    mu_p: float
-    center_index: int
-    radii: np.ndarray
-    profile: np.ndarray
-    profile_deviation: float
 
 
 def solve_subcritical(
@@ -187,9 +167,10 @@ def _stages(K: KernelMatrix, grid: QuadratureGrid, schedule, tol, max_iter, f0) 
     for p in schedule:
         if not q_alpha < p < 2.0:
             raise ValueError(f"p = {p} lies outside the subcritical window ({q_alpha:.6f}, 2)")
-    if not 0.0 < float(tol) < np.inf:
+    # True is 1 to float() and an int to isinstance: max_iter=True ran one iteration
+    if isinstance(tol, bool) or not 0.0 < float(tol) < np.inf:
         raise ValueError(f"tol must be finite and positive, got {tol}")
-    if not (isinstance(max_iter, (int, np.integer)) and max_iter >= 1):
+    if isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer)) or max_iter < 1:
         raise ValueError(f"max_iter must be an integer of at least 1, got {max_iter}")
     if any(b >= a for a, b in zip(schedule, schedule[1:])):
         raise ValueError(f"p_schedule must be strictly decreasing, got {schedule}")
@@ -398,42 +379,3 @@ def default_p_schedule(params: Params) -> list[float]:
     schedule = [p for p in schedule if p > endpoint * (1.0 + 1e-12)]
     schedule.append(endpoint)
     return schedule
-
-
-def blowup_diagnostic(
-    result: SubcriticalResult, grid: QuadratureGrid, params: Params
-) -> BlowupReport:
-    """Rescale a maximizer around its peak and compare to the model bubble.
-
-    The peak node (lowest index on ties) is the center; mu_p is the
-    concentration scale f_max^{-(2-p)/alpha}. Nodes within 8 mu_p of the
-    center enter the profile at rescaled radius dist/mu_p with value
-    f/f_max, sorted by radius.
-    """
-    if params.n != grid.n:
-        raise ValueError(f"params are for n = {params.n} but the grid is for n = {grid.n}")
-    f = np.asarray(result.f, dtype=np.float64)
-    if f.shape != (len(grid),):
-        raise ValueError(f"result holds {f.shape} values but the grid has {len(grid)} nodes")
-    center = int(np.argmax(f))
-    f_max = float(f[center])
-    if not f_max > 0.0:
-        raise ValueError("maximizer peak must be positive")
-    mu = f_max ** (-(2.0 - result.p) / params.alpha)
-    radii = np.sqrt(grid.dist_sq(slice(None), center)) / mu
-    radii[center] = 0.0  # the sphere's inner-product form leaves ~3e-8 there
-    mask = radii <= _RADIUS_FACTOR
-    order = np.argsort(radii[mask], kind="stable")
-    rad = radii[mask][order]
-    prof = (f[mask] / f_max)[order]
-    axis = np.zeros((rad.size, params.n), dtype=np.complex128)
-    axis[:, 0] = rad  # the model bubble is the unit-scale extremal on the |z| axis
-    model = _extremal(axis, np.zeros(rad.size), 1.0, params)
-    return BlowupReport(
-        mu_p=float(mu),
-        center_index=center,
-        radii=rad,
-        profile=prof,
-        profile_deviation=float(np.max(np.abs(prof - model))),
-    )
-

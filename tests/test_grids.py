@@ -17,7 +17,6 @@ from crhls.discretization import (
     sphere_grid,
 )
 from crhls.heisenberg import HPoint, _extremal, extremal_family, gauge_dist_sq, hdist, hnorm
-from crhls.solver import SubcriticalResult, blowup_diagnostic
 from crhls.sphere import SpherePoint, sphere_dist
 from conftest import random_sphere_grid
 
@@ -143,22 +142,6 @@ def test_distances_from_node_match_pointwise():
     q = SpherePoint(s.xi[1])
     for i in (0, 9):
         assert ds[i] == pytest.approx(sphere_dist(SpherePoint(s.xi[i]), q), rel=1e-12)
-
-
-def test_distances_from_node_self_distance_is_zero():
-    # blowup_diagnostic puts its centre at radius exactly 0: the sphere's
-    # inner-product distance leaves ~1e-15 on the diagonal, which the square
-    # root turns into up to 2e-8
-    p = make_params(1, 2.0)
-    for g in (sphere_grid(1, (6, 6, 6)), cylinder_grid(1.0, (6, 6, 6), p)):
-        for i in range(len(g)):
-            f = np.ones(len(g))
-            f[i] = 2.0
-            res = SubcriticalResult(p=1.5, D_estimate=1.0, f=f, iterations=0, residual=0.0,
-                                    converged=True, quotient_history=np.array([1.0]))
-            report = blowup_diagnostic(res, g, p)
-            assert report.center_index == i
-            assert report.radii[0] == 0.0
 
 
 def test_quadrature_grid_validation():

@@ -181,21 +181,29 @@ def test_green_model_refuses_an_entry_that_overflows():
 def test_stored_row_sums_refuse_a_power_that_overflows():
     # the entries c_w rho = 1e300 rho are finite and stored; their squares are
     # not, and the stored operator refuses them as the matrix-free one does,
-    # at the same node pair and with no overflow warning
+    # at the same node pair and with no overflow warning. So do the finite
+    # pure_singular entries of an 8^3 sphere grid to the power 1000, which the
+    # float32 operator once summed to inf with three overflow warnings
     g = sphere_grid(1, (4, 4, 4))
     spec = KernelSpec("green_model", mass=np.zeros(len(g)), c_w=1e300)
     params = make_params(1, 2.0)
     stored = assemble_kernel(g, spec, params)
     assert stored.entries is not None and np.all(np.isfinite(stored.entries))
-    for K, message in [
-        (stored, r"green_model entry to the power 2.0 is not finite at node pair \(0, 1\): inf"),
-        (KernelMatrix(None, spec, g, params),
+    g8, pure = sphere_grid(1, (8, 8, 8)), KernelSpec("pure_singular")
+    pure_message = (r"pure_singular entry to the power 1000.0 is not finite "
+                    r"at node pair \(0, 4\): inf")
+    for K, r, message in [
+        (stored, 2.0,
+         r"green_model entry to the power 2.0 is not finite at node pair \(0, 1\): inf"),
+        (KernelMatrix(None, spec, g, params), 2.0,
          r"green_model entry is not finite at node pair \(0, 1\): inf"),
+        (assemble_kernel(g8, pure, params), 1000.0, pure_message),
+        (assemble_kernel(g8, pure, params, dtype=np.float32), 1000.0, pure_message),
     ]:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=message):
-                K.row_power_sums(2.0)
+                K.row_power_sums(r)
 
 
 def test_green_model_base_check_skips_the_diagonal():

@@ -1,7 +1,8 @@
-"""Package surface: the re-exports of each submodule's public names, who reads a kernel,
-who writes a file, who prints, and that every import is used."""
+"""Package surface: the re-exports of each submodule's public names and their mention in
+README.md, who reads a kernel, who writes a file, who prints, and that every import is used."""
 
 import ast
+import re
 from importlib import import_module
 from pathlib import Path
 
@@ -19,6 +20,14 @@ def test_exports_match_submodule_all():
     assert sorted(crhls.__all__) == sorted(["__version__", *owners])
     for export, name in owners.items():
         assert getattr(crhls, export) is getattr(import_module(f"crhls.{name}"), export)
+
+
+def test_readme_names_every_export():
+    # a public name the README never mentions is one no reader finds
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    missing = [name for name in crhls.__all__
+               if name != "__version__" and not re.search(rf"\b{name}\b", readme)]
+    assert missing == []
 
 
 def test_only_discretization_reads_kernel_entries():

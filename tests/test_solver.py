@@ -1,4 +1,4 @@
-"""Subcritical fixed-point solver, continuation, blow-up diagnostics."""
+"""Subcritical fixed-point solver and continuation."""
 
 import tracemalloc
 
@@ -15,11 +15,9 @@ from crhls.discretization import (
     cylinder_grid,
     sphere_grid,
 )
-from crhls.experiments import _mass_spec
-from crhls.functional import rayleigh_quotient
+from crhls.experiments import _mass_spec, conformal_covariance_check, curvature_equation_residual
+from crhls.functional import bilinear_form, rayleigh_quotient, young_bound
 from crhls.solver import (
-    SubcriticalResult,
-    blowup_diagnostic,
     continuation,
     default_p_schedule,
     solve_subcritical,
@@ -462,11 +460,12 @@ def test_solver_validation(params_n1, monkeypatch):
         with pytest.raises(ValueError):
             solve_subcritical(K, grid, bad_p)
     # an infinite tol once reported converged after one iteration; max_iter = 1.5 ran
-    # two iterations, and max_iter = inf raised OverflowError
-    for bad_tol in (0.0, -1.0, np.inf, np.nan):
+    # two iterations, and max_iter = inf raised OverflowError; tol = True ran as 1.0,
+    # and max_iter = True ran one iteration
+    for bad_tol in (0.0, -1.0, np.inf, np.nan, True):
         with pytest.raises(ValueError, match="tol must be finite and positive"):
             solve_subcritical(K, grid, 1.5, tol=bad_tol)
-    for bad_max_iter in (0, -3, 1.5, 2.0, np.inf, np.nan):
+    for bad_max_iter in (0, -3, 1.5, 2.0, np.inf, np.nan, True):
         with pytest.raises(ValueError, match="max_iter must be an integer"):
             solve_subcritical(K, grid, 1.5, max_iter=bad_max_iter)
     assert solve_subcritical(K, grid, 1.5, max_iter=np.int64(1)).iterations == 1
@@ -674,71 +673,42 @@ def test_solve_refuses_every_argument_before_densify(params_n1, monkeypatch):
     assert densified == []
 
 
-def test_blowup_planted_bubble(params_n1):
-    # planting the model bubble with amplitude eps^{-alpha/(2-p)} makes the
-    # predicted scale equal eps, so the profile matches the model exactly
-    Q, al = params_n1.Q, params_n1.alpha
-    grid = cylinder_grid(1.0, (8, 6, 8), params_n1)
-    center = len(grid) // 2
-    d = np.sqrt(grid.dist_sq(slice(None), center))
-    p, eps = 1.5, 0.3
-    A = eps ** (-al / (2.0 - p))
-    f = A * (1.0 + (d / eps) ** 2) ** (-0.5 * (Q + al))
-    res = SubcriticalResult(
-        p=p,
-        D_estimate=1.0,
-        f=f,
-        iterations=0,
-        residual=0.0,
-        converged=True,
-        quotient_history=np.array([1.0]),
-    )
-    report = blowup_diagnostic(res, grid, params_n1)
-    assert report.center_index == center
-    assert report.mu_p == pytest.approx(eps, rel=1e-12)
-    assert report.radii[0] == 0.0 and report.profile[0] == 1.0
-    assert np.all(np.diff(report.radii) >= 0.0)
-    assert report.profile_deviation < 1e-12
+class _ProtocolKernel:
+    """The kernel protocol and nothing more: grid, params, len, matvec and a
+    densified() that returns the operator itself; it wraps a KernelMatrix."""
+
+    def __init__(self, K):
+        self.grid, self.params, self._K = K.grid, K.params, K
+
+    def __len__(self):
+        return len(self._K)
+
+    def matvec(self, x):
+        return self._K.matvec(x)
+
+    def densified(self):
+        return self
 
 
-def test_blowup_flat_profile_scores_large_deviation(params_n1):
-    grid = cylinder_grid(1.0, (8, 6, 8), params_n1)
-    res = SubcriticalResult(
-        p=1.5,
-        D_estimate=1.0,
-        f=np.ones(len(grid)),
-        iterations=0,
-        residual=0.0,
-        converged=True,
-        quotient_history=np.array([1.0]),
-    )
-    report = blowup_diagnostic(res, grid, params_n1)
-    assert report.mu_p == 1.0
-    assert report.profile_deviation > 0.3
-
-
-def test_blowup_refuses_params_of_another_n(params_n1):
-    # n = 2 params on an n = 1 sphere grid once gave mu_p = 2.224 and a deviation of 0.877
+def test_any_operator_of_the_kernel_protocol_gives_the_kernels_bits(params_n1):
+    # the solver and the identity checks read a kernel only through the
+    # protocol of the solver's module docstring, so any other operator of it,
+    # a spectral one say, plugs in with no type switch
     grid = sphere_grid(1, (6, 6, 6))
     K = assemble_kernel(grid, KernelSpec("pure_singular"), params_n1)
-    res = solve_subcritical(K, grid, 1.5)
-    with pytest.raises(ValueError, match="params are for n = 2 but the grid is for n = 1"):
-        blowup_diagnostic(res, grid, make_params(2, 2.0))
-    assert blowup_diagnostic(res, grid, params_n1).center_index == int(np.argmax(res.f))
-
-
-def test_blowup_validation(params_n1):
-    grid = cylinder_grid(1.0, (6, 4, 6), params_n1)
-    for f, message in ((np.ones(3), "grid has"), (np.zeros(len(grid)), "peak must be positive")):
-        bad = SubcriticalResult(
-            p=1.5,
-            D_estimate=1.0,
-            f=f,
-            iterations=0,
-            residual=0.0,
-            converged=True,
-            quotient_history=np.array([1.0]),
+    op = _ProtocolKernel(K)
+    f, g = np.random.default_rng(20261022).uniform(0.5, 1.5, (2, len(K)))
+    schedule = default_p_schedule(params_n1)
+    pairs = [(solve_subcritical(K, grid, 1.5), solve_subcritical(op, grid, 1.5))]
+    pairs += zip(continuation(K, grid, schedule), continuation(op, grid, schedule))
+    for a, b in pairs:
+        assert (a.D_estimate, a.residual, a.iterations, a.matvecs, a.seeded) == (
+            b.D_estimate, b.residual, b.iterations, b.matvecs, b.seeded
         )
-        with pytest.raises(ValueError, match=message):
-            blowup_diagnostic(bad, grid, params_n1)
-
+        assert np.array_equal(a.f, b.f)
+    assert bilinear_form(op, f, g) == bilinear_form(K, f, g)
+    assert rayleigh_quotient(op, f, 1.5) == rayleigh_quotient(K, f, 1.5)
+    for check, args in [(conformal_covariance_check, (f, g)), (curvature_equation_residual, (f,))]:
+        assert check(op, grid, *args, params_n1) == check(K, grid, *args, params_n1)
+    op.row_power_sums = K.row_power_sums  # young_bound reads one more method
+    assert young_bound(op, grid, 1.2) == young_bound(K, grid, 1.2)
